@@ -1,11 +1,12 @@
 #include "bench_util.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
+#include <sstream>
 
 #include "common/logging.hpp"
 #include "dnn/backend/backend.hpp"
@@ -191,41 +192,165 @@ emit(const std::string &title, const Table &table, const BenchOptions &opts)
 
 namespace {
 
-/** Train (or load) a model and clip it for int16 deployment. The
- *  training set is built lazily so a cache hit skips the synthetic
- *  dataset generation entirely. */
+constexpr const char *kCacheMagic = "vboost-bench-model/1";
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[17] = {};
+    std::to_chars(buf, buf + 16, v, 16);
+    return buf;
+}
+
+/** Shortest text that reads back as exactly `v`. */
+std::string
+exact(double v)
+{
+    char buf[32];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, end);
+}
+
+/** FNV-1a over the bytes of `bytes`. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 dnn::Network
-cachedModel(const BenchOptions &opts, const std::string &name,
-            dnn::Network net,
-            const std::function<dnn::Dataset()> &make_train_set,
-            const dnn::TrainConfig &cfg)
+buildModel(const ModelRecipe &recipe)
+{
+    Rng rng(recipe.initSeed);
+    if (recipe.arch == "alexnet_cifar")
+        return dnn::buildAlexNetCifar(rng);
+    return dnn::buildMnistFc(rng);
+}
+
+/** Train (or load) a model and clip it for int16 deployment. The
+ *  training set is built only on a cache miss. */
+dnn::Network
+cachedModel(const BenchOptions &opts, const ModelRecipe &recipe)
 {
     std::filesystem::create_directories(opts.cacheDir);
-    const std::string path = opts.cacheDir + "/" + name + ".bin";
-    if (loadParameters(net, path))
+    const std::string path = recipe.cachePath(opts.cacheDir);
+    dnn::Network net = buildModel(recipe);
+    if (loadCachedModel(recipe, path, net))
         return net;
-    inform("training ", name, " (cached at ", path, ")");
-    dnn::SgdTrainer trainer(cfg);
-    Rng rng(2024);
-    const dnn::Dataset train_set = make_train_set();
+    inform("training ", recipe.arch, " (cached at ", path, ")");
+    net = buildModel(recipe);
+    dnn::SgdTrainer trainer(recipe.train);
+    Rng rng(recipe.shuffleSeed);
+    const dnn::Dataset train_set =
+        recipe.arch == "alexnet_cifar"
+            ? dnn::makeSyntheticCifar(recipe.trainSize, recipe.dataSeed)
+            : dnn::makeSyntheticMnist(recipe.trainSize, recipe.dataSeed);
     trainer.train(net, train_set, rng);
-    dnn::clipParameters(net, 0.5f);
-    saveParameters(net, path);
+    dnn::clipParameters(net, recipe.clip);
+    storeCachedModel(recipe, path, net);
     return net;
 }
 
 } // namespace
 
+std::string
+ModelRecipe::keyText() const
+{
+    std::ostringstream os;
+    os << "arch=" << arch << ";init=" << initSeed
+       << ";epochs=" << train.epochs << ";batch=" << train.batchSize
+       << ";lr=" << exact(train.learningRate)
+       << ";momentum=" << exact(train.momentum)
+       << ";decay=" << exact(train.lrDecay) << ";shuffle=" << shuffleSeed
+       << ";train_size=" << trainSize << ";data_seed=" << dataSeed
+       << ";clip=" << exact(clip);
+    return os.str();
+}
+
+std::string
+ModelRecipe::cachePath(const std::string &dir) const
+{
+    return dir + "/" + arch + "-" + hex(fnv1a(keyText())) + ".bin";
+}
+
+ModelRecipe
+mnistFcRecipe(const BenchOptions &)
+{
+    ModelRecipe r;
+    r.arch = "mnist_fc";
+    r.train.epochs = 6;
+    r.trainSize = 4000;
+    return r;
+}
+
+ModelRecipe
+alexNetRecipe(const BenchOptions &opts)
+{
+    ModelRecipe r;
+    r.arch = "alexnet_cifar";
+    r.train.epochs = 3;
+    r.train.learningRate = 0.05;
+    r.trainSize = opts.paper ? 3000 : 1500;
+    return r;
+}
+
+bool
+loadCachedModel(const ModelRecipe &recipe, const std::string &path,
+                dnn::Network &net)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    std::string magic, key, sum;
+    std::size_t size = 0;
+    in >> magic >> key >> sum >> size;
+    in.get(); // the header's newline
+    if (!in || magic != kCacheMagic || key != hex(fnv1a(recipe.keyText())))
+        return false;
+    std::string payload(size, '\0');
+    in.read(payload.data(), static_cast<std::streamsize>(size));
+    if (static_cast<std::size_t>(in.gcount()) != size ||
+        sum != hex(fnv1a(payload)))
+        return false;
+    std::istringstream image(payload);
+    try {
+        dnn::loadParameters(net, image);
+    } catch (const FatalError &) {
+        return false; // the architecture changed under the same key
+    }
+    return true;
+}
+
+void
+storeCachedModel(const ModelRecipe &recipe, const std::string &path,
+                 dnn::Network &net)
+{
+    std::ostringstream image;
+    dnn::saveParameters(net, image);
+    const std::string payload = image.str();
+    // Write aside and rename, so a reader never sees half a file.
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::binary);
+        out << kCacheMagic << ' ' << hex(fnv1a(recipe.keyText())) << ' '
+            << hex(fnv1a(payload)) << ' ' << payload.size() << '\n';
+        out.write(payload.data(),
+                  static_cast<std::streamsize>(payload.size()));
+        if (!out)
+            fatal("cannot write model cache entry ", tmp);
+    }
+    std::filesystem::rename(tmp, path);
+}
+
 dnn::Network
 trainedMnistFc(const BenchOptions &opts)
 {
-    Rng rng(7);
-    auto net = dnn::buildMnistFc(rng);
-    dnn::TrainConfig cfg;
-    cfg.epochs = 6;
-    return cachedModel(opts, "mnist_fc", std::move(net),
-                       [] { return dnn::makeSyntheticMnist(4000, 1); },
-                       cfg);
+    return cachedModel(opts, mnistFcRecipe(opts));
 }
 
 dnn::Dataset
@@ -238,17 +363,7 @@ mnistTestSet(const BenchOptions &opts)
 dnn::Network
 trainedAlexNet(const BenchOptions &opts)
 {
-    Rng rng(7);
-    auto net = dnn::buildAlexNetCifar(rng);
-    dnn::TrainConfig cfg;
-    cfg.epochs = 3;
-    cfg.learningRate = 0.05;
-    return cachedModel(opts, "alexnet_cifar", std::move(net),
-                       [&opts] {
-                           return dnn::makeSyntheticCifar(
-                               opts.paper ? 3000 : 1500, 1);
-                       },
-                       cfg);
+    return cachedModel(opts, alexNetRecipe(opts));
 }
 
 dnn::Dataset

@@ -3,13 +3,15 @@
  * Shared infrastructure for the figure/table benches: command-line
  * options (--paper scales the Monte-Carlo effort up to the paper's
  * settings, --csv dumps machine-readable output), cached trained
- * models (train once, reuse across benches via a parameter file in
- * ./bench_cache), and the standard voltage grids of the evaluation.
+ * models (train once, reuse across benches via a keyed, checksummed
+ * parameter file in ./bench_cache), and the standard voltage grids of
+ * the evaluation.
  */
 
 #ifndef VBOOST_BENCH_BENCH_UTIL_HPP
 #define VBOOST_BENCH_BENCH_UTIL_HPP
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "common/units.hpp"
 #include "dnn/dataset.hpp"
 #include "dnn/network.hpp"
+#include "dnn/trainer.hpp"
 
 namespace vboost::bench {
 
@@ -101,6 +104,50 @@ struct BenchOptions
 /** Print a titled table, and CSV when requested. */
 void emit(const std::string &title, const Table &table,
           const BenchOptions &opts);
+
+/**
+ * Everything that shapes a cached bench model's weights. The cache
+ * file is named by a digest of all of it, so runs whose models differ
+ * (a --paper AlexNet trains on twice the images) never share a file.
+ */
+struct ModelRecipe
+{
+    /** "mnist_fc" or "alexnet_cifar" (dnn/zoo.hpp). */
+    std::string arch;
+    std::uint64_t initSeed = 7;
+    dnn::TrainConfig train;
+    /** Synthetic training-set size and generator seed. */
+    int trainSize = 0;
+    std::uint64_t dataSeed = 1;
+    std::uint64_t shuffleSeed = 2024;
+    /** Post-training parameter clip for int16 deployment. */
+    float clip = 0.5f;
+
+    /** Canonical text of every field (the key before hashing). */
+    std::string keyText() const;
+    /** The entry's file under `dir`: <arch>-<FNV-1a of keyText>.bin. */
+    std::string cachePath(const std::string &dir) const;
+};
+
+/** Recipe of trainedMnistFc (independent of the options today). */
+ModelRecipe mnistFcRecipe(const BenchOptions &opts);
+/** Recipe of trainedAlexNet (--paper trains on 3000 images, else
+ *  1500). */
+ModelRecipe alexNetRecipe(const BenchOptions &opts);
+
+/**
+ * Load the cache entry at `path` into `net` (built from the recipe's
+ * architecture). Returns false — the caller retrains — when the file
+ * is missing, keyed for another recipe, truncated, or fails its FNV-1a
+ * checksum.
+ */
+bool loadCachedModel(const ModelRecipe &recipe, const std::string &path,
+                     dnn::Network &net);
+
+/** Write `net` as `recipe`'s cache entry at `path` (header with key,
+ *  checksum and size, then the parameter image). */
+void storeCachedModel(const ModelRecipe &recipe, const std::string &path,
+                      dnn::Network &net);
 
 /**
  * The paper's FC-DNN (784-256-256-256-32) trained on synthetic MNIST

@@ -359,6 +359,8 @@ FaultInjectionRunner::runResilient(Volt vdd, const core::SimContext &ctx,
         timer.emplace(obs_->metrics, "fi.run", trialClock_,
                       withBase({{"kind", "resilient"}}));
     }
+    // Every map stages the same weights: quantize and encode them once.
+    const StagedWeights image = stageWeights(net_);
     const auto results = runMaps(
         static_cast<std::size_t>(cfg_.numMaps),
         [&](std::size_t m, dnn::Network &scratch) {
@@ -375,8 +377,8 @@ FaultInjectionRunner::runResilient(Volt vdd, const core::SimContext &ctx,
                 4000 + static_cast<std::uint64_t>(m)));
 
             MapResult r;
-            r.bitFlips =
-                corruptNetworkResilient(scratch, net_, rmem, vdd, map);
+            r.bitFlips = corruptNetworkResilient(scratch, net_, image, rmem,
+                                                 vdd, map);
             r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
             r.res = rmem.snapshot();
             r.resEnergy = rmem.totalAccessEnergy();
@@ -511,6 +513,7 @@ FaultInjectionRunner::runCombined(Volt v_sram,
         timer.emplace(obs_->metrics, "fi.run", trialClock_,
                       withBase({{"kind", "combined"}}));
     }
+    const StagedWeights image = stageWeights(net_);
     const auto results = runMaps(
         static_cast<std::size_t>(cfg_.numMaps),
         [&](std::size_t m, dnn::Network &scratch) {
@@ -526,8 +529,8 @@ FaultInjectionRunner::runCombined(Volt v_sram,
                 6000 + static_cast<std::uint64_t>(m)));
 
             MapResult r;
-            r.bitFlips =
-                corruptNetworkResilient(scratch, net_, rmem, v_sram, map);
+            r.bitFlips = corruptNetworkResilient(scratch, net_, image, rmem,
+                                                 v_sram, map);
 
             timing::SpeculativeDatapath dp(ctx.tech, inj.params,
                                            inj.policy, inj.vLogic,

@@ -157,47 +157,75 @@ corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
     return flipped;
 }
 
+StagedWeights
+stageWeights(dnn::Network &src)
+{
+    StagedWeights image;
+    for (const auto &p : src.weightParams()) {
+        const dnn::QuantizedTensor q = dnn::quantize(*p.value);
+        const std::vector<std::int16_t> &words = q.words;
+        image.layers.push_back({q.codec, words.size(), image.groups.size(),
+                                dnn::dequantize(q)});
+        for (std::size_t g = 0; g < words.size(); g += 4) {
+            std::uint64_t group = 0;
+            for (std::size_t k = 0; k < 4 && g + k < words.size(); ++k)
+                group |= static_cast<std::uint64_t>(
+                             static_cast<std::uint16_t>(words[g + k]))
+                         << (16 * k);
+            image.groups.push_back(group);
+            image.checks.push_back(sram::SecdedCodec::encode(group));
+        }
+    }
+    return image;
+}
+
 std::uint64_t
 corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
+                        const StagedWeights &image,
                         resilience::ResilientMemory &rmem, Volt vdd,
                         const sram::VulnerabilityMap &map)
 {
     dst.copyParamsFrom(src);
-    auto src_weights = src.weightParams();
     auto dst_weights = dst.weightParams();
-    if (src_weights.size() != dst_weights.size())
+    if (image.layers.size() != dst_weights.size())
         fatal("corruptNetworkResilient: network structure mismatch");
 
     const std::uint32_t capacity = rmem.memory().words();
     std::uint64_t residual = 0;
     std::uint64_t group_cursor = 0; // 64-bit words staged so far
-    for (std::size_t l = 0; l < src_weights.size(); ++l) {
-        auto q = dnn::quantize(*src_weights[l].value);
-        // Stage 64-bit groups of four int16 words through the memory;
-        // the tail group is zero-padded like a real padded row.
-        for (std::size_t g = 0; g < q.words.size(); g += 4) {
-            std::uint64_t word = 0;
-            for (std::size_t k = 0; k < 4 && g + k < q.words.size(); ++k)
-                word |= static_cast<std::uint64_t>(
-                            static_cast<std::uint16_t>(q.words[g + k]))
-                        << (16 * k);
-
+    for (std::size_t l = 0; l < image.layers.size(); ++l) {
+        const StagedWeights::Layer &layer = image.layers[l];
+        dnn::Tensor &out = *dst_weights[l].value;
+        out = layer.clean;
+        const std::size_t words = layer.words;
+        for (std::size_t g = 0; 4 * g < words; ++g) {
+            const std::size_t i = layer.firstGroup + g;
+            const std::uint64_t group = image.groups[i];
             const auto addr =
                 static_cast<std::uint32_t>(group_cursor % capacity);
             ++group_cursor;
-            rmem.writeWord(addr, word, vdd);
-            const resilience::ReadOutcome out =
-                rmem.readWord(addr, vdd, map);
+            rmem.writeEncoded(addr, group, image.checks[i], vdd);
+            const std::uint64_t read = rmem.readWord(addr, vdd, map).data;
+            if (read == group)
+                continue;
             residual += static_cast<std::uint64_t>(
-                std::popcount(word ^ out.data));
-
-            for (std::size_t k = 0; k < 4 && g + k < q.words.size(); ++k)
-                q.words[g + k] = static_cast<std::int16_t>(
-                    static_cast<std::uint16_t>(out.data >> (16 * k)));
+                std::popcount(group ^ read));
+            for (std::size_t k = 0; k < 4 && 4 * g + k < words; ++k)
+                out[4 * g + k] = layer.codec.decode(
+                    static_cast<std::int16_t>(
+                        static_cast<std::uint16_t>(read >> (16 * k))));
         }
-        *dst_weights[l].value = dnn::dequantize(q);
     }
     return residual;
+}
+
+std::uint64_t
+corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
+                        resilience::ResilientMemory &rmem, Volt vdd,
+                        const sram::VulnerabilityMap &map)
+{
+    return corruptNetworkResilient(dst, src, stageWeights(src), rmem, vdd,
+                                   map);
 }
 
 dnn::Tensor

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "dnn/network.hpp"
+#include "dnn/quantize.hpp"
 #include "resilience/resilient_memory.hpp"
 #include "sram/ecc.hpp"
 #include "sram/fault_map.hpp"
@@ -116,6 +117,38 @@ std::uint64_t corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
                                 sram::EccStats *stats = nullptr);
 
 /**
+ * The weight image resilient staging writes: every weight layer of a
+ * network quantized to int16 words, packed four to a 64-bit group
+ * (the tail group zero-padded, like a real padded row) with the
+ * group's SECDED check byte, plus the clean dequantized tensor of each
+ * layer. It depends only on the weights, so one image serves every
+ * staging of the same weights (a serving run, a Monte-Carlo point).
+ */
+struct StagedWeights
+{
+    struct Layer
+    {
+        /** The layer's int16 storage codec. */
+        FixedPointCodec codec;
+        /** int16 words the layer occupies. */
+        std::size_t words = 0;
+        /** Index of the layer's first group in `groups`. */
+        std::size_t firstGroup = 0;
+        /** The dequantized weights when no read goes wrong. */
+        dnn::Tensor clean;
+    };
+
+    std::vector<Layer> layers;
+    /** 64-bit groups of all layers, in staging order. */
+    std::vector<std::uint64_t> groups;
+    /** sram::SecdedCodec::encode of each group. */
+    std::vector<std::uint8_t> checks;
+};
+
+/** Build the staging image of `src`'s current weights. */
+StagedWeights stageWeights(dnn::Network &src);
+
+/**
  * Closed-loop variant of corruptNetworkEcc: the weight image is staged
  * word by word through a ResilientMemory — write, then read back
  * through the full resilient pipeline (ECC decode, bounded retry with
@@ -125,9 +158,20 @@ std::uint64_t corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
  * after the call). Layers wrap through the memory modulo its capacity,
  * mirroring the staged execution of the other injectors.
  *
+ * `image` must be stageWeights(src) for src's current weights: `dst`
+ * receives src's parameters with each weight tensor replaced by the
+ * image's clean tensor, re-dequantized only where a read-back differs.
+ *
  * @return residual flipped bits (after correction and retries) —
  *         the corruption that actually reaches inference.
  */
+std::uint64_t corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
+                                      const StagedWeights &image,
+                                      resilience::ResilientMemory &rmem,
+                                      Volt vdd,
+                                      const sram::VulnerabilityMap &map);
+
+/** corruptNetworkResilient with a staging image built for this call. */
 std::uint64_t corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
                                       resilience::ResilientMemory &rmem,
                                       Volt vdd,

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "sram/packed_fault_map.hpp"
+#include "sram/word_fault_masks.hpp"
 
 namespace vboost::resilience {
 
@@ -61,6 +63,10 @@ ResilientMemory::ResilientMemory(sram::BankedMemory &mem,
 {
     policy_.validate(maxLevel_);
     mem_.setAllBoostLevels(policy_.startLevel);
+    // The side store mirrors the array from the start, so every
+    // stored codeword is intact until a read manifests faults.
+    for (std::uint32_t a = 0; a < mem_.words(); ++a)
+        check_[a] = sram::SecdedCodec::encode(mem_.peek(a));
 }
 
 void
@@ -74,76 +80,77 @@ void
 ResilientMemory::writeWord(std::uint32_t addr, std::uint64_t data,
                            Volt vdd)
 {
+    writeEncoded(addr, data, sram::SecdedCodec::encode(data), vdd);
+}
+
+void
+ResilientMemory::writeEncoded(std::uint32_t addr, std::uint64_t data,
+                              std::uint8_t check, Volt vdd)
+{
     mem_.write(addr, data, vdd);
-    check_[addr] = sram::SecdedCodec::encode(data);
+    check_[addr] = check;
     // A quarantined row's spare image shadows the primary row; keep it
     // coherent (hardware rewrites both on a store to a spared address).
     const int slot = spares_.find(addr);
     if (slot >= 0) {
         spares_.row(slot).data = data;
-        spares_.row(slot).check = check_[addr];
+        spares_.row(slot).check = check;
     }
-}
-
-std::uint8_t
-ResilientMemory::corruptCheck(std::uint8_t check, std::uint64_t base_cell,
-                              double fail_prob,
-                              const sram::VulnerabilityMap &map, Rng &rng)
-{
-    if (fail_prob <= 0.0)
-        return check;
-    const double flip = mem_.bank(0).flipProb();
-    for (int b = 0; b < sram::SecdedCodec::kCheckBits; ++b) {
-        if (map.isFaulty(base_cell + static_cast<std::uint64_t>(b),
-                         fail_prob) &&
-            rng.bernoulli(flip)) {
-            check = static_cast<std::uint8_t>(check ^ (1u << b));
-        }
-    }
-    return check;
 }
 
 sram::EccDecodeResult
 ResilientMemory::attemptRead(std::uint32_t addr, int spare_slot, int level,
                              Volt vdd, const sram::VulnerabilityMap &map,
-                             Rng &rng)
+                             std::uint64_t stream)
 {
     const int bank = mem_.bankOf(addr);
+    std::uint64_t data = 0;
+    std::uint8_t check = 0;
+    sram::WordMask mask;
+    double flip = 0.0;
     if (spare_slot < 0) {
         // Primary row: a real bank access (charges access + boost
         // energy in the bank counters at the attempt's level).
         if (mem_.boostLevel(bank) != level)
             mem_.setBoostLevel(bank, level);
-        const std::uint64_t data = mem_.read(addr, vdd, map, rng);
-        const double fail = mem_.bank(bank).failProbAt(vdd);
-        const std::uint8_t check = corruptCheck(
-            check_[addr], parityBase_ + static_cast<std::uint64_t>(addr) * 8,
-            fail, map, rng);
-        return sram::SecdedCodec::decode(data, check);
-    }
-
-    // Spare row: same bank conditions, fresh cells in the spare region.
-    const Volt vddv = supply_.boostedVoltage(vdd, level);
-    const double fail = failure_.rate(vddv);
-    const double flip = mem_.bank(bank).flipProb();
-    const SpareRow &row =
-        spares_.row(spare_slot); // image is golden; faults manifest here
-    std::uint64_t data = row.data;
-    const std::uint64_t base =
-        spareBase_ + static_cast<std::uint64_t>(spare_slot) * kSpareRowBits;
-    if (fail > 0.0) {
-        for (int b = 0; b < 64; ++b) {
-            if (map.isFaulty(base + static_cast<std::uint64_t>(b), fail) &&
-                rng.bernoulli(flip))
-                data ^= 1ull << b;
+        const sram::SramBank::RawRead r =
+            mem_.readRaw(addr, vdd, map, parityBase_);
+        data = r.data;
+        check = check_[addr];
+        mask = r.mask;
+        flip = r.flipProb;
+    } else {
+        // Spare row: same bank conditions, fresh cells in the spare
+        // region (64 data cells, then 8 check cells).
+        const Volt vddv = supply_.boostedVoltage(vdd, level);
+        const double fail = failure_.rate(vddv);
+        const SpareRow &row =
+            spares_.row(spare_slot); // image is golden; faults manifest here
+        data = row.data;
+        check = row.check;
+        flip = mem_.bank(bank).flipProb();
+        if (fail > 0.0) {
+            const sram::PackedFaultMap cells(
+                map,
+                spareBase_ +
+                    static_cast<std::uint64_t>(spare_slot) * kSpareRowBits,
+                kSpareRowBits, fail);
+            mask.data = cells.words()[0];
+            mask.check = static_cast<std::uint8_t>(cells.mask(64, 8));
         }
+        stats_.spareEnergy +=
+            supply_.energyModel().sramAccessEnergy(vddv, mem_.banks());
+        if (level > 0)
+            stats_.spareEnergy +=
+                supply_.booster().boostEventEnergy(vdd, level);
     }
-    const std::uint8_t check = corruptCheck(row.check, base + 64, fail,
-                                            map, rng);
-    stats_.spareEnergy +=
-        supply_.energyModel().sramAccessEnergy(vddv, mem_.banks());
-    if (level > 0)
-        stats_.spareEnergy += supply_.booster().boostEventEnergy(vdd, level);
+    // A codeword without faulty cells reads back as stored, and the
+    // stored check byte encodes the stored data, so it decodes clean:
+    // no stream, no draw, no decode.
+    if (mask.empty())
+        return {data, sram::EccOutcome::Clean};
+    Rng rng = base_.split(stream);
+    sram::flipMasked(data, check, mask, flip, rng);
     return sram::SecdedCodec::decode(data, check);
 }
 
@@ -171,9 +178,9 @@ ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
                                  attempt, maxLevel_);
         // Per-access counter-based stream: independent of thread
         // scheduling and of how much randomness other reads consumed.
-        Rng rng = base_.split(access * ResiliencePolicy::kMaxAttempts +
+        dec = attemptRead(addr, slot, level, vdd, map,
+                          access * ResiliencePolicy::kMaxAttempts +
                               static_cast<std::uint64_t>(attempt));
-        dec = attemptRead(addr, slot, level, vdd, map, rng);
         out.level = level;
         if (attempt == 0) {
             first_error = dec.outcome != sram::EccOutcome::Clean;
@@ -345,6 +352,16 @@ ResilientMemory::resetRuntimeState()
     std::fill(standing_.begin(), standing_.end(), policy_.startLevel);
     mem_.setAllBoostLevels(policy_.startLevel);
     accessCounter_ = 0;
+}
+
+void
+ResilientMemory::resetRuntimeState(int start_level)
+{
+    ResiliencePolicy policy = policy_;
+    policy.startLevel = start_level;
+    policy.validate(maxLevel_);
+    policy_ = policy;
+    resetRuntimeState();
 }
 
 Joule

@@ -122,6 +122,12 @@ class ResilientMemory
      *  A quarantined row's spare image is kept coherent. */
     void writeWord(std::uint32_t addr, std::uint64_t data, Volt vdd);
 
+    /** writeWord with the check byte precomputed by the caller (a
+     *  staging image encodes each word once); `check` must be
+     *  sram::SecdedCodec::encode(data). */
+    void writeEncoded(std::uint32_t addr, std::uint64_t data,
+                      std::uint8_t check, Volt vdd);
+
     /** Read a word through the full resilient pipeline. */
     ReadOutcome readWord(std::uint32_t addr, Volt vdd,
                          const sram::VulnerabilityMap &map);
@@ -145,6 +151,12 @@ class ResilientMemory
     /** Reset counters, monitors, spares and standing levels (fresh
      *  Monte-Carlo map over the same memory). */
     void resetRuntimeState();
+
+    /** resetRuntimeState with a new standing start level (validated
+     *  like the policy's): a serving slot reuses one wrapper across
+     *  batches planned at different levels, keeping the banks' packed
+     *  fault masks. */
+    void resetRuntimeState(int start_level);
 
     /** The wrapped memory (bank counters hold the access energy). */
     sram::BankedMemory &memory() { return mem_; }
@@ -172,16 +184,12 @@ class ResilientMemory
 
   private:
     /** One read attempt; primary rows go through the real bank read
-     *  path, spare rows manifest faults on the spare cell region. */
+     *  path, spare rows manifest faults on the spare cell region.
+     *  Faulty codewords draw their flips from base_.split(stream). */
     sram::EccDecodeResult attemptRead(std::uint32_t addr, int spare_slot,
                                       int level, Volt vdd,
                                       const sram::VulnerabilityMap &map,
-                                      Rng &rng);
-
-    /** Corrupt a check byte through the parity cell region. */
-    std::uint8_t corruptCheck(std::uint8_t check, std::uint64_t base_cell,
-                              double fail_prob,
-                              const sram::VulnerabilityMap &map, Rng &rng);
+                                      std::uint64_t stream);
 
     /** Raise a bank's standing level (canary-floored). */
     void raiseStandingLevel(int bank, Volt vdd,
@@ -198,7 +206,8 @@ class ResilientMemory
     core::CanaryController canary_;
     int maxLevel_;
 
-    /** Check-bit side store, one byte per word. */
+    /** Check-bit side store, one byte per word: always the encoding
+     *  of the stored word (writes go through writeEncoded). */
     std::vector<std::uint8_t> check_;
     /** Standing boost level per bank (mirrors mem_'s BIC state). */
     std::vector<int> standing_;

@@ -210,6 +210,7 @@ InferenceServer::formBatches(const std::vector<InferenceRequest> &trace,
 
 void
 InferenceServer::executeBatch(const FormedBatch &batch, BatchRecord &rec,
+                              const fi::StagedWeights &image,
                               WorkerScratch &scratch)
 {
     if (!scratch.chip)
@@ -217,21 +218,23 @@ InferenceServer::executeBatch(const FormedBatch &batch, BatchRecord &rec,
             cfg_.chip, ctx_.tech, ctx_.failure);
     if (!scratch.net)
         scratch.net = std::make_unique<dnn::Network>(net_.clone());
-    // Per-batch energy must not depend on which batches this slot ran
-    // before, so the bank counters restart from zero every time.
+    if (!scratch.rmem)
+        scratch.rmem = std::make_unique<resilience::ResilientMemory>(
+            scratch.chip->weightMemory(), ctx_, cfg_.policy);
+    // Per-batch energy and resilience state must not depend on which
+    // batches this slot ran before: the bank counters and the
+    // wrapper's runtime state restart every time (the packed fault
+    // masks, pure functions of the device map, carry over).
     scratch.chip->resetCounters();
-
-    resilience::ResiliencePolicy policy = cfg_.policy;
-    policy.startLevel = rec.plan.weightLevel;
-    resilience::ResilientMemory rmem(scratch.chip->weightMemory(), ctx_,
-                                     policy);
+    resilience::ResilientMemory &rmem = *scratch.rmem;
+    rmem.resetRuntimeState(rec.plan.weightLevel);
 
     // Counter-split streams keyed by the batch sequence number (§7):
     // identical regardless of which thread/slot executes the batch.
     const Rng base(cfg_.seed);
     rmem.reseed(base.split(1'000'000 + 2 * batch.seq));
     rec.residualFlips = fi::corruptNetworkResilient(
-        *scratch.net, net_, rmem, rec.plan.vdd, deviceMap_);
+        *scratch.net, net_, image, rmem, rec.plan.vdd, deviceMap_);
 
     std::vector<std::size_t> samples;
     samples.reserve(batch.requests.size());
@@ -446,6 +449,8 @@ InferenceServer::run(const std::vector<InferenceRequest> &trace)
     const unsigned num_threads = ThreadPool::resolveThreads(cfg_.numThreads);
     if (scratch_.size() < num_threads)
         scratch_.resize(num_threads);
+    // Every batch of the run stages the same weights.
+    const fi::StagedWeights image = fi::stageWeights(net_);
 
     // Epoch execution: plans freeze serially, batches run in parallel,
     // feedback applies serially in batch order — the planner never
@@ -475,7 +480,7 @@ InferenceServer::run(const std::vector<InferenceRequest> &trace)
                         // vblint: allow(VB009, batch i writes only records[begin+i]; scratch is slot-exclusive)
                         [&](std::size_t i, unsigned slot) {
                             executeBatch(formed[begin + i],
-                                         records[begin + i],
+                                         records[begin + i], image,
                                          scratch_[slot]);
                         });
             for (std::size_t k = begin; k < end; ++k)

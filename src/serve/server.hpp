@@ -248,11 +248,15 @@ class InferenceServer
                              obs::Labels labels = {});
 
   private:
-    /** Per-execution-slot scratch state (chip + network clone). */
+    /** Per-execution-slot scratch state: chip, network clone and the
+     *  resilient wrapper of the chip's weight memory. The wrapper is
+     *  reset per batch, so the banks keep their packed fault masks
+     *  across batches. */
     struct WorkerScratch
     {
         std::unique_ptr<accel::DanteChip> chip;
         std::unique_ptr<dnn::Network> net;
+        std::unique_ptr<resilience::ResilientMemory> rmem;
     };
 
     /** Serial formation pass: queue admission + batching. */
@@ -260,8 +264,10 @@ class InferenceServer
     formBatches(const std::vector<InferenceRequest> &trace,
                 std::vector<RequestOutcome> &outcomes);
 
-    /** Execute one batch on a worker slot's scratch state. */
+    /** Execute one batch on a worker slot's scratch state, staging
+     *  the run's weight image. */
     void executeBatch(const FormedBatch &batch, BatchRecord &rec,
+                      const fi::StagedWeights &image,
                       WorkerScratch &scratch);
 
     /** FCFS assignment of batches onto virtual worker slots

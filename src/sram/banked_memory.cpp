@@ -81,6 +81,18 @@ BankedMemory::read(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
                                                     vdd, map, rng);
 }
 
+SramBank::RawRead
+BankedMemory::readRaw(std::uint32_t addr, Volt vdd,
+                      const VulnerabilityMap &map,
+                      std::uint64_t check_region)
+{
+    const int b = bankOf(addr);
+    const std::uint64_t first_word =
+        static_cast<std::uint64_t>(b) * SramBank::kWords;
+    return banks_[static_cast<std::size_t>(b)].readRaw(
+        addr % SramBank::kWords, vdd, map, check_region + first_word * 8);
+}
+
 std::uint64_t
 BankedMemory::peek(std::uint32_t addr) const
 {

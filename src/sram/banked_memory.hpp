@@ -69,6 +69,15 @@ class BankedMemory
     std::uint64_t read(std::uint32_t addr, Volt vdd,
                        const VulnerabilityMap &map, Rng &rng);
 
+    /**
+     * SramBank::readRaw at flat address `addr`: charges the access and
+     * returns the stored word with its fault mask. Word a's check
+     * cells are check_region + 8a.
+     */
+    SramBank::RawRead readRaw(std::uint32_t addr, Volt vdd,
+                              const VulnerabilityMap &map,
+                              std::uint64_t check_region);
+
     /** Fault-free debug read. */
     std::uint64_t peek(std::uint32_t addr) const;
 

@@ -1,157 +1,126 @@
 #include "sram/ecc.hpp"
 
-#include <bit>
+#include <array>
 
 namespace vboost::sram {
 
 namespace {
 
-/** Is codeword position p (1-based) a Hamming check position? */
-constexpr bool
-isCheckPos(int p)
+/**
+ * Codeword layout: positions 1..71 hold the 64 data bits in order,
+ * skipping the seven power-of-two positions, which hold Hamming check
+ * bits 0..6; check bit 7 is the overall parity of the 71-bit codeword.
+ */
+constexpr std::array<std::uint8_t, 64>
+dataPositions()
 {
-    return (p & (p - 1)) == 0; // power of two
+    std::array<std::uint8_t, 64> pos{};
+    int bit = 0;
+    for (int p = 1; bit < 64; ++p) {
+        if ((p & (p - 1)) != 0)
+            pos[static_cast<std::size_t>(bit++)] =
+                static_cast<std::uint8_t>(p);
+    }
+    return pos;
 }
 
-/** Number of codeword positions used (1..71 holds 64 data + 7 check). */
-constexpr int kPositions = 71;
+constexpr std::array<std::uint8_t, 64> kDataPos = dataPositions();
+
+/** Parity of the low 8 bits of v. */
+constexpr unsigned
+parity8(unsigned v)
+{
+    v ^= v >> 4;
+    v ^= v >> 2;
+    v ^= v >> 1;
+    return v & 1u;
+}
 
 /**
- * Scatter 64 data bits into codeword positions 1..71, skipping the
- * seven power-of-two check positions. Returns a 72-bit value whose
- * bit p (p >= 1) is codeword position p; check positions are zero.
+ * The check byte is GF(2)-linear in the data word: the Hamming bits
+ * are the XOR of the positions of the set data bits, and the overall
+ * parity is parity(data) ^ parity(Hamming bits). So encode(data) is
+ * the XOR of encode(byte k placed in lane k) over the eight bytes,
+ * and one table row per byte lane holds those 256 partial codes.
  */
-std::uint64_t
-scatterLow(std::uint64_t data, std::uint64_t &high)
+constexpr std::array<std::array<std::uint8_t, 256>, 8>
+encodeTables()
 {
-    // Positions 1..63 fit in the low word (bit index == position);
-    // positions 64..71 go into `high` (bit index == position - 64).
-    std::uint64_t low = 0;
-    high = 0;
-    int bit = 0;
-    for (int p = 1; p <= kPositions; ++p) {
-        if (isCheckPos(p))
-            continue;
-        const std::uint64_t v = (data >> bit) & 1ull;
-        if (p < 64)
-            low |= v << p;
-        else
-            high |= v << (p - 64);
-        ++bit;
+    std::array<std::array<std::uint8_t, 256>, 8> t{};
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+        for (unsigned byte = 0; byte < 256; ++byte) {
+            unsigned syndrome = 0;
+            unsigned data_parity = 0;
+            for (unsigned j = 0; j < 8; ++j) {
+                if ((byte >> j) & 1u) {
+                    syndrome ^= kDataPos[lane * 8 + j];
+                    data_parity ^= 1u;
+                }
+            }
+            t[lane][byte] = static_cast<std::uint8_t>(
+                syndrome | ((data_parity ^ parity8(syndrome)) << 7));
+        }
     }
-    return low;
+    return t;
 }
 
-/** Gather the 64 data bits back out of the codeword. */
-std::uint64_t
-gather(std::uint64_t low, std::uint64_t high)
+constexpr std::array<std::array<std::uint8_t, 256>, 8> kEncode =
+    encodeTables();
+
+/** Data bit at codeword position s (1..127), or kNoData for check
+ *  positions and positions beyond the 71-bit codeword. */
+constexpr std::uint8_t kNoData = 0xff;
+
+constexpr std::array<std::uint8_t, 128>
+positionToDataBit()
 {
-    std::uint64_t data = 0;
-    int bit = 0;
-    for (int p = 1; p <= kPositions; ++p) {
-        if (isCheckPos(p))
-            continue;
-        const std::uint64_t v =
-            p < 64 ? (low >> p) & 1ull : (high >> (p - 64)) & 1ull;
-        data |= v << bit;
-        ++bit;
-    }
-    return data;
+    std::array<std::uint8_t, 128> bit{};
+    for (auto &b : bit)
+        b = kNoData;
+    for (std::size_t i = 0; i < 64; ++i)
+        bit[kDataPos[i]] = static_cast<std::uint8_t>(i);
+    return bit;
 }
 
-/** XOR of the positions of all set bits: the Hamming syndrome. */
-int
-syndromeOf(std::uint64_t low, std::uint64_t high)
-{
-    int s = 0;
-    for (int p = 1; p < 64; ++p) {
-        if ((low >> p) & 1ull)
-            s ^= p;
-    }
-    for (int p = 64; p <= kPositions; ++p) {
-        if ((high >> (p - 64)) & 1ull)
-            s ^= p;
-    }
-    return s;
-}
-
-/** Parity (number of set bits mod 2) of the whole codeword. */
-int
-parityOf(std::uint64_t low, std::uint64_t high)
-{
-    return (std::popcount(low) + std::popcount(high)) & 1;
-}
+constexpr std::array<std::uint8_t, 128> kDataBitAt = positionToDataBit();
 
 } // namespace
 
 std::uint8_t
 SecdedCodec::encode(std::uint64_t data)
 {
-    std::uint64_t high;
-    std::uint64_t low = scatterLow(data, high);
-
-    // Choose the 7 check bits so the syndrome of the full codeword is
-    // zero: each check bit at position 2^i absorbs bit i of the
-    // data-only syndrome.
-    const int s = syndromeOf(low, high);
     std::uint8_t check = 0;
-    for (int i = 0; i < 7; ++i) {
-        if ((s >> i) & 1) {
-            check |= static_cast<std::uint8_t>(1u << i);
-            const int p = 1 << i;
-            if (p < 64)
-                low |= 1ull << p;
-            else
-                high |= 1ull << (p - 64);
-        }
-    }
-    // Eighth bit: overall parity of the 71-bit codeword (even parity).
-    if (parityOf(low, high))
-        check |= 0x80;
+    for (std::size_t lane = 0; lane < 8; ++lane)
+        check ^= kEncode[lane][(data >> (8 * lane)) & 0xff];
     return check;
 }
 
 EccDecodeResult
 SecdedCodec::decode(std::uint64_t data, std::uint8_t check)
 {
-    std::uint64_t high;
-    std::uint64_t low = scatterLow(data, high);
-    for (int i = 0; i < 7; ++i) {
-        if ((check >> i) & 1) {
-            const int p = 1 << i;
-            if (p < 64)
-                low |= 1ull << p;
-            else
-                high |= 1ull << (p - 64);
-        }
-    }
-
-    const int s = syndromeOf(low, high);
-    const int stored_parity = (check >> 7) & 1;
-    const int parity_ok = parityOf(low, high) == stored_parity;
+    // The low 7 bits of encode(data) ^ check are the syndrome of the
+    // received codeword; the parity of all 8 bits is the parity of
+    // the whole 72-bit codeword (even when intact).
+    const unsigned diff = encode(data) ^ check;
+    const unsigned syndrome = diff & 0x7fu;
+    const bool odd = parity8(diff) != 0;
 
     EccDecodeResult result;
-    if (s == 0 && parity_ok) {
-        result.data = data;
-        result.outcome = EccOutcome::Clean;
-        return result;
-    }
-    if (!parity_ok) {
-        // Odd number of errors; assume one and correct it. s == 0
-        // means the overall parity bit itself flipped.
-        if (s >= 1 && s <= kPositions) {
-            if (s < 64)
-                low ^= 1ull << s;
-            else
-                high ^= 1ull << (s - 64);
-        }
-        result.data = gather(low, high);
-        result.outcome = EccOutcome::Corrected;
-        return result;
-    }
-    // Syndrome non-zero with even parity: double error detected.
     result.data = data;
-    result.outcome = EccOutcome::DetectedUncorrectable;
+    if (syndrome == 0 && !odd) {
+        result.outcome = EccOutcome::Clean;
+    } else if (odd) {
+        // Odd number of errors; assume one and correct it. A syndrome
+        // of 0, a check position or a position past the codeword
+        // leaves the data bits as read.
+        const std::uint8_t bit = kDataBitAt[syndrome];
+        if (bit != kNoData)
+            result.data ^= 1ull << bit;
+        result.outcome = EccOutcome::Corrected;
+    } else {
+        // Syndrome non-zero with even parity: double error detected.
+        result.outcome = EccOutcome::DetectedUncorrectable;
+    }
     return result;
 }
 

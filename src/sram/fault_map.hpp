@@ -65,6 +65,9 @@ struct ClusterParams
         return rowDefectProb + colDefectProb -
                rowDefectProb * colDefectProb;
     }
+
+    friend bool operator==(const ClusterParams &,
+                           const ClusterParams &) = default;
 };
 
 /**

@@ -68,17 +68,55 @@ SramBank::macroFor(std::uint32_t addr, std::uint32_t &macro_addr) const
     return macros_[addr / SramMacro::kWords];
 }
 
-void
+const SramBank::OperatingPoint &
+SramBank::operatingPoint(Volt vdd, int level)
+{
+    for (const OperatingPoint &p : points_) {
+        if (p.vdd == vdd.value() && p.level == level)
+            return p;
+    }
+    if (points_.size() == kMaxOperatingPoints)
+        points_.clear();
+    const Volt vddv = booster_.boostedVoltage(vdd, level);
+    OperatingPoint p;
+    p.vdd = vdd.value();
+    p.level = level;
+    p.accessEnergy = energy_.sramAccessEnergy(vddv, numBanksInMemory_);
+    if (level > 0)
+        p.boostEnergy = booster_.boostEventEnergy(vdd, level);
+    p.failProb = failure_.rate(vddv);
+    points_.push_back(p);
+    return points_.back();
+}
+
+const SramBank::OperatingPoint &
 SramBank::chargeAccess(Volt vdd)
 {
     const int level = bic_.enabledLevel();
-    const Volt vddv = booster_.boostedVoltage(vdd, level);
-    counters_.accessEnergy +=
-        energy_.sramAccessEnergy(vddv, numBanksInMemory_);
+    const OperatingPoint &p = operatingPoint(vdd, level);
+    counters_.accessEnergy += p.accessEnergy;
     if (level > 0) {
-        counters_.boostEnergy += booster_.boostEventEnergy(vdd, level);
+        counters_.boostEnergy += p.boostEnergy;
         ++counters_.boostEvents;
     }
+    return p;
+}
+
+const WordFaultMasks &
+SramBank::masks(const VulnerabilityMap &map, double fail_prob,
+                std::uint64_t check_base)
+{
+    const FaultMaskKey key = FaultMaskKey::of(map, fail_prob);
+    for (auto it = maskTables_.rbegin(); it != maskTables_.rend(); ++it) {
+        if (it->checkBase == check_base && it->key == key)
+            return it->masks;
+    }
+    if (maskTables_.size() == kMaxMaskTables)
+        maskTables_.erase(maskTables_.begin());
+    maskTables_.push_back(
+        {key, check_base,
+         WordFaultMasks(map, cellIndex(0), check_base, kWords, fail_prob)});
+    return maskTables_.back().masks;
 }
 
 void
@@ -95,12 +133,28 @@ std::uint64_t
 SramBank::read(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
                Rng &rng)
 {
+    RawRead r = readRaw(addr, vdd, map);
+    if (r.flipProb > 0.0) {
+        std::uint8_t no_check = 0;
+        flipMasked(r.data, no_check, r.mask, r.flipProb, rng);
+    }
+    return r.data;
+}
+
+SramBank::RawRead
+SramBank::readRaw(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
+                  std::uint64_t check_base)
+{
     std::uint32_t macro_addr;
     const auto &macro = macroFor(addr, macro_addr);
-    chargeAccess(vdd);
+    const OperatingPoint &p = chargeAccess(vdd);
     ++counters_.reads;
-    return macro.read(macro_addr, map,
-                      FaultParams{failProbAt(vdd), flipProb_}, rng);
+    RawRead r;
+    r.data = macro.peek(macro_addr);
+    r.flipProb = flipProb_;
+    if (p.failProb > 0.0)
+        r.mask = masks(map, p.failProb, check_base).at(addr);
+    return r;
 }
 
 std::uint64_t

@@ -15,12 +15,14 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "circuit/bic.hpp"
 #include "circuit/booster.hpp"
 #include "circuit/energy_model.hpp"
 #include "sram/failure_model.hpp"
 #include "sram/sram_macro.hpp"
+#include "sram/word_fault_masks.hpp"
 
 namespace vboost::sram {
 
@@ -89,6 +91,30 @@ class SramBank
     std::uint64_t read(std::uint32_t addr, Volt vdd,
                        const VulnerabilityMap &map, Rng &rng);
 
+    /** A read whose faults the caller manifests with flipMasked(). */
+    struct RawRead
+    {
+        /** The stored word. */
+        std::uint64_t data = 0;
+        /** Faulty cells of the word (and of its check cells). */
+        WordMask mask;
+        /** Per-read flip probability of a faulty cell. */
+        double flipProb = 0.0;
+    };
+
+    /**
+     * Charge one read access at chip supply vdd and the current boost
+     * level, exactly as read() does, and return the stored word with
+     * the fault mask of its cells at that level's fail probability.
+     * Word a's check cells are check_base + 8a (kNoCheckCells: none).
+     * The masks of all words are packed on the first read of each
+     * (map, fail probability, check_base) and kept for later reads.
+     */
+    RawRead readRaw(std::uint32_t addr, Volt vdd,
+                    const VulnerabilityMap &map,
+                    std::uint64_t check_base =
+                        WordFaultMasks::kNoCheckCells);
+
     /** Fault-free debug read (no energy, no faults). */
     std::uint64_t peek(std::uint32_t addr) const;
 
@@ -114,9 +140,38 @@ class SramBank
     void setFlipProb(double p);
 
   private:
+    /** What an access at (vdd, level) costs and risks; pure functions
+     *  of the pair, computed once per pair. */
+    struct OperatingPoint
+    {
+        double vdd = 0.0;
+        int level = 0;
+        Joule accessEnergy{0.0};
+        Joule boostEnergy{0.0};
+        double failProb = 0.0;
+    };
+
+    /** One packed mask table and what it was packed for. */
+    struct MaskTable
+    {
+        FaultMaskKey key;
+        std::uint64_t checkBase;
+        WordFaultMasks masks;
+    };
+
+    /** Memo bounds: a serving chip sees a handful of (vdd, level)
+     *  pairs and maps; a Monte-Carlo sweep cycling through many maps
+     *  evicts the oldest table. */
+    static constexpr std::size_t kMaxOperatingPoints = 64;
+    static constexpr std::size_t kMaxMaskTables = 8;
+
     const SramMacro &macroFor(std::uint32_t addr,
                               std::uint32_t &macro_addr) const;
-    void chargeAccess(Volt vdd);
+    /** Charge one access at the current level; returns its point. */
+    const OperatingPoint &chargeAccess(Volt vdd);
+    const OperatingPoint &operatingPoint(Volt vdd, int level);
+    const WordFaultMasks &masks(const VulnerabilityMap &map,
+                                double fail_prob, std::uint64_t check_base);
 
     int bankId_;
     circuit::BoosterBank booster_;
@@ -127,6 +182,8 @@ class SramBank
     double flipProb_ = 0.5;
     std::array<SramMacro, kMacros> macros_;
     BankCounters counters_;
+    std::vector<OperatingPoint> points_;
+    std::vector<MaskTable> maskTables_;
 };
 
 } // namespace vboost::sram

@@ -1,6 +1,8 @@
 #include "sram/sram_macro.hpp"
 
 #include "common/logging.hpp"
+#include "sram/packed_fault_map.hpp"
+#include "sram/word_fault_masks.hpp"
 
 namespace vboost::sram {
 
@@ -31,13 +33,11 @@ SramMacro::read(std::uint32_t addr, const VulnerabilityMap &map,
     std::uint64_t word = data_[addr];
     if (params.failProb <= 0.0 || params.flipProb <= 0.0)
         return word;
-    const std::uint64_t base = cellIndex(addr, 0);
-    for (std::uint32_t b = 0; b < kWordBits; ++b) {
-        if (map.isFaulty(base + b, params.failProb) &&
-            rng.bernoulli(params.flipProb)) {
-            word ^= 1ull << b;
-        }
-    }
+    const PackedFaultMap faults(map, cellIndex(addr, 0), kWordBits,
+                                params.failProb);
+    std::uint8_t no_check = 0;
+    flipMasked(word, no_check, {faults.words()[0], 0}, params.flipProb,
+               rng);
     return word;
 }
 

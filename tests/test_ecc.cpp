@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the SECDED Hamming(72, 64) codec and its integration with
- * the fault-injection harness: exhaustive single-bit correction,
+ * the fault-injection harness: the table codec against the loop codec
+ * it replaced (differential, encode and 0-8-flip decode), exhaustive
+ * single-bit correction,
  * double-bit detection, check-bit self-protection, statistical decode
  * rates against the analytic binomial expectation, and the
  * accuracy-protection property at moderate failure rates.
@@ -9,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -110,6 +114,199 @@ TEST(Secded, StatsAccumulate)
     EXPECT_EQ(stats.words, 4u);
     EXPECT_EQ(stats.corrected, 2u);
     EXPECT_EQ(stats.detectedUncorrectable, 1u);
+}
+
+/**
+ * The loop-based Hamming(72, 64) codec: scatter the data bits into
+ * codeword positions 1..71 (skipping the power-of-two check
+ * positions), XOR the positions of the set bits into the syndrome,
+ * gather the data back out. Kept here as the oracle for the table
+ * codec in src/sram/ecc.cpp.
+ */
+namespace oracle {
+
+constexpr int kPositions = 71;
+
+constexpr bool
+isCheckPos(int p)
+{
+    return (p & (p - 1)) == 0;
+}
+
+std::uint64_t
+scatterLow(std::uint64_t data, std::uint64_t &high)
+{
+    std::uint64_t low = 0;
+    high = 0;
+    int bit = 0;
+    for (int p = 1; p <= kPositions; ++p) {
+        if (isCheckPos(p))
+            continue;
+        const std::uint64_t v = (data >> bit) & 1ull;
+        if (p < 64)
+            low |= v << p;
+        else
+            high |= v << (p - 64);
+        ++bit;
+    }
+    return low;
+}
+
+std::uint64_t
+gather(std::uint64_t low, std::uint64_t high)
+{
+    std::uint64_t data = 0;
+    int bit = 0;
+    for (int p = 1; p <= kPositions; ++p) {
+        if (isCheckPos(p))
+            continue;
+        const std::uint64_t v =
+            p < 64 ? (low >> p) & 1ull : (high >> (p - 64)) & 1ull;
+        data |= v << bit;
+        ++bit;
+    }
+    return data;
+}
+
+int
+syndromeOf(std::uint64_t low, std::uint64_t high)
+{
+    int s = 0;
+    for (int p = 1; p < 64; ++p) {
+        if ((low >> p) & 1ull)
+            s ^= p;
+    }
+    for (int p = 64; p <= kPositions; ++p) {
+        if ((high >> (p - 64)) & 1ull)
+            s ^= p;
+    }
+    return s;
+}
+
+int
+parityOf(std::uint64_t low, std::uint64_t high)
+{
+    return (std::popcount(low) + std::popcount(high)) & 1;
+}
+
+void
+setPosition(std::uint64_t &low, std::uint64_t &high, int p)
+{
+    if (p < 64)
+        low |= 1ull << p;
+    else
+        high |= 1ull << (p - 64);
+}
+
+std::uint8_t
+encode(std::uint64_t data)
+{
+    std::uint64_t high;
+    std::uint64_t low = scatterLow(data, high);
+    const int s = syndromeOf(low, high);
+    std::uint8_t check = 0;
+    for (int i = 0; i < 7; ++i) {
+        if ((s >> i) & 1) {
+            check |= static_cast<std::uint8_t>(1u << i);
+            setPosition(low, high, 1 << i);
+        }
+    }
+    if (parityOf(low, high))
+        check |= 0x80;
+    return check;
+}
+
+EccDecodeResult
+decode(std::uint64_t data, std::uint8_t check)
+{
+    std::uint64_t high;
+    std::uint64_t low = scatterLow(data, high);
+    for (int i = 0; i < 7; ++i) {
+        if ((check >> i) & 1)
+            setPosition(low, high, 1 << i);
+    }
+    const int s = syndromeOf(low, high);
+    const int parity_ok = parityOf(low, high) == ((check >> 7) & 1);
+
+    EccDecodeResult result;
+    if (s == 0 && parity_ok) {
+        result.data = data;
+        result.outcome = EccOutcome::Clean;
+        return result;
+    }
+    if (!parity_ok) {
+        if (s >= 1 && s <= kPositions) {
+            if (s < 64)
+                low ^= 1ull << s;
+            else
+                high ^= 1ull << (s - 64);
+        }
+        result.data = gather(low, high);
+        result.outcome = EccOutcome::Corrected;
+        return result;
+    }
+    result.data = data;
+    result.outcome = EccOutcome::DetectedUncorrectable;
+    return result;
+}
+
+} // namespace oracle
+
+TEST(SecdedDifferential, EncodeMatchesTheLoopCodec)
+{
+    Rng rng(21);
+    for (std::uint64_t data : {0ull, ~0ull, 1ull, 1ull << 63})
+        ASSERT_EQ(SecdedCodec::encode(data), oracle::encode(data));
+    for (int i = 0; i < 1'000'000; ++i) {
+        const std::uint64_t data = rng.next();
+        ASSERT_EQ(SecdedCodec::encode(data), oracle::encode(data))
+            << "data " << data;
+    }
+}
+
+TEST(SecdedDifferential, DecodeMatchesTheLoopCodecUpToEightFlips)
+{
+    // Flip 0-8 distinct cells drawn over all 72 codeword positions:
+    // covers every syndrome (including 72-127, which name no cell),
+    // double-error detection and the miscorrection of >= 3 errors.
+    Rng rng(22);
+    std::array<bool, 128> syndromes_seen{};
+    for (int flips = 0; flips <= 8; ++flips) {
+        for (int i = 0; i < 100'000; ++i) {
+            const std::uint64_t data = rng.next();
+            const std::uint8_t check = oracle::encode(data);
+            std::uint64_t d = data;
+            std::uint8_t c = check;
+            std::uint64_t used_low = 0;
+            std::uint8_t used_high = 0;
+            for (int k = 0; k < flips;) {
+                const auto cell = static_cast<int>(rng.uniformInt(72));
+                if (cell < 64) {
+                    if ((used_low >> cell) & 1ull)
+                        continue;
+                    used_low |= 1ull << cell;
+                    d ^= 1ull << cell;
+                } else {
+                    const auto bit =
+                        static_cast<std::uint8_t>(1u << (cell - 64));
+                    if (used_high & bit)
+                        continue;
+                    used_high |= bit;
+                    c ^= bit;
+                }
+                ++k;
+            }
+            const EccDecodeResult got = SecdedCodec::decode(d, c);
+            const EccDecodeResult want = oracle::decode(d, c);
+            ASSERT_EQ(got.data, want.data)
+                << flips << " flips, data " << data;
+            ASSERT_EQ(got.outcome, want.outcome)
+                << flips << " flips, data " << data;
+            syndromes_seen[(SecdedCodec::encode(d) ^ c) & 0x7f] = true;
+        }
+    }
+    for (std::size_t s = 0; s < syndromes_seen.size(); ++s)
+        EXPECT_TRUE(syndromes_seen[s]) << "syndrome " << s << " never hit";
 }
 
 /** Property: decode correction rate matches the binomial model. */

@@ -1,0 +1,368 @@
+/**
+ * @file
+ * Golden digests of resilient weight staging (DESIGN.md §8): an
+ * MNIST-FC-sized network staged through the 16-bank weight memory with
+ * fi::corruptNetworkResilient over {iid, clustered} maps x {open loop,
+ * closed StepUp, closed MaxOut} x three supplies, each case staged
+ * twice on one ResilientMemory. Every case pins an FNV-1a digest of
+ * the staged weight bits, the residual flip count, every
+ * ResilienceStats field, the bits of totalAccessEnergy(), the per-bank
+ * counters and the standing levels.
+ *
+ * The 1-vs-8-thread determinism gates only show that a run is
+ * reproducible; these constants show that it still computes what the
+ * per-bit read path computed when they were recorded, so a fast path
+ * that is deterministic but different fails here.
+ *
+ * Also here: staging-image reuse, per-bank check-cell flip
+ * probabilities, the masked-flip routine against the per-cell loop,
+ * and the mask-table key against per-cell queries.
+ */
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <bit>
+#include <cstdio>
+
+#include "common/rng.hpp"
+#include "core/context.hpp"
+#include "dnn/zoo.hpp"
+#include "fi/injector.hpp"
+#include "resilience/resilient_memory.hpp"
+#include "sram/banked_memory.hpp"
+#include "sram/word_fault_masks.hpp"
+
+namespace vboost::fi {
+namespace {
+
+/** FNV-1a over 64-bit values, byte by byte. */
+struct Fnv
+{
+    std::uint64_t h = 1469598103934665603ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+
+    void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+};
+
+void
+hashNetwork(Fnv &f, dnn::Network &net)
+{
+    for (const auto &p : net.params()) {
+        for (std::size_t i = 0; i < p.value->numel(); ++i)
+            f.add(static_cast<std::uint64_t>(
+                std::bit_cast<std::uint32_t>((*p.value)[i])));
+    }
+}
+
+void
+hashMemory(Fnv &f, const resilience::ResilientMemory &rmem)
+{
+    const resilience::ResilienceStats s = rmem.snapshot();
+    for (std::uint64_t v :
+         {s.reads, s.cleanReads, s.correctedReads, s.retriedReads,
+          s.retries, s.escalations, s.standingRaises, s.quarantines,
+          s.spareReads, s.spareExhausted, s.uncorrected,
+          s.spareTableDigest})
+        f.add(v);
+    f.add(s.retryEnergy.value());
+    f.add(s.spareEnergy.value());
+    f.add(s.retryLatency.value());
+    f.add(rmem.totalAccessEnergy().value());
+    const sram::BankedMemory &mem = rmem.memory();
+    for (int b = 0; b < mem.banks(); ++b) {
+        const sram::BankCounters &c = mem.bankCounters(b);
+        f.add(c.reads);
+        f.add(c.writes);
+        f.add(c.boostEvents);
+        f.add(c.accessEnergy.value());
+        f.add(c.boostEnergy.value());
+        f.add(static_cast<std::uint64_t>(rmem.standingLevel(b)));
+    }
+}
+
+struct GoldenCase
+{
+    bool clustered;
+    int policy; // 0 open loop, 1 closed StepUp, 2 closed MaxOut
+    double vdd;
+};
+
+resilience::ResiliencePolicy
+policyOf(int which)
+{
+    switch (which) {
+      case 0:
+        return resilience::ResiliencePolicy::openLoop(0);
+      case 1:
+        return resilience::ResiliencePolicy::closedLoop(
+            3, resilience::EscalationPolicy::StepUp);
+      default:
+        return resilience::ResiliencePolicy::closedLoop(
+            3, resilience::EscalationPolicy::MaxOut);
+    }
+}
+
+/** Stage `src` twice through a fresh 16-bank weight memory; digest of
+ *  the staged weights, residual flips and memory state after each. */
+std::uint64_t
+stagingDigest(const GoldenCase &c, dnn::Network &src)
+{
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    sram::BankedMemory mem("weight_mem", 16, ctx.design, ctx.tech, failure);
+    resilience::ResilientMemory rmem(mem, ctx, policyOf(c.policy));
+    rmem.reseed(Rng(77).split(4000));
+    const sram::VulnerabilityMap map =
+        c.clustered ? sram::VulnerabilityMap(11, 0, sram::MapModel::Clustered,
+                                             sram::ClusterParams{})
+                    : sram::VulnerabilityMap(11, 0);
+    dnn::Network dst = src.clone();
+    Fnv f;
+    for (int pass = 0; pass < 2; ++pass) {
+        f.add(corruptNetworkResilient(dst, src, rmem, Volt(c.vdd), map));
+        hashNetwork(f, dst);
+        hashMemory(f, rmem);
+    }
+    return f.h;
+}
+
+TEST(ResilientStagingGolden, DigestsMatchThePerBitReadPath)
+{
+    Rng rng(7);
+    dnn::Network net = dnn::buildMnistFc(rng);
+
+    constexpr std::array<double, 3> kVdds{0.42, 0.46, 0.50};
+    // Recorded with the per-bit read path (isFaulty per cell, loop
+    // SECDED codec, per-batch re-quantization).
+    constexpr std::array<std::uint64_t, 18> kGolden{
+        // iid; rows open loop, closed StepUp, closed MaxOut; columns
+        // the three supplies.
+        0xe76c29b6710614faull, 0x005a82bd95d9decfull, 0xaad40a9bfa0dc543ull,
+        0x3c6139d04977ff10ull, 0x8463af32975c2d92ull, 0xaad40a9bfa0dc543ull,
+        0x643eb770d6ab0a1full, 0x97615d75bf09d12eull, 0xaad40a9bfa0dc543ull,
+        // clustered, same layout.
+        0xbea63fd9953f5e4aull, 0x1923111f6c6a1babull, 0xf6e588d00ce13380ull,
+        0x5270ae07aa76b1d3ull, 0x45fa9c2290664191ull, 0x92d5047f71f396fdull,
+        0x19d6374fa4fcaa36ull, 0xb030f849dfdd15dfull, 0x83ab42d780ace0b4ull};
+    std::size_t i = 0;
+    for (bool clustered : {false, true}) {
+        for (int policy = 0; policy < 3; ++policy) {
+            for (double vdd : kVdds) {
+                const std::uint64_t d =
+                    stagingDigest({clustered, policy, vdd}, net);
+                char hex[32];
+                std::snprintf(hex, sizeof hex, "0x%016llx",
+                              static_cast<unsigned long long>(d));
+                EXPECT_EQ(d, kGolden[i])
+                    << (clustered ? "clustered" : "iid") << " policy "
+                    << policy << " vdd " << vdd << ": got " << hex;
+                ++i;
+            }
+        }
+    }
+}
+
+TEST(ResilientStaging, OneImageServesEveryStaging)
+{
+    // A staging image reused across calls (as a serving run and a
+    // Monte-Carlo point reuse it) stages exactly what a per-call image
+    // stages.
+    Rng rng(8);
+    dnn::Network src = dnn::buildMnistFc(rng);
+    const StagedWeights image = stageWeights(src);
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    const sram::VulnerabilityMap map(12, 3);
+    std::array<std::uint64_t, 2> digests{};
+    for (int reuse = 0; reuse < 2; ++reuse) {
+        sram::BankedMemory mem("weight_mem", 16, ctx.design, ctx.tech,
+                               failure);
+        resilience::ResilientMemory rmem(
+            mem, ctx, resilience::ResiliencePolicy::closedLoop());
+        rmem.reseed(Rng(9));
+        dnn::Network dst = src.clone();
+        Fnv f;
+        for (double vdd : {0.44, 0.42}) {
+            f.add(reuse ? corruptNetworkResilient(dst, src, image, rmem,
+                                                  Volt(vdd), map)
+                        : corruptNetworkResilient(dst, src, rmem, Volt(vdd),
+                                                  map));
+            hashNetwork(f, dst);
+            hashMemory(f, rmem);
+        }
+        digests[static_cast<std::size_t>(reuse)] = f.h;
+    }
+    EXPECT_EQ(digests[0], digests[1]);
+}
+
+TEST(ResilientStaging, CheckCellsFlipWithTheirOwnBanksProbability)
+{
+    // Regression: check cells used to flip with bank 0's probability
+    // whatever bank the word lived in. With bank 1 set to never flip,
+    // none of its 72 cells may flip, so every bank-1 read is clean,
+    // while bank 0 (p = 0.5) visibly corrupts at the same supply.
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    sram::BankedMemory mem("two_banks", 2, ctx.design, ctx.tech, failure);
+    mem.bank(0).setFlipProb(0.5);
+    mem.bank(1).setFlipProb(0.0);
+    resilience::ResilientMemory rmem(
+        mem, ctx, resilience::ResiliencePolicy::openLoop(0));
+    rmem.reseed(Rng(4));
+    const sram::VulnerabilityMap map(13, 0);
+    const Volt vdd(0.42);
+    Rng data(5);
+    for (std::uint32_t a = 0; a < mem.words(); ++a)
+        rmem.writeWord(a, data.next(), vdd);
+
+    const std::uint32_t bank_words = sram::SramBank::kWords;
+    for (std::uint32_t a = bank_words; a < 2 * bank_words; ++a)
+        rmem.readWord(a, vdd, map);
+    resilience::ResilienceStats s = rmem.snapshot();
+    EXPECT_EQ(s.reads, bank_words);
+    EXPECT_EQ(s.cleanReads, s.reads);
+
+    for (std::uint32_t a = 0; a < bank_words; ++a)
+        rmem.readWord(a, vdd, map);
+    s = rmem.snapshot();
+    EXPECT_GT(s.reads - s.cleanReads, 0u);
+}
+
+} // namespace
+} // namespace vboost::fi
+
+namespace vboost::sram {
+namespace {
+
+TEST(WordFaultMasks, FlipMaskedDrawsLikeThePerCellLoop)
+{
+    Rng gen(31);
+    for (double p : {0.0, 0.25, 0.5, 1.0}) {
+        for (int i = 0; i < 20000; ++i) {
+            // Sparse, dense and empty masks alike.
+            const int density = i % 3;
+            WordMask mask;
+            mask.data = density == 0   ? gen.next() & gen.next() & gen.next()
+                        : density == 1 ? gen.next()
+                                       : 0;
+            mask.check = static_cast<std::uint8_t>(gen.next());
+            const std::uint64_t data = gen.next();
+            const auto check = static_cast<std::uint8_t>(gen.next());
+            const std::uint64_t seed = gen.next();
+
+            std::uint64_t want_data = data;
+            std::uint8_t want_check = check;
+            int want_flips = 0;
+            Rng loop(seed);
+            for (int b = 0; b < 64; ++b) {
+                if (((mask.data >> b) & 1u) && loop.bernoulli(p)) {
+                    want_data ^= 1ull << b;
+                    ++want_flips;
+                }
+            }
+            for (int b = 0; b < 8; ++b) {
+                if (((mask.check >> b) & 1u) && loop.bernoulli(p)) {
+                    want_check =
+                        static_cast<std::uint8_t>(want_check ^ (1u << b));
+                    ++want_flips;
+                }
+            }
+
+            std::uint64_t got_data = data;
+            std::uint8_t got_check = check;
+            Rng masked(seed);
+            const int got_flips =
+                flipMasked(got_data, got_check, mask, p, masked);
+            ASSERT_EQ(got_data, want_data);
+            ASSERT_EQ(got_check, want_check);
+            ASSERT_EQ(got_flips, want_flips);
+            // Same number of draws: the streams stay in step.
+            ASSERT_EQ(masked.next(), loop.next());
+        }
+    }
+}
+
+TEST(WordFaultMasks, BankMasksMatchPerCellQueriesForEveryMapKey)
+{
+    // One bank reads under maps that share a seed but differ in model,
+    // cluster params or fail probability. A mask table keyed on too
+    // little would hand one map's faults to another; every read must
+    // match the per-cell isFaulty truth instead.
+    const auto ctx = core::SimContext::standard();
+    const FailureRateModel failure(ctx.failure);
+    SramBank bank(3, ctx.design, ctx.tech, failure, 4);
+    const VulnerabilityMap iid(5, 0);
+    const VulnerabilityMap clustered(5, 0, MapModel::Clustered,
+                                     ClusterParams{});
+    ClusterParams rows;
+    rows.rowDefectProb = 0.1;
+    const VulnerabilityMap clustered_rows(5, 0, MapModel::Clustered, rows);
+    const std::uint64_t check_base = 1ull << 38;
+
+    const double p042 = failure.rate(Volt(0.42));
+    EXPECT_NE(FaultMaskKey::of(iid, p042), FaultMaskKey::of(clustered, p042));
+    EXPECT_NE(FaultMaskKey::of(clustered, p042),
+              FaultMaskKey::of(clustered_rows, p042));
+    EXPECT_NE(FaultMaskKey::of(iid, p042), FaultMaskKey::of(iid, 2 * p042));
+    EXPECT_EQ(FaultMaskKey::of(iid, p042),
+              FaultMaskKey::of(VulnerabilityMap(5, 0), p042));
+
+    struct Step
+    {
+        const VulnerabilityMap *map;
+        double vdd;
+        std::uint64_t checkBase;
+    };
+    const std::vector<Step> steps{
+        {&iid, 0.42, check_base},
+        {&clustered, 0.42, check_base},
+        {&iid, 0.42, check_base},
+        {&clustered_rows, 0.42, check_base},
+        {&clustered, 0.46, check_base},
+        {&clustered, 0.42, WordFaultMasks::kNoCheckCells},
+        {&clustered, 0.42, check_base},
+    };
+    std::uint32_t iid_vs_clustered = 0;
+    std::vector<WordMask> first_iid(SramBank::kWords);
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+        const Step &step = steps[s];
+        const double p = failure.rate(
+            bank.effectiveVoltage(Volt(step.vdd)));
+        for (std::uint32_t w = 0; w < SramBank::kWords; ++w) {
+            const SramBank::RawRead r =
+                bank.readRaw(w, Volt(step.vdd), *step.map, step.checkBase);
+            WordMask want;
+            for (std::uint32_t b = 0; b < 64; ++b) {
+                if (step.map->isFaulty(bank.cellIndex(w) + b, p))
+                    want.data |= 1ull << b;
+            }
+            if (step.checkBase != WordFaultMasks::kNoCheckCells) {
+                for (std::uint32_t b = 0; b < 8; ++b) {
+                    if (step.map->isFaulty(step.checkBase + 8ull * w + b, p))
+                        want.check = static_cast<std::uint8_t>(
+                            want.check | (1u << b));
+                }
+            }
+            ASSERT_EQ(r.mask.data, want.data) << "step " << s << " word " << w;
+            ASSERT_EQ(r.mask.check, want.check)
+                << "step " << s << " word " << w;
+            if (s == 0)
+                first_iid[w] = r.mask;
+            if (s == 1 && r.mask.data != first_iid[w].data)
+                ++iid_vs_clustered;
+        }
+    }
+    EXPECT_GT(iid_vs_clustered, 0u);
+}
+
+} // namespace
+} // namespace vboost::sram
