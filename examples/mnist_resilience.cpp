@@ -51,10 +51,14 @@ main()
 
     dnn::TrainConfig tcfg;
     tcfg.epochs = 5;
-    tcfg.verbose = true;
     dnn::SgdTrainer trainer(tcfg);
     Rng rng(3);
-    trainer.train(net, train_set, rng);
+    const auto epochs = trainer.train(net, train_set, rng);
+    for (std::size_t e = 0; e < epochs.size(); ++e) {
+        std::cout << "epoch " << e + 1 << "/" << epochs.size()
+                  << ": loss=" << epochs[e].meanLoss
+                  << " train_acc=" << epochs[e].trainAccuracy << "\n";
+    }
 
     // 2. Deployment: clip to the accelerator's Q-format range.
     dnn::clipParameters(net, 0.5f);

@@ -7,35 +7,66 @@
 
 namespace vboost::dnn {
 
-SgdTrainer::SgdTrainer(TrainConfig cfg) : cfg_(cfg)
+void
+TrainConfig::validate() const
 {
-    if (cfg_.epochs < 1 || cfg_.batchSize < 1)
-        fatal("SgdTrainer: epochs and batch size must be positive");
-    if (cfg_.learningRate <= 0.0)
-        fatal("SgdTrainer: learning rate must be positive");
-    if (cfg_.momentum < 0.0 || cfg_.momentum >= 1.0)
-        fatal("SgdTrainer: momentum must be in [0,1)");
+    if (epochs < 1 || batchSize < 1)
+        fatal("TrainConfig: epochs and batch size must be positive");
+    if (learningRate <= 0.0)
+        fatal("TrainConfig: learning rate must be positive");
+    if (momentum < 0.0 || momentum >= 1.0)
+        fatal("TrainConfig: momentum must be in [0,1)");
+}
+
+std::vector<ParamRef>
+NetworkStep::targets()
+{
+    auto params = net_.params();
+    const auto grads = scratch_.params();
+    if (params.size() != grads.size())
+        fatal("NetworkStep: net and scratch structure mismatch");
+    for (std::size_t p = 0; p < params.size(); ++p)
+        params[p].grad = grads[p].grad;
+    return params;
+}
+
+Tensor
+NetworkStep::forward(const Tensor &images)
+{
+    scratch_.zeroGrads();
+    return scratch_.forward(images, /*train=*/true);
+}
+
+void
+NetworkStep::backward(const Tensor &grad)
+{
+    scratch_.backward(grad);
 }
 
 std::vector<EpochStats>
-SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
+runSgd(const TrainConfig &cfg, BatchStep &step, const Dataset &train_set,
+       Rng &rng, double grad_clip, double weight_clip)
 {
     if (train_set.size() == 0)
-        fatal("SgdTrainer::train: empty training set");
+        fatal("runSgd: empty training set");
 
-    auto params = net.params();
+    const auto targets = step.targets();
     std::vector<Tensor> velocity;
-    velocity.reserve(params.size());
-    for (auto &p : params)
-        velocity.push_back(Tensor::zeros(p.value->shape()));
+    velocity.reserve(targets.size());
+    for (const auto &t : targets)
+        velocity.push_back(Tensor::zeros(t.value->shape()));
 
     SoftmaxCrossEntropy loss_fn;
     std::vector<std::size_t> order(train_set.size());
     std::iota(order.begin(), order.end(), 0);
 
+    const auto gclip = static_cast<float>(grad_clip);
+    const auto wclip = static_cast<float>(weight_clip);
+    const auto batch_size = static_cast<std::size_t>(cfg.batchSize);
     std::vector<EpochStats> stats;
-    double lr = cfg_.learningRate;
-    for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
+    double lr = cfg.learningRate;
+    std::uint64_t batch_index = 0;
+    for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         // Fisher-Yates shuffle with our deterministic generator.
         for (std::size_t i = order.size(); i > 1; --i) {
             const std::size_t j = rng.uniformInt(i);
@@ -45,25 +76,21 @@ SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
         double loss_sum = 0.0;
         std::size_t correct = 0, seen = 0, batches = 0;
         for (std::size_t start = 0; start < order.size();
-             start += static_cast<std::size_t>(cfg_.batchSize)) {
+             start += batch_size) {
             const std::size_t count =
-                std::min(static_cast<std::size_t>(cfg_.batchSize),
-                         order.size() - start);
-            std::vector<std::size_t> idx(order.begin() +
-                                             static_cast<long>(start),
-                                         order.begin() +
-                                             static_cast<long>(start +
-                                                               count));
+                std::min(batch_size, order.size() - start);
+            std::vector<std::size_t> idx(
+                order.begin() + static_cast<long>(start),
+                order.begin() + static_cast<long>(start + count));
             Dataset batch = train_set.gather(idx);
 
-            net.zeroGrads();
-            Tensor logits = batch.images;
-            logits = net.forward(logits, /*train=*/true);
+            step.beforeBatch(epoch, batch_index++);
+            Tensor logits = step.forward(batch.images);
             Tensor grad;
             // vblint: assoc-ok(batches processed in fixed epoch order)
             loss_sum += loss_fn.lossAndGrad(logits, batch.labels, grad);
             ++batches;
-            net.backward(grad);
+            step.backward(grad);
 
             // Track train accuracy from the logits already computed.
             for (int i = 0; i < logits.dim(0); ++i) {
@@ -76,15 +103,24 @@ SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
                 ++seen;
             }
 
-            for (std::size_t p = 0; p < params.size(); ++p) {
+            // The clamps bound fault-induced gradient outliers and keep
+            // weights inside the deployment Q-format range. The update
+            // is double arithmetic cast to float, in this exact order:
+            // trained weights are part of the bitwise contract.
+            for (std::size_t p = 0; p < targets.size(); ++p) {
                 Tensor &v = velocity[p];
-                Tensor &value = *params[p].value;
-                const Tensor &grad_p = *params[p].grad;
+                Tensor &value = *targets[p].value;
+                const Tensor &g = *targets[p].grad;
                 for (std::size_t e = 0; e < value.numel(); ++e) {
-                    v[e] = static_cast<float>(cfg_.momentum * v[e] -
-                                              lr * grad_p[e]);
+                    float ge = g[e];
+                    if (gclip > 0.0f)
+                        ge = std::clamp(ge, -gclip, gclip);
+                    v[e] = static_cast<float>(cfg.momentum * v[e] -
+                                              lr * ge);
                     // vblint: assoc-ok(one momentum update per element)
                     value[e] += v[e];
+                    if (wclip > 0.0f)
+                        value[e] = std::clamp(value[e], -wclip, wclip);
                 }
             }
         }
@@ -94,13 +130,21 @@ SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
         es.trainAccuracy =
             static_cast<double>(correct) / static_cast<double>(seen);
         stats.push_back(es);
-        if (cfg_.verbose) {
-            inform("epoch ", epoch + 1, "/", cfg_.epochs, ": loss=",
-                   es.meanLoss, " train_acc=", es.trainAccuracy);
-        }
-        lr *= cfg_.lrDecay;
+        lr *= cfg.lrDecay;
     }
     return stats;
+}
+
+SgdTrainer::SgdTrainer(TrainConfig cfg) : cfg_(cfg)
+{
+    cfg_.validate();
+}
+
+std::vector<EpochStats>
+SgdTrainer::train(Network &net, const Dataset &train_set, Rng &rng)
+{
+    NetworkStep step(net, net);
+    return runSgd(cfg_, step, train_set, rng);
 }
 
 double

@@ -1,137 +1,74 @@
 #include "fi/fault_training.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/logging.hpp"
 
 namespace vboost::fi {
 
+void
+FaultTrainConfig::validate() const
+{
+    if (failProb < 0.0 || failProb > 1.0)
+        fatal("FaultTrainConfig: failProb must be in [0,1] (got ",
+              failProb, ")");
+    if (flipProb < 0.0 || flipProb > 1.0)
+        fatal("FaultTrainConfig: flipProb must be in [0,1] (got ",
+              flipProb, ")");
+    if (warmupEpochs < 0)
+        fatal("FaultTrainConfig: warmupEpochs must be >= 0 (got ",
+              warmupEpochs, ")");
+    if (gradClip < 0.0)
+        fatal("FaultTrainConfig: gradClip must be >= 0 (got ", gradClip,
+              ")");
+    if (weightClip < 0.0)
+        fatal("FaultTrainConfig: weightClip must be >= 0 (got ",
+              weightClip, ")");
+    base.validate();
+}
+
+namespace {
+
+/** Corrupts the scratch weights under a fresh vulnerability map every
+ *  batch: robustness to the rate, not to one set of broken cells. */
+class FreshMapStep : public dnn::NetworkStep
+{
+  public:
+    FreshMapStep(const FaultTrainConfig &cfg, dnn::Network &net,
+                 dnn::Network &scratch)
+        : NetworkStep(net, scratch), cfg_(cfg)
+    {
+        spec_.flipProb = cfg_.flipProb;
+    }
+
+    void
+    beforeBatch(int epoch, std::uint64_t batch) override
+    {
+        const sram::VulnerabilityMap map(cfg_.seed, batch);
+        Rng flip_rng = Rng(cfg_.seed).split(batch);
+        const double fail_prob =
+            epoch < cfg_.warmupEpochs ? 0.0 : cfg_.failProb;
+        corruptNetwork(scratch_, net_, map, fail_prob, spec_,
+                       cfg_.layout, flip_rng);
+    }
+
+  private:
+    const FaultTrainConfig &cfg_;
+    InjectionSpec spec_ = InjectionSpec::allWeights();
+};
+
+} // namespace
+
 FaultAwareTrainer::FaultAwareTrainer(FaultTrainConfig cfg) : cfg_(cfg)
 {
-    if (cfg_.failProb < 0.0 || cfg_.failProb > 1.0)
-        fatal("FaultAwareTrainer: failProb must be in [0,1] (got ",
-              cfg_.failProb, ")");
-    if (cfg_.flipProb < 0.0 || cfg_.flipProb > 1.0)
-        fatal("FaultAwareTrainer: flipProb must be in [0,1] (got ",
-              cfg_.flipProb, ")");
-    if (cfg_.warmupEpochs < 0)
-        fatal("FaultAwareTrainer: warmupEpochs must be >= 0 (got ",
-              cfg_.warmupEpochs, ")");
-    // Delegate the rest of the validation to the base trainer.
-    dnn::SgdTrainer validator(cfg_.base);
-    (void)validator;
+    cfg_.validate();
 }
 
 std::vector<dnn::EpochStats>
 FaultAwareTrainer::train(dnn::Network &net, dnn::Network &scratch,
                          const dnn::Dataset &train_set, Rng &rng)
 {
-    if (train_set.size() == 0)
-        fatal("FaultAwareTrainer::train: empty training set");
-
-    auto clean_params = net.params();
-    auto noisy_params = scratch.params();
-    if (clean_params.size() != noisy_params.size())
-        fatal("FaultAwareTrainer: net and scratch structure mismatch");
-
-    std::vector<dnn::Tensor> velocity;
-    velocity.reserve(clean_params.size());
-    for (auto &p : clean_params)
-        velocity.push_back(dnn::Tensor::zeros(p.value->shape()));
-
-    dnn::SoftmaxCrossEntropy loss_fn;
-    std::vector<std::size_t> order(train_set.size());
-    std::iota(order.begin(), order.end(), 0);
-
-    const auto &base = cfg_.base;
-    std::vector<dnn::EpochStats> stats;
-    double lr = base.learningRate;
-    std::uint64_t batch_counter = 0;
-    for (int epoch = 0; epoch < base.epochs; ++epoch) {
-        for (std::size_t i = order.size(); i > 1; --i) {
-            const std::size_t j = rng.uniformInt(i);
-            std::swap(order[i - 1], order[j]);
-        }
-
-        double loss_sum = 0.0;
-        std::size_t correct = 0, seen = 0, batches = 0;
-        for (std::size_t start = 0; start < order.size();
-             start += static_cast<std::size_t>(base.batchSize)) {
-            const std::size_t count =
-                std::min(static_cast<std::size_t>(base.batchSize),
-                         order.size() - start);
-            std::vector<std::size_t> idx(
-                order.begin() + static_cast<long>(start),
-                order.begin() + static_cast<long>(start + count));
-            dnn::Dataset batch = train_set.gather(idx);
-
-            // Fresh fault map per batch: robustness to the rate, not
-            // to one specific set of broken cells.
-            const sram::VulnerabilityMap map(cfg_.seed, batch_counter);
-            Rng flip_rng = Rng(cfg_.seed).split(batch_counter);
-            ++batch_counter;
-            const double fail_prob =
-                epoch < cfg_.warmupEpochs ? 0.0 : cfg_.failProb;
-            corruptNetwork(scratch, net, map, fail_prob,
-                           InjectionSpec::allWeights(), cfg_.layout,
-                           flip_rng);
-
-            scratch.zeroGrads();
-            dnn::Tensor logits =
-                scratch.forward(batch.images, /*train=*/true);
-            dnn::Tensor grad;
-            loss_sum += loss_fn.lossAndGrad(logits, batch.labels, grad);
-            ++batches;
-            scratch.backward(grad);
-
-            for (int r = 0; r < logits.dim(0); ++r) {
-                int best = 0;
-                for (int c = 1; c < logits.dim(1); ++c) {
-                    if (logits.at(r, c) > logits.at(r, best))
-                        best = c;
-                }
-                correct += best ==
-                           batch.labels[static_cast<std::size_t>(r)];
-                ++seen;
-            }
-
-            // Straight-through: gradients from the corrupted forward
-            // pass update the clean parameters, with element clamping
-            // against fault-induced gradient outliers and projection
-            // back into the deployment Q-format range.
-            const auto gclip = static_cast<float>(cfg_.gradClip);
-            const auto wclip = static_cast<float>(cfg_.weightClip);
-            for (std::size_t p = 0; p < clean_params.size(); ++p) {
-                dnn::Tensor &v = velocity[p];
-                dnn::Tensor &value = *clean_params[p].value;
-                const dnn::Tensor &g = *noisy_params[p].grad;
-                for (std::size_t e = 0; e < value.numel(); ++e) {
-                    float ge = g[e];
-                    if (gclip > 0.0f)
-                        ge = std::clamp(ge, -gclip, gclip);
-                    v[e] = static_cast<float>(base.momentum * v[e] -
-                                              lr * ge);
-                    value[e] += v[e];
-                    if (wclip > 0.0f)
-                        value[e] = std::clamp(value[e], -wclip, wclip);
-                }
-            }
-        }
-
-        dnn::EpochStats es;
-        es.meanLoss = loss_sum / static_cast<double>(batches);
-        es.trainAccuracy =
-            static_cast<double>(correct) / static_cast<double>(seen);
-        stats.push_back(es);
-        if (base.verbose) {
-            inform("fault-aware epoch ", epoch + 1, "/", base.epochs,
-                   ": loss=", es.meanLoss,
-                   " train_acc=", es.trainAccuracy);
-        }
-        lr *= base.lrDecay;
-    }
-    return stats;
+    FreshMapStep step(cfg_, net, scratch);
+    return dnn::runSgd(cfg_.base, step, train_set, rng, cfg_.gradClip,
+                       cfg_.weightClip);
 }
 
 } // namespace vboost::fi

@@ -45,6 +45,9 @@ struct FaultTrainConfig
     std::uint64_t seed = 99;
     /** Cell layout used for the injected faults. */
     MemoryLayout layout;
+
+    /** Fatals with a usage-style message on invalid values. */
+    void validate() const;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "recovery/input_transform.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -141,6 +140,7 @@ TransformTrainConfig::validate() const
     if (gradClip < 0.0)
         fatal("TransformTrainConfig: gradClip must be >= 0 (got ",
               gradClip, ")");
+    base.validate();
 }
 
 std::uint64_t
@@ -160,9 +160,6 @@ TransformTrainer::TransformTrainer(TransformTrainConfig cfg)
     : cfg_(std::move(cfg))
 {
     cfg_.validate();
-    // Delegate base SGD validation to the trainer it mirrors.
-    dnn::SgdTrainer validator(cfg_.base);
-    (void)validator;
 }
 
 void
@@ -173,114 +170,84 @@ TransformTrainer::attachObservability(obs::Observability *o,
     labels_ = std::move(labels);
 }
 
+namespace {
+
+/** Trains the transform through the frozen base: each batch corrupts
+ *  the scratch copy of the base under a fresh map (the transform must
+ *  transfer across chips, never memorize one chip's broken cells),
+ *  then runs tf.apply -> corrupted base; only the transform's
+ *  parameters are updated. */
+class TransformStep : public dnn::BatchStep
+{
+  public:
+    TransformStep(const TransformTrainConfig &cfg, InputTransform &tf,
+                  dnn::Network &base, dnn::Network &scratch,
+                  TransformTrainStats &stats)
+        : cfg_(cfg), tf_(tf), base_(base), scratch_(scratch),
+          stats_(stats)
+    {
+        spec_.flipProb = cfg_.flipProb;
+    }
+
+    std::vector<dnn::ParamRef>
+    targets() override
+    {
+        return tf_.network().params();
+    }
+
+    void
+    beforeBatch(int epoch, std::uint64_t batch) override
+    {
+        const sram::VulnerabilityMap map(cfg_.seed, batch);
+        Rng flip_rng = Rng(cfg_.seed).split(batch);
+        const double fail_prob =
+            epoch < cfg_.warmupEpochs ? 0.0 : cfg_.failProb;
+        stats_.bitFlips += fi::corruptNetwork(scratch_, base_, map,
+                                              fail_prob, spec_,
+                                              cfg_.layout, flip_rng);
+        ++stats_.batches;
+    }
+
+    dnn::Tensor
+    forward(const dnn::Tensor &images) override
+    {
+        tf_.zeroGrads();
+        scratch_.zeroGrads();
+        return scratch_.forward(tf_.apply(images, /*train=*/true),
+                                /*train=*/true);
+    }
+
+    void
+    backward(const dnn::Tensor &grad) override
+    {
+        // The base is frozen: its backward pass only transports the
+        // gradient to the transform's output.
+        tf_.backward(scratch_.backward(grad));
+    }
+
+  private:
+    const TransformTrainConfig &cfg_;
+    InputTransform &tf_;
+    dnn::Network &base_;
+    dnn::Network &scratch_;
+    TransformTrainStats &stats_;
+    fi::InjectionSpec spec_ = fi::InjectionSpec::allWeights();
+};
+
+} // namespace
+
 TransformTrainStats
 TransformTrainer::train(InputTransform &tf, dnn::Network &base,
                         dnn::Network &scratch,
                         const dnn::Dataset &train_set, Rng &rng)
 {
-    if (train_set.size() == 0)
-        fatal("TransformTrainer::train: empty training set");
     if (base.params().size() != scratch.params().size())
         fatal("TransformTrainer: base and scratch structure mismatch");
 
-    auto tf_params = tf.network().params();
-    std::vector<dnn::Tensor> velocity;
-    velocity.reserve(tf_params.size());
-    for (auto &p : tf_params)
-        velocity.push_back(dnn::Tensor::zeros(p.value->shape()));
-
-    auto spec = fi::InjectionSpec::allWeights();
-    spec.flipProb = cfg_.flipProb;
-
-    dnn::SoftmaxCrossEntropy loss_fn;
-    std::vector<std::size_t> order(train_set.size());
-    std::iota(order.begin(), order.end(), 0);
-
-    const auto &b = cfg_.base;
     TransformTrainStats stats;
-    double lr = b.learningRate;
-    std::uint64_t batch_counter = 0;
-    for (int epoch = 0; epoch < b.epochs; ++epoch) {
-        for (std::size_t i = order.size(); i > 1; --i) {
-            const std::size_t j = rng.uniformInt(i);
-            std::swap(order[i - 1], order[j]);
-        }
-
-        double loss_sum = 0.0;
-        std::size_t correct = 0, seen = 0, batches = 0;
-        for (std::size_t start = 0; start < order.size();
-             start += static_cast<std::size_t>(b.batchSize)) {
-            const std::size_t count =
-                std::min(static_cast<std::size_t>(b.batchSize),
-                         order.size() - start);
-            std::vector<std::size_t> idx(
-                order.begin() + static_cast<long>(start),
-                order.begin() + static_cast<long>(start + count));
-            dnn::Dataset batch = train_set.gather(idx);
-
-            // Fresh map per batch: the transform must transfer across
-            // chips, never memorize one chip's broken cells.
-            const sram::VulnerabilityMap map(cfg_.seed, batch_counter);
-            Rng flip_rng = Rng(cfg_.seed).split(batch_counter);
-            ++batch_counter;
-            const double fail_prob =
-                epoch < cfg_.warmupEpochs ? 0.0 : cfg_.failProb;
-            stats.bitFlips += corruptNetwork(scratch, base, map,
-                                             fail_prob, spec,
-                                             cfg_.layout, flip_rng);
-
-            tf.zeroGrads();
-            scratch.zeroGrads();
-            dnn::Tensor x = tf.apply(batch.images, /*train=*/true);
-            dnn::Tensor logits = scratch.forward(x, /*train=*/true);
-            dnn::Tensor grad;
-            loss_sum += loss_fn.lossAndGrad(logits, batch.labels, grad); // vblint: assoc-ok(serial batch-order accumulation, single training thread)
-            ++batches;
-            // The base is frozen: its backward pass only transports
-            // the gradient to the transform's output.
-            dnn::Tensor grad_in = scratch.backward(grad);
-            tf.backward(grad_in);
-
-            for (int r = 0; r < logits.dim(0); ++r) {
-                int best = 0;
-                for (int c = 1; c < logits.dim(1); ++c) {
-                    if (logits.at(r, c) > logits.at(r, best))
-                        best = c;
-                }
-                correct += best ==
-                           batch.labels[static_cast<std::size_t>(r)];
-                ++seen;
-            }
-
-            const auto gclip = static_cast<float>(cfg_.gradClip);
-            for (std::size_t p = 0; p < tf_params.size(); ++p) {
-                dnn::Tensor &v = velocity[p];
-                dnn::Tensor &value = *tf_params[p].value;
-                const dnn::Tensor &g = *tf_params[p].grad;
-                for (std::size_t e = 0; e < value.numel(); ++e) {
-                    float ge = g[e];
-                    if (gclip > 0.0f)
-                        ge = std::clamp(ge, -gclip, gclip);
-                    v[e] = static_cast<float>(b.momentum * v[e] -
-                                              lr * ge);
-                    value[e] += v[e]; // vblint: assoc-ok(serial momentum-SGD update, single training thread)
-                }
-            }
-        }
-        stats.batches += batches;
-
-        dnn::EpochStats es;
-        es.meanLoss = loss_sum / static_cast<double>(batches);
-        es.trainAccuracy =
-            static_cast<double>(correct) / static_cast<double>(seen);
-        stats.epochs.push_back(es);
-        if (b.verbose) {
-            inform("transform epoch ", epoch + 1, "/", b.epochs,
-                   ": loss=", es.meanLoss,
-                   " train_acc=", es.trainAccuracy);
-        }
-        lr *= b.lrDecay;
-    }
+    TransformStep step(cfg_, tf, base, scratch, stats);
+    stats.epochs =
+        dnn::runSgd(cfg_.base, step, train_set, rng, cfg_.gradClip);
 
     if (obs_ != nullptr) {
         obs_->metrics.counter("recovery.fuse.batches", labels_)

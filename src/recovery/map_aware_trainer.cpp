@@ -1,8 +1,6 @@
 #include "recovery/map_aware_trainer.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -13,9 +11,7 @@ namespace vboost::recovery {
 void
 MapAwareConfig::validate() const
 {
-    if (train.failProb < 0.0 || train.failProb > 1.0)
-        fatal("MapAwareConfig: train.failProb must be in [0,1] (got ",
-              train.failProb, ")");
+    train.validate();
     if (refreshInterval < 0)
         fatal("MapAwareConfig: refreshInterval must be >= 0 (got ",
               refreshInterval, ")");
@@ -50,10 +46,6 @@ MapAwareTrainer::MapAwareTrainer(MapAwareConfig cfg)
            cfg_.cluster)
 {
     cfg_.validate();
-    // Delegate the shared straight-through knobs to the trainer this
-    // class generalizes, and the SGD knobs to the base trainer.
-    fi::FaultAwareTrainer validator(cfg_.train);
-    (void)validator;
 }
 
 void
@@ -64,158 +56,91 @@ MapAwareTrainer::attachObservability(obs::Observability *o,
     labels_ = std::move(labels);
 }
 
+namespace {
+
+/** Curriculum rate for an epoch (before refresh gating). */
 double
-MapAwareTrainer::curriculumProb(int epoch) const
+curriculumProb(const MapAwareConfig &cfg, int epoch)
 {
-    const int k = epoch - cfg_.train.warmupEpochs;
+    const int k = epoch - cfg.train.warmupEpochs;
     if (k < 0)
         return 0.0;
-    if (cfg_.curriculumEpochs <= 0 || k >= cfg_.curriculumEpochs)
-        return cfg_.train.failProb;
+    if (cfg.curriculumEpochs <= 0 || k >= cfg.curriculumEpochs)
+        return cfg.train.failProb;
     // Geometric ramp: startScale * failProb at k = 0, failProb once
     // the curriculum completes — MATIC's staged supply lowering.
     const double t =
-        static_cast<double>(k) /
-        static_cast<double>(cfg_.curriculumEpochs);
-    return cfg_.train.failProb *
-           std::pow(cfg_.curriculumStartScale, 1.0 - t);
+        static_cast<double>(k) / static_cast<double>(cfg.curriculumEpochs);
+    return cfg.train.failProb * std::pow(cfg.curriculumStartScale, 1.0 - t);
 }
+
+/** Corrupts the scratch weights under the frozen chip map at the
+ *  curriculum- and refresh-gated rate, and tallies the run's stats. */
+class ChipMapStep : public dnn::NetworkStep
+{
+  public:
+    ChipMapStep(const MapAwareConfig &cfg,
+                const sram::VulnerabilityMap &map, MapAwareStats &stats,
+                dnn::Network &net, dnn::Network &scratch)
+        : NetworkStep(net, scratch), cfg_(cfg), map_(map), stats_(stats)
+    {
+        spec_.flipProb = cfg_.train.flipProb;
+    }
+
+    void
+    beforeBatch(int epoch, std::uint64_t batch) override
+    {
+        // The injected rate is frozen at its last profiled value and
+        // only re-snapped to the curriculum at refresh points: training
+        // between refreshes runs against a stale profile, like the
+        // hardware flow.
+        const bool injecting = epoch >= cfg_.train.warmupEpochs;
+        if (injecting) {
+            const bool due = !profiled_ ||
+                             (cfg_.refreshInterval > 0 &&
+                              sinceRefresh_ >= cfg_.refreshInterval);
+            if (due) {
+                injectedProb_ = curriculumProb(cfg_, epoch);
+                profiled_ = true;
+                sinceRefresh_ = 0;
+                ++stats_.mapRefreshes;
+            } else {
+                ++sinceRefresh_;
+            }
+        }
+        const double fail_prob = injecting ? injectedProb_ : 0.0;
+
+        // The chip map is FROZEN; only the per-read flip stream is
+        // counter-derived per batch.
+        Rng flip_rng = Rng(cfg_.train.seed).split(batch);
+        stats_.bitFlips +=
+            fi::corruptNetwork(scratch_, net_, map_, fail_prob, spec_,
+                               cfg_.train.layout, flip_rng);
+        stats_.finalInjectedProb = fail_prob;
+        ++stats_.batches;
+    }
+
+  private:
+    const MapAwareConfig &cfg_;
+    const sram::VulnerabilityMap &map_;
+    MapAwareStats &stats_;
+    fi::InjectionSpec spec_ = fi::InjectionSpec::allWeights();
+    double injectedProb_ = 0.0;
+    bool profiled_ = false;
+    int sinceRefresh_ = 0;
+};
+
+} // namespace
 
 MapAwareStats
 MapAwareTrainer::train(dnn::Network &net, dnn::Network &scratch,
                        const dnn::Dataset &train_set, Rng &rng)
 {
-    if (train_set.size() == 0)
-        fatal("MapAwareTrainer::train: empty training set");
-
-    auto clean_params = net.params();
-    auto noisy_params = scratch.params();
-    if (clean_params.size() != noisy_params.size())
-        fatal("MapAwareTrainer: net and scratch structure mismatch");
-
-    std::vector<dnn::Tensor> velocity;
-    velocity.reserve(clean_params.size());
-    for (auto &p : clean_params)
-        velocity.push_back(dnn::Tensor::zeros(p.value->shape()));
-
-    auto spec = fi::InjectionSpec::allWeights();
-    spec.flipProb = cfg_.train.flipProb;
-
-    dnn::SoftmaxCrossEntropy loss_fn;
-    std::vector<std::size_t> order(train_set.size());
-    std::iota(order.begin(), order.end(), 0);
-
-    const auto &base = cfg_.train.base;
     MapAwareStats stats;
-    double lr = base.learningRate;
-    std::uint64_t batch_counter = 0;
-    // The injected rate is frozen at its last profiled value and only
-    // re-snapped to the curriculum at refresh points: training between
-    // refreshes runs against a stale profile, like the hardware flow.
-    double injected_prob = 0.0;
-    bool profiled = false;
-    int since_refresh = 0;
-    for (int epoch = 0; epoch < base.epochs; ++epoch) {
-        for (std::size_t i = order.size(); i > 1; --i) {
-            const std::size_t j = rng.uniformInt(i);
-            std::swap(order[i - 1], order[j]);
-        }
-
-        const bool injecting = epoch >= cfg_.train.warmupEpochs;
-        double loss_sum = 0.0;
-        std::size_t correct = 0, seen = 0, batches = 0;
-        for (std::size_t start = 0; start < order.size();
-             start += static_cast<std::size_t>(base.batchSize)) {
-            const std::size_t count =
-                std::min(static_cast<std::size_t>(base.batchSize),
-                         order.size() - start);
-            std::vector<std::size_t> idx(
-                order.begin() + static_cast<long>(start),
-                order.begin() + static_cast<long>(start + count));
-            dnn::Dataset batch = train_set.gather(idx);
-
-            if (injecting) {
-                const bool due =
-                    !profiled ||
-                    (cfg_.refreshInterval > 0 &&
-                     since_refresh >= cfg_.refreshInterval);
-                if (due) {
-                    injected_prob = curriculumProb(epoch);
-                    profiled = true;
-                    since_refresh = 0;
-                    ++stats.mapRefreshes;
-                } else {
-                    ++since_refresh;
-                }
-            }
-            const double fail_prob = injecting ? injected_prob : 0.0;
-
-            // The chip map is FROZEN; only the per-read flip stream is
-            // counter-derived per batch.
-            Rng flip_rng = Rng(cfg_.train.seed).split(batch_counter);
-            ++batch_counter;
-            stats.bitFlips += corruptNetwork(scratch, net, map_,
-                                             fail_prob, spec,
-                                             cfg_.train.layout,
-                                             flip_rng);
-
-            scratch.zeroGrads();
-            dnn::Tensor logits =
-                scratch.forward(batch.images, /*train=*/true);
-            dnn::Tensor grad;
-            loss_sum += loss_fn.lossAndGrad(logits, batch.labels, grad); // vblint: assoc-ok(serial batch-order accumulation, single training thread)
-            ++batches;
-            scratch.backward(grad);
-
-            for (int r = 0; r < logits.dim(0); ++r) {
-                int best = 0;
-                for (int c = 1; c < logits.dim(1); ++c) {
-                    if (logits.at(r, c) > logits.at(r, best))
-                        best = c;
-                }
-                correct += best ==
-                           batch.labels[static_cast<std::size_t>(r)];
-                ++seen;
-            }
-
-            // Straight-through: corrupted-forward gradients update the
-            // clean parameters, clamped and projected exactly as in
-            // fi::FaultAwareTrainer.
-            const auto gclip = static_cast<float>(cfg_.train.gradClip);
-            const auto wclip =
-                static_cast<float>(cfg_.train.weightClip);
-            for (std::size_t p = 0; p < clean_params.size(); ++p) {
-                dnn::Tensor &v = velocity[p];
-                dnn::Tensor &value = *clean_params[p].value;
-                const dnn::Tensor &g = *noisy_params[p].grad;
-                for (std::size_t e = 0; e < value.numel(); ++e) {
-                    float ge = g[e];
-                    if (gclip > 0.0f)
-                        ge = std::clamp(ge, -gclip, gclip);
-                    v[e] = static_cast<float>(base.momentum * v[e] -
-                                              lr * ge);
-                    value[e] += v[e]; // vblint: assoc-ok(serial momentum-SGD update, single training thread)
-                    if (wclip > 0.0f)
-                        value[e] = std::clamp(value[e], -wclip, wclip);
-                }
-            }
-            stats.finalInjectedProb = fail_prob;
-        }
-        stats.batches += batches;
-
-        dnn::EpochStats es;
-        es.meanLoss = loss_sum / static_cast<double>(batches);
-        es.trainAccuracy =
-            static_cast<double>(correct) / static_cast<double>(seen);
-        stats.epochs.push_back(es);
-        if (base.verbose) {
-            inform("map-aware epoch ", epoch + 1, "/", base.epochs,
-                   ": loss=", es.meanLoss,
-                   " train_acc=", es.trainAccuracy,
-                   " injected=", stats.finalInjectedProb);
-        }
-        lr *= base.lrDecay;
-    }
+    ChipMapStep step(cfg_, map_, stats, net, scratch);
+    stats.epochs = dnn::runSgd(cfg_.train.base, step, train_set, rng,
+                               cfg_.train.gradClip,
+                               cfg_.train.weightClip);
 
     if (obs_ != nullptr) {
         obs_->metrics.counter("recovery.matic.batches", labels_)

@@ -125,9 +125,6 @@ class MapAwareTrainer
     const MapAwareConfig &config() const { return cfg_; }
 
   private:
-    /** Curriculum rate for an epoch (before refresh gating). */
-    double curriculumProb(int epoch) const;
-
     MapAwareConfig cfg_;
     sram::VulnerabilityMap map_;
     obs::Observability *obs_ = nullptr;

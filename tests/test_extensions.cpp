@@ -16,6 +16,7 @@
 #include "dnn/trainer.hpp"
 #include "fi/experiment.hpp"
 #include "fi/fault_training.hpp"
+#include "recovery/recovery.hpp"
 
 namespace vboost {
 namespace {
@@ -168,6 +169,32 @@ TEST(FaultAwareTraining, ImprovesResilienceAtTrainedRate)
         << "hardened " << hard_acc << " vs baseline " << base_acc;
 }
 
+TEST(FaultAwareTraining, HonoursFlipProb)
+{
+    // Same seed, same maps: only the per-read flip probability of the
+    // faulty cells differs, so the trained weights must differ too.
+    auto train = dnn::makeSyntheticMnist(300, 36);
+    auto run = [&](double flip_prob) {
+        Rng r(1);
+        dnn::Network net;
+        net.addLayer<dnn::Dense>(784, 16, r, "fc1");
+        net.addLayer<dnn::Relu>("relu");
+        net.addLayer<dnn::Dense>(16, 10, r, "fc2");
+        dnn::Network scratch = net.clone();
+        fi::FaultTrainConfig cfg;
+        cfg.base.epochs = 1;
+        cfg.warmupEpochs = 0;
+        cfg.failProb = 0.02;
+        cfg.flipProb = flip_prob;
+        fi::FaultAwareTrainer fat(cfg);
+        Rng trng(7);
+        fat.train(net, scratch, train, trng);
+        return recovery::weightsDigest(net);
+    };
+    EXPECT_EQ(run(0.5), run(0.5));
+    EXPECT_NE(run(1.0), run(0.5));
+}
+
 TEST(FaultAwareTraining, ValidatesConfig)
 {
     fi::FaultTrainConfig cfg;
@@ -190,11 +217,27 @@ TEST(FaultAwareTraining, ValidatesConfig)
     cfg.warmupEpochs = -1;
     EXPECT_THROW(fi::FaultAwareTrainer{cfg}, FatalError);
 
+    cfg = {};
+    cfg.gradClip = -0.1;
+    EXPECT_THROW(cfg.validate(), FatalError);
+
+    cfg = {};
+    cfg.weightClip = -0.1;
+    EXPECT_THROW(fi::FaultAwareTrainer{cfg}, FatalError);
+
+    // The base SGD configuration is validated with it.
+    cfg = {};
+    cfg.base.momentum = 1.0;
+    EXPECT_THROW(cfg.validate(), FatalError);
+
     // Boundary values are legal.
     cfg = {};
     cfg.failProb = 0.0;
     cfg.flipProb = 1.0;
     cfg.warmupEpochs = 0;
+    cfg.gradClip = 0.0;
+    cfg.weightClip = 0.0;
+    EXPECT_NO_THROW(cfg.validate());
     EXPECT_NO_THROW(fi::FaultAwareTrainer{cfg});
 }
 

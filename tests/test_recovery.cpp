@@ -26,6 +26,7 @@
 #include "dnn/quantize.hpp"
 #include "dnn/serialize.hpp"
 #include "dnn/trainer.hpp"
+#include "fi/fault_training.hpp"
 #include "obs/observability.hpp"
 #include "recovery/input_transform.hpp"
 #include "recovery/map_aware_trainer.hpp"
@@ -352,9 +353,55 @@ TEST(ChipEvaluator, ClusteredChipMapEvaluates)
 
 // ------------------------------------------- determinism contract
 
+/** FNV-1a digest over per-epoch loss/accuracy bits, epoch order. */
+std::uint64_t
+epochsDigest(const std::vector<dnn::EpochStats> &epochs)
+{
+    std::uint64_t h = kFnvOffset;
+    for (const auto &e : epochs) {
+        h = fnvMixDouble(h, e.meanLoss);
+        h = fnvMixDouble(h, e.trainAccuracy);
+    }
+    return h;
+}
+
 TEST(RecoveryDeterminism, TrainersAreBitwiseReproducible)
 {
+    // Golden (stats digest, weightsDigest) pairs of all four trainers.
+    // They pin the shared SGD loop: its shuffle and flip streams and
+    // its float-operation order. Any drift in either moves them.
+    using Golden = std::pair<std::uint64_t, std::uint64_t>;
     auto train = dnn::makeSyntheticMnist(600, 34);
+
+    auto run_sgd = [&]() {
+        dnn::TrainConfig cfg;
+        cfg.epochs = 2;
+        auto net = makeSmallNet(1);
+        dnn::SgdTrainer trainer(cfg);
+        Rng trng(7);
+        const auto stats = trainer.train(net, train, trng);
+        return std::make_pair(epochsDigest(stats), weightsDigest(net));
+    };
+    const Golden sgd = run_sgd();
+    EXPECT_EQ(sgd, run_sgd());
+    EXPECT_EQ(sgd,
+              Golden(0xcc3cca41a89f3e7cull, 0x971798d5a70466f4ull));
+
+    auto run_fault_aware = [&]() {
+        fi::FaultTrainConfig cfg;
+        cfg.base.epochs = 2;
+        cfg.failProb = 0.02;
+        auto net = makeSmallNet(1);
+        auto scratch = makeSmallNet(2);
+        fi::FaultAwareTrainer fat(cfg);
+        Rng trng(7);
+        const auto stats = fat.train(net, scratch, train, trng);
+        return std::make_pair(epochsDigest(stats), weightsDigest(net));
+    };
+    const Golden fault_aware = run_fault_aware();
+    EXPECT_EQ(fault_aware, run_fault_aware());
+    EXPECT_EQ(fault_aware,
+              Golden(0x593599ff0a2b0e16ull, 0x3260d2787102a6feull));
 
     auto run_matic = [&]() {
         MapAwareConfig cfg;
@@ -369,7 +416,10 @@ TEST(RecoveryDeterminism, TrainersAreBitwiseReproducible)
         const auto stats = mat.train(net, scratch, train, trng);
         return std::make_pair(stats.digest(), weightsDigest(net));
     };
-    EXPECT_EQ(run_matic(), run_matic());
+    const Golden matic = run_matic();
+    EXPECT_EQ(matic, run_matic());
+    EXPECT_EQ(matic,
+              Golden(0x6fd9ea2c710b92d0ull, 0x63b79af477bd8902ull));
 
     auto run_fuse = [&]() {
         auto base = makeSmallNet(1);
@@ -386,7 +436,10 @@ TEST(RecoveryDeterminism, TrainersAreBitwiseReproducible)
         return std::make_pair(stats.digest(),
                               weightsDigest(tf.network()));
     };
-    EXPECT_EQ(run_fuse(), run_fuse());
+    const Golden fuse = run_fuse();
+    EXPECT_EQ(fuse, run_fuse());
+    EXPECT_EQ(fuse,
+              Golden(0x7bfdfbfc787a9d4full, 0x7be2404fcd191343ull));
 }
 
 TEST(RecoveryDeterminism, EvaluatorIsThreadCountInvariant)
