@@ -1,8 +1,8 @@
 /**
  * @file
  * Perf-trajectory harness (DESIGN.md §12): per-kernel ns/op for both
- * compute backends plus the fig14 AlexNet end-to-end measurement
- * phase, emitted as schema-versioned JSON (--json, schema
+ * compute backends, one MNIST FC training epoch per backend, plus the
+ * fig14 AlexNet end-to-end measurement phase, emitted as schema-versioned JSON (--json, schema
  * "vboost-bench-perf/1"). tools/bench_compare checks a run against
  * the committed baseline bench/BENCH_perf.json and fails CI on
  * regression.
@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -34,7 +35,10 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "dnn/backend/backend.hpp"
+#include "dnn/dataset.hpp"
 #include "dnn/tensor.hpp"
+#include "dnn/trainer.hpp"
+#include "dnn/zoo.hpp"
 #include "fi/accuracy_curve.hpp"
 #include "fi/experiment.hpp"
 #include "json_writer.hpp"
@@ -161,6 +165,30 @@ microSuite(const dnn::Backend &b, const bench::BenchOptions &opts,
                        static_cast<std::uint64_t>(kN) * kN * kN});
     }
 
+    // backward_gemm: one Dense backward of the MNIST FC's 256x256
+    // layer at batch 64 — dW += x^T g (x post-ReLU, half exact zeros)
+    // and dx = g W^T.
+    {
+        constexpr int kB = 64, kIn = 256, kOut = 256;
+        Rng rng(7);
+        auto x = dnn::Tensor::randn({kB, kIn}, rng, 1.0);
+        b.relu(x.data(), x.data(), x.numel());
+        const auto g = dnn::Tensor::randn({kB, kOut}, rng, 0.01);
+        const auto w = dnn::Tensor::randn({kIn, kOut}, rng, 0.1);
+        dnn::Tensor dw({kIn, kOut});
+        dnn::Tensor dx({kB, kIn});
+        std::vector<float> scratch;
+        const double ns = minNsPerOp(3, 16 / scale, [&] {
+            b.gemmTransA(x.data(), g.data(), dw.data(), kIn, kB, kOut,
+                         /*accumulate=*/true);
+            b.gemmTransB(g.data(), w.data(), dx.data(), kB, kOut, kIn,
+                         /*accumulate=*/false, scratch);
+            g_sink = g_sink + static_cast<std::uint64_t>(dx[0] != 0.0f);
+        });
+        out.push_back({"backward_gemm", name, "soft", ns,
+                       2ull * kB * kIn * kOut});
+    }
+
     // im2col_conv: one conv2-shaped image (16ch 16x16, 5x5 kernel).
     {
         const dnn::ConvGeom g{16, 24, 5, 2, 16, 16};
@@ -192,6 +220,47 @@ microSuite(const dnn::Backend &b, const bench::BenchOptions &opts,
         });
         out.push_back({"maxpool_2x2", name, "soft", ns, x.numel()});
     }
+}
+
+/**
+ * train_epoch: one SGD epoch of the MNIST FC per backend, from the
+ * same initial weights, min over repeats. The trained weights must be
+ * bitwise-equal across backends (the §12 contract on the training
+ * path).
+ */
+void
+trainEpochSuite(const std::vector<const dnn::Backend *> &backends,
+                const bench::BenchOptions &opts, std::vector<PerfEntry> &out)
+{
+    const int samples = opts.smoke ? 256 : 2048;
+    const dnn::Dataset train = dnn::makeSyntheticMnist(samples, 11);
+    std::vector<float> first;
+    for (const dnn::Backend *b : backends) {
+        if (!dnn::setActiveBackend(b->name()))
+            fatal("perf harness: backend ", b->name(), " vanished");
+        std::vector<float> weights;
+        const double ns = minNsPerOp(opts.smoke ? 1 : 2, 1, [&] {
+            Rng init(3);
+            dnn::Network net = dnn::buildMnistFc(init);
+            dnn::TrainConfig cfg;
+            cfg.epochs = 1;
+            Rng rng(5);
+            dnn::SgdTrainer(cfg).train(net, train, rng);
+            weights.clear();
+            for (const auto &p : net.params())
+                weights.insert(weights.end(), p.value->data(),
+                               p.value->data() + p.value->numel());
+        });
+        if (first.empty())
+            first = weights;
+        else if (std::memcmp(first.data(), weights.data(),
+                             first.size() * sizeof(float)) != 0)
+            fatal("perf harness: backends disagree on the trained MNIST "
+                  "FC weights — bitwise contract violated");
+        out.push_back({"train_epoch", std::string(b->name()), "soft", ns,
+                       static_cast<std::uint64_t>(samples)});
+    }
+    dnn::setActiveBackend("auto");
 }
 
 /** One round of the fig14 measurement phase under one backend:
@@ -233,6 +302,7 @@ main(int argc, char **argv)
     scalarSuite(opts, entries);
     for (const dnn::Backend *b : backends)
         microSuite(*b, opts, entries);
+    trainEpochSuite(backends, opts, entries);
 
     // fig14 end-to-end measurement phase: train/load once (untimed),
     // then run the full Monte-Carlo sweep per backend. Repeats

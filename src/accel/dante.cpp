@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "dnn/backend/backend.hpp"
 #include "dnn/layers.hpp"
 #include "dnn/quantize.hpp"
 
@@ -143,7 +144,8 @@ DanteChip::runFcInference(dnn::Network &net, const dnn::Tensor &x,
 
         const int in = layer.inFeatures(), out = layer.outFeatures();
         dnn::Tensor y({batch, out});
-        dnn::gemm(a.data(), w.data(), y.data(), batch, in, out);
+        dnn::referenceBackend().gemm(a.data(), w.data(), y.data(), batch,
+                                     in, out, /*accumulate=*/false);
         for (int i = 0; i < batch; ++i)
             for (int j = 0; j < out; ++j)
                 y.at(i, j) += layer.bias()[static_cast<std::size_t>(j)];

@@ -6,6 +6,28 @@
 
 namespace vboost::dnn {
 
+namespace detail {
+
+float *
+resizeFloats(std::vector<float> &buf, std::size_t n)
+{
+    buf.resize(n);
+    return buf.data();
+}
+
+float *
+threadScratch(std::size_t n)
+{
+    // Per-thread: the Monte-Carlo pool calls gemm from many workers at
+    // once. The packed bytes are plain copies, never result state.
+    thread_local std::vector<float> buf; // vblint: allow(VB004, per-thread packing scratch; packed bytes are plain copies, never result state)
+    if (buf.size() < n)
+        buf.resize(n);
+    return buf.data();
+}
+
+} // namespace detail
+
 std::vector<std::string_view>
 availableBackends()
 {

@@ -1,10 +1,11 @@
 /**
  * @file
  * Swappable compute backends (DESIGN.md §12). A Backend owns the hot
- * kernels of the repro — forward GEMM, the im2col convolution and the
- * fault-map application / fused corrupt-and-dequantize kernels the
- * fault-injection staging loop runs — so scalar reference code and
- * SIMD implementations can be exchanged freely.
+ * kernels of the repro — forward and backward GEMMs, the im2col
+ * convolution and the fault-map application / fused
+ * corrupt-and-dequantize kernels the fault-injection staging loop
+ * runs — so scalar reference code and SIMD implementations can be
+ * exchanged freely.
  *
  * Contract: every backend is BITWISE-IDENTICAL to the reference
  * backend on finite inputs, at every thread count, including the
@@ -30,6 +31,7 @@
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "sram/fault_map.hpp"
+#include "sram/packed_fault_map.hpp"
 
 namespace vboost::dnn {
 
@@ -79,6 +81,28 @@ class Backend
      *  is in ascending-k order in every backend (bitwise contract). */
     virtual void gemm(const float *a, const float *b, float *c, int m,
                       int k, int n, bool accumulate) const = 0;
+
+    /**
+     * C[m,n] (+)= A^T B with A [k x m], B [k x n], row-major (the
+     * weight gradient of Dense, the column gradient of Conv2d). Each
+     * C cell adds its products one at a time in ascending k and skips
+     * every k whose A[k,i] is exactly zero, as the reference loop
+     * does (bitwise contract).
+     */
+    virtual void gemmTransA(const float *a, const float *b, float *c,
+                            int m, int k, int n, bool accumulate) const = 0;
+
+    /**
+     * C[m,n] (+)= A B^T with A [m x k], B [n x k], row-major (the
+     * input gradient of Dense, the weight gradient of Conv2d). Each C
+     * cell's dot product starts at +0.0f, sums its products one at a
+     * time in ascending k and is then added to C (bitwise contract).
+     * `scratch` is caller-owned workspace, resized as needed, so
+     * per-layer buffers can be reused across calls.
+     */
+    virtual void gemmTransB(const float *a, const float *b, float *c,
+                            int m, int k, int n, bool accumulate,
+                            std::vector<float> &scratch) const = 0;
 
     /**
      * One-image convolution: expand `image` ([inCh, h, w]) into
@@ -138,16 +162,36 @@ class Backend
                          Rng &rng) const = 0;
 
     /**
-     * Corrupt the low `nbits` (1..64) of one staged word — the ECC
-     * path's data/check groups, whose RNG draws interleave across two
-     * windows. Visit j of this call is window visit startBit + j.
+     * applyFaultMapDequant with the fault bits read from a prebuilt
+     * image of the whole region instead of packing the window's own:
+     * `region` holds region cell p at bit p (a PackedFaultMap packed
+     * from start 0, wrapping at region.regionBits()), and visit j of
+     * this call reads bit (startBit + j) mod region.regionBits(),
+     * which must be below region.numBits(). Flips, RNG draws and
+     * outputs equal applyFaultMapDequant's over the same cells.
      * @return bits flipped.
      */
-    virtual std::uint64_t applyFaultMapBits(std::uint64_t &bits, int nbits,
-                                            const sram::VulnerabilityMap &map,
-                                            const FaultWindow &win,
-                                            sram::FaultParams params,
-                                            Rng &rng) const = 0;
+    virtual std::uint64_t
+    applyRegionImageDequant(std::span<std::int16_t> words,
+                            const FixedPointCodec &codec, float *out,
+                            const sram::PackedFaultMap &region,
+                            std::uint64_t startBit, double flipProb,
+                            Rng &rng) const = 0;
+
+    /**
+     * Corrupt the low `nbits` (1..64) of one staged word from a region
+     * image (as applyRegionImageDequant reads it) — the ECC path's
+     * data/check groups, whose RNG draws interleave across two
+     * regions. Visit j of this call reads bit
+     * (startBit + j) mod region.regionBits(). One bernoulli is drawn
+     * per faulty visited cell even at flipProb 0, as the ECC staging
+     * loop always has. @return bits flipped.
+     */
+    virtual std::uint64_t
+    applyRegionImageBits(std::uint64_t &bits, int nbits,
+                         const sram::PackedFaultMap &region,
+                         std::uint64_t startBit, double flipProb,
+                         Rng &rng) const = 0;
 };
 
 /** The scalar reference backend (always available). */

@@ -12,6 +12,19 @@
 
 namespace vboost::dnn::detail {
 
+/**
+ * Resize `buf` to exactly n floats and return its data. Defined in
+ * backend.cpp, a generic translation unit: std::vector growth code
+ * instantiated inside a -mavx2/-mavx512f translation unit would be an
+ * ISA-specific COMDAT copy the linker may pick for generic callers.
+ */
+float *resizeFloats(std::vector<float> &buf, std::size_t n);
+
+/** This thread's scratch buffer, grown to at least n floats (the
+ *  AVX-512 GEMM's B-panel packing). Defined in backend.cpp for the
+ *  same reason as resizeFloats(). */
+float *threadScratch(std::size_t n);
+
 /** The AVX2 backend instance, or nullptr when this build or this CPU
  *  lacks AVX2 support. */
 const Backend *vectorizedBackendIfAvailable();

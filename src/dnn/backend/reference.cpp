@@ -6,12 +6,20 @@
  * ground truth — keep them boring.
  */
 
+#include <cstring>
+
 #include "dnn/backend/impl.hpp"
-#include "dnn/tensor.hpp"
 
 namespace vboost::dnn {
 
 namespace {
+
+void
+zeroOutput(float *c, int m, int n)
+{
+    std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
+                          static_cast<std::size_t>(n));
+}
 
 class ReferenceBackend final : public Backend
 {
@@ -22,8 +30,67 @@ class ReferenceBackend final : public Backend
     gemm(const float *a, const float *b, float *c, int m, int k, int n,
          bool accumulate) const override
     {
-        // The free function in tensor.cpp (i-k-j loop with zero-skip).
-        vboost::dnn::gemm(a, b, c, m, k, n, accumulate);
+        if (!accumulate)
+            zeroOutput(c, m, n);
+        // i-k-j order: the inner loop is contiguous in both B and C.
+        for (int i = 0; i < m; ++i) {
+            const float *arow = a + static_cast<std::size_t>(i) * k;
+            float *crow = c + static_cast<std::size_t>(i) * n;
+            for (int kk = 0; kk < k; ++kk) {
+                const float aik = arow[kk];
+                if (aik == 0.0f)
+                    continue;
+                const float *brow = b + static_cast<std::size_t>(kk) * n;
+                for (int j = 0; j < n; ++j)
+                    // vblint: assoc-ok(k advances in fixed index order)
+                    crow[j] += aik * brow[j];
+            }
+        }
+    }
+
+    void
+    gemmTransA(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate) const override
+    {
+        if (!accumulate)
+            zeroOutput(c, m, n);
+        // C[m,n] = sum_kk A[kk,m]^T B[kk,n]; A row kk is contiguous in m.
+        for (int kk = 0; kk < k; ++kk) {
+            const float *arow = a + static_cast<std::size_t>(kk) * m;
+            const float *brow = b + static_cast<std::size_t>(kk) * n;
+            for (int i = 0; i < m; ++i) {
+                const float aki = arow[i];
+                if (aki == 0.0f)
+                    continue;
+                float *crow = c + static_cast<std::size_t>(i) * n;
+                for (int j = 0; j < n; ++j)
+                    // vblint: assoc-ok(k advances in fixed index order)
+                    crow[j] += aki * brow[j];
+            }
+        }
+    }
+
+    void
+    gemmTransB(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate,
+               std::vector<float> & /*scratch*/) const override
+    {
+        if (!accumulate)
+            zeroOutput(c, m, n);
+        // C[i,j] = dot(A row i, B row j): both contiguous in k.
+        for (int i = 0; i < m; ++i) {
+            const float *arow = a + static_cast<std::size_t>(i) * k;
+            float *crow = c + static_cast<std::size_t>(i) * n;
+            for (int j = 0; j < n; ++j) {
+                const float *brow = b + static_cast<std::size_t>(j) * k;
+                float acc = 0.0f;
+                for (int kk = 0; kk < k; ++kk)
+                    // vblint: assoc-ok(dot product in fixed k order)
+                    acc += arow[kk] * brow[kk];
+                // vblint: assoc-ok(single accumulated dot per (i,j) cell)
+                crow[j] += acc;
+            }
+        }
     }
 
     void
@@ -72,8 +139,8 @@ class ReferenceBackend final : public Backend
     {
         const std::size_t spatial = g.spatial();
         im2col(image, g, cols);
-        vboost::dnn::gemm(weights, cols.data(), out, g.outCh, g.patch(),
-                          static_cast<int>(spatial));
+        gemm(weights, cols.data(), out, g.outCh, g.patch(),
+             static_cast<int>(spatial), /*accumulate=*/false);
         for (int oc = 0; oc < g.outCh; ++oc) {
             float *chan = out + static_cast<std::size_t>(oc) * spatial;
             const float b = bias[static_cast<std::size_t>(oc)];
@@ -163,24 +230,48 @@ class ReferenceBackend final : public Backend
     }
 
     std::uint64_t
-    applyFaultMapBits(std::uint64_t &bits, int nbits,
-                      const sram::VulnerabilityMap &map,
-                      const FaultWindow &win, sram::FaultParams params,
-                      Rng &rng) const override
+    applyRegionImageDequant(std::span<std::int16_t> words,
+                            const FixedPointCodec &codec, float *out,
+                            const sram::PackedFaultMap &region,
+                            std::uint64_t startBit, double flipProb,
+                            Rng &rng) const override
+    {
+        // applyFaultMap's walk, with isFaulty() read from the image.
+        std::uint64_t flipped = 0;
+        if (flipProb > 0.0) {
+            std::uint64_t bit = startBit % region.regionBits();
+            for (auto &word : words) {
+                auto raw = static_cast<std::uint16_t>(word);
+                for (int b = 0; b < 16; ++b) {
+                    if (region.test(bit) && rng.bernoulli(flipProb)) {
+                        raw ^= static_cast<std::uint16_t>(1u << b);
+                        ++flipped;
+                    }
+                    if (++bit == region.regionBits())
+                        bit = 0;
+                }
+                word = static_cast<std::int16_t>(raw);
+            }
+        }
+        for (std::size_t i = 0; i < words.size(); ++i)
+            out[i] = codec.decode(words[i]);
+        return flipped;
+    }
+
+    std::uint64_t
+    applyRegionImageBits(std::uint64_t &bits, int nbits,
+                         const sram::PackedFaultMap &region,
+                         std::uint64_t startBit, double flipProb,
+                         Rng &rng) const override
     {
         // No flipProb early-out: the ECC staging loop historically
         // consumed one bernoulli per faulty cell even at flipProb 0,
         // and downstream draws must see an unchanged RNG stream.
-        if (params.failProb <= 0.0)
-            return 0;
         std::uint64_t flipped = 0;
         for (int b = 0; b < nbits; ++b) {
-            const std::uint64_t cell =
-                win.regionBase +
-                (win.startBit + static_cast<std::uint64_t>(b)) %
-                    win.regionBits;
-            if (map.isFaulty(cell, params.failProb) &&
-                rng.bernoulli(params.flipProb)) {
+            if (region.test((startBit + static_cast<std::uint64_t>(b)) %
+                            region.regionBits()) &&
+                rng.bernoulli(flipProb)) {
                 bits ^= 1ull << b;
                 ++flipped;
             }

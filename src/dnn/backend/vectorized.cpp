@@ -13,6 +13,14 @@
  *    rather than emulated: adding the skipped +/-0.0 products is an
  *    identity on every accumulator chain seeded from +0.0, because
  *    round-to-nearest never yields -0.0 from a +0.0 start.
+ *  - gemmTransA keeps the skip, since its C may hold -0.0 (for which
+ *    -0.0 + +0.0 is +0.0): each C row first gathers the k whose A
+ *    entry is non-zero, then its column strips add exactly those
+ *    products in ascending k.
+ *  - gemmTransB's per-cell dot product is a GEMM chain seeded from
+ *    +0.0 with no skip: it runs as the forward GEMM over a transposed
+ *    copy of B into scratch, and the finished dots are then added to
+ *    C.
  *  - im2col is pure element copies (memcpy + zero fill), so any
  *    implementation is bitwise-identical.
  *  - MaxPool/ReLU use MAXPS, which returns its second operand on ties
@@ -39,7 +47,6 @@
 #include <cstring>
 #include <immintrin.h>
 
-#include "sram/cell_hash.hpp"
 #include "sram/packed_fault_map.hpp"
 
 namespace vboost::dnn {
@@ -237,6 +244,139 @@ gemmAvx2(const float *a, const float *b, float *c, int m, int k, int n,
     }
 }
 
+// ---------------------------------------------------- backward GEMMs
+
+/**
+ * C (+)= A^T B, A [k x m], i-outer. Blocks of kTaJ columns and kTaK
+ * k indices keep the B block cache-resident; per C row and k block,
+ * the k with a non-zero A[k,i] are compacted onto the stack (the
+ * reference's zero-skip, branch-free), and every column strip adds
+ * exactly those products in ascending k. C re-loads its partial sums
+ * between k blocks, so each cell's chain is the reference's.
+ */
+void
+gemmTransAAvx2(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate)
+{
+    if (!accumulate) {
+        std::memset(c, 0,
+                    sizeof(float) * static_cast<std::size_t>(m) *
+                        static_cast<std::size_t>(n));
+    }
+    constexpr int kTaJ = 256;
+    constexpr int kTaK = 128;
+    int idx[kTaK];
+    float val[kTaK];
+    for (int j0 = 0; j0 < n; j0 += kTaJ) {
+        const int jend = std::min(n, j0 + kTaJ);
+        for (int k0 = 0; k0 < k; k0 += kTaK) {
+            const int kb = std::min(kTaK, k - k0);
+            for (int i = 0; i < m; ++i) {
+                int cnt = 0;
+                for (int t = 0; t < kb; ++t) {
+                    const float v =
+                        a[static_cast<std::size_t>(k0 + t) * m + i];
+                    idx[cnt] = k0 + t;
+                    val[cnt] = v;
+                    cnt += v != 0.0f; // NaN is kept, as in the reference
+                }
+                if (cnt == 0)
+                    continue;
+                float *crow = c + static_cast<std::size_t>(i) * n;
+                int j = j0;
+                for (; j + 32 <= jend; j += 32) {
+                    __m256 c0 = _mm256_loadu_ps(crow + j);
+                    __m256 c1 = _mm256_loadu_ps(crow + j + 8);
+                    __m256 c2 = _mm256_loadu_ps(crow + j + 16);
+                    __m256 c3 = _mm256_loadu_ps(crow + j + 24);
+                    for (int t = 0; t < cnt; ++t) {
+                        const __m256 av = _mm256_set1_ps(val[t]);
+                        const float *bp =
+                            b + static_cast<std::size_t>(idx[t]) * n + j;
+                        c0 = _mm256_add_ps(
+                            c0, _mm256_mul_ps(av, _mm256_loadu_ps(bp)));
+                        c1 = _mm256_add_ps(
+                            c1, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 8)));
+                        c2 = _mm256_add_ps(
+                            c2, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 16)));
+                        c3 = _mm256_add_ps(
+                            c3, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 24)));
+                    }
+                    _mm256_storeu_ps(crow + j, c0);
+                    _mm256_storeu_ps(crow + j + 8, c1);
+                    _mm256_storeu_ps(crow + j + 16, c2);
+                    _mm256_storeu_ps(crow + j + 24, c3);
+                }
+                for (; j + 8 <= jend; j += 8) {
+                    __m256 c0 = _mm256_loadu_ps(crow + j);
+                    for (int t = 0; t < cnt; ++t)
+                        c0 = _mm256_add_ps(
+                            c0,
+                            _mm256_mul_ps(
+                                _mm256_set1_ps(val[t]),
+                                _mm256_loadu_ps(
+                                    b + static_cast<std::size_t>(idx[t]) * n +
+                                    j)));
+                    _mm256_storeu_ps(crow + j, c0);
+                }
+                for (; j < jend; ++j) {
+                    float cv = crow[j];
+                    for (int t = 0; t < cnt; ++t)
+                        cv += val[t] * b[static_cast<std::size_t>(idx[t]) * n + j]; // vblint: assoc-ok(ascending-k chain pinned by the backend bitwise contract, §12)
+                    crow[j] = cv;
+                }
+            }
+        }
+    }
+}
+
+/** dst [cols x rows] = src [rows x cols]^T, in 8x8 tiles. */
+void
+transpose(const float *src, float *dst, int rows, int cols)
+{
+    constexpr int kT = 8;
+    for (int row0 = 0; row0 < rows; row0 += kT) {
+        const int rend = std::min(rows, row0 + kT);
+        for (int col0 = 0; col0 < cols; col0 += kT) {
+            const int cend = std::min(cols, col0 + kT);
+            for (int r = row0; r < rend; ++r)
+                for (int cc = col0; cc < cend; ++cc)
+                    dst[static_cast<std::size_t>(cc) * rows + r] =
+                        src[static_cast<std::size_t>(r) * cols + cc];
+        }
+    }
+}
+
+/**
+ * C (+)= A B^T, B [n x k]. The reference's per-cell dot product,
+ * acc = +0.0 then acc += A[i,kk] * B[j,kk] in ascending kk, is exactly
+ * the chain this backend's non-accumulating forward GEMM computes for
+ * cell (i, j) of A * (B^T): zero start, one product added at a time,
+ * no skip. So the dots are computed by the forward GEMM into scratch
+ * over a transposed copy of B, and each finished dot is then added to
+ * C once.
+ */
+void
+gemmTransBAvx2(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate, std::vector<float> &scratch)
+{
+    const std::size_t mn =
+        static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+    float *const dots = detail::resizeFloats(
+        scratch, mn + static_cast<std::size_t>(k) * n);
+    float *const bt = dots + mn;
+    transpose(b, bt, n, k);
+    gemmDispatch(a, bt, dots, m, k, n, /*accumulate=*/false);
+    if (!accumulate)
+        std::memset(c, 0, sizeof(float) * mn);
+    std::size_t e = 0;
+    for (; e + 8 <= mn; e += 8)
+        _mm256_storeu_ps(c + e, _mm256_add_ps(_mm256_loadu_ps(c + e),
+                                              _mm256_loadu_ps(dots + e)));
+    for (; e < mn; ++e)
+        c[e] += dots[e]; // vblint: assoc-ok(single accumulated dot per (i,j) cell)
+}
+
 // ---------------------------------------------------------- im2col
 
 /** Inline copy/zero for the short runs im2col produces (the 3x3 conv
@@ -271,7 +411,8 @@ im2colAvx2(const float *image, const ConvGeom &g, std::vector<float> &cols)
     const int out_h = g.outH();
     const int out_w = g.outW();
     const std::size_t spatial = g.spatial();
-    cols.resize(static_cast<std::size_t>(g.patch()) * spatial);
+    float *const out = detail::resizeFloats(
+        cols, static_cast<std::size_t>(g.patch()) * spatial);
     std::size_t row = 0;
     for (int c = 0; c < g.inCh; ++c) {
         const float *chan = image + static_cast<std::size_t>(c) *
@@ -279,7 +420,7 @@ im2colAvx2(const float *image, const ConvGeom &g, std::vector<float> &cols)
                                         static_cast<std::size_t>(g.w);
         for (int ki = 0; ki < g.kernel; ++ki) {
             for (int kj = 0; kj < g.kernel; ++kj, ++row) {
-                float *dst = cols.data() + row * spatial;
+                float *dst = out + row * spatial;
                 // Valid output columns: 0 <= oj + kj - pad < w.
                 const int oj_lo = std::max(0, g.pad - kj);
                 const int oj_hi = std::min(out_w, g.w + g.pad - kj);
@@ -390,6 +531,26 @@ flipMaskedBits(std::uint64_t &bits, std::uint64_t fault_mask,
     return flipped;
 }
 
+/** Corrupt up to four consecutive staged words under one 64-visit
+ *  fault mask (bit 16q + b is bit b of word q), skipping fault-free
+ *  words with one compare. */
+inline std::uint64_t
+flipWordGroup(std::int16_t *words, std::size_t nwords, std::uint64_t m,
+              double flip_prob, Rng &rng)
+{
+    std::uint64_t flipped = 0;
+    for (std::size_t q = 0; q < nwords && m != 0; ++q, m >>= 16) {
+        const std::uint64_t m16 = m & 0xffffull;
+        if (m16 == 0)
+            continue;
+        std::uint64_t bits = static_cast<std::uint16_t>(words[q]);
+        flipped += flipMaskedBits(bits, m16, flip_prob, rng);
+        words[q] =
+            static_cast<std::int16_t>(static_cast<std::uint16_t>(bits));
+    }
+    return flipped;
+}
+
 std::uint64_t
 applyFaultMapPacked(std::span<std::int16_t> words,
                     const sram::VulnerabilityMap &map,
@@ -401,35 +562,72 @@ applyFaultMapPacked(std::span<std::int16_t> words,
     const sram::PackedFaultMap packed(map, win.regionBase, win.regionBits,
                                       win.startBit, words.size() * 16ull,
                                       params.failProb);
-    std::uint64_t flipped = 0;
-    std::size_t w = 0;
     // Four 16-bit words per packed 64-bit mask; one compare skips all
     // four when the window is fault-free there (the common case).
-    for (; w + 4 <= words.size(); w += 4) {
-        std::uint64_t m = packed.words()[w >> 2];
-        if (m == 0)
-            continue;
-        for (std::size_t q = 0; q < 4; ++q, m >>= 16) {
-            const std::uint64_t m16 = m & 0xffffull;
-            if (m16 == 0)
-                continue;
-            std::uint64_t bits =
-                static_cast<std::uint16_t>(words[w + q]);
-            flipped += flipMaskedBits(bits, m16, params.flipProb, rng);
-            words[w + q] =
-                static_cast<std::int16_t>(static_cast<std::uint16_t>(bits));
-        }
-    }
-    for (; w < words.size(); ++w) {
-        const std::uint64_t m16 = packed.mask(w * 16, 16);
-        if (m16 == 0)
-            continue;
-        std::uint64_t bits = static_cast<std::uint16_t>(words[w]);
-        flipped += flipMaskedBits(bits, m16, params.flipProb, rng);
-        words[w] =
-            static_cast<std::int16_t>(static_cast<std::uint16_t>(bits));
+    std::uint64_t flipped = 0;
+    for (std::size_t w = 0; w < words.size(); w += 4) {
+        const std::uint64_t m = packed.words()[w >> 2];
+        if (m != 0)
+            flipped += flipWordGroup(words.data() + w,
+                                     std::min<std::size_t>(4,
+                                                           words.size() - w),
+                                     m, params.flipProb, rng);
     }
     return flipped;
+}
+
+/** As applyFaultMapPacked, reading the window's masks from a region
+ *  image with wrap instead of packing them. */
+std::uint64_t
+applyRegionImagePacked(std::span<std::int16_t> words,
+                       const sram::PackedFaultMap &region,
+                       std::uint64_t start_bit, double flip_prob, Rng &rng)
+{
+    if (flip_prob <= 0.0)
+        return 0;
+    const std::uint64_t modulus = region.regionBits();
+    const std::uint64_t *packed = region.words().data();
+    std::uint64_t pos = start_bit % modulus;
+    std::uint64_t flipped = 0;
+    for (std::size_t w = 0; w < words.size(); w += 4) {
+        const std::size_t nwords = std::min<std::size_t>(4, words.size() - w);
+        std::uint64_t m;
+        if (nwords == 4 && pos + 64 <= region.numBits()) {
+            // Inside the image: one straddling read of two words.
+            const std::uint64_t i = pos >> 6;
+            const unsigned shift = static_cast<unsigned>(pos & 63);
+            m = shift == 0 ? packed[i]
+                           : (packed[i] >> shift) |
+                                 (packed[i + 1] << (64 - shift));
+        } else {
+            m = region.maskWrapped(pos, static_cast<unsigned>(16 * nwords));
+        }
+        if (m != 0)
+            flipped += flipWordGroup(words.data() + w, nwords, m, flip_prob,
+                                     rng);
+        pos += 64;
+        if (pos >= modulus)
+            pos %= modulus;
+    }
+    return flipped;
+}
+
+/** decode(raw) = float(raw) / 2^frac = float(raw) * 2^-frac, exact
+ *  either way for the int16 range (see file header). */
+void
+dequantizeAvx2(std::span<const std::int16_t> words,
+               const FixedPointCodec &codec, float *out)
+{
+    const __m256 scale = _mm256_set1_ps(codec.resolution());
+    std::size_t i = 0;
+    for (; i + 8 <= words.size(); i += 8) {
+        const __m128i raw = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(words.data() + i));
+        const __m256 vals = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(raw));
+        _mm256_storeu_ps(out + i, _mm256_mul_ps(vals, scale));
+    }
+    for (; i < words.size(); ++i)
+        out[i] = codec.decode(words[i]);
 }
 
 class VectorizedBackend final : public Backend
@@ -442,6 +640,21 @@ class VectorizedBackend final : public Backend
          bool accumulate) const override
     {
         gemmDispatch(a, b, c, m, k, n, accumulate);
+    }
+
+    void
+    gemmTransA(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate) const override
+    {
+        gemmTransAAvx2(a, b, c, m, k, n, accumulate);
+    }
+
+    void
+    gemmTransB(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate,
+               std::vector<float> &scratch) const override
+    {
+        gemmTransBAvx2(a, b, c, m, k, n, accumulate, scratch);
     }
 
     void
@@ -511,55 +724,32 @@ class VectorizedBackend final : public Backend
     {
         const std::uint64_t flipped =
             applyFaultMapPacked(words, map, win, params, rng);
-        // decode(raw) = float(raw) / 2^frac = float(raw) * 2^-frac,
-        // exact either way for the int16 range (see file header).
-        const __m256 scale = _mm256_set1_ps(codec.resolution());
-        std::size_t i = 0;
-        for (; i + 8 <= words.size(); i += 8) {
-            const __m128i raw = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(words.data() + i));
-            const __m256 vals =
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(raw));
-            _mm256_storeu_ps(out + i, _mm256_mul_ps(vals, scale));
-        }
-        for (; i < words.size(); ++i)
-            out[i] = codec.decode(words[i]);
+        dequantizeAvx2(words, codec, out);
         return flipped;
     }
 
     std::uint64_t
-    applyFaultMapBits(std::uint64_t &bits, int nbits,
-                      const sram::VulnerabilityMap &map,
-                      const FaultWindow &win, sram::FaultParams params,
-                      Rng &rng) const override
+    applyRegionImageDequant(std::span<std::int16_t> words,
+                            const FixedPointCodec &codec, float *out,
+                            const sram::PackedFaultMap &region,
+                            std::uint64_t startBit, double flipProb,
+                            Rng &rng) const override
     {
-        if (params.failProb <= 0.0)
-            return 0;
-        // Build the <=64-bit fault mask in place (no per-group heap
-        // allocation): the ECC staging loop calls this once per
-        // 64-bit data group and once per 8-bit check group.
-        const std::uint64_t offset = win.startBit % win.regionBits;
-        std::uint64_t mask;
-        if (static_cast<std::uint64_t>(nbits) == 64 &&
-            offset + 64 <= win.regionBits &&
-            map.model() == sram::MapModel::Iid &&
-            sram::PackedFaultMap::simdPackingActive()) {
-            mask = sram::packMask64Avx2(
-                map.streamKey(), sram::detail::probThreshold(
-                                     params.failProb),
-                win.regionBase + offset);
-        } else {
-            mask = 0;
-            for (int b = 0; b < nbits; ++b) {
-                const std::uint64_t cell =
-                    win.regionBase +
-                    (win.startBit + static_cast<std::uint64_t>(b)) %
-                        win.regionBits;
-                if (map.isFaulty(cell, params.failProb))
-                    mask |= 1ull << b;
-            }
-        }
-        return flipMaskedBits(bits, mask, params.flipProb, rng);
+        const std::uint64_t flipped =
+            applyRegionImagePacked(words, region, startBit, flipProb, rng);
+        dequantizeAvx2(words, codec, out);
+        return flipped;
+    }
+
+    std::uint64_t
+    applyRegionImageBits(std::uint64_t &bits, int nbits,
+                         const sram::PackedFaultMap &region,
+                         std::uint64_t startBit, double flipProb,
+                         Rng &rng) const override
+    {
+        const std::uint64_t mask = region.maskWrapped(
+            startBit % region.regionBits(), static_cast<unsigned>(nbits));
+        return flipMaskedBits(bits, mask, flipProb, rng);
     }
 };
 

@@ -122,7 +122,8 @@ im2colAvx512(const float *image, const ConvGeom &g,
     const int out_h = g.outH();
     const int out_w = g.outW();
     const std::size_t spatial = g.spatial();
-    cols.resize(static_cast<std::size_t>(g.patch()) * spatial);
+    float *const out = resizeFloats(
+        cols, static_cast<std::size_t>(g.patch()) * spatial);
     // Each cols row (one (c, ki, kj) patch element) is out_h segments
     // of out_w floats; within an output row the valid sources form a
     // contiguous interval of the input row, so a single fault-free
@@ -163,7 +164,7 @@ im2colAvx512(const float *image, const ConvGeom &g,
                     src_off[s] =
                         hi > lo ? std::max(j, oj_lo) + kj - g.pad : 0;
                 }
-                float *base = cols.data() + row * spatial;
+                float *base = out + row * spatial;
                 // Stride-matched fast path (out_w == w, every conv in
                 // the repro): within the live rows, src and dst are
                 // both flat streams — dst position p maps to source
@@ -284,10 +285,6 @@ gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
     // sums so each element still sums in globally ascending k.
     constexpr int kNC = 512;
     constexpr int kKC = 256;
-    // Per-thread packing scratch: the Monte-Carlo pool calls gemm from
-    // many workers at once, and packed bytes are plain copies so the
-    // buffer never influences results.
-    thread_local std::vector<float> bpack; // vblint: allow(VB004, per-thread packing scratch; packed bytes are plain copies, never result state)
     for (int j0 = 0; j0 < n; j0 += kNC) {
         const int nb = std::min(kNC, n - j0);
         for (int k0 = 0; k0 < k; k0 += kKC) {
@@ -298,9 +295,11 @@ gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
             // enough (half a page or more) to pressure the DTLB;
             // small-n panels are L2-resident and read fine unpacked.
             const int tiles = (m >= 16 && n >= 512) ? nb / 32 : 0;
+            float *bpack = nullptr;
             if (tiles > 0) {
-                bpack.resize(static_cast<std::size_t>(tiles) * kb * 32);
-                packB(bblk, kb, n, tiles, bpack.data());
+                bpack = threadScratch(static_cast<std::size_t>(tiles) * kb *
+                                      32);
+                packB(bblk, kb, n, tiles, bpack);
             }
             for (int i0 = 0; i0 < m; i0 += 8) {
                 const int rows = std::min(8, m - i0);
@@ -312,7 +311,7 @@ gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
                     for (; j + 32 <= nb; j += 32) {
                         if ((j >> 5) < tiles)
                             micro8x32(ablk, k,
-                                      bpack.data() +
+                                      bpack +
                                           static_cast<std::size_t>(j >> 5) *
                                               kb * 32,
                                       cblk + j, n, kb, 32);

@@ -51,6 +51,17 @@ class Layer
      */
     virtual Tensor backward(const Tensor &grad_out) = 0;
 
+    /**
+     * backward() for a caller that never reads dL/d(input): accumulate
+     * the parameter gradients only (bit-identical to backward()'s).
+     * The default runs backward() and drops its result.
+     */
+    virtual void
+    backwardParams(const Tensor &grad_out)
+    {
+        backward(grad_out);
+    }
+
     /** Parameter references (empty for stateless layers). */
     virtual std::vector<ParamRef> params() { return {}; }
 

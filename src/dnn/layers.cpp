@@ -50,20 +50,31 @@ Dense::forward(const Tensor &x, bool train)
     return y;
 }
 
-Tensor
-Dense::backward(const Tensor &grad_out)
+void
+Dense::backwardParams(const Tensor &grad_out)
 {
     if (cachedInput_.numel() == 0)
         panic("Dense ", name_, ": backward without cached forward");
     const int batch = grad_out.dim(0);
-    // dW += x^T g ; db += sum_rows g ; dx = g W^T.
-    gemmTransA(cachedInput_.data(), grad_out.data(), wGrad_.data(), in_,
-               batch, out_, /*accumulate=*/true);
+    // dW += x^T g ; db += sum_rows g.
+    activeBackend().gemmTransA(cachedInput_.data(), grad_out.data(),
+                               wGrad_.data(), in_, batch, out_,
+                               /*accumulate=*/true);
     for (int i = 0; i < batch; ++i)
         for (int j = 0; j < out_; ++j)
             bGrad_[static_cast<std::size_t>(j)] += grad_out.at(i, j);
-    Tensor dx({batch, in_});
-    gemmTransB(grad_out.data(), w_.data(), dx.data(), batch, out_, in_);
+}
+
+Tensor
+Dense::backward(const Tensor &grad_out)
+{
+    backwardParams(grad_out);
+    // dx = g W^T.
+    const int batch = grad_out.dim(0);
+    Tensor dx = Tensor::uninitialized({batch, in_});
+    std::vector<float> scratch;
+    activeBackend().gemmTransB(grad_out.data(), w_.data(), dx.data(), batch,
+                               out_, in_, /*accumulate=*/false, scratch);
     return dx;
 }
 
@@ -165,28 +176,27 @@ Conv2d::forward(const Tensor &x, bool train)
     return y;
 }
 
-Tensor
-Conv2d::backward(const Tensor &grad_out)
+void
+Conv2d::backwardParams(const Tensor &grad_out)
 {
     if (cachedInput_.numel() == 0)
         panic("Conv2d ", name_, ": backward without cached forward");
     const Tensor &x = cachedInput_;
     const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-    const int out_h = grad_out.dim(2), out_w = grad_out.dim(3);
     const int patch = inCh_ * k_ * k_;
-    const std::size_t spatial =
-        static_cast<std::size_t>(out_h) * static_cast<std::size_t>(out_w);
+    const std::size_t spatial = static_cast<std::size_t>(grad_out.dim(2)) *
+                                static_cast<std::size_t>(grad_out.dim(3));
 
-    Tensor dx({batch, inCh_, h, w});
-    std::vector<float> cols(static_cast<std::size_t>(patch) * spatial);
-    std::vector<float> dcols(static_cast<std::size_t>(patch) * spatial);
+    const Backend &backend = activeBackend();
+    std::vector<float> cols, scratch;
     for (int n = 0; n < batch; ++n) {
         const float *g = grad_out.data() +
             static_cast<std::size_t>(n) * outCh_ * spatial;
         // dW += g [outCh, spatial] * cols^T [spatial, patch].
         im2col(x, n, cols, h, w);
-        gemmTransB(g, cols.data(), wGrad_.data(), outCh_,
-                   static_cast<int>(spatial), patch, /*accumulate=*/true);
+        backend.gemmTransB(g, cols.data(), wGrad_.data(), outCh_,
+                           static_cast<int>(spatial), patch,
+                           /*accumulate=*/true, scratch);
         // db += row sums of g.
         for (int oc = 0; oc < outCh_; ++oc) {
             const float *chan = g + static_cast<std::size_t>(oc) * spatial;
@@ -196,9 +206,28 @@ Conv2d::backward(const Tensor &grad_out)
                 acc += chan[i];
             bGrad_[static_cast<std::size_t>(oc)] += acc;
         }
+    }
+}
+
+Tensor
+Conv2d::backward(const Tensor &grad_out)
+{
+    backwardParams(grad_out);
+    const Tensor &x = cachedInput_;
+    const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+    const int patch = inCh_ * k_ * k_;
+    const std::size_t spatial = static_cast<std::size_t>(grad_out.dim(2)) *
+                                static_cast<std::size_t>(grad_out.dim(3));
+
+    const Backend &backend = activeBackend();
+    Tensor dx({batch, inCh_, h, w});
+    std::vector<float> dcols(static_cast<std::size_t>(patch) * spatial);
+    for (int n = 0; n < batch; ++n) {
+        const float *g = grad_out.data() +
+            static_cast<std::size_t>(n) * outCh_ * spatial;
         // dcols = W^T [patch, outCh] * g [outCh, spatial].
-        gemmTransA(w_.data(), g, dcols.data(), patch, outCh_,
-                   static_cast<int>(spatial));
+        backend.gemmTransA(w_.data(), g, dcols.data(), patch, outCh_,
+                           static_cast<int>(spatial), /*accumulate=*/false);
         col2im(dcols, dx, n, h, w);
     }
     return dx;

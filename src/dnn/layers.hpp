@@ -30,6 +30,7 @@ class Dense : public Layer
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
+    void backwardParams(const Tensor &grad_out) override;
     std::vector<ParamRef> params() override;
     std::string name() const override { return name_; }
     std::unique_ptr<Layer> clone() const override;
@@ -65,6 +66,7 @@ class Conv2d : public Layer
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
+    void backwardParams(const Tensor &grad_out) override;
     std::vector<ParamRef> params() override;
     std::string name() const override { return name_; }
     std::unique_ptr<Layer> clone() const override;

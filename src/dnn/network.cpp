@@ -27,6 +27,20 @@ Network::backward(const Tensor &grad_out)
     return cur;
 }
 
+void
+Network::backwardParams(const Tensor &grad_out)
+{
+    std::size_t first = 0;
+    while (first < layers_.size() && layers_[first]->params().empty())
+        ++first;
+    if (first == layers_.size())
+        return;
+    Tensor cur = grad_out;
+    for (std::size_t i = layers_.size() - 1; i > first; --i)
+        cur = layers_[i]->backward(cur);
+    layers_[first]->backwardParams(cur);
+}
+
 std::vector<ParamRef>
 Network::params()
 {

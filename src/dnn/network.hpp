@@ -41,6 +41,14 @@ class Network
     /** Backward pass; returns dL/d(input). */
     Tensor backward(const Tensor &grad_out);
 
+    /**
+     * Backward pass for a caller that never reads dL/d(input), such
+     * as training: the first layer with parameters accumulates its
+     * parameter gradients only, and the layers before it are skipped.
+     * Parameter gradients are bit-identical to backward()'s.
+     */
+    void backwardParams(const Tensor &grad_out);
+
     /** All parameter references, in layer order. */
     std::vector<ParamRef> params();
 

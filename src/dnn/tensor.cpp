@@ -1,9 +1,13 @@
 #include "dnn/tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 #include <tuple>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/logging.hpp"
 
@@ -122,9 +126,25 @@ Tensor::fill(float v)
 float
 Tensor::maxAbs() const
 {
+    // max is exact and NaN elements are ignored (std::max keeps m), so
+    // any lane split gives the serial fold's result: MAXPS(|v|, m)
+    // returns its second operand when |v| is NaN.
     float m = 0.0f;
-    for (float v : data_)
-        m = std::max(m, std::fabs(v));
+    std::size_t i = 0;
+#if defined(__SSE2__)
+    const __m128 abs_mask =
+        _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+    __m128 m4 = _mm_setzero_ps();
+    for (; i + 4 <= data_.size(); i += 4)
+        m4 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(data_.data() + i), abs_mask),
+                        m4);
+    alignas(16) float lanes[4];
+    _mm_store_ps(lanes, m4);
+    for (float v : lanes)
+        m = std::max(m, v);
+#endif
+    for (; i < data_.size(); ++i)
+        m = std::max(m, std::fabs(data_[i]));
     return m;
 }
 
@@ -137,76 +157,6 @@ Tensor::shapeString() const
         oss << shape_[i] << (i + 1 == shape_.size() ? "" : ", ");
     oss << ']';
     return oss.str();
-}
-
-void
-gemm(const float *a, const float *b, float *c, int m, int k, int n,
-     bool accumulate)
-{
-    if (!accumulate)
-        std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
-                              static_cast<std::size_t>(n));
-    // i-k-j order: the inner loop is contiguous in both B and C, which
-    // the compiler vectorizes.
-    for (int i = 0; i < m; ++i) {
-        const float *arow = a + static_cast<std::size_t>(i) * k;
-        float *crow = c + static_cast<std::size_t>(i) * n;
-        for (int kk = 0; kk < k; ++kk) {
-            const float aik = arow[kk];
-            if (aik == 0.0f)
-                continue;
-            const float *brow = b + static_cast<std::size_t>(kk) * n;
-            for (int j = 0; j < n; ++j)
-                // vblint: assoc-ok(k advances in fixed index order)
-                crow[j] += aik * brow[j];
-        }
-    }
-}
-
-void
-gemmTransA(const float *a, const float *b, float *c, int m, int k, int n,
-           bool accumulate)
-{
-    if (!accumulate)
-        std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
-                              static_cast<std::size_t>(n));
-    // C[m,n] = sum_kk A[kk,m]^T B[kk,n]; A row kk is contiguous in m.
-    for (int kk = 0; kk < k; ++kk) {
-        const float *arow = a + static_cast<std::size_t>(kk) * m;
-        const float *brow = b + static_cast<std::size_t>(kk) * n;
-        for (int i = 0; i < m; ++i) {
-            const float aki = arow[i];
-            if (aki == 0.0f)
-                continue;
-            float *crow = c + static_cast<std::size_t>(i) * n;
-            for (int j = 0; j < n; ++j)
-                // vblint: assoc-ok(k advances in fixed index order)
-                crow[j] += aki * brow[j];
-        }
-    }
-}
-
-void
-gemmTransB(const float *a, const float *b, float *c, int m, int k, int n,
-           bool accumulate)
-{
-    if (!accumulate)
-        std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
-                              static_cast<std::size_t>(n));
-    // C[i,j] = dot(A row i, B row j): both contiguous in k.
-    for (int i = 0; i < m; ++i) {
-        const float *arow = a + static_cast<std::size_t>(i) * k;
-        float *crow = c + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) {
-            const float *brow = b + static_cast<std::size_t>(j) * k;
-            float acc = 0.0f;
-            for (int kk = 0; kk < k; ++kk)
-                // vblint: assoc-ok(dot product in fixed k order)
-                acc += arow[kk] * brow[kk];
-            // vblint: assoc-ok(single accumulated dot per (i,j) cell)
-            crow[j] += acc;
-        }
-    }
 }
 
 } // namespace vboost::dnn

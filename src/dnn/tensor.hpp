@@ -1,9 +1,8 @@
 /**
  * @file
  * Minimal dense tensor for the from-scratch DNN engine: row-major
- * float storage with a small-rank shape, plus the GEMM every layer is
- * built on. No external BLAS; the inner kernel is written so the
- * compiler vectorizes the contiguous j-loop.
+ * float storage with a small-rank shape. The GEMMs every layer is
+ * built on belong to the compute backends (dnn/backend/backend.hpp).
  */
 
 #ifndef VBOOST_DNN_TENSOR_HPP
@@ -121,21 +120,6 @@ class Tensor
     std::vector<int> shape_;
     std::vector<float, detail::NoInitAlloc<float>> data_;
 };
-
-/**
- * GEMM: C = A * B (+ C if accumulate), with A [m x k], B [k x n],
- * C [m x n], all row-major raw pointers.
- */
-void gemm(const float *a, const float *b, float *c, int m, int k, int n,
-          bool accumulate = false);
-
-/** C = A^T * B with A [k x m], B [k x n], C [m x n]. */
-void gemmTransA(const float *a, const float *b, float *c, int m, int k,
-                int n, bool accumulate = false);
-
-/** C = A * B^T with A [m x k], B [n x k], C [m x n]. */
-void gemmTransB(const float *a, const float *b, float *c, int m, int k,
-                int n, bool accumulate = false);
 
 } // namespace vboost::dnn
 

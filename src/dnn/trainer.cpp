@@ -40,7 +40,7 @@ NetworkStep::forward(const Tensor &images)
 void
 NetworkStep::backward(const Tensor &grad)
 {
-    scratch_.backward(grad);
+    scratch_.backwardParams(grad);
 }
 
 std::vector<EpochStats>

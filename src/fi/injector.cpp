@@ -1,6 +1,8 @@
 #include "fi/injector.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -11,27 +13,106 @@ namespace vboost::fi {
 
 namespace {
 
-/**
- * Corrupt one staged layer and decode it back to floats in a single
- * backend pass (the fused corrupt-and-infer kernel, DESIGN.md §12):
- * bits of `q.words` live at region_base + ((start_bit + k) mod
- * region_bits) in the cell space — staged tiles wrap around the
- * physical memory. With fail_prob <= 0 this is the pure quantization
- * round-trip untargeted layers take.
- */
+/** Weight bits `src` stages through the weight region. */
 std::uint64_t
-corruptLayerFused(const dnn::Backend &backend, dnn::QuantizedTensor &q,
-                  dnn::Tensor &out, const sram::VulnerabilityMap &map,
-                  std::uint64_t region_base, std::uint64_t region_bits,
-                  std::uint64_t start_bit, sram::FaultParams params,
-                  Rng &rng)
+stagedWeightBits(dnn::Network &src)
 {
-    return backend.applyFaultMapDequant(
-        q.words, q.codec, out.data(), map,
-        {region_base, region_bits, start_bit}, params, rng);
+    std::uint64_t bits = 0;
+    for (const auto &p : src.weightParams())
+        bits += p.value->numel() * 16ull;
+    return bits;
+}
+
+/**
+ * Stage every weight layer of `src` into `dst` in one fused backend
+ * pass per layer (DESIGN.md §12): quantize, corrupt, dequantize. Bits
+ * of layer l live at ((cursor + k) mod weightRegionBits) in the cell
+ * space — staged tiles wrap around the physical memory — and are
+ * corrupted at fail probability `prob_of(l)` (0: the pure quantization
+ * round trip untargeted layers take). The faults come from the region
+ * image `image_of(l)` when it is not nullptr, else the layer's window
+ * is packed on its own.
+ */
+template <typename ProbOf, typename ImageOf>
+std::uint64_t
+stageWeightLayers(dnn::Network &dst, dnn::Network &src,
+                  const sram::VulnerabilityMap &map,
+                  const MemoryLayout &layout, double flip_prob, Rng &rng,
+                  ProbOf prob_of, ImageOf image_of)
+{
+    auto src_weights = src.weightParams();
+    auto dst_weights = dst.weightParams();
+    const dnn::Backend &backend = dnn::activeBackend();
+    std::uint64_t flipped = 0;
+    std::uint64_t bit_cursor = 0;
+    for (std::size_t l = 0; l < src_weights.size(); ++l) {
+        auto q = dnn::quantize(*src_weights[l].value);
+        dnn::Tensor decoded = dnn::Tensor::uninitialized(q.shape);
+        if (const sram::PackedFaultMap *image = image_of(l)) {
+            flipped += backend.applyRegionImageDequant(
+                q.words, q.codec, decoded.data(), *image, bit_cursor,
+                flip_prob, rng);
+        } else {
+            flipped += backend.applyFaultMapDequant(
+                q.words, q.codec, decoded.data(), map,
+                {0, layout.weightRegionBits, bit_cursor},
+                {prob_of(l), flip_prob}, rng);
+        }
+        *dst_weights[l].value = std::move(decoded);
+        bit_cursor += q.words.size() * 16ull;
+    }
+    return flipped;
+}
+
+/** The region image of the first `cells` weight-region cells. */
+sram::PackedFaultMap
+packRegion(const sram::VulnerabilityMap &map, double fail_prob,
+           const MemoryLayout &layout, std::uint64_t cells)
+{
+    return sram::PackedFaultMap(map, 0, layout.weightRegionBits, 0, cells,
+                                fail_prob);
 }
 
 } // namespace
+
+WeightRegionImage::Key
+WeightRegionImage::keyOf(dnn::Network &src,
+                         const sram::VulnerabilityMap &map, double fail_prob,
+                         const MemoryLayout &layout)
+{
+    return {map.streamKey(),
+            map.model(),
+            map.cluster(),
+            fail_prob,
+            layout.weightRegionBits,
+            std::min(stagedWeightBits(src), layout.weightRegionBits)};
+}
+
+void
+WeightRegionImage::update(dnn::Network &src,
+                          const sram::VulnerabilityMap &map,
+                          double fail_prob, const MemoryLayout &layout)
+{
+    if (fail_prob <= 0.0)
+        return;
+    const Key key = keyOf(src, map, fail_prob, layout);
+    if (packed_ && key == key_)
+        return;
+    packed_.emplace(packRegion(map, fail_prob, layout, key.cells));
+    key_ = key;
+    ++packs_;
+}
+
+const sram::PackedFaultMap &
+WeightRegionImage::packed(dnn::Network &src,
+                          const sram::VulnerabilityMap &map,
+                          double fail_prob, const MemoryLayout &layout) const
+{
+    if (!packed_ || !(keyOf(src, map, fail_prob, layout) == key_))
+        fatal("WeightRegionImage: image is not current for this call "
+              "(update() it first)");
+    return *packed_;
+}
 
 std::uint64_t
 corruptNetwork(dnn::Network &dst, dnn::Network &src,
@@ -39,38 +120,46 @@ corruptNetwork(dnn::Network &dst, dnn::Network &src,
                const InjectionSpec &spec, const MemoryLayout &layout,
                Rng &rng)
 {
+    WeightRegionImage image;
+    if (spec.injectWeights && spec.onlyLayer < 0)
+        image.update(src, map, fail_prob, layout);
+    return corruptNetwork(dst, src, map, fail_prob, spec, layout, rng,
+                          image);
+}
+
+std::uint64_t
+corruptNetwork(dnn::Network &dst, dnn::Network &src,
+               const sram::VulnerabilityMap &map, double fail_prob,
+               const InjectionSpec &spec, const MemoryLayout &layout,
+               Rng &rng, const WeightRegionImage &image)
+{
     dst.copyParamsFrom(src);
 
-    auto src_weights = src.weightParams();
-    auto dst_weights = dst.weightParams();
-    if (src_weights.size() != dst_weights.size())
+    const std::size_t layers = src.weightParams().size();
+    if (layers != dst.weightParams().size())
         fatal("corruptNetwork: network structure mismatch");
-    if (spec.onlyLayer >= static_cast<int>(src_weights.size()))
+    if (spec.onlyLayer >= static_cast<int>(layers))
         fatal("corruptNetwork: layer index ", spec.onlyLayer,
-              " out of range (", src_weights.size(), " weight layers)");
+              " out of range (", layers, " weight layers)");
 
     if (!spec.injectWeights || fail_prob <= 0.0)
         return 0;
 
-    const dnn::Backend &backend = dnn::activeBackend();
-    std::uint64_t flipped = 0;
-    std::uint64_t bit_cursor = 0;
-    for (std::size_t l = 0; l < src_weights.size(); ++l) {
-        auto q = dnn::quantize(*src_weights[l].value);
-        const std::uint64_t layer_bits = q.words.size() * 16ull;
-        const bool targeted =
-            spec.onlyLayer < 0 || spec.onlyLayer == static_cast<int>(l);
-        // All layers round-trip quantization (the accelerator computes
-        // on int16 storage either way); only targeted layers get
-        // faults (fail_prob 0 makes the fused kernel a pure decode).
-        dnn::Tensor decoded(q.shape);
-        flipped += corruptLayerFused(
-            backend, q, decoded, map, 0, layout.weightRegionBits,
-            bit_cursor, {targeted ? fail_prob : 0.0, spec.flipProb}, rng);
-        *dst_weights[l].value = std::move(decoded);
-        bit_cursor += layer_bits;
-    }
-    return flipped;
+    // All layers round-trip quantization (the accelerator computes on
+    // int16 storage either way); only targeted layers get faults. A
+    // single targeted layer packs just its own window.
+    const sram::PackedFaultMap *packed =
+        spec.onlyLayer < 0 ? &image.packed(src, map, fail_prob, layout)
+                           : nullptr;
+    return stageWeightLayers(
+        dst, src, map, layout, spec.flipProb, rng,
+        [&](std::size_t l) {
+            return spec.onlyLayer < 0 ||
+                           spec.onlyLayer == static_cast<int>(l)
+                       ? fail_prob
+                       : 0.0;
+        },
+        [&](std::size_t) { return packed; });
 }
 
 std::uint64_t
@@ -81,26 +170,29 @@ corruptNetworkPerLayer(dnn::Network &dst, dnn::Network &src,
                        Rng &rng)
 {
     dst.copyParamsFrom(src);
-    auto src_weights = src.weightParams();
-    auto dst_weights = dst.weightParams();
-    if (fail_prob_by_layer.size() != src_weights.size())
-        fatal("corruptNetworkPerLayer: expected ", src_weights.size(),
+    const std::size_t layers = src.weightParams().size();
+    if (fail_prob_by_layer.size() != layers)
+        fatal("corruptNetworkPerLayer: expected ", layers,
               " per-layer probabilities, got ", fail_prob_by_layer.size());
 
-    const dnn::Backend &backend = dnn::activeBackend();
-    std::uint64_t flipped = 0;
-    std::uint64_t bit_cursor = 0;
-    for (std::size_t l = 0; l < src_weights.size(); ++l) {
-        auto q = dnn::quantize(*src_weights[l].value);
-        const std::uint64_t layer_bits = q.words.size() * 16ull;
-        dnn::Tensor decoded(q.shape);
-        flipped += corruptLayerFused(
-            backend, q, decoded, map, 0, layout.weightRegionBits,
-            bit_cursor, {fail_prob_by_layer[l], flip_prob}, rng);
-        *dst_weights[l].value = std::move(decoded);
-        bit_cursor += layer_bits;
-    }
-    return flipped;
+    // One region image per distinct fail probability.
+    const std::uint64_t cells =
+        std::min(stagedWeightBits(src), layout.weightRegionBits);
+    std::vector<std::pair<double, sram::PackedFaultMap>> images;
+    return stageWeightLayers(
+        dst, src, map, layout, flip_prob, rng,
+        [&](std::size_t l) { return fail_prob_by_layer[l]; },
+        [&](std::size_t l) -> const sram::PackedFaultMap * {
+            const double p = fail_prob_by_layer[l];
+            if (p <= 0.0)
+                return nullptr;
+            for (const auto &[prob, image] : images) {
+                if (prob == p)
+                    return &image;
+            }
+            images.emplace_back(p, packRegion(map, p, layout, cells));
+            return &images.back().second;
+        });
 }
 
 std::uint64_t
@@ -112,6 +204,23 @@ corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
     dst.copyParamsFrom(src);
     auto src_weights = src.weightParams();
     auto dst_weights = dst.weightParams();
+
+    // Each group stages 64 data cells (the tail group padded) and 8
+    // check cells; both walks wrap their regions, which are packed
+    // once per call.
+    std::uint64_t groups = 0;
+    for (const auto &p : src_weights)
+        groups += (p.value->numel() + 3) / 4;
+    std::optional<sram::PackedFaultMap> data_image;
+    std::optional<sram::PackedFaultMap> check_image;
+    if (fail_prob > 0.0) {
+        data_image.emplace(packRegion(
+            map, fail_prob, layout,
+            std::min(groups * 64, layout.weightRegionBits)));
+        check_image.emplace(
+            map, layout.parityRegionBase(), layout.parityRegionBits(), 0,
+            std::min(groups * 8, layout.parityRegionBits()), fail_prob);
+    }
 
     const dnn::Backend &backend = dnn::activeBackend();
     std::uint64_t flipped = 0;
@@ -132,16 +241,15 @@ corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
             // Corrupt the 64 data cells, then the 8 check cells (their
             // own region); RNG draws interleave per group, in cell
             // order, exactly as the backend contract specifies.
-            flipped += backend.applyFaultMapBits(
-                word, 64, map, {0, layout.weightRegionBits, bit_cursor},
-                {fail_prob, flip_prob}, rng);
-            std::uint64_t check_bits = check;
-            flipped += backend.applyFaultMapBits(
-                check_bits, 8, map,
-                {layout.parityRegionBase(), layout.parityRegionBits(),
-                 check_cursor},
-                {fail_prob, flip_prob}, rng);
-            check = static_cast<std::uint8_t>(check_bits);
+            if (data_image) {
+                flipped += backend.applyRegionImageBits(
+                    word, 64, *data_image, bit_cursor, flip_prob, rng);
+                std::uint64_t check_bits = check;
+                flipped += backend.applyRegionImageBits(
+                    check_bits, 8, *check_image, check_cursor, flip_prob,
+                    rng);
+                check = static_cast<std::uint8_t>(check_bits);
+            }
             bit_cursor += 64;
             check_cursor += 8;
 

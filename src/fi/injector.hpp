@@ -18,6 +18,7 @@
 #define VBOOST_FI_INJECTOR_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "dnn/network.hpp"
@@ -25,6 +26,7 @@
 #include "resilience/resilient_memory.hpp"
 #include "sram/ecc.hpp"
 #include "sram/fault_map.hpp"
+#include "sram/packed_fault_map.hpp"
 
 namespace vboost::fi {
 
@@ -71,10 +73,66 @@ struct MemoryLayout
 };
 
 /**
+ * The packed fault bits of the weight region (DESIGN.md §12): every
+ * cell a network's staged weights visit, hashed once under one map at
+ * one fail probability. Layers are staged back to back through the
+ * region and wrap modulo its size, so the image covers cells
+ * [0, min(staged weight bits, weightRegionBits)) and each layer's
+ * window reads it with wrap.
+ *
+ * Owners that corrupt repeatedly under one frozen map keep an image
+ * across calls (recovery::MapAwareTrainer across batches,
+ * recovery::ChipEvaluator across the reads of one evaluation).
+ */
+class WeightRegionImage
+{
+  public:
+    /**
+     * Make the image current for `src`'s staged weights under `map` at
+     * `fail_prob`. Repacks only when the map's stream key, spatial
+     * model or cluster parameters, the fail probability, the region
+     * size or the staged bit count changed since the last pack. A
+     * fail_prob <= 0 packs nothing (no injection reads the image).
+     * Not thread-safe: update before handing the image to readers.
+     */
+    void update(dnn::Network &src, const sram::VulnerabilityMap &map,
+                double fail_prob, const MemoryLayout &layout);
+
+    /** The packed bits for these arguments; fatal unless update()
+     *  last made the image current for exactly them. */
+    const sram::PackedFaultMap &packed(dnn::Network &src,
+                                       const sram::VulnerabilityMap &map,
+                                       double fail_prob,
+                                       const MemoryLayout &layout) const;
+
+    /** Times update() has packed (diagnostics and tests). */
+    std::uint64_t packs() const { return packs_; }
+
+  private:
+    struct Key
+    {
+        std::uint64_t streamKey = 0;
+        sram::MapModel model = sram::MapModel::Iid;
+        sram::ClusterParams cluster;
+        double failProb = 0.0;
+        std::uint64_t regionBits = 0;
+        std::uint64_t cells = 0;
+        bool operator==(const Key &) const = default;
+    };
+    static Key keyOf(dnn::Network &src, const sram::VulnerabilityMap &map,
+                     double fail_prob, const MemoryLayout &layout);
+
+    Key key_;
+    std::optional<sram::PackedFaultMap> packed_;
+    std::uint64_t packs_ = 0;
+};
+
+/**
  * Produce a corrupted copy of `src`'s parameters in `dst` (both must
  * be structurally identical; build `dst` with the same zoo function).
  * Biases and non-targeted layers are copied verbatim through their
  * quantized round trip so the only difference is the injected faults.
+ * All-weights injection packs one WeightRegionImage for the call.
  *
  * @return number of bit flips applied.
  */
@@ -82,6 +140,20 @@ std::uint64_t corruptNetwork(dnn::Network &dst, dnn::Network &src,
                              const sram::VulnerabilityMap &map,
                              double fail_prob, const InjectionSpec &spec,
                              const MemoryLayout &layout, Rng &rng);
+
+/**
+ * corruptNetwork reading the faults from `image`, which must be
+ * current (WeightRegionImage::update) for the same src, map,
+ * fail_prob and layout when all weights are injected; fatal
+ * otherwise. A single-layer spec packs that layer's window instead
+ * and ignores the image. Const on the image, so many threads may
+ * share one.
+ */
+std::uint64_t corruptNetwork(dnn::Network &dst, dnn::Network &src,
+                             const sram::VulnerabilityMap &map,
+                             double fail_prob, const InjectionSpec &spec,
+                             const MemoryLayout &layout, Rng &rng,
+                             const WeightRegionImage &image);
 
 /**
  * Per-layer variant of corruptNetwork: weight layer k is corrupted at

@@ -111,11 +111,13 @@ class ChipMapStep : public dnn::NetworkStep
         const double fail_prob = injecting ? injectedProb_ : 0.0;
 
         // The chip map is FROZEN; only the per-read flip stream is
-        // counter-derived per batch.
+        // counter-derived per batch, and the packed region image is
+        // kept until a refresh or the curriculum changes the rate.
         Rng flip_rng = Rng(cfg_.train.seed).split(batch);
+        image_.update(net_, map_, fail_prob, cfg_.train.layout);
         stats_.bitFlips +=
             fi::corruptNetwork(scratch_, net_, map_, fail_prob, spec_,
-                               cfg_.train.layout, flip_rng);
+                               cfg_.train.layout, flip_rng, image_);
         stats_.finalInjectedProb = fail_prob;
         ++stats_.batches;
     }
@@ -125,6 +127,7 @@ class ChipMapStep : public dnn::NetworkStep
     const sram::VulnerabilityMap &map_;
     MapAwareStats &stats_;
     fi::InjectionSpec spec_ = fi::InjectionSpec::allWeights();
+    fi::WeightRegionImage image_;
     double injectedProb_ = 0.0;
     bool profiled_ = false;
     int sinceRefresh_ = 0;

@@ -173,6 +173,11 @@ ChipEvaluator::run(double fail_prob, const dnn::Tensor &inputs,
 
     auto spec = fi::InjectionSpec::allWeights();
     spec.flipProb = cfg_.flipProb;
+    // Every read corrupts under the same frozen map at the same rate:
+    // pack the weight region once and share it (read-only) with the
+    // workers.
+    fi::WeightRegionImage image;
+    image.update(net_, map_, fail_prob, cfg_.layout);
 
     struct ReadResult
     {
@@ -190,7 +195,7 @@ ChipEvaluator::run(double fail_prob, const dnn::Tensor &inputs,
                     ReadResult out;
                     out.flips = corruptNetwork(scratch, net_, map_,
                                                fail_prob, spec,
-                                               cfg_.layout, flip_rng);
+                                               cfg_.layout, flip_rng, image);
                     out.accuracy =
                         dnn::SgdTrainer::evaluate(scratch, eval, 0);
                     results[r] = out;

@@ -33,7 +33,7 @@ PackedFaultMap::PackedFaultMap(const VulnerabilityMap &map,
                                std::uint64_t region_bits,
                                std::uint64_t start_bit,
                                std::uint64_t num_bits, double fail_prob)
-    : numBits_(num_bits)
+    : numBits_(num_bits), regionBits_(region_bits)
 {
     if (region_bits == 0)
         fatal("PackedFaultMap: empty region");
@@ -58,14 +58,16 @@ PackedFaultMap::pack(const VulnerabilityMap &map, std::uint64_t region_base,
     const std::uint64_t thr = detail::probThreshold(fail_prob);
     if (thr == 0)
         return; // no cell can be faulty; leave all bits clear
-    // Split the wrapped visit sequence into contiguous cell runs so
-    // packing can walk consecutive cells (which the SIMD kernel
-    // exploits with an incremental counter).
+    // Split the first period of the wrapped visit sequence into
+    // contiguous cell runs so packing can walk consecutive cells
+    // (which the SIMD kernel exploits with an incremental counter).
+    // Every distinct cell is hashed once.
+    const std::uint64_t period = std::min(numBits_, region_bits);
     std::uint64_t j = 0;
     std::uint64_t offset = start_bit % region_bits;
-    while (j < numBits_) {
+    while (j < period) {
         const std::uint64_t run =
-            std::min(numBits_ - j, region_bits - offset);
+            std::min(period - j, region_bits - offset);
         if (map.model() == MapModel::Iid) {
             packRun(key, thr, region_base + offset, run, j);
         } else {
@@ -78,6 +80,17 @@ PackedFaultMap::pack(const VulnerabilityMap &map, std::uint64_t region_base,
         }
         j += run;
         offset = 0; // every later run restarts at the region base
+    }
+    // Visit j >= region_bits is the cell of visit j - region_bits:
+    // copy the bits one period back. A chunk never reads bits it has
+    // not yet written, since it spans at most one period.
+    const auto chunk_max =
+        static_cast<unsigned>(std::min<std::uint64_t>(64, region_bits));
+    for (j = period; j < numBits_;) {
+        const auto chunk = static_cast<unsigned>(
+            std::min<std::uint64_t>(chunk_max, numBits_ - j));
+        deposit(mask(j - region_bits, chunk), j, chunk);
+        j += chunk;
     }
 }
 

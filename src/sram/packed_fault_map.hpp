@@ -11,16 +11,23 @@
  *     region_base + (start_bit + j) mod region_bits,
  *
  * exactly the order `fi`'s staging visits cells. Packing hashes each
- * visited cell once (the same counter-based hash VulnerabilityMap
- * uses, so packed bits are bitwise-identical to per-cell isFaulty()
- * answers by construction); application then reduces to mask
- * extraction, so entire fault-free words are skipped with one compare
- * instead of 16-64 hash-and-threshold draws.
+ * distinct visited cell once (the same counter-based hash
+ * VulnerabilityMap uses, so packed bits are bitwise-identical to
+ * per-cell isFaulty() answers by construction); a walk longer than
+ * the region repeats with period region_bits, so its revisits are
+ * filled by copying the first period's bits. Application then reduces
+ * to mask extraction, so entire fault-free words are skipped with one
+ * compare instead of 16-64 hash-and-threshold draws.
+ *
+ * A *region image* is the walk from start 0 over the first n <=
+ * region_bits cells: bit p is cell region_base + p. Staging windows
+ * that start anywhere in the region read it with maskWrapped().
  */
 
 #ifndef VBOOST_SRAM_PACKED_FAULT_MAP_HPP
 #define VBOOST_SRAM_PACKED_FAULT_MAP_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -58,6 +65,9 @@ class PackedFaultMap
     /** Number of visits packed. */
     std::uint64_t numBits() const { return numBits_; }
 
+    /** Wrap modulus of the walk (region size in cells). */
+    std::uint64_t regionBits() const { return regionBits_; }
+
     /** Is visit j's cell faulty? */
     bool test(std::uint64_t j) const
     {
@@ -69,6 +79,26 @@ class PackedFaultMap
      * the result is visit j+b. Visits past numBits() read as zero.
      */
     std::uint64_t mask(std::uint64_t j, unsigned nbits) const;
+
+    /**
+     * Region-image read: bit b of the result is packed bit
+     * (pos + b) mod regionBits(), nbits in [1, 64], pos below
+     * regionBits(). Bits at positions past numBits() read as zero.
+     */
+    std::uint64_t maskWrapped(std::uint64_t pos, unsigned nbits) const
+    {
+        if (regionBits_ - pos >= nbits)
+            return mask(pos, nbits);
+        // Wraps (possibly several times, for regions under 64 cells).
+        std::uint64_t out = 0;
+        for (unsigned done = 0; done < nbits; pos = 0) {
+            const auto piece = static_cast<unsigned>(std::min<std::uint64_t>(
+                nbits - done, regionBits_ - pos));
+            out |= mask(pos, piece) << done;
+            done += piece;
+        }
+        return out;
+    }
 
     /** Total faulty visits (popcount of the packed words). */
     std::uint64_t countFaulty() const;
@@ -98,6 +128,7 @@ class PackedFaultMap
                  unsigned nbits);
 
     std::uint64_t numBits_ = 0;
+    std::uint64_t regionBits_ = 0;
     std::vector<std::uint64_t> words_;
 };
 

@@ -111,6 +111,91 @@ TEST_F(BackendEquivalence, GemmBitwiseAcrossShapes)
     }
 }
 
+TEST_F(BackendEquivalence, TransposedGemmsBitwiseAcrossShapes)
+{
+    // Tails off every multiple of 8/16/32, the transA column and k
+    // block edges (256, 128), and the Dense backward shapes of the
+    // MNIST FC at batch 64 (dW: in x 64 x out; dx: 64 x out x in).
+    // A carries exact zeros of both signs (the transA skip) and C holds
+    // -0.0 entries when accumulating.
+    const int shapes[][3] = {{1, 1, 1},      {3, 7, 5},     {7, 13, 31},
+                             {17, 31, 33},   {9, 1, 23},    {1, 19, 45},
+                             {5, 300, 9},    {40, 129, 257}, {33, 65, 70},
+                             {784, 64, 256}, {64, 256, 256}, {64, 32, 256},
+                             {256, 64, 32},  {27, 1024, 16}};
+    Rng rng(202);
+    std::vector<float> s0, s1;
+    for (const auto &sh : shapes) {
+        const int m = sh[0], k = sh[1], n = sh[2];
+        std::vector<float> a(static_cast<std::size_t>(m) * k);
+        std::vector<float> b(static_cast<std::size_t>(k) * n);
+        fillMixed(a, rng);
+        fillMixed(b, rng);
+        for (bool accumulate : {false, true}) {
+            std::vector<float> c0(static_cast<std::size_t>(m) * n);
+            fillMixed(c0, rng);
+            std::vector<float> c1 = c0;
+            ref_->gemmTransA(a.data(), b.data(), c0.data(), m, k, n,
+                             accumulate);
+            vec_->gemmTransA(a.data(), b.data(), c1.data(), m, k, n,
+                             accumulate);
+            EXPECT_TRUE(bitsEqual(c0.data(), c1.data(), c0.size()))
+                << "gemmTransA m=" << m << " k=" << k << " n=" << n
+                << " accumulate=" << accumulate;
+
+            fillMixed(c0, rng);
+            c1 = c0;
+            ref_->gemmTransB(a.data(), b.data(), c0.data(), m, k, n,
+                             accumulate, s0);
+            vec_->gemmTransB(a.data(), b.data(), c1.data(), m, k, n,
+                             accumulate, s1);
+            EXPECT_TRUE(bitsEqual(c0.data(), c1.data(), c0.size()))
+                << "gemmTransB m=" << m << " k=" << k << " n=" << n
+                << " accumulate=" << accumulate;
+        }
+    }
+}
+
+TEST(BackwardParams, GradientsMatchFullBackward)
+{
+    // backwardParams() skips the first parameterized layer's input
+    // gradient (and every layer before it); the parameter gradients
+    // must not move by a bit.
+    Rng init(31);
+    Network net;
+    net.addLayer<Conv2d>(2, 4, 3, 1, init, "conv");
+    net.addLayer<Relu>("relu1");
+    net.addLayer<MaxPool2d>("pool");
+    net.addLayer<Flatten>("flat");
+    net.addLayer<Dense>(4 * 4 * 4, 12, init, "fc1");
+    net.addLayer<Relu>("relu2");
+    net.addLayer<Dense>(12, 5, init, "fc2");
+    Network fc;
+    fc.addLayer<Flatten>("flat");
+    fc.addLayer<Dense>(2 * 8 * 8, 9, init, "fc1");
+    fc.addLayer<Relu>("relu");
+    fc.addLayer<Dense>(9, 5, init, "fc2");
+
+    Tensor x = Tensor::randn({6, 2, 8, 8}, init, 1.0);
+    for (Network *n : {&net, &fc}) {
+        Network other = n->clone();
+        n->zeroGrads();
+        other.zeroGrads();
+        const Tensor logits = n->forward(x, /*train=*/true);
+        other.forward(x, /*train=*/true);
+        Tensor grad = Tensor::randn(logits.shape(), init, 1.0);
+        n->backward(grad);
+        other.backwardParams(grad);
+        const auto p0 = n->params();
+        const auto p1 = other.params();
+        ASSERT_EQ(p0.size(), p1.size());
+        for (std::size_t i = 0; i < p0.size(); ++i)
+            EXPECT_TRUE(bitsEqual(p0[i].grad->data(), p1[i].grad->data(),
+                                  p0[i].grad->numel()))
+                << p0[i].name;
+    }
+}
+
 // --------------------------------------------------- im2col and conv
 
 TEST_F(BackendEquivalence, Im2colAndConvBitwise)
@@ -272,35 +357,94 @@ TEST_F(BackendEquivalence, FusedDequantMatchesReference)
 
 TEST_F(BackendEquivalence, FaultMapBitsInterleavedWindows)
 {
-    // The ECC path draws alternately from a data window and a check
-    // window; equivalence must hold under that interleaving too.
+    // The ECC path draws alternately from a data region and a check
+    // region image; both backends must flip the bits per-cell isFaulty
+    // answers name, with the same RNG draws, under that interleaving —
+    // including windows that wrap and flipProb 0 (which still draws).
     const sram::VulnerabilityMap map(13, 2);
-    const FaultWindow data{0, 1 << 14, 100};
-    const FaultWindow check{1 << 14, 1 << 12, 9};
+    const std::uint64_t data_bits = 1 << 14, check_bits = 100;
+    const std::uint64_t check_base = 1 << 14;
+    const sram::PackedFaultMap data(map, 0, data_bits, 0, data_bits, 0.04);
+    const sram::PackedFaultMap check(map, check_base, check_bits, 0,
+                                     check_bits, 0.04);
     Rng r0(3), r1(3), fill(707);
     for (int i = 0; i < 64; ++i) {
-        std::uint64_t b0 = fill.next();
-        std::uint64_t b1 = b0;
+        const std::uint64_t b = fill.next();
+        std::uint64_t b0 = b, b1 = b;
         const int nbits = 1 + static_cast<int>(fill.uniformInt(64));
-        const FaultWindow &winr = (i % 2) ? check : data;
-        FaultWindow w0 = winr, w1 = winr;
-        w0.startBit += static_cast<std::uint64_t>(i) * 64;
-        w1.startBit = w0.startBit;
+        const bool is_check = i % 2 != 0;
+        const sram::PackedFaultMap &region = is_check ? check : data;
+        const std::uint64_t base = is_check ? check_base : 0;
+        const std::uint64_t start =
+            static_cast<std::uint64_t>(i) * (is_check ? 37 : 64) + 100;
+        const double flip = i % 5 == 0 ? 0.0 : 0.5;
+        std::uint64_t faulty = 0;
+        for (int k = 0; k < nbits; ++k)
+            faulty += map.isFaulty(
+                base + (start + static_cast<std::uint64_t>(k)) %
+                           region.regionBits(),
+                0.04);
+        Rng probe = r0;
         const auto f0 =
-            ref_->applyFaultMapBits(b0, nbits, map, w0, {0.04, 0.5}, r0);
+            ref_->applyRegionImageBits(b0, nbits, region, start, flip, r0);
         const auto f1 =
-            vec_->applyFaultMapBits(b1, nbits, map, w1, {0.04, 0.5}, r1);
+            vec_->applyRegionImageBits(b1, nbits, region, start, flip, r1);
         EXPECT_EQ(f0, f1) << "i=" << i << " nbits=" << nbits;
         EXPECT_EQ(b0, b1) << "i=" << i << " nbits=" << nbits;
+        for (std::uint64_t d = 0; d < faulty; ++d)
+            probe.next(); // one draw per faulty visited cell
+        EXPECT_EQ(probe.next(), Rng(r0).next()) << "i=" << i;
     }
     EXPECT_EQ(r0.next(), r1.next());
+}
+
+TEST_F(BackendEquivalence, RegionImageDequantMatchesWindowPacking)
+{
+    // Reading a window from a region image gives the flips, RNG draws
+    // and outputs of packing the window itself, on both backends:
+    // windows starting near the region end, longer than the region,
+    // and a tail of fewer than four words.
+    const FixedPointCodec codec(11);
+    const std::uint64_t region = 3000; // not a multiple of 64
+    for (const sram::VulnerabilityMap &map :
+         {sram::VulnerabilityMap(11, 2),
+          sram::VulnerabilityMap(11, 2, sram::MapModel::Clustered,
+                                 sram::ClusterParams{})}) {
+        const sram::PackedFaultMap image(map, 0, region, 0, region, 0.04);
+        Rng fill(808);
+        for (const auto &[start, nwords] :
+             {std::pair<std::uint64_t, std::size_t>{0, 187},
+              {2990, 64},
+              {2999, 3},
+              {1234, 1000}}) {
+            std::vector<std::int16_t> w(nwords);
+            for (auto &v : w)
+                v = static_cast<std::int16_t>(fill.uniformInt(65536) -
+                                              32768);
+            for (const Backend *be : {ref_, vec_}) {
+                std::vector<std::int16_t> w0 = w, w1 = w;
+                std::vector<float> o0(nwords), o1(nwords);
+                Rng r0(5), r1(5);
+                const auto f0 = ref_->applyFaultMapDequant(
+                    w0, codec, o0.data(), map, {0, region, start},
+                    {0.04, 0.5}, r0);
+                const auto f1 = be->applyRegionImageDequant(
+                    w1, codec, o1.data(), image, start, 0.5, r1);
+                EXPECT_EQ(f0, f1) << be->name() << " start=" << start;
+                EXPECT_EQ(w0, w1) << be->name() << " start=" << start;
+                EXPECT_TRUE(bitsEqual(o0.data(), o1.data(), nwords))
+                    << be->name() << " start=" << start;
+                EXPECT_EQ(r0.next(), r1.next()) << be->name();
+            }
+        }
+    }
 }
 
 // ------------------------------------------------- packed fault maps
 
 TEST(PackedFaultMapEdgeCases, MatchesPerCellQueries)
 {
-    const sram::VulnerabilityMap map(17, 5);
+    const sram::VulnerabilityMap iid(17, 5);
     const struct
     {
         std::uint64_t base, region, start, nbits;
@@ -312,36 +456,60 @@ TEST(PackedFaultMapEdgeCases, MatchesPerCellQueries)
         {0, 256, 0, 256, 0.0},       // no faulty cells
         {0, 256, 0, 256, 1.0},       // every cell faulty
         {7, 130, 129, 3, 0.5},       // tiny map, word-tail bits
+        {0, 1000, 990, 5300, 0.05},  // starts near the end, > 5 periods
+        {3, 100, 60, 777, 0.2},      // region below 64 bits per chunk
+        {5, 37, 30, 400, 0.3},       // region shorter than a word
+        {9, 1, 0, 130, 1.0},         // a 1-cell region
+        {9, 1, 0, 70, 0.0},
     };
+    const sram::VulnerabilityMap clustered(17, 5, sram::MapModel::Clustered,
+                                           sram::ClusterParams{});
     for (const auto &tc : cases) {
-        const sram::PackedFaultMap packed(map, tc.base, tc.region,
-                                          tc.start, tc.nbits, tc.fail);
-        ASSERT_EQ(packed.numBits(), tc.nbits);
-        std::uint64_t expect_count = 0;
-        for (std::uint64_t j = 0; j < tc.nbits; ++j) {
-            const std::uint64_t cell =
-                tc.base + (tc.start + j) % tc.region;
-            const bool faulty = map.isFaulty(cell, tc.fail);
-            EXPECT_EQ(packed.test(j), faulty)
-                << "visit " << j << " cell " << cell;
-            expect_count += faulty;
-        }
-        EXPECT_EQ(packed.countFaulty(), expect_count);
-        // mask() straddling 64-bit word boundaries, and reading past
-        // numBits() (must read as zero).
-        for (std::uint64_t j : {std::uint64_t{0}, std::uint64_t{60},
-                                std::uint64_t{127},
-                                tc.nbits > 5 ? tc.nbits - 5
-                                             : std::uint64_t{0}}) {
-            if (j >= tc.nbits)
-                continue;
-            const unsigned nb = 64;
-            const std::uint64_t m = packed.mask(j, nb);
-            for (unsigned b = 0; b < nb; ++b) {
-                const bool expect =
-                    j + b < tc.nbits && packed.test(j + b);
-                EXPECT_EQ(((m >> b) & 1u) != 0, expect)
-                    << "mask(" << j << ") bit " << b;
+        for (const sram::VulnerabilityMap *mp : {&iid, &clustered}) {
+            const sram::VulnerabilityMap &map = *mp;
+            const sram::PackedFaultMap packed(map, tc.base, tc.region,
+                                              tc.start, tc.nbits, tc.fail);
+            ASSERT_EQ(packed.numBits(), tc.nbits);
+            std::uint64_t expect_count = 0;
+            for (std::uint64_t j = 0; j < tc.nbits; ++j) {
+                const std::uint64_t cell =
+                    tc.base + (tc.start + j) % tc.region;
+                const bool faulty = map.isFaulty(cell, tc.fail);
+                EXPECT_EQ(packed.test(j), faulty)
+                    << "visit " << j << " cell " << cell;
+                expect_count += faulty;
+            }
+            EXPECT_EQ(packed.countFaulty(), expect_count);
+            // mask() straddling 64-bit word boundaries, and reading past
+            // numBits() (must read as zero).
+            for (std::uint64_t j : {std::uint64_t{0}, std::uint64_t{60},
+                                    std::uint64_t{127},
+                                    tc.nbits > 5 ? tc.nbits - 5
+                                                 : std::uint64_t{0}}) {
+                if (j >= tc.nbits)
+                    continue;
+                const unsigned nb = 64;
+                const std::uint64_t m = packed.mask(j, nb);
+                for (unsigned b = 0; b < nb; ++b) {
+                    const bool expect =
+                        j + b < tc.nbits && packed.test(j + b);
+                    EXPECT_EQ(((m >> b) & 1u) != 0, expect)
+                        << "mask(" << j << ") bit " << b;
+                }
+            }
+            // The region image of the same cells, read with wrap from the
+            // walk's start, answers every visit the same way.
+            const sram::PackedFaultMap image(
+                map, tc.base, tc.region, 0,
+                std::min(tc.start % tc.region + tc.nbits, tc.region),
+                tc.fail);
+            std::uint64_t pos = tc.start % tc.region;
+            for (std::uint64_t j = 0; j < tc.nbits; j += 64) {
+                const auto nb = static_cast<unsigned>(
+                    std::min<std::uint64_t>(64, tc.nbits - j));
+                EXPECT_EQ(image.maskWrapped(pos, nb), packed.mask(j, nb))
+                    << "visit " << j;
+                pos = (pos + 64) % tc.region;
             }
         }
     }

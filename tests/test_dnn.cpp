@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/logging.hpp"
 #include "dnn/dataset.hpp"
@@ -277,6 +278,59 @@ TEST(Quantize, RoundTripHelperMatchesManual)
     const Tensor b = dequantize(quantize(t));
     for (std::size_t i = 0; i < t.numel(); ++i)
         EXPECT_EQ(a[i], b[i]);
+}
+
+TEST(Quantize, VectorizedEncodeMatchesCodec)
+{
+    // quantize() encodes eight lanes at a time; every word must equal
+    // FixedPointCodec::encode bit for bit: ties of both signs (to
+    // even), the saturation edges, out-of-range values, signed zeros,
+    // subnormals and infinities, then a random sweep of every Q-format.
+    // Lengths off a multiple of 8 also cover the scalar tail.
+    auto check = [](const std::vector<float> &v, int frac) {
+        const FixedPointCodec codec(frac);
+        Tensor t({static_cast<int>(v.size())});
+        std::copy(v.begin(), v.end(), t.data());
+        const auto q = quantize(t, codec);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            ASSERT_EQ(q.words[i], codec.encode(v[i]))
+                << "x=" << v[i] << " fracBits=" << frac << " i=" << i;
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    std::vector<float> edge;
+    for (float k = -6.0f; k <= 6.0f; k += 1.0f) {
+        edge.push_back(k + 0.5f);
+        edge.push_back(-(k + 0.5f));
+        edge.push_back(std::nextafter(k + 0.5f, inf));
+        edge.push_back(std::nextafter(k + 0.5f, -inf));
+    }
+    for (float x : {32767.5f, -32767.5f, -32768.5f, 32766.5f, -32768.0f,
+                    32767.0f, 32768.0f, -32769.0f, 4194304.5f, 8388609.0f,
+                    -8388609.0f, 1e30f, -1e30f, inf, -inf, 0.0f, -0.0f,
+                    denorm, -denorm, std::numeric_limits<float>::min(),
+                    -std::numeric_limits<float>::min()})
+        edge.push_back(x);
+    check(edge, 0);
+    std::vector<float> scaled_edge = edge;
+    for (int frac = 1; frac <= 15; ++frac) {
+        // The same integer edges, pre-divided into this Q-format.
+        for (std::size_t i = 0; i < edge.size(); ++i)
+            scaled_edge[i] = std::ldexp(edge[i], -frac);
+        check(scaled_edge, frac);
+    }
+    Rng rng(99);
+    for (int frac = 0; frac <= 15; ++frac) {
+        std::vector<float> v(1003);
+        const double range = std::ldexp(1.0, 16 - frac);
+        for (auto &x : v) {
+            x = static_cast<float>(rng.uniform(-range, range));
+            if (rng.uniformInt(4) == 0) // land exactly on a half step
+                x = std::ldexp(std::nearbyint(std::ldexp(x, frac + 1)),
+                               -(frac + 1));
+        }
+        check(v, frac);
+    }
 }
 
 TEST(Quantize, ClipParametersBoundsEveryValue)

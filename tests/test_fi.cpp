@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/logging.hpp"
 #include "dnn/dataset.hpp"
 #include "dnn/layers.hpp"
@@ -105,6 +107,87 @@ TEST_F(FiTest, CorruptNetworkZeroProbIsQuantizationOnly)
     EXPECT_EQ(flips, 0u);
     // Accuracy unchanged by quantization round trip on this model.
     EXPECT_GT(dnn::SgdTrainer::evaluate(scratch, *test_, 0), 0.95);
+}
+
+TEST_F(FiTest, WeightRegionImageRepacksOnlyWhenKeyChanges)
+{
+    MemoryLayout layout;
+    WeightRegionImage image;
+    const sram::VulnerabilityMap map(3, 0);
+    image.update(*net_, map, 0.01, layout);
+    EXPECT_EQ(image.packs(), 1u);
+    image.update(*net_, map, 0.01, layout); // same key: kept
+    EXPECT_EQ(image.packs(), 1u);
+    image.update(*net_, map, 0.0, layout); // nothing to inject
+    EXPECT_EQ(image.packs(), 1u);
+    image.update(*net_, map, 0.02, layout); // the rate changed
+    EXPECT_EQ(image.packs(), 2u);
+    image.update(*net_, map, 0.01, layout);
+    EXPECT_EQ(image.packs(), 3u);
+    image.update(*net_, sram::VulnerabilityMap(3, 1), 0.01, layout);
+    EXPECT_EQ(image.packs(), 4u);
+    sram::ClusterParams cp;
+    image.update(*net_,
+                 sram::VulnerabilityMap(3, 1, sram::MapModel::Clustered, cp),
+                 0.01, layout);
+    EXPECT_EQ(image.packs(), 5u);
+    cp.rowDefectProb = 0.1;
+    image.update(*net_,
+                 sram::VulnerabilityMap(3, 1, sram::MapModel::Clustered, cp),
+                 0.01, layout);
+    EXPECT_EQ(image.packs(), 6u);
+    layout.weightRegionBits = 5000;
+    image.update(*net_,
+                 sram::VulnerabilityMap(3, 1, sram::MapModel::Clustered, cp),
+                 0.01, layout);
+    EXPECT_EQ(image.packs(), 7u);
+
+    // A stale image is refused rather than read.
+    auto scratch = smallNet(2);
+    Rng rng(4);
+    EXPECT_THROW(corruptNetwork(scratch, *net_, map, 0.01,
+                                InjectionSpec::allWeights(), layout, rng,
+                                image),
+                 FatalError);
+}
+
+TEST_F(FiTest, KeptRegionImageMatchesPerCallPacking)
+{
+    // A 5000-cell region makes the staged weights wrap about 3.4 times;
+    // a kept image must give every call the flips and weights of a
+    // call that packs its own, for whole-network and single-layer
+    // injection alike.
+    MemoryLayout layout;
+    layout.weightRegionBits = 5000;
+    for (const sram::VulnerabilityMap &map :
+         {sram::VulnerabilityMap(8, 2),
+          sram::VulnerabilityMap(8, 2, sram::MapModel::Clustered,
+                                 sram::ClusterParams{})}) {
+        WeightRegionImage image;
+        image.update(*net_, map, 0.03, layout);
+        for (const InjectionSpec &spec :
+             {InjectionSpec::allWeights(), InjectionSpec::singleLayer(1)}) {
+            for (std::uint64_t r = 0; r < 3; ++r) {
+                auto a = smallNet(2), b = smallNet(2);
+                Rng ra = Rng(5).split(r), rb = Rng(5).split(r);
+                const auto fa = corruptNetwork(a, *net_, map, 0.03, spec,
+                                               layout, ra);
+                const auto fb = corruptNetwork(b, *net_, map, 0.03, spec,
+                                               layout, rb, image);
+                EXPECT_EQ(fa, fb);
+                EXPECT_GT(fa, 0u);
+                const auto pa = a.params(), pb = b.params();
+                for (std::size_t i = 0; i < pa.size(); ++i)
+                    EXPECT_EQ(std::memcmp(pa[i].value->data(),
+                                          pb[i].value->data(),
+                                          pa[i].value->numel() *
+                                              sizeof(float)),
+                              0)
+                        << pa[i].name;
+            }
+        }
+        EXPECT_EQ(image.packs(), 1u);
+    }
 }
 
 TEST_F(FiTest, FlipCountTracksFailProb)

@@ -1,12 +1,15 @@
 /**
  * @file
- * Tests for the tensor container and the three GEMM kernels, checked
- * against a naive reference implementation.
+ * Tests for the tensor container and every backend's three GEMM
+ * kernels, checked against a naive reference implementation.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.hpp"
+#include "dnn/backend/backend.hpp"
 #include "dnn/tensor.hpp"
 
 namespace vboost::dnn {
@@ -76,6 +79,21 @@ TEST(Tensor, FillAndMaxAbs)
     EXPECT_EQ(t.maxAbs(), 2.5f);
     t[2] = 7.0f;
     EXPECT_EQ(t.maxAbs(), 7.0f);
+
+    // Lane-parallel fold: NaN elements are ignored, as by the serial
+    // std::max fold, wherever they sit, and every position counts.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (int len : {1, 3, 4, 7, 9, 16, 21}) {
+        for (int at = 0; at < len; ++at) {
+            Tensor u({len});
+            for (int i = 0; i < len; ++i)
+                u[static_cast<std::size_t>(i)] = (i % 2 ? -0.25f : 0.5f) * i;
+            u[static_cast<std::size_t>(at)] = -100.0f;
+            u[static_cast<std::size_t>((at + 1) % len)] = nan;
+            const float expect = len == 1 ? 0.0f : 100.0f;
+            EXPECT_EQ(u.maxAbs(), expect) << "len=" << len << " at=" << at;
+        }
+    }
 }
 
 // ----------------------------------------------------------------- GEMM
@@ -114,12 +132,15 @@ TEST_P(GemmSizes, MatchesNaiveReference)
     Rng rng(1);
     const auto a = randomVec(static_cast<std::size_t>(m) * k, rng);
     const auto b = randomVec(static_cast<std::size_t>(k) * n, rng);
-    std::vector<float> c(static_cast<std::size_t>(m) * n),
-        ref(static_cast<std::size_t>(m) * n);
-    gemm(a.data(), b.data(), c.data(), m, k, n);
+    std::vector<float> ref(static_cast<std::size_t>(m) * n);
     naiveGemm(a, b, ref, m, k, n);
-    for (std::size_t i = 0; i < c.size(); ++i)
-        EXPECT_NEAR(c[i], ref[i], 1e-4f * k);
+    for (const auto name : availableBackends()) {
+        std::vector<float> c(static_cast<std::size_t>(m) * n);
+        findBackend(name)->gemm(a.data(), b.data(), c.data(), m, k, n,
+                                /*accumulate=*/false);
+        for (std::size_t i = 0; i < c.size(); ++i)
+            EXPECT_NEAR(c[i], ref[i], 1e-4f * k) << name;
+    }
 }
 
 TEST_P(GemmSizes, TransposedVariantsMatch)
@@ -137,21 +158,27 @@ TEST_P(GemmSizes, TransposedVariantsMatch)
         for (int kk = 0; kk < k; ++kk)
             at[static_cast<std::size_t>(kk) * m + i] =
                 a[static_cast<std::size_t>(i) * k + kk];
-    std::vector<float> c1(static_cast<std::size_t>(m) * n);
-    gemmTransA(at.data(), b.data(), c1.data(), m, k, n);
-    for (std::size_t i = 0; i < c1.size(); ++i)
-        EXPECT_NEAR(c1[i], ref[i], 1e-4f * k);
-
     // gemmTransB with B stored transposed [n x k].
     std::vector<float> bt(static_cast<std::size_t>(n) * k);
     for (int kk = 0; kk < k; ++kk)
         for (int j = 0; j < n; ++j)
             bt[static_cast<std::size_t>(j) * k + kk] =
                 b[static_cast<std::size_t>(kk) * n + j];
-    std::vector<float> c2(static_cast<std::size_t>(m) * n);
-    gemmTransB(a.data(), bt.data(), c2.data(), m, k, n);
-    for (std::size_t i = 0; i < c2.size(); ++i)
-        EXPECT_NEAR(c2[i], ref[i], 1e-4f * k);
+    std::vector<float> scratch;
+    for (const auto name : availableBackends()) {
+        const Backend &backend = *findBackend(name);
+        std::vector<float> c1(static_cast<std::size_t>(m) * n);
+        backend.gemmTransA(at.data(), b.data(), c1.data(), m, k, n,
+                           /*accumulate=*/false);
+        for (std::size_t i = 0; i < c1.size(); ++i)
+            EXPECT_NEAR(c1[i], ref[i], 1e-4f * k) << name;
+
+        std::vector<float> c2(static_cast<std::size_t>(m) * n);
+        backend.gemmTransB(a.data(), bt.data(), c2.data(), m, k, n,
+                           /*accumulate=*/false, scratch);
+        for (std::size_t i = 0; i < c2.size(); ++i)
+            EXPECT_NEAR(c2[i], ref[i], 1e-4f * k) << name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,11 +191,14 @@ TEST(Gemm, AccumulateAddsToExisting)
 {
     const float a[2] = {1, 2};
     const float b[2] = {3, 4};
-    float c[1] = {10};
-    gemm(a, b, c, 1, 2, 1, /*accumulate=*/true);
-    EXPECT_FLOAT_EQ(c[0], 10 + 11);
-    gemm(a, b, c, 1, 2, 1, /*accumulate=*/false);
-    EXPECT_FLOAT_EQ(c[0], 11);
+    for (const auto name : availableBackends()) {
+        const Backend &backend = *findBackend(name);
+        float c[1] = {10};
+        backend.gemm(a, b, c, 1, 2, 1, /*accumulate=*/true);
+        EXPECT_FLOAT_EQ(c[0], 10 + 11) << name;
+        backend.gemm(a, b, c, 1, 2, 1, /*accumulate=*/false);
+        EXPECT_FLOAT_EQ(c[0], 11) << name;
+    }
 }
 
 } // namespace
