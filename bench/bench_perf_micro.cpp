@@ -1,10 +1,12 @@
 /**
  * @file
  * Perf-trajectory harness (DESIGN.md §12): per-kernel ns/op for both
- * compute backends, one MNIST FC training epoch per backend, plus the
- * fig14 AlexNet end-to-end measurement phase, emitted as schema-versioned JSON (--json, schema
- * "vboost-bench-perf/1"). tools/bench_compare checks a run against
- * the committed baseline bench/BENCH_perf.json and fails CI on
+ * compute backends, one MNIST FC training epoch and one served batch
+ * per backend, plus the fig14 AlexNet end-to-end measurement phase,
+ * emitted as schema-versioned JSON (--json, schema
+ * "vboost-bench-perf/1") with the host it ran on (CPU model, ISA tier,
+ * compiler, build type). tools/bench_compare checks a run against the
+ * committed baseline bench/BENCH_perf.json and fails CI on
  * regression.
  *
  * Methodology: every sample is min-of-repeats wall time over a fixed
@@ -29,11 +31,16 @@
 #include <string>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include "bench_util.hpp"
 #include "common/fixed_point.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "core/context.hpp"
 #include "dnn/backend/backend.hpp"
 #include "dnn/dataset.hpp"
 #include "dnn/tensor.hpp"
@@ -41,7 +48,10 @@
 #include "dnn/zoo.hpp"
 #include "fi/accuracy_curve.hpp"
 #include "fi/experiment.hpp"
+#include "fi/injector.hpp"
 #include "json_writer.hpp"
+#include "resilience/resilient_memory.hpp"
+#include "sram/banked_memory.hpp"
 #include "sram/fault_map.hpp"
 
 namespace {
@@ -263,6 +273,99 @@ trainEpochSuite(const std::vector<const dnn::Backend *> &backends,
     dnn::setActiveBackend("auto");
 }
 
+/**
+ * serve_batch: one served batch of the MNIST FC per backend, as a
+ * serve::InferenceServer slot executes it: restart the closed-loop
+ * weight memory's runtime state, stage the weights through it at
+ * 0.44 V with the run's staging image (fi::corruptNetworkResilient),
+ * then predict a batch of 3. The memory's fault masks carry over
+ * between batches, as in a slot. Predictions must be bitwise-equal
+ * across backends.
+ */
+void
+serveBatchSuite(const std::vector<const dnn::Backend *> &backends,
+                const bench::BenchOptions &opts, std::vector<PerfEntry> &out)
+{
+    constexpr int kBatch = 3;
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    const sram::VulnerabilityMap map(1, 0);
+    Rng init(3);
+    dnn::Network net = dnn::buildMnistFc(init);
+    dnn::Network scratch = net.clone();
+    const fi::StagedWeights image = fi::stageWeights(net);
+    const dnn::Dataset batch = dnn::makeSyntheticMnist(kBatch, 13);
+    sram::BankedMemory mem("weight_mem", 16, ctx.design, ctx.tech, failure);
+    resilience::ResilientMemory rmem(
+        mem, ctx, resilience::ResiliencePolicy::closedLoop());
+    std::vector<int> first;
+    for (const dnn::Backend *b : backends) {
+        if (!dnn::setActiveBackend(b->name()))
+            fatal("perf harness: backend ", b->name(), " vanished");
+        std::vector<int> predictions;
+        const double ns = minNsPerOp(3, opts.smoke ? 5 : 50, [&] {
+            mem.resetCounters();
+            rmem.resetRuntimeState();
+            rmem.reseed(Rng(17));
+            g_sink = g_sink + fi::corruptNetworkResilient(
+                                  scratch, net, image, rmem, Volt(0.44), map);
+            predictions = scratch.predict(batch.images);
+        });
+        if (first.empty())
+            first = predictions;
+        else if (predictions != first)
+            fatal("perf harness: backends disagree on the served batch's "
+                  "predictions — bitwise contract violated");
+        out.push_back({"serve_batch", std::string(b->name()), "soft", ns,
+                       static_cast<std::uint64_t>(kBatch)});
+    }
+    dnn::setActiveBackend("auto");
+}
+
+/** Where the numbers were measured: bench_compare flags a baseline
+ *  recorded on a different host. */
+struct HostInfo
+{
+    std::string cpu = "unknown";
+    std::string isa = "scalar";
+    std::string compiler = "unknown";
+    std::string buildType = VBOOST_BUILD_TYPE;
+};
+
+HostInfo
+hostInfo()
+{
+    HostInfo h;
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned regs[12] = {};
+    if (__get_cpuid_max(0x80000000u, nullptr) >= 0x80000004u) {
+        for (unsigned i = 0; i < 3; ++i)
+            __get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1],
+                        &regs[4 * i + 2], &regs[4 * i + 3]);
+        char brand[49] = {};
+        std::memcpy(brand, regs, 48);
+        const std::string s(brand);
+        const auto b = s.find_first_not_of(' ');
+        if (b != std::string::npos)
+            h.cpu = s.substr(b, s.find_last_not_of(' ') - b + 1);
+    }
+    // The vectorized backend registers only on AVX2 builds and CPUs;
+    // its AVX-512 GEMM tier needs that translation unit and the CPU.
+    if (dnn::findBackend("vectorized") != nullptr) {
+        __builtin_cpu_init();
+        h.isa = VBOOST_AVX512_TU && __builtin_cpu_supports("avx512f")
+                    ? "avx2+avx512f"
+                    : "avx2";
+    }
+#endif
+#if defined(__clang__)
+    h.compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    h.compiler = std::string("gcc ") + __VERSION__;
+#endif
+    return h;
+}
+
 /** One round of the fig14 measurement phase under one backend:
  *  returns wall nanoseconds and appends the sampled accuracies plus
  *  the fault-free accuracy to `digest` for the cross-backend bitwise
@@ -303,6 +406,7 @@ main(int argc, char **argv)
     for (const dnn::Backend *b : backends)
         microSuite(*b, opts, entries);
     trainEpochSuite(backends, opts, entries);
+    serveBatchSuite(backends, opts, entries);
 
     // fig14 end-to-end measurement phase: train/load once (untimed),
     // then run the full Monte-Carlo sweep per backend. Repeats
@@ -381,12 +485,19 @@ main(int argc, char **argv)
         std::ofstream os(opts.jsonPath);
         if (!os)
             fatal("cannot write ", opts.jsonPath);
+        const HostInfo host = hostInfo();
         bench::JsonWriter j(os);
         j.beginObject()
             .field("schema", "vboost-bench-perf/1")
             .field("bench", "perf_micro")
             .field("threads", static_cast<std::int64_t>(opts.threads))
             .field("smoke", opts.smoke)
+            .beginObjectField("host")
+            .field("cpu", host.cpu)
+            .field("isa", host.isa)
+            .field("compiler", host.compiler)
+            .field("build_type", host.buildType)
+            .endObject()
             .beginArrayField("entries");
         for (const auto &e : entries) {
             j.beginObject()

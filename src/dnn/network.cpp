@@ -102,7 +102,7 @@ Network::accuracy(const Tensor &x, const std::vector<int> &labels)
 }
 
 void
-Network::copyParamsFrom(Network &other)
+Network::copyParamsFrom(Network &other, bool weights)
 {
     auto dst = params();
     auto src = other.params();
@@ -113,7 +113,8 @@ Network::copyParamsFrom(Network &other)
         if (dst[i].value->shape() != src[i].value->shape())
             fatal("Network::copyParamsFrom: shape mismatch at ",
                   dst[i].name);
-        *dst[i].value = *src[i].value;
+        if (weights || !src[i].isWeight)
+            *dst[i].value = *src[i].value;
     }
 }
 

@@ -72,8 +72,9 @@ class Network
     Layer &layer(std::size_t i) { return *layers_[i]; }
 
     /** Deep-copy the parameter values from another structurally
-     *  identical network. */
-    void copyParamsFrom(Network &other);
+     *  identical network; with `weights` false only the non-weight
+     *  parameters (a caller that overwrites every weight). */
+    void copyParamsFrom(Network &other, bool weights = true);
 
     /**
      * Structurally identical deep copy (layers, parameters, caches).

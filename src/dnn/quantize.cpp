@@ -86,9 +86,28 @@ quantize(const Tensor &t, const FixedPointCodec &codec)
 Tensor
 dequantize(const QuantizedTensor &q)
 {
-    Tensor t(q.shape);
-    for (std::size_t i = 0; i < q.words.size(); ++i)
-        t[i] = q.codec.decode(q.words[i]);
+    // decode(raw) = float(raw) / 2^frac = float(raw) * 2^-frac, exact
+    // either way: every int16 is a float, and a power-of-two scale
+    // only moves the exponent (no int16 result is subnormal).
+    Tensor t = Tensor::uninitialized(q.shape);
+    const std::int16_t *src = q.words.data();
+    float *dst = t.data();
+    const std::size_t n = q.words.size();
+    std::size_t i = 0;
+#if defined(__SSE2__)
+    const __m128 scale = _mm_set1_ps(q.codec.resolution());
+    for (; i + 8 <= n; i += 8) {
+        const __m128i raw =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(src + i));
+        // Sign-extend: each int16 lands in the top half of a lane.
+        const __m128i lo = _mm_srai_epi32(_mm_unpacklo_epi16(raw, raw), 16);
+        const __m128i hi = _mm_srai_epi32(_mm_unpackhi_epi16(raw, raw), 16);
+        _mm_storeu_ps(dst + i, _mm_mul_ps(_mm_cvtepi32_ps(lo), scale));
+        _mm_storeu_ps(dst + i + 4, _mm_mul_ps(_mm_cvtepi32_ps(hi), scale));
+    }
+#endif
+    for (; i < n; ++i)
+        dst[i] = q.codec.decode(src[i]);
     return t;
 }
 

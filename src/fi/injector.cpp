@@ -1,6 +1,7 @@
 #include "fi/injector.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <optional>
 #include <utility>
@@ -269,7 +270,13 @@ StagedWeights
 stageWeights(dnn::Network &src)
 {
     StagedWeights image;
-    for (const auto &p : src.weightParams()) {
+    const auto weights = src.weightParams();
+    std::size_t total_groups = 0;
+    for (const auto &p : weights)
+        total_groups += (p.value->numel() + 3) / 4;
+    image.groups.reserve(total_groups);
+    image.checks.reserve(total_groups);
+    for (const auto &p : weights) {
         const dnn::QuantizedTensor q = dnn::quantize(*p.value);
         const std::vector<std::int16_t> &words = q.words;
         image.layers.push_back({q.codec, words.size(), image.groups.size(),
@@ -293,12 +300,15 @@ corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
                         resilience::ResilientMemory &rmem, Volt vdd,
                         const sram::VulnerabilityMap &map)
 {
-    dst.copyParamsFrom(src);
+    // Every weight tensor is overwritten below: copy only the rest.
+    dst.copyParamsFrom(src, false);
     auto dst_weights = dst.weightParams();
     if (image.layers.size() != dst_weights.size())
         fatal("corruptNetworkResilient: network structure mismatch");
 
-    const std::uint32_t capacity = rmem.memory().words();
+    // Read-back buffer: layers stage in chunks of this many groups.
+    constexpr std::size_t kChunk = 512;
+    std::array<std::uint64_t, kChunk> read{};
     std::uint64_t residual = 0;
     std::uint64_t group_cursor = 0; // 64-bit words staged so far
     for (std::size_t l = 0; l < image.layers.size(); ++l) {
@@ -306,22 +316,26 @@ corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
         dnn::Tensor &out = *dst_weights[l].value;
         out = layer.clean;
         const std::size_t words = layer.words;
-        for (std::size_t g = 0; 4 * g < words; ++g) {
-            const std::size_t i = layer.firstGroup + g;
-            const std::uint64_t group = image.groups[i];
-            const auto addr =
-                static_cast<std::uint32_t>(group_cursor % capacity);
-            ++group_cursor;
-            rmem.writeEncoded(addr, group, image.checks[i], vdd);
-            const std::uint64_t read = rmem.readWord(addr, vdd, map).data;
-            if (read == group)
-                continue;
-            residual += static_cast<std::uint64_t>(
-                std::popcount(group ^ read));
-            for (std::size_t k = 0; k < 4 && 4 * g + k < words; ++k)
-                out[4 * g + k] = layer.codec.decode(
-                    static_cast<std::int16_t>(
-                        static_cast<std::uint16_t>(read >> (16 * k))));
+        const std::size_t groups = (words + 3) / 4;
+        for (std::size_t g0 = 0; g0 < groups; g0 += kChunk) {
+            const std::size_t n = std::min(kChunk, groups - g0);
+            const std::size_t first = layer.firstGroup + g0;
+            rmem.stageGroups(group_cursor, image.groups.data() + first,
+                             image.checks.data() + first, n, vdd, map,
+                             read.data());
+            group_cursor += n;
+            for (std::size_t j = 0; j < n; ++j) {
+                const std::uint64_t group = image.groups[first + j];
+                if (read[j] == group)
+                    continue;
+                residual += static_cast<std::uint64_t>(
+                    std::popcount(group ^ read[j]));
+                const std::size_t g = g0 + j;
+                for (std::size_t k = 0; k < 4 && 4 * g + k < words; ++k)
+                    out[4 * g + k] = layer.codec.decode(
+                        static_cast<std::int16_t>(
+                            static_cast<std::uint16_t>(read[j] >> (16 * k))));
+            }
         }
     }
     return residual;

@@ -240,6 +240,63 @@ ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
 }
 
 void
+ResilientMemory::stageGroups(std::uint64_t cursor,
+                             const std::uint64_t *groups,
+                             const std::uint8_t *checks, std::size_t n,
+                             Volt vdd, const sram::VulnerabilityMap &map,
+                             std::uint64_t *out)
+{
+    constexpr std::uint32_t kBankWords = sram::SramBank::kWords;
+    const std::uint32_t words = mem_.words();
+    const bool closed = policy_.mode == AccessPolicyMode::ClosedLoop;
+    // Hoisted state of the bank the walk is in; run_bank = -1 means
+    // "look it up again before the next codeword".
+    int run_bank = -1;
+    bool hoisted = false;
+    sram::SramBank::AccessRun run;
+    auto addr = static_cast<std::uint32_t>(cursor % words);
+    for (std::size_t k = 0; k < n;
+         ++k, addr = addr + 1 < words ? addr + 1 : 0) {
+        const int bank = static_cast<int>(addr / kBankWords);
+        const std::uint32_t local = addr % kBankWords;
+        if (bank != run_bank) {
+            run_bank = bank;
+            // The write is charged at the BIC level and the first read
+            // attempt at the standing level: one memo entry serves
+            // both only while they agree.
+            hoisted = mem_.boostLevel(bank) ==
+                      standing_[static_cast<std::size_t>(bank)];
+            if (hoisted)
+                run = mem_.accessRun(bank, vdd, map, parityBase_);
+        }
+        const bool clean =
+            hoisted && ((run.faulty[local / 64] >> (local % 64)) & 1u) == 0 &&
+            spares_.find(addr) < 0;
+        if (!clean) {
+            writeEncoded(addr, groups[k], checks[k], vdd);
+            out[k] = readWord(addr, vdd, map).data;
+            // A raise, an escalated attempt or a new mask table may
+            // have moved a level, evicted a table or cleared the memo.
+            run_bank = -1;
+            continue;
+        }
+        // What writeEncoded + readWord do for a clean codeword: a
+        // single attempt at the standing level decodes clean, with no
+        // stream split and no draw.
+        mem_.bank(bank).writeReadClean(local, groups[k], run);
+        check_[addr] = checks[k];
+        ++accessCounter_;
+        ++stats_.reads;
+        ++stats_.cleanReads;
+        if (closed && monitor_.recordAccess(bank, false)) {
+            raiseStandingLevel(bank, vdd, map);
+            run_bank = -1;
+        }
+        out[k] = groups[k];
+    }
+}
+
+void
 ResilientMemory::raiseStandingLevel(int bank, Volt vdd,
                                     const sram::VulnerabilityMap &map)
 {

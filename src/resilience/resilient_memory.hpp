@@ -132,6 +132,22 @@ class ResilientMemory
     ReadOutcome readWord(std::uint32_t addr, Volt vdd,
                          const sram::VulnerabilityMap &map);
 
+    /**
+     * Stage a run of codewords and read them back: codeword k (data
+     * groups[k], check byte checks[k], which must be
+     * sram::SecdedCodec::encode(groups[k])) is written to address
+     * (cursor + k) mod words(), read back through the pipeline, and
+     * the read data lands in out[k]. Bitwise the same as
+     * writeEncoded() then readWord() per codeword, in order: every
+     * counter, energy sum, EWMA, spare and flip stream. A codeword
+     * whose row has no spare and whose cells are all fault-free at
+     * its bank's standing level skips the per-access lookups
+     * (DESIGN.md §8, "Bulk staging pass").
+     */
+    void stageGroups(std::uint64_t cursor, const std::uint64_t *groups,
+                     const std::uint8_t *checks, std::size_t n, Volt vdd,
+                     const sram::VulnerabilityMap &map, std::uint64_t *out);
+
     /** Stage a buffer of int16 values (4 per word), as the accelerator
      *  writes a weight tile. Partial edge words read-modify-write. */
     void writeWords16(std::uint32_t elem16,

@@ -87,10 +87,16 @@ BankedMemory::readRaw(std::uint32_t addr, Volt vdd,
                       std::uint64_t check_region)
 {
     const int b = bankOf(addr);
-    const std::uint64_t first_word =
-        static_cast<std::uint64_t>(b) * SramBank::kWords;
     return banks_[static_cast<std::size_t>(b)].readRaw(
-        addr % SramBank::kWords, vdd, map, check_region + first_word * 8);
+        addr % SramBank::kWords, vdd, map, bankCheckBase(b, check_region));
+}
+
+SramBank::AccessRun
+BankedMemory::accessRun(int bank, Volt vdd, const VulnerabilityMap &map,
+                        std::uint64_t check_region)
+{
+    return this->bank(bank).accessRun(vdd, map,
+                                      bankCheckBase(bank, check_region));
 }
 
 std::uint64_t

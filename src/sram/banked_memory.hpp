@@ -78,6 +78,14 @@ class BankedMemory
                               const VulnerabilityMap &map,
                               std::uint64_t check_region);
 
+    /**
+     * SramBank::accessRun of bank `bank`, its check cells addressed as
+     * readRaw() addresses them (word a's at check_region + 8a).
+     */
+    SramBank::AccessRun accessRun(int bank, Volt vdd,
+                                  const VulnerabilityMap &map,
+                                  std::uint64_t check_region);
+
     /** Fault-free debug read. */
     std::uint64_t peek(std::uint32_t addr) const;
 
@@ -126,6 +134,14 @@ class BankedMemory
     std::uint64_t cellIndex(std::uint32_t addr) const;
 
   private:
+    /** Check cell base of bank b's word 0 within check_region. */
+    static std::uint64_t
+    bankCheckBase(int b, std::uint64_t check_region)
+    {
+        return check_region +
+               static_cast<std::uint64_t>(b) * SramBank::kWords * 8;
+    }
+
     std::string name_;
     std::uint64_t cellBase_;
     std::vector<SramBank> banks_;

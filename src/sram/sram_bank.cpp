@@ -1,5 +1,7 @@
 #include "sram/sram_bank.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace vboost::sram {
@@ -89,17 +91,14 @@ SramBank::operatingPoint(Volt vdd, int level)
     return points_.back();
 }
 
-const SramBank::OperatingPoint &
-SramBank::chargeAccess(Volt vdd)
+void
+SramBank::chargeAccess(const OperatingPoint &p)
 {
-    const int level = bic_.enabledLevel();
-    const OperatingPoint &p = operatingPoint(vdd, level);
     counters_.accessEnergy += p.accessEnergy;
-    if (level > 0) {
+    if (p.level > 0) {
         counters_.boostEnergy += p.boostEnergy;
         ++counters_.boostEvents;
     }
-    return p;
 }
 
 const WordFaultMasks &
@@ -119,13 +118,40 @@ SramBank::masks(const VulnerabilityMap &map, double fail_prob,
     return maskTables_.back().masks;
 }
 
+SramBank::AccessRun
+SramBank::accessRun(Volt vdd, const VulnerabilityMap &map,
+                    std::uint64_t check_base)
+{
+    AccessRun run;
+    run.point = operatingPoint(vdd, bic_.enabledLevel());
+    if (run.point.failProb > 0.0) {
+        const std::vector<std::uint64_t> &flagged =
+            masks(map, run.point.failProb, check_base).flagged();
+        std::copy(flagged.begin(), flagged.end(), run.faulty.begin());
+    }
+    return run;
+}
+
+void
+SramBank::writeReadClean(std::uint32_t addr, std::uint64_t data,
+                         const AccessRun &run)
+{
+    std::uint32_t macro_addr;
+    macroFor(addr, macro_addr); // bounds check
+    macros_[addr / SramMacro::kWords].write(macro_addr, data);
+    chargeAccess(run.point);
+    ++counters_.writes;
+    chargeAccess(run.point);
+    ++counters_.reads;
+}
+
 void
 SramBank::write(std::uint32_t addr, std::uint64_t data, Volt vdd)
 {
     std::uint32_t macro_addr;
     macroFor(addr, macro_addr); // bounds check
     macros_[addr / SramMacro::kWords].write(macro_addr, data);
-    chargeAccess(vdd);
+    chargeAccess(operatingPoint(vdd, bic_.enabledLevel()));
     ++counters_.writes;
 }
 
@@ -147,7 +173,8 @@ SramBank::readRaw(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
 {
     std::uint32_t macro_addr;
     const auto &macro = macroFor(addr, macro_addr);
-    const OperatingPoint &p = chargeAccess(vdd);
+    const OperatingPoint &p = operatingPoint(vdd, bic_.enabledLevel());
+    chargeAccess(p);
     ++counters_.reads;
     RawRead r;
     r.data = macro.peek(macro_addr);

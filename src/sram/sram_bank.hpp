@@ -115,6 +115,47 @@ class SramBank
                     std::uint64_t check_base =
                         WordFaultMasks::kNoCheckCells);
 
+    /** What an access at (vdd, level) costs and risks; pure functions
+     *  of the pair, computed once per pair. */
+    struct OperatingPoint
+    {
+        double vdd = 0.0;
+        int level = 0;
+        Joule accessEnergy{0.0};
+        Joule boostEnergy{0.0};
+        double failProb = 0.0;
+    };
+
+    /** What a run of accesses at one (vdd, level) needs, looked up
+     *  once: plain copies, which later memo or mask-table evictions
+     *  leave intact. */
+    struct AccessRun
+    {
+        /** The memo entry of the run's (vdd, level). */
+        OperatingPoint point;
+        /** Bit w % 64 of element w / 64: word w has a faulty data or
+         *  check cell at point.failProb. */
+        std::array<std::uint64_t, kWords / 64> faulty{};
+    };
+
+    /**
+     * The AccessRun of accesses at chip supply vdd and the current
+     * boost level, with word a's check cells at check_base + 8a as in
+     * readRaw(). Packs the mask table if readRaw() would.
+     */
+    AccessRun accessRun(Volt vdd, const VulnerabilityMap &map,
+                        std::uint64_t check_base);
+
+    /**
+     * write(addr, data, vdd) followed by readRaw(addr, vdd, ...) of a
+     * word without faulty cells, both charged at run.point (which must
+     * be current: same vdd, the bank still at run.point.level). The
+     * same counter updates in the same order, without the per-access
+     * lookups.
+     */
+    void writeReadClean(std::uint32_t addr, std::uint64_t data,
+                        const AccessRun &run);
+
     /** Fault-free debug read (no energy, no faults). */
     std::uint64_t peek(std::uint32_t addr) const;
 
@@ -140,17 +181,6 @@ class SramBank
     void setFlipProb(double p);
 
   private:
-    /** What an access at (vdd, level) costs and risks; pure functions
-     *  of the pair, computed once per pair. */
-    struct OperatingPoint
-    {
-        double vdd = 0.0;
-        int level = 0;
-        Joule accessEnergy{0.0};
-        Joule boostEnergy{0.0};
-        double failProb = 0.0;
-    };
-
     /** One packed mask table and what it was packed for. */
     struct MaskTable
     {
@@ -167,8 +197,9 @@ class SramBank
 
     const SramMacro &macroFor(std::uint32_t addr,
                               std::uint32_t &macro_addr) const;
-    /** Charge one access at the current level; returns its point. */
-    const OperatingPoint &chargeAccess(Volt vdd);
+    /** Charge one access at memo entry p (p.level is the current
+     *  level): every write and read goes through here. */
+    void chargeAccess(const OperatingPoint &p);
     const OperatingPoint &operatingPoint(Volt vdd, int level);
     const WordFaultMasks &masks(const VulnerabilityMap &map,
                                 double fail_prob, std::uint64_t check_base);

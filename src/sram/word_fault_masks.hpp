@@ -94,6 +94,9 @@ class WordFaultMasks
         return {dataMasks_[i], checkMasks_[i]};
     }
 
+    /** Bit w % 64 of element w / 64: word w has a faulty cell. */
+    const std::vector<std::uint64_t> &flagged() const { return flagged_; }
+
   private:
     std::vector<std::uint64_t> flagged_;
     std::vector<std::uint32_t> rank_;

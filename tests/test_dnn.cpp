@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -330,6 +331,28 @@ TEST(Quantize, VectorizedEncodeMatchesCodec)
                                -(frac + 1));
         }
         check(v, frac);
+    }
+}
+
+TEST(Quantize, VectorizedDecodeMatchesCodec)
+{
+    // dequantize() decodes eight lanes at a time; every int16 value at
+    // every Q-format must decode to FixedPointCodec::decode's bits. The
+    // three extra words take the scalar tail.
+    std::vector<std::int16_t> words;
+    for (int v = -32768; v <= 32767; ++v)
+        words.push_back(static_cast<std::int16_t>(v));
+    for (int v : {-32768, -1, 32767})
+        words.push_back(static_cast<std::int16_t>(v));
+    for (int frac = 0; frac <= 15; ++frac) {
+        const FixedPointCodec codec(frac);
+        const QuantizedTensor q{words, codec,
+                                {static_cast<int>(words.size())}};
+        const Tensor t = dequantize(q);
+        for (std::size_t i = 0; i < words.size(); ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(t[i]),
+                      std::bit_cast<std::uint32_t>(codec.decode(words[i])))
+                << "raw=" << words[i] << " fracBits=" << frac;
     }
 }
 

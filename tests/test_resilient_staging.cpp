@@ -14,16 +14,19 @@
  * per-bit read path computed when they were recorded, so a fast path
  * that is deterministic but different fails here.
  *
- * Also here: staging-image reuse, per-bank check-cell flip
- * probabilities, the masked-flip routine against the per-cell loop,
- * and the mask-table key against per-cell queries.
+ * Also here: the bulk staging pass against the per-word pipeline,
+ * staging-image reuse, per-bank check-cell flip probabilities, the
+ * masked-flip routine against the per-cell loop, and the mask-table
+ * key against per-cell queries.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/context.hpp"
@@ -31,6 +34,7 @@
 #include "fi/injector.hpp"
 #include "resilience/resilient_memory.hpp"
 #include "sram/banked_memory.hpp"
+#include "sram/ecc.hpp"
 #include "sram/word_fault_masks.hpp"
 
 namespace vboost::fi {
@@ -168,6 +172,216 @@ TEST(ResilientStagingGolden, DigestsMatchThePerBitReadPath)
                 ++i;
             }
         }
+    }
+}
+
+/** Everything observable about a wrapper and its memory, doubles as
+ *  bits: the snapshot (spare digest included), every bank counter,
+ *  standing level and EWMA rate, and the monitor's totals. */
+std::vector<std::uint64_t>
+stateOf(const resilience::ResilientMemory &rmem)
+{
+    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+    const resilience::ResilienceStats s = rmem.snapshot();
+    std::vector<std::uint64_t> v{
+        s.reads, s.cleanReads, s.correctedReads, s.retriedReads, s.retries,
+        s.escalations, s.standingRaises, s.quarantines, s.spareReads,
+        s.spareExhausted, s.uncorrected, s.spareTableDigest,
+        bits(s.retryEnergy.value()), bits(s.spareEnergy.value()),
+        bits(s.retryLatency.value()), bits(rmem.totalAccessEnergy().value()),
+        rmem.monitor().accesses(), rmem.monitor().raises()};
+    const sram::BankedMemory &mem = rmem.memory();
+    for (int b = 0; b < mem.banks(); ++b) {
+        const sram::BankCounters &c = mem.bankCounters(b);
+        for (std::uint64_t x :
+             {c.reads, c.writes, c.boostEvents, bits(c.accessEnergy.value()),
+              bits(c.boostEnergy.value()),
+              static_cast<std::uint64_t>(rmem.standingLevel(b)),
+              static_cast<std::uint64_t>(mem.boostLevel(b)),
+              bits(rmem.monitor().rate(b))})
+            v.push_back(x);
+    }
+    return v;
+}
+
+/** Two identically built memories with the same seed: one stages with
+ *  stageGroups, the other with writeEncoded + readWord per codeword. */
+class StagingPair
+{
+  public:
+    StagingPair(int banks, const resilience::ResiliencePolicy &policy)
+        : failure_(ctx_.failure),
+          bulkMem_("weight_mem", banks, ctx_.design, ctx_.tech, failure_),
+          wordMem_("weight_mem", banks, ctx_.design, ctx_.tech, failure_),
+          bulk_(bulkMem_, ctx_, policy), word_(wordMem_, ctx_, policy)
+    {
+        bulk_.reseed(Rng(21).split(9));
+        word_.reseed(Rng(21).split(9));
+    }
+
+    /** Stage n random codewords from `cursor` on both sides, the bulk
+     *  side in calls of `chunk` codewords; require equal read-backs and
+     *  equal state. */
+    void
+    stage(std::uint64_t cursor, std::size_t n, double vdd,
+          const sram::VulnerabilityMap &map, std::size_t chunk,
+          std::uint64_t seed)
+    {
+        Rng gen(seed);
+        std::vector<std::uint64_t> groups(n);
+        std::vector<std::uint8_t> checks(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            groups[k] = gen.next();
+            checks[k] = sram::SecdedCodec::encode(groups[k]);
+        }
+        std::vector<std::uint64_t> got(n), want(n);
+        for (std::size_t k = 0; k < n; k += chunk)
+            bulk_.stageGroups(cursor + k, groups.data() + k,
+                              checks.data() + k, std::min(chunk, n - k),
+                              Volt(vdd), map, got.data() + k);
+        const std::uint32_t words = wordMem_.words();
+        for (std::size_t k = 0; k < n; ++k) {
+            const auto addr = static_cast<std::uint32_t>((cursor + k) % words);
+            word_.writeEncoded(addr, groups[k], checks[k], Volt(vdd));
+            want[k] = word_.readWord(addr, Volt(vdd), map).data;
+        }
+        ASSERT_EQ(got, want) << "vdd " << vdd << " cursor " << cursor;
+        ASSERT_EQ(stateOf(bulk_), stateOf(word_))
+            << "vdd " << vdd << " cursor " << cursor;
+    }
+
+    /** Program a bank's BIC level behind both wrappers' backs. */
+    void
+    setBoostLevel(int bank, int level)
+    {
+        bulkMem_.setBoostLevel(bank, level);
+        wordMem_.setBoostLevel(bank, level);
+    }
+
+    resilience::ResilienceStats stats() const { return word_.snapshot(); }
+
+  private:
+    core::SimContext ctx_ = core::SimContext::standard();
+    sram::FailureRateModel failure_;
+    sram::BankedMemory bulkMem_, wordMem_;
+    resilience::ResilientMemory bulk_, word_;
+};
+
+TEST(StageGroups, MatchesThePerWordPipelineUnderEveryPolicy)
+{
+    // Open loop, closed StepUp and closed MaxOut over both map models
+    // and three supplies, each memory staged twice: the second staging
+    // runs on the first one's levels, EWMAs, spares and streams.
+    const sram::VulnerabilityMap iid(11, 0);
+    const sram::VulnerabilityMap clustered(11, 0, sram::MapModel::Clustered,
+                                           sram::ClusterParams{});
+    std::uint64_t raises = 0, slow = 0, fast = 0;
+    for (const sram::VulnerabilityMap *map : {&iid, &clustered}) {
+        for (int policy = 0; policy < 3; ++policy) {
+            for (double vdd : {0.42, 0.46, 0.50}) {
+                StagingPair pair(4, policyOf(policy));
+                pair.stage(0, 5000, vdd, *map, 512, 1);
+                pair.stage(123, 4500, vdd, *map, 1000, 2);
+                const resilience::ResilienceStats s = pair.stats();
+                raises += s.standingRaises;
+                slow += s.reads - s.cleanReads;
+                fast += s.cleanReads;
+            }
+        }
+    }
+    // Both paths and mid-run standing raises were exercised.
+    EXPECT_GT(raises, 0u);
+    EXPECT_GT(slow, 0u);
+    EXPECT_GT(fast, 0u);
+}
+
+TEST(StageGroups, MatchesThroughQuarantineUntilSparesRunOut)
+{
+    // No retries and no raises: every uncorrectable read counts
+    // against its row, so rows are quarantined until the two spares
+    // are gone. Three passes over the memory revisit every row. At
+    // 0.50 V the quarantined primary rows read clean, but their reads
+    // must still go to the spares.
+    auto policy = resilience::ResiliencePolicy::closedLoop(
+        0, resilience::EscalationPolicy::Hold, 2);
+    policy.raiseThreshold = 1.0;
+    StagingPair pair(2, policy);
+    const sram::VulnerabilityMap map(12, 0);
+    pair.stage(5, 3 * 2048 + 77, 0.40, map, 700, 3);
+    const std::uint64_t spare_reads = pair.stats().spareReads;
+    pair.stage(5, 2048, 0.50, map, 2048, 4);
+    EXPECT_GT(pair.stats().spareReads, spare_reads);
+    pair.stage(5, 2048, 0.40, map, 2048, 5);
+    const resilience::ResilienceStats s = pair.stats();
+    EXPECT_EQ(s.quarantines, 2u);
+    EXPECT_GT(s.spareExhausted, 0u);
+    EXPECT_GT(s.spareReads, 0u);
+}
+
+TEST(StageGroups, MatchesAcrossWrapsOddLengthsAndMovedLevels)
+{
+    // Start cursors past the end of the memory that wrap inside a
+    // call, lengths and chunks off the bank size, and banks whose BIC
+    // level was moved away from the standing level between stagings.
+    StagingPair pair(3, resilience::ResiliencePolicy::closedLoop());
+    const sram::VulnerabilityMap map(13, 1);
+    const std::uint64_t words = 3 * sram::SramBank::kWords;
+    pair.stage(3 * words - 700, 2 * 1024 + 333, 0.46, map, 37, 5);
+    pair.setBoostLevel(1, 3);
+    pair.setBoostLevel(2, 1);
+    pair.stage(words + 1000, 1500, 0.46, map, 1, 6);
+    pair.setBoostLevel(0, 2);
+    pair.stage(words - 1, 4000, 0.44, map, 999, 7);
+}
+
+TEST(StageGroups, MatchesWhenMaskTablesAreEvicted)
+{
+    // Ten distinct supplies give ten fail probabilities per level, more
+    // than a bank keeps tables for; the first supplies then come back
+    // and must be repacked.
+    StagingPair pair(2, resilience::ResiliencePolicy::closedLoop(
+                            3, resilience::EscalationPolicy::MaxOut));
+    const sram::VulnerabilityMap map(14, 0);
+    std::uint64_t seed = 10;
+    std::uint64_t cursor = 0;
+    for (double vdd : {0.40, 0.41, 0.42, 0.43, 0.44, 0.45, 0.46, 0.47, 0.48,
+                       0.49, 0.40, 0.41, 0.45}) {
+        pair.stage(cursor, 1100, vdd, map, 512, seed++);
+        cursor += 1100;
+    }
+}
+
+TEST(ResilientStaging, CopiesEveryNonWeightParameter)
+{
+    // Staging overwrites every weight tensor and copies the rest from
+    // the source: biases a scratch network drifted on are restored.
+    Rng rng(10);
+    dnn::Network src = dnn::buildMnistFc(rng);
+    dnn::Network dst = src.clone();
+    for (auto &p : dst.params())
+        (*p.value)[0] += 1.0f;
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    sram::BankedMemory mem("weight_mem", 16, ctx.design, ctx.tech, failure);
+    resilience::ResilientMemory rmem(
+        mem, ctx, resilience::ResiliencePolicy::openLoop(3));
+    rmem.reseed(Rng(11));
+    EXPECT_EQ(corruptNetworkResilient(dst, src, rmem, Volt(0.50),
+                                      sram::VulnerabilityMap(15, 0)),
+              0u);
+    const StagedWeights image = stageWeights(src);
+    auto dst_params = dst.params();
+    auto src_params = src.params();
+    std::size_t weight = 0;
+    for (std::size_t i = 0; i < src_params.size(); ++i) {
+        const dnn::Tensor &want = src_params[i].isWeight
+                                      ? image.layers[weight++].clean
+                                      : *src_params[i].value;
+        ASSERT_EQ(dst_params[i].value->numel(), want.numel());
+        for (std::size_t j = 0; j < want.numel(); ++j)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>((*dst_params[i].value)[j]),
+                      std::bit_cast<std::uint32_t>(want[j]))
+                << src_params[i].name << "[" << j << "]";
     }
 }
 

@@ -4,7 +4,8 @@
 #       identical numbers, and the derived speedup clears its floor),
 #   (b) a synthetic baseline that makes the hard fused-kernel entry
 #       look 100x faster to FAIL with exit status 1, and
-#   (c) a baseline naming a kernel the current run lacks to FAIL.
+#   (c) a baseline naming a kernel the current run lacks to FAIL,
+#   (d) a baseline from another host to be flagged, not failed.
 # Invoked by the bench_compare_gate ctest entry with
 # -DBENCH_PERF=<exe> -DBENCH_COMPARE=<exe> -DWORK_DIR=<dir>.
 
@@ -41,6 +42,10 @@ execute_process(
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR
         "self-comparison unexpectedly failed (${rc}):\n${out}\n${err}")
+endif()
+if(NOT out MATCHES "current host:  cpu=" OR out MATCHES "host mismatch")
+    message(FATAL_ERROR
+        "self-comparison must print the host and see no mismatch:\n${out}")
 endif()
 
 # (b) A baseline claiming the hard fused kernel once ran 100x faster
@@ -105,5 +110,25 @@ if(NOT rc EQUAL 1)
         "${out}\n${err}")
 endif()
 
+# (d) The same numbers recorded on another CPU: the mismatch is
+# flagged, and no gate changes.
+file(READ ${current} current_json)
+string(REGEX REPLACE "\"cpu\": \"[^\"]*\"" "\"cpu\": \"another cpu\""
+       other_json "${current_json}")
+set(other ${WORK_DIR}/bench-compare-other-host.json)
+file(WRITE ${other} "${other_json}")
+execute_process(
+    COMMAND ${BENCH_COMPARE} ${other} ${current}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "host mismatch"
+   OR NOT out MATCHES "baseline host: cpu=another cpu")
+    message(FATAL_ERROR
+        "another host's baseline must pass with a mismatch flag (exit "
+        "${rc}):\n${out}\n${err}")
+endif()
+
 message(STATUS "bench_compare gate OK: self-compare passes, hard "
-               "regression and dropped kernels fail")
+               "regression and dropped kernels fail, host mismatch "
+               "flagged")

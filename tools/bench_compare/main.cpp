@@ -17,8 +17,12 @@
  *    run is always an error (a silently dropped kernel would make
  *    the gate vacuous).
  *
- * Entries are matched by (kernel, backend, threads). Exit status 0
- * when every hard gate passes, 1 otherwise. Usage:
+ * Entries are matched by (kernel, backend, threads). Both files' host
+ * fingerprints (the `host` object: CPU model, ISA tier, compiler,
+ * build type) are printed, and a mismatch is flagged with a
+ * `::warning`: absolute ns/op figures do not transfer across hosts.
+ * The flag changes no gate. Exit status 0 when every hard gate
+ * passes, 1 otherwise. Usage:
  *
  *   bench_compare <baseline.json> <current.json> [--tolerance 0.15]
  *
@@ -286,8 +290,33 @@ str(const JsonValue &obj, const char *key)
     return v->text;
 }
 
-std::map<EntryKey, Entry>
-loadEntries(const std::string &path)
+/** One BENCH_perf.json: its entries and its host fingerprint. */
+struct PerfFile
+{
+    std::map<EntryKey, Entry> entries;
+    /** "cpu=...; isa=...; compiler=...; build_type=...", or "not
+     *  recorded" for files written before the host object existed. */
+    std::string host = "not recorded";
+};
+
+std::string
+hostLine(const JsonValue &host)
+{
+    std::string line;
+    for (const char *key : {"cpu", "isa", "compiler", "build_type"}) {
+        const JsonValue *v = host.find(key);
+        if (!line.empty())
+            line += "; ";
+        line += std::string(key) + "=" +
+                (v != nullptr && v->kind == JsonValue::Kind::String
+                     ? v->text
+                     : std::string("?"));
+    }
+    return line;
+}
+
+PerfFile
+loadPerfFile(const std::string &path)
 {
     std::ifstream is(path);
     if (!is) {
@@ -312,7 +341,11 @@ loadEntries(const std::string &path)
                      path.c_str());
         std::exit(2);
     }
-    std::map<EntryKey, Entry> out;
+    PerfFile file;
+    if (const JsonValue *host = doc.find("host");
+        host != nullptr && host->kind == JsonValue::Kind::Object)
+        file.host = hostLine(*host);
+    std::map<EntryKey, Entry> &out = file.entries;
     for (const JsonValue &e : entries->items) {
         Entry entry;
         entry.kernel = str(e, "kernel");
@@ -328,7 +361,7 @@ loadEntries(const std::string &path)
             entry.minGate = v->number;
         out[{entry.kernel, entry.backend, entry.threads}] = entry;
     }
-    return out;
+    return file;
 }
 
 } // namespace
@@ -368,8 +401,16 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto baseline = loadEntries(baseline_path);
-    const auto current = loadEntries(current_path);
+    const PerfFile baseline_file = loadPerfFile(baseline_path);
+    const PerfFile current_file = loadPerfFile(current_path);
+    std::printf("baseline host: %s\n", baseline_file.host.c_str());
+    std::printf("current host:  %s\n", current_file.host.c_str());
+    if (baseline_file.host != current_file.host)
+        std::printf("::warning title=bench_compare::host mismatch: the "
+                    "baseline was measured on a different host (or build); "
+                    "ns/op ratios below compare unlike machines\n");
+    const auto &baseline = baseline_file.entries;
+    const auto &current = current_file.entries;
 
     int hard_failures = 0, warnings = 0, checked = 0;
     for (const auto &[key, base] : baseline) {
