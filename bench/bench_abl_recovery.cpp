@@ -23,10 +23,11 @@
  * Full runs sweep the map-model dimension (i.i.d. AND clustered chip
  * maps, each with its own MATIC retraining); smoke runs keep the
  * --map-model selection only. The whole bench is bitwise thread-count
- * invariant (§7): training is serial, per-read flip streams are
- * counter-derived, reads reduce in read order, and the JSON carries
- * the trained-weight and per-point evaluation digests so CI diffs
- * artifacts across thread counts.
+ * invariant (§7): training splits each batch by output across --threads
+ * participants (DESIGN.md §12, "Split training"), per-read flip
+ * streams are counter-derived, reads reduce in read order, and the
+ * JSON carries the trained-weight and per-point evaluation digests so
+ * CI diffs artifacts across thread counts.
  */
 
 #include <cstring>
@@ -143,6 +144,7 @@ main(int argc, char **argv)
 
     fi::FaultTrainConfig fa_cfg;
     fa_cfg.base.epochs = 6;
+    fa_cfg.base.numThreads = opts.threads;
     fa_cfg.warmupEpochs = 2;
     fa_cfg.failProb = deploy_prob;
 
@@ -165,6 +167,7 @@ main(int argc, char **argv)
     recovery::TransformTrainConfig tf_cfg;
     tf_cfg.base.epochs = 4;
     tf_cfg.base.learningRate = 0.05;
+    tf_cfg.base.numThreads = opts.threads;
     tf_cfg.failProb = deploy_prob;
     recovery::InputTransform fuse_tf;
     recovery::TransformTrainStats fuse_stats;

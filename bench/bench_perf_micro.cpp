@@ -254,6 +254,7 @@ trainEpochSuite(const std::vector<const dnn::Backend *> &backends,
             dnn::Network net = dnn::buildMnistFc(init);
             dnn::TrainConfig cfg;
             cfg.epochs = 1;
+            cfg.numThreads = opts.threads;
             Rng rng(5);
             dnn::SgdTrainer(cfg).train(net, train, rng);
             weights.clear();

@@ -25,8 +25,8 @@ BenchOptions::printUsage(std::ostream &os)
           "full test sets)\n"
           "  --smoke             CI smoke mode (also "
           "VBOOST_BENCH_SMOKE=1)\n"
-          "  --threads <n>       Monte-Carlo worker threads "
-          "(n >= 1; omit for all cores)\n"
+          "  --threads <n>       worker threads of the Monte Carlo and "
+          "of training (n >= 1; omit for all cores)\n"
           "  --csv <path|->      append CSV output ('-' = stdout)\n"
           "  --cache <dir>       trained-model cache directory\n"
           "  --policy <p>        resilience policy: open, closed or "
@@ -268,7 +268,8 @@ ModelRecipe::keyText() const
        << ";momentum=" << exact(train.momentum)
        << ";decay=" << exact(train.lrDecay) << ";shuffle=" << shuffleSeed
        << ";train_size=" << trainSize << ";data_seed=" << dataSeed
-       << ";clip=" << exact(clip);
+       << ";clip=" << exact(clip)
+       << ";dnn_src=" << VBOOST_DNN_SOURCE_DIGEST;
     return os.str();
 }
 
@@ -279,11 +280,12 @@ ModelRecipe::cachePath(const std::string &dir) const
 }
 
 ModelRecipe
-mnistFcRecipe(const BenchOptions &)
+mnistFcRecipe(const BenchOptions &opts)
 {
     ModelRecipe r;
     r.arch = "mnist_fc";
     r.train.epochs = 6;
+    r.train.numThreads = opts.threads;
     r.trainSize = 4000;
     return r;
 }
@@ -294,6 +296,7 @@ alexNetRecipe(const BenchOptions &opts)
     ModelRecipe r;
     r.arch = "alexnet_cifar";
     r.train.epochs = 3;
+    r.train.numThreads = opts.threads;
     r.train.learningRate = 0.05;
     r.trainSize = opts.paper ? 3000 : 1500;
     return r;

@@ -32,9 +32,10 @@ struct BenchOptions
     /** CI smoke mode: shrink Monte-Carlo effort to seconds
      *  (--smoke or VBOOST_BENCH_SMOKE=1). */
     bool smoke = false;
-    /** Monte-Carlo worker threads. The default 0 means all hardware
+    /** Worker threads of the Monte-Carlo engines and of training
+     *  (TrainConfig::numThreads). The default 0 means all hardware
      *  threads; an explicit `--threads 0` is rejected at parse time
-     *  (positive counts only). */
+     *  (positive counts only). Results do not depend on it. */
     int threads = 0;
     /** Optional CSV output path ("-" = stdout after the table). */
     std::string csvPath;
@@ -107,8 +108,11 @@ void emit(const std::string &title, const Table &table,
 
 /**
  * Everything that shapes a cached bench model's weights. The cache
- * file is named by a digest of all of it, so runs whose models differ
- * (a --paper AlexNet trains on twice the images) never share a file.
+ * file is named by a digest of all of it plus a configure-time digest
+ * of the src/dnn sources, so runs whose models differ (a --paper
+ * AlexNet trains on twice the images, or the training code changed)
+ * never share a file. train.numThreads is left out: trained bits do
+ * not depend on it.
  */
 struct ModelRecipe
 {
@@ -129,7 +133,8 @@ struct ModelRecipe
     std::string cachePath(const std::string &dir) const;
 };
 
-/** Recipe of trainedMnistFc (independent of the options today). */
+/** Recipe of trainedMnistFc (training runs on --threads
+ *  participants; nothing else depends on the options today). */
 ModelRecipe mnistFcRecipe(const BenchOptions &opts);
 /** Recipe of trainedAlexNet (--paper trains on 3000 images, else
  *  1500). */

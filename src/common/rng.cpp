@@ -19,12 +19,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_(seed)
@@ -32,27 +26,6 @@ Rng::Rng(std::uint64_t seed) : seed_(seed)
     std::uint64_t sm = seed;
     for (auto &s : state_)
         s = splitMix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -99,12 +72,6 @@ double
 Rng::normal(double mean, double stddev)
 {
     return mean + stddev * normal();
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 Rng

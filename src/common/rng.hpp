@@ -29,15 +29,27 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(state_[0] + state_[3], 23) +
+                                     state_[0];
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** UniformRandomBitGenerator interface. */
     result_type operator()() { return next(); }
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ull; }
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+    /** Uniform double in [0, 1): the 53 high bits of next(). */
+    double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -51,8 +63,8 @@ class Rng
     /** Normal with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
-    /** Bernoulli trial with success probability p. */
-    bool bernoulli(double p);
+    /** Bernoulli trial with success probability p (one draw). */
+    bool bernoulli(double p) { return uniform() < p; }
 
     /**
      * Derive an independent child stream. Mixes the parent's seed with
@@ -62,6 +74,11 @@ class Rng
     Rng split(std::uint64_t stream) const;
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> state_;
     std::uint64_t seed_;
     double cachedNormal_ = 0.0;

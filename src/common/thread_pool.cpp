@@ -169,66 +169,69 @@ ThreadPool::parallelFor(
         return;
     }
 
-    // Shared region state: a dynamic index race plus first-exception
-    // capture. Helpers may outlive this stack frame only until join
-    // completes, so everything lives in a shared_ptr.
+    // Shared region state: a dynamic index race, a count of finished
+    // iterations and first-exception capture. Helpers may outlive this
+    // stack frame, so everything lives in a shared_ptr.
     struct Region
     {
         std::atomic<std::size_t> next{0};
+        std::atomic<std::size_t> finished{0};
         std::atomic<bool> abort{false};
-        std::atomic<unsigned> remaining{0};
         std::mutex mu;
         std::condition_variable done;
         std::exception_ptr error;
     };
     auto region = std::make_shared<Region>();
-    region->remaining.store(participants - 1, std::memory_order_relaxed);
 
+    // Every claimed index counts as finished once its body returns
+    // (or is skipped after an abort), so the joiner waits for claimed
+    // work only, never for a helper that wakes up after all of it was
+    // taken. Such a late helper claims an index >= n and returns
+    // without touching body.
     auto participate = [region, &body, n](unsigned slot) {
-        while (!region->abort.load(std::memory_order_acquire)) {
+        for (;;) {
             const std::size_t i =
                 region->next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
                 return;
-            try {
-                body(i, slot);
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lk(region->mu);
-                    if (!region->error)
-                        region->error = std::current_exception();
+            if (!region->abort.load(std::memory_order_acquire)) {
+                try {
+                    body(i, slot);
+                } catch (...) {
+                    {
+                        std::lock_guard<std::mutex> lk(region->mu);
+                        if (!region->error)
+                            region->error = std::current_exception();
+                    }
+                    region->abort.store(true, std::memory_order_release);
                 }
-                region->abort.store(true, std::memory_order_release);
+            }
+            if (region->finished.fetch_add(1, std::memory_order_acq_rel) +
+                    1 ==
+                n) {
+                std::lock_guard<std::mutex> lk(region->mu);
+                region->done.notify_all();
             }
         }
     };
 
-    for (unsigned slot = 1; slot < participants; ++slot) {
-        // Helpers must reference body only while the region is alive;
-        // the joiner below cannot return before remaining hits 0, so
-        // the captured reference stays valid.
-        enqueue([region, participate, slot] {
-            participate(slot);
-            if (region->remaining.fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-                std::lock_guard<std::mutex> lk(region->mu);
-                region->done.notify_all();
-            }
-        });
-    }
+    for (unsigned slot = 1; slot < participants; ++slot)
+        enqueue([participate, slot] { participate(slot); });
 
+    // The caller claims indices until none are left, so once it
+    // returns every iteration is claimed.
     participate(0);
 
     // Join: help drain the pool instead of blocking, so nested
     // parallelFor regions queued behind us still make progress.
-    while (region->remaining.load(std::memory_order_acquire) > 0) {
+    const auto all_finished = [&region, n] {
+        return region->finished.load(std::memory_order_acquire) == n;
+    };
+    while (!all_finished()) {
         if (!tryRunOneTask()) {
             std::unique_lock<std::mutex> lk(region->mu);
-            region->done.wait_for(
-                lk, std::chrono::microseconds(200), [&region] {
-                    return region->remaining.load(
-                               std::memory_order_acquire) == 0;
-                });
+            region->done.wait_for(lk, std::chrono::microseconds(200),
+                                  all_finished);
         }
     }
 

@@ -82,9 +82,11 @@ class ThreadPool
      * included; 0 = one per worker plus the caller). Each concurrently
      * executing participant has a distinct slot in
      * [0, max_participants), so callers can hand each one exclusive
-     * scratch state. Iterations are claimed dynamically; the first
-     * exception is rethrown on the caller after all participants
-     * drain.
+     * scratch state. Iterations are claimed dynamically, and the
+     * caller returns once every iteration has finished: it never
+     * waits for a helper that starts after the work is all taken
+     * (such a helper finds nothing to do). The first exception is
+     * rethrown on the caller after every claimed iteration finished.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t, unsigned)> &body,

@@ -79,8 +79,22 @@ class Backend
 
     /** C[m,n] (+)= A[m,k] B[k,n], row-major. Per-element accumulation
      *  is in ascending-k order in every backend (bitwise contract). */
-    virtual void gemm(const float *a, const float *b, float *c, int m,
-                      int k, int n, bool accumulate) const = 0;
+    void
+    gemm(const float *a, const float *b, float *c, int m, int k, int n,
+         bool accumulate) const
+    {
+        gemmPanel(a, b, c, m, k, n, n, n, accumulate);
+    }
+
+    /**
+     * gemm() over a column panel of wider matrices: rows of B are
+     * `ldb` floats apart and rows of C `ldc` floats apart (both >= n).
+     * Each C cell's chain is gemm()'s, so a split into panels computes
+     * the same bits.
+     */
+    virtual void gemmPanel(const float *a, const float *b, float *c, int m,
+                           int k, int n, int ldb, int ldc,
+                           bool accumulate) const = 0;
 
     /**
      * C[m,n] (+)= A^T B with A [k x m], B [k x n], row-major (the
@@ -89,8 +103,21 @@ class Backend
      * every k whose A[k,i] is exactly zero, as the reference loop
      * does (bitwise contract).
      */
-    virtual void gemmTransA(const float *a, const float *b, float *c,
-                            int m, int k, int n, bool accumulate) const = 0;
+    void
+    gemmTransA(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate) const
+    {
+        gemmTransARows(a, b, c, m, k, n, m, accumulate);
+    }
+
+    /**
+     * gemmTransA() for a row tile of C: A's rows are `lda` floats
+     * apart (lda >= m), so C rows [i0, i0 + m) of a wider product read
+     * A columns from `a` = A + i0. Each cell's chain is unchanged.
+     */
+    virtual void gemmTransARows(const float *a, const float *b, float *c,
+                                int m, int k, int n, int lda,
+                                bool accumulate) const = 0;
 
     /**
      * C[m,n] (+)= A B^T with A [m x k], B [n x k], row-major (the
@@ -100,9 +127,23 @@ class Backend
      * `scratch` is caller-owned workspace, resized as needed, so
      * per-layer buffers can be reused across calls.
      */
-    virtual void gemmTransB(const float *a, const float *b, float *c,
-                            int m, int k, int n, bool accumulate,
-                            std::vector<float> &scratch) const = 0;
+    void
+    gemmTransB(const float *a, const float *b, float *c, int m, int k,
+               int n, bool accumulate, std::vector<float> &scratch) const
+    {
+        gemmTransBPanel(a, b, c, m, k, n, n, accumulate, scratch);
+    }
+
+    /**
+     * gemmTransB() for a column panel of C, whose rows are `ldc`
+     * floats apart (ldc >= n): C columns [j0, j0 + n) of a wider
+     * product read B rows from `b` = B + j0 * k. Each cell's chain is
+     * unchanged.
+     */
+    virtual void gemmTransBPanel(const float *a, const float *b, float *c,
+                                 int m, int k, int n, int ldc,
+                                 bool accumulate,
+                                 std::vector<float> &scratch) const = 0;
 
     /**
      * One-image convolution: expand `image` ([inCh, h, w]) into

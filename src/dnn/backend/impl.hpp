@@ -25,6 +25,34 @@ float *resizeFloats(std::vector<float> &buf, std::size_t n);
  *  same reason as resizeFloats(). */
 float *threadScratch(std::size_t n);
 
+/**
+ * The fault walk (fault_walk.cpp, a generic translation unit):
+ * flip bits under packed fault masks, one bernoulli(flip_prob) per
+ * faulty visited cell in ascending visit order. @return bits flipped.
+ */
+/** Corrupt the low bits of `bits` under one fault mask. */
+std::uint64_t flipMaskedBits(std::uint64_t &bits, std::uint64_t faults,
+                             double flip_prob, Rng &rng);
+
+/** Backend::applyFaultMap over the window's own packed masks. */
+std::uint64_t flipWindow(std::span<std::int16_t> words,
+                         const sram::VulnerabilityMap &map,
+                         const FaultWindow &win, sram::FaultParams params,
+                         Rng &rng);
+
+/** Decode staged words into floats (a backend's dequantize). */
+using DequantFn = void (*)(std::span<const std::int16_t> words,
+                           const FixedPointCodec &codec, float *out);
+
+/** Backend::applyRegionImageDequant, decoding through `dequant`. Inside
+ *  a training split the walk and the decode split by group ranges;
+ *  only the draws stay serial. */
+std::uint64_t stageRegionImage(std::span<std::int16_t> words,
+                               const FixedPointCodec &codec, float *out,
+                               const sram::PackedFaultMap &region,
+                               std::uint64_t start_bit, double flip_prob,
+                               Rng &rng, DequantFn dequant);
+
 /** The AVX2 backend instance, or nullptr when this build or this CPU
  *  lacks AVX2 support. */
 const Backend *vectorizedBackendIfAvailable();
@@ -37,10 +65,11 @@ bool avx512GemmAvailable();
  * AVX-512 GEMM with the same bitwise contract as every other backend
  * kernel: per-element accumulation in ascending-k order, separate
  * multiply and add (no FMA), masked tails touching exact element
- * subsets. Only call when avx512GemmAvailable().
+ * subsets. Rows of B and C are ldb and ldc floats apart (a column
+ * panel of wider matrices). Only call when avx512GemmAvailable().
  */
 void gemmAvx512(const float *a, const float *b, float *c, int m, int k,
-                int n, bool accumulate);
+                int n, int ldb, int ldc, bool accumulate);
 
 /**
  * AVX-512 im2col producing byte-identical `cols` to the scalar

@@ -14,11 +14,13 @@ namespace vboost::dnn {
 
 namespace {
 
+/** Zero an m x n block of C whose rows are ldc floats apart. */
 void
-zeroOutput(float *c, int m, int n)
+zeroOutput(float *c, int m, int n, int ldc)
 {
-    std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) *
-                          static_cast<std::size_t>(n));
+    for (int i = 0; i < m; ++i)
+        std::memset(c + static_cast<std::size_t>(i) * ldc, 0,
+                    sizeof(float) * static_cast<std::size_t>(n));
 }
 
 class ReferenceBackend final : public Backend
@@ -27,20 +29,20 @@ class ReferenceBackend final : public Backend
     std::string_view name() const override { return "reference"; }
 
     void
-    gemm(const float *a, const float *b, float *c, int m, int k, int n,
-         bool accumulate) const override
+    gemmPanel(const float *a, const float *b, float *c, int m, int k, int n,
+              int ldb, int ldc, bool accumulate) const override
     {
         if (!accumulate)
-            zeroOutput(c, m, n);
+            zeroOutput(c, m, n, ldc);
         // i-k-j order: the inner loop is contiguous in both B and C.
         for (int i = 0; i < m; ++i) {
             const float *arow = a + static_cast<std::size_t>(i) * k;
-            float *crow = c + static_cast<std::size_t>(i) * n;
+            float *crow = c + static_cast<std::size_t>(i) * ldc;
             for (int kk = 0; kk < k; ++kk) {
                 const float aik = arow[kk];
                 if (aik == 0.0f)
                     continue;
-                const float *brow = b + static_cast<std::size_t>(kk) * n;
+                const float *brow = b + static_cast<std::size_t>(kk) * ldb;
                 for (int j = 0; j < n; ++j)
                     // vblint: assoc-ok(k advances in fixed index order)
                     crow[j] += aik * brow[j];
@@ -49,14 +51,14 @@ class ReferenceBackend final : public Backend
     }
 
     void
-    gemmTransA(const float *a, const float *b, float *c, int m, int k,
-               int n, bool accumulate) const override
+    gemmTransARows(const float *a, const float *b, float *c, int m, int k,
+                   int n, int lda, bool accumulate) const override
     {
         if (!accumulate)
-            zeroOutput(c, m, n);
+            zeroOutput(c, m, n, n);
         // C[m,n] = sum_kk A[kk,m]^T B[kk,n]; A row kk is contiguous in m.
         for (int kk = 0; kk < k; ++kk) {
-            const float *arow = a + static_cast<std::size_t>(kk) * m;
+            const float *arow = a + static_cast<std::size_t>(kk) * lda;
             const float *brow = b + static_cast<std::size_t>(kk) * n;
             for (int i = 0; i < m; ++i) {
                 const float aki = arow[i];
@@ -71,16 +73,16 @@ class ReferenceBackend final : public Backend
     }
 
     void
-    gemmTransB(const float *a, const float *b, float *c, int m, int k,
-               int n, bool accumulate,
-               std::vector<float> & /*scratch*/) const override
+    gemmTransBPanel(const float *a, const float *b, float *c, int m, int k,
+                    int n, int ldc, bool accumulate,
+                    std::vector<float> & /*scratch*/) const override
     {
         if (!accumulate)
-            zeroOutput(c, m, n);
+            zeroOutput(c, m, n, ldc);
         // C[i,j] = dot(A row i, B row j): both contiguous in k.
         for (int i = 0; i < m; ++i) {
             const float *arow = a + static_cast<std::size_t>(i) * k;
-            float *crow = c + static_cast<std::size_t>(i) * n;
+            float *crow = c + static_cast<std::size_t>(i) * ldc;
             for (int j = 0; j < n; ++j) {
                 const float *brow = b + static_cast<std::size_t>(j) * k;
                 float acc = 0.0f;

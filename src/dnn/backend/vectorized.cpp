@@ -30,7 +30,8 @@
  *  - Fault application precomputes bit-packed fault masks
  *    (sram::PackedFaultMap, same counter-based hash, exact integer
  *    arithmetic) and consumes RNG once per faulty cell in ascending
- *    visit order — the exact draw sequence of the scalar loop.
+ *    visit order — the exact draw sequence of the scalar loop. The
+ *    walk itself lives in the generic fault_walk.cpp.
  *  - Dequantize multiplies by the exact power-of-two resolution
  *    2^-frac instead of dividing by 2^frac: both are exact (no int16
  *    word decodes to a subnormal), hence bitwise-equal.
@@ -43,7 +44,6 @@
 
 #if defined(VBOOST_HAVE_AVX2)
 
-#include <bit>
 #include <cstring>
 #include <immintrin.h>
 
@@ -147,7 +147,7 @@ microScalar(const float *arow, const float *b, float *crow, int kb,
 }
 
 void gemmAvx2(const float *a, const float *b, float *c, int m, int k,
-              int n, bool accumulate);
+              int n, int ldb, int ldc, bool accumulate);
 
 /** Widest bitwise-safe GEMM this CPU offers: the AVX-512 kernels when
  *  available (two 512-bit FP ports double the no-FMA mul+add
@@ -155,14 +155,29 @@ void gemmAvx2(const float *a, const float *b, float *c, int m, int k,
  *  per-element ascending-k chain, so dispatch never changes bits. */
 inline void
 gemmDispatch(const float *a, const float *b, float *c, int m, int k, int n,
-             bool accumulate)
+             int ldb, int ldc, bool accumulate)
 {
     static const bool use512 = detail::avx512GemmAvailable();
     if (use512) {
-        detail::gemmAvx512(a, b, c, m, k, n, accumulate);
+        detail::gemmAvx512(a, b, c, m, k, n, ldb, ldc, accumulate);
         return;
     }
-    gemmAvx2(a, b, c, m, k, n, accumulate);
+    gemmAvx2(a, b, c, m, k, n, ldb, ldc, accumulate);
+}
+
+/** Zero an m x n block of C whose rows are ldc floats apart. */
+inline void
+zeroRows(float *c, int m, int n, int ldc)
+{
+    if (ldc == n) {
+        std::memset(c, 0,
+                    sizeof(float) * static_cast<std::size_t>(m) *
+                        static_cast<std::size_t>(n));
+        return;
+    }
+    for (int i = 0; i < m; ++i)
+        std::memset(c + static_cast<std::size_t>(i) * ldc, 0,
+                    sizeof(float) * static_cast<std::size_t>(n));
 }
 
 void im2colAvx2(const float *image, const ConvGeom &g,
@@ -186,13 +201,10 @@ im2colDispatch(const float *image, const ConvGeom &g,
 
 void
 gemmAvx2(const float *a, const float *b, float *c, int m, int k, int n,
-         bool accumulate)
+         int ldb, int ldc, bool accumulate)
 {
-    if (!accumulate) {
-        std::memset(c, 0,
-                    sizeof(float) * static_cast<std::size_t>(m) *
-                        static_cast<std::size_t>(n));
-    }
+    if (!accumulate)
+        zeroRows(c, m, n, ldc);
     // Cache blocking: column panels of B stay resident while a K
     // block streams through; C tiles re-load their partial sums, so
     // each element still sums products in globally ascending k.
@@ -203,42 +215,42 @@ gemmAvx2(const float *a, const float *b, float *c, int m, int k, int n,
         for (int k0 = 0; k0 < k; k0 += kKC) {
             const int kb = std::min(kKC, k - k0);
             const float *bblk =
-                b + static_cast<std::size_t>(k0) * n + j0;
+                b + static_cast<std::size_t>(k0) * ldb + j0;
             int i = 0;
             for (; i + 4 <= m; i += 4) {
                 const float *a0 = a + static_cast<std::size_t>(i) * k + k0;
                 const float *a1 = a0 + k;
                 const float *a2 = a1 + k;
                 const float *a3 = a2 + k;
-                float *c0 = c + static_cast<std::size_t>(i) * n + j0;
-                float *c1 = c0 + n;
-                float *c2 = c1 + n;
-                float *c3 = c2 + n;
+                float *c0 = c + static_cast<std::size_t>(i) * ldc + j0;
+                float *c1 = c0 + ldc;
+                float *c2 = c1 + ldc;
+                float *c3 = c2 + ldc;
                 int j = 0;
                 for (; j + 16 <= nb; j += 16)
                     micro4x16(a0, a1, a2, a3, bblk + j, c0 + j, c1 + j,
-                              c2 + j, c3 + j, kb, n);
+                              c2 + j, c3 + j, kb, ldb);
                 for (int r = 0; r < 4; ++r) {
                     const float *ar = a0 + static_cast<std::size_t>(r) * k;
-                    float *cr = c0 + static_cast<std::size_t>(r) * n;
+                    float *cr = c0 + static_cast<std::size_t>(r) * ldc;
                     int jj = j;
                     for (; jj + 8 <= nb; jj += 8)
-                        micro1x8(ar, bblk + jj, cr + jj, kb, n);
+                        micro1x8(ar, bblk + jj, cr + jj, kb, ldb);
                     if (jj < nb)
                         microScalar(ar, bblk + jj, cr + jj, kb, nb - jj,
-                                    n);
+                                    ldb);
                 }
             }
             for (; i < m; ++i) {
                 const float *ar = a + static_cast<std::size_t>(i) * k + k0;
-                float *cr = c + static_cast<std::size_t>(i) * n + j0;
+                float *cr = c + static_cast<std::size_t>(i) * ldc + j0;
                 int j = 0;
                 for (; j + 16 <= nb; j += 16)
-                    micro1x16(ar, bblk + j, cr + j, kb, n);
+                    micro1x16(ar, bblk + j, cr + j, kb, ldb);
                 for (; j + 8 <= nb; j += 8)
-                    micro1x8(ar, bblk + j, cr + j, kb, n);
+                    micro1x8(ar, bblk + j, cr + j, kb, ldb);
                 if (j < nb)
-                    microScalar(ar, bblk + j, cr + j, kb, nb - j, n);
+                    microScalar(ar, bblk + j, cr + j, kb, nb - j, ldb);
             }
         }
     }
@@ -256,13 +268,10 @@ gemmAvx2(const float *a, const float *b, float *c, int m, int k, int n,
  */
 void
 gemmTransAAvx2(const float *a, const float *b, float *c, int m, int k,
-               int n, bool accumulate)
+               int n, int lda, bool accumulate)
 {
-    if (!accumulate) {
-        std::memset(c, 0,
-                    sizeof(float) * static_cast<std::size_t>(m) *
-                        static_cast<std::size_t>(n));
-    }
+    if (!accumulate)
+        zeroRows(c, m, n, n);
     constexpr int kTaJ = 256;
     constexpr int kTaK = 128;
     int idx[kTaK];
@@ -275,7 +284,7 @@ gemmTransAAvx2(const float *a, const float *b, float *c, int m, int k,
                 int cnt = 0;
                 for (int t = 0; t < kb; ++t) {
                     const float v =
-                        a[static_cast<std::size_t>(k0 + t) * m + i];
+                        a[static_cast<std::size_t>(k0 + t) * lda + i];
                     idx[cnt] = k0 + t;
                     val[cnt] = v;
                     cnt += v != 0.0f; // NaN is kept, as in the reference
@@ -358,7 +367,7 @@ transpose(const float *src, float *dst, int rows, int cols)
  */
 void
 gemmTransBAvx2(const float *a, const float *b, float *c, int m, int k,
-               int n, bool accumulate, std::vector<float> &scratch)
+               int n, int ldc, bool accumulate, std::vector<float> &scratch)
 {
     const std::size_t mn =
         static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
@@ -366,15 +375,20 @@ gemmTransBAvx2(const float *a, const float *b, float *c, int m, int k,
         scratch, mn + static_cast<std::size_t>(k) * n);
     float *const bt = dots + mn;
     transpose(b, bt, n, k);
-    gemmDispatch(a, bt, dots, m, k, n, /*accumulate=*/false);
+    gemmDispatch(a, bt, dots, m, k, n, n, n, /*accumulate=*/false);
     if (!accumulate)
-        std::memset(c, 0, sizeof(float) * mn);
-    std::size_t e = 0;
-    for (; e + 8 <= mn; e += 8)
-        _mm256_storeu_ps(c + e, _mm256_add_ps(_mm256_loadu_ps(c + e),
-                                              _mm256_loadu_ps(dots + e)));
-    for (; e < mn; ++e)
-        c[e] += dots[e]; // vblint: assoc-ok(single accumulated dot per (i,j) cell)
+        zeroRows(c, m, n, ldc);
+    for (int i = 0; i < m; ++i) {
+        float *crow = c + static_cast<std::size_t>(i) * ldc;
+        const float *drow = dots + static_cast<std::size_t>(i) * n;
+        int j = 0;
+        for (; j + 8 <= n; j += 8)
+            _mm256_storeu_ps(crow + j,
+                             _mm256_add_ps(_mm256_loadu_ps(crow + j),
+                                           _mm256_loadu_ps(drow + j)));
+        for (; j < n; ++j)
+            crow[j] += drow[j]; // vblint: assoc-ok(single accumulated dot per (i,j) cell)
+    }
 }
 
 // ---------------------------------------------------------- im2col
@@ -512,106 +526,6 @@ maxPool2x2Avx2(const float *x, float *y, int batch, int c, int h, int w)
 
 // ----------------------------------------------------------- faults
 
-/** Iterate the faulty bits of one <=64-bit mask in ascending order,
- *  drawing one bernoulli per faulty cell — the scalar loop's exact
- *  RNG consumption — and flip accepted bits. */
-inline std::uint64_t
-flipMaskedBits(std::uint64_t &bits, std::uint64_t fault_mask,
-               double flip_prob, Rng &rng)
-{
-    std::uint64_t flipped = 0;
-    while (fault_mask != 0) {
-        const int b = std::countr_zero(fault_mask);
-        fault_mask &= fault_mask - 1;
-        if (rng.bernoulli(flip_prob)) {
-            bits ^= 1ull << b;
-            ++flipped;
-        }
-    }
-    return flipped;
-}
-
-/** Corrupt up to four consecutive staged words under one 64-visit
- *  fault mask (bit 16q + b is bit b of word q), skipping fault-free
- *  words with one compare. */
-inline std::uint64_t
-flipWordGroup(std::int16_t *words, std::size_t nwords, std::uint64_t m,
-              double flip_prob, Rng &rng)
-{
-    std::uint64_t flipped = 0;
-    for (std::size_t q = 0; q < nwords && m != 0; ++q, m >>= 16) {
-        const std::uint64_t m16 = m & 0xffffull;
-        if (m16 == 0)
-            continue;
-        std::uint64_t bits = static_cast<std::uint16_t>(words[q]);
-        flipped += flipMaskedBits(bits, m16, flip_prob, rng);
-        words[q] =
-            static_cast<std::int16_t>(static_cast<std::uint16_t>(bits));
-    }
-    return flipped;
-}
-
-std::uint64_t
-applyFaultMapPacked(std::span<std::int16_t> words,
-                    const sram::VulnerabilityMap &map,
-                    const FaultWindow &win, sram::FaultParams params,
-                    Rng &rng)
-{
-    if (params.failProb <= 0.0 || params.flipProb <= 0.0)
-        return 0;
-    const sram::PackedFaultMap packed(map, win.regionBase, win.regionBits,
-                                      win.startBit, words.size() * 16ull,
-                                      params.failProb);
-    // Four 16-bit words per packed 64-bit mask; one compare skips all
-    // four when the window is fault-free there (the common case).
-    std::uint64_t flipped = 0;
-    for (std::size_t w = 0; w < words.size(); w += 4) {
-        const std::uint64_t m = packed.words()[w >> 2];
-        if (m != 0)
-            flipped += flipWordGroup(words.data() + w,
-                                     std::min<std::size_t>(4,
-                                                           words.size() - w),
-                                     m, params.flipProb, rng);
-    }
-    return flipped;
-}
-
-/** As applyFaultMapPacked, reading the window's masks from a region
- *  image with wrap instead of packing them. */
-std::uint64_t
-applyRegionImagePacked(std::span<std::int16_t> words,
-                       const sram::PackedFaultMap &region,
-                       std::uint64_t start_bit, double flip_prob, Rng &rng)
-{
-    if (flip_prob <= 0.0)
-        return 0;
-    const std::uint64_t modulus = region.regionBits();
-    const std::uint64_t *packed = region.words().data();
-    std::uint64_t pos = start_bit % modulus;
-    std::uint64_t flipped = 0;
-    for (std::size_t w = 0; w < words.size(); w += 4) {
-        const std::size_t nwords = std::min<std::size_t>(4, words.size() - w);
-        std::uint64_t m;
-        if (nwords == 4 && pos + 64 <= region.numBits()) {
-            // Inside the image: one straddling read of two words.
-            const std::uint64_t i = pos >> 6;
-            const unsigned shift = static_cast<unsigned>(pos & 63);
-            m = shift == 0 ? packed[i]
-                           : (packed[i] >> shift) |
-                                 (packed[i + 1] << (64 - shift));
-        } else {
-            m = region.maskWrapped(pos, static_cast<unsigned>(16 * nwords));
-        }
-        if (m != 0)
-            flipped += flipWordGroup(words.data() + w, nwords, m, flip_prob,
-                                     rng);
-        pos += 64;
-        if (pos >= modulus)
-            pos %= modulus;
-    }
-    return flipped;
-}
-
 /** decode(raw) = float(raw) / 2^frac = float(raw) * 2^-frac, exact
  *  either way for the int16 range (see file header). */
 void
@@ -636,25 +550,25 @@ class VectorizedBackend final : public Backend
     std::string_view name() const override { return "vectorized"; }
 
     void
-    gemm(const float *a, const float *b, float *c, int m, int k, int n,
-         bool accumulate) const override
+    gemmPanel(const float *a, const float *b, float *c, int m, int k, int n,
+              int ldb, int ldc, bool accumulate) const override
     {
-        gemmDispatch(a, b, c, m, k, n, accumulate);
+        gemmDispatch(a, b, c, m, k, n, ldb, ldc, accumulate);
     }
 
     void
-    gemmTransA(const float *a, const float *b, float *c, int m, int k,
-               int n, bool accumulate) const override
+    gemmTransARows(const float *a, const float *b, float *c, int m, int k,
+                   int n, int lda, bool accumulate) const override
     {
-        gemmTransAAvx2(a, b, c, m, k, n, accumulate);
+        gemmTransAAvx2(a, b, c, m, k, n, lda, accumulate);
     }
 
     void
-    gemmTransB(const float *a, const float *b, float *c, int m, int k,
-               int n, bool accumulate,
-               std::vector<float> &scratch) const override
+    gemmTransBPanel(const float *a, const float *b, float *c, int m, int k,
+                    int n, int ldc, bool accumulate,
+                    std::vector<float> &scratch) const override
     {
-        gemmTransBAvx2(a, b, c, m, k, n, accumulate, scratch);
+        gemmTransBAvx2(a, b, c, m, k, n, ldc, accumulate, scratch);
     }
 
     void
@@ -672,6 +586,7 @@ class VectorizedBackend final : public Backend
         const std::size_t spatial = g.spatial();
         im2colDispatch(image, g, cols);
         gemmDispatch(weights, cols.data(), out, g.outCh, g.patch(),
+                     static_cast<int>(spatial), static_cast<int>(spatial),
                      static_cast<int>(spatial), /*accumulate=*/false);
         for (int oc = 0; oc < g.outCh; ++oc) {
             float *chan = out + static_cast<std::size_t>(oc) * spatial;
@@ -712,7 +627,7 @@ class VectorizedBackend final : public Backend
                   const sram::VulnerabilityMap &map, const FaultWindow &win,
                   sram::FaultParams params, Rng &rng) const override
     {
-        return applyFaultMapPacked(words, map, win, params, rng);
+        return detail::flipWindow(words, map, win, params, rng);
     }
 
     std::uint64_t
@@ -723,7 +638,7 @@ class VectorizedBackend final : public Backend
                          Rng &rng) const override
     {
         const std::uint64_t flipped =
-            applyFaultMapPacked(words, map, win, params, rng);
+            detail::flipWindow(words, map, win, params, rng);
         dequantizeAvx2(words, codec, out);
         return flipped;
     }
@@ -735,10 +650,8 @@ class VectorizedBackend final : public Backend
                             std::uint64_t startBit, double flipProb,
                             Rng &rng) const override
     {
-        const std::uint64_t flipped =
-            applyRegionImagePacked(words, region, startBit, flipProb, rng);
-        dequantizeAvx2(words, codec, out);
-        return flipped;
+        return detail::stageRegionImage(words, codec, out, region, startBit,
+                                        flipProb, rng, dequantizeAvx2);
     }
 
     std::uint64_t
@@ -749,7 +662,7 @@ class VectorizedBackend final : public Backend
     {
         const std::uint64_t mask = region.maskWrapped(
             startBit % region.regionBits(), static_cast<unsigned>(nbits));
-        return flipMaskedBits(bits, mask, flipProb, rng);
+        return detail::flipMaskedBits(bits, mask, flipProb, rng);
     }
 };
 

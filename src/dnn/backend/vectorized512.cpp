@@ -273,12 +273,12 @@ im2colAvx512(const float *image, const ConvGeom &g,
 
 void
 gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
-           bool accumulate)
+           int ldb, int ldc, bool accumulate)
 {
     if (!accumulate) {
-        std::memset(c, 0,
-                    sizeof(float) * static_cast<std::size_t>(m) *
-                        static_cast<std::size_t>(n));
+        for (int i = 0; i < m; ++i)
+            std::memset(c + static_cast<std::size_t>(i) * ldc, 0,
+                        sizeof(float) * static_cast<std::size_t>(n));
     }
     // Cache blocking as in gemmAvx2: B column panels stay resident
     // while a K block streams through; C tiles re-load their partial
@@ -289,23 +289,25 @@ gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
         const int nb = std::min(kNC, n - j0);
         for (int k0 = 0; k0 < k; k0 += kKC) {
             const int kb = std::min(kKC, k - k0);
-            const float *bblk = b + static_cast<std::size_t>(k0) * n + j0;
+            const float *bblk =
+                b + static_cast<std::size_t>(k0) * ldb + j0;
             // Packing pays for itself once two or more row blocks
             // reuse the panel AND the unpacked row stride is large
             // enough (half a page or more) to pressure the DTLB;
-            // small-n panels are L2-resident and read fine unpacked.
-            const int tiles = (m >= 16 && n >= 512) ? nb / 32 : 0;
+            // small-stride panels are L2-resident and read fine
+            // unpacked. The pack holds this panel's tiles only.
+            const int tiles = (m >= 16 && ldb >= 512) ? nb / 32 : 0;
             float *bpack = nullptr;
             if (tiles > 0) {
                 bpack = threadScratch(static_cast<std::size_t>(tiles) * kb *
                                       32);
-                packB(bblk, kb, n, tiles, bpack);
+                packB(bblk, kb, ldb, tiles, bpack);
             }
             for (int i0 = 0; i0 < m; i0 += 8) {
                 const int rows = std::min(8, m - i0);
                 const float *ablk =
                     a + static_cast<std::size_t>(i0) * k + k0;
-                float *cblk = c + static_cast<std::size_t>(i0) * n + j0;
+                float *cblk = c + static_cast<std::size_t>(i0) * ldc + j0;
                 int j = 0;
                 if (rows == 8) {
                     for (; j + 32 <= nb; j += 32) {
@@ -314,18 +316,18 @@ gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
                                       bpack +
                                           static_cast<std::size_t>(j >> 5) *
                                               kb * 32,
-                                      cblk + j, n, kb, 32);
+                                      cblk + j, ldc, kb, 32);
                         else
-                            micro8x32(ablk, k, bblk + j, cblk + j, n, kb,
-                                      n);
+                            micro8x32(ablk, k, bblk + j, cblk + j, ldc, kb,
+                                      ldb);
                     }
                 }
                 for (; j < nb; j += 16) {
                     const int cols = std::min(16, nb - j);
                     const __mmask16 mask =
                         static_cast<__mmask16>((1u << cols) - 1u);
-                    microMasked(ablk, k, rows, bblk + j, cblk + j, n, kb,
-                                n, mask);
+                    microMasked(ablk, k, rows, bblk + j, cblk + j, ldc, kb,
+                                ldb, mask);
                 }
             }
         }
@@ -347,7 +349,8 @@ avx512GemmAvailable()
 }
 
 void
-gemmAvx512(const float *, const float *, float *, int, int, int, bool)
+gemmAvx512(const float *, const float *, float *, int, int, int, int, int,
+           bool)
 {
     fatal("gemmAvx512: called in a build without AVX-512 support");
 }

@@ -1,11 +1,14 @@
 #include "dnn/layers.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
 #include "common/logging.hpp"
+#include "common/thread_pool.hpp"
 #include "dnn/backend/backend.hpp"
+#include "dnn/split.hpp"
 
 namespace vboost::dnn {
 
@@ -37,14 +40,11 @@ Dense::forward(const Tensor &x, bool train)
               x.shapeString());
     const int batch = x.dim(0);
     Tensor y = Tensor::uninitialized({batch, out_});
-    activeBackend().gemm(x.data(), w_.data(), y.data(), batch, in_, out_,
-                         /*accumulate=*/false);
-    for (int i = 0; i < batch; ++i) {
-        float *row = y.data() + static_cast<std::size_t>(i) * out_;
-        for (int j = 0; j < out_; ++j)
-            // vblint: assoc-ok(one bias add per element, fixed j order)
-            row[j] += b_[static_cast<std::size_t>(j)];
-    }
+    // y = x W + b. Training passes split by column panels of y;
+    // inference stays serial (DESIGN.md §12, "Split training").
+    gemmSplit(activeBackend(), train ? gemmParts(batch, in_, out_) : 1,
+              x.data(), w_.data(), y.data(), batch, in_, out_,
+              /*accumulate=*/false, b_.data());
     if (train)
         cachedInput_ = x;
     return y;
@@ -56,10 +56,10 @@ Dense::backwardParams(const Tensor &grad_out)
     if (cachedInput_.numel() == 0)
         panic("Dense ", name_, ": backward without cached forward");
     const int batch = grad_out.dim(0);
-    // dW += x^T g ; db += sum_rows g.
-    activeBackend().gemmTransA(cachedInput_.data(), grad_out.data(),
-                               wGrad_.data(), in_, batch, out_,
-                               /*accumulate=*/true);
+    // dW += x^T g, split by row tiles of dW ; db += sum_rows g.
+    gemmTransASplit(activeBackend(), gemmParts(in_, batch, out_),
+                    cachedInput_.data(), grad_out.data(), wGrad_.data(), in_,
+                    batch, out_, /*accumulate=*/true);
     for (int i = 0; i < batch; ++i)
         for (int j = 0; j < out_; ++j)
             bGrad_[static_cast<std::size_t>(j)] += grad_out.at(i, j);
@@ -69,12 +69,13 @@ Tensor
 Dense::backward(const Tensor &grad_out)
 {
     backwardParams(grad_out);
-    // dx = g W^T.
+    // dx = g W^T, split by column panels of dx.
     const int batch = grad_out.dim(0);
     Tensor dx = Tensor::uninitialized({batch, in_});
-    std::vector<float> scratch;
-    activeBackend().gemmTransB(grad_out.data(), w_.data(), dx.data(), batch,
-                               out_, in_, /*accumulate=*/false, scratch);
+    std::vector<std::vector<float>> scratch;
+    gemmTransBSplit(activeBackend(), gemmParts(batch, out_, in_),
+                    grad_out.data(), w_.data(), dx.data(), batch, out_, in_,
+                    /*accumulate=*/false, scratch);
     return dx;
 }
 
@@ -188,15 +189,19 @@ Conv2d::backwardParams(const Tensor &grad_out)
                                 static_cast<std::size_t>(grad_out.dim(3));
 
     const Backend &backend = activeBackend();
-    std::vector<float> cols, scratch;
+    const unsigned parts =
+        gemmParts(outCh_, static_cast<int>(spatial), patch);
+    std::vector<float> cols;
+    std::vector<std::vector<float>> scratch;
     for (int n = 0; n < batch; ++n) {
         const float *g = grad_out.data() +
             static_cast<std::size_t>(n) * outCh_ * spatial;
-        // dW += g [outCh, spatial] * cols^T [spatial, patch].
+        // dW += g [outCh, spatial] * cols^T [spatial, patch], split by
+        // column panels of dW.
         im2col(x, n, cols, h, w);
-        backend.gemmTransB(g, cols.data(), wGrad_.data(), outCh_,
-                           static_cast<int>(spatial), patch,
-                           /*accumulate=*/true, scratch);
+        gemmTransBSplit(backend, parts, g, cols.data(), wGrad_.data(),
+                        outCh_, static_cast<int>(spatial), patch,
+                        /*accumulate=*/true, scratch);
         // db += row sums of g.
         for (int oc = 0; oc < outCh_; ++oc) {
             const float *chan = g + static_cast<std::size_t>(oc) * spatial;
@@ -220,14 +225,18 @@ Conv2d::backward(const Tensor &grad_out)
                                 static_cast<std::size_t>(grad_out.dim(3));
 
     const Backend &backend = activeBackend();
+    const unsigned parts =
+        gemmParts(patch, outCh_, static_cast<int>(spatial));
     Tensor dx({batch, inCh_, h, w});
     std::vector<float> dcols(static_cast<std::size_t>(patch) * spatial);
     for (int n = 0; n < batch; ++n) {
         const float *g = grad_out.data() +
             static_cast<std::size_t>(n) * outCh_ * spatial;
-        // dcols = W^T [patch, outCh] * g [outCh, spatial].
-        backend.gemmTransA(w_.data(), g, dcols.data(), patch, outCh_,
-                           static_cast<int>(spatial), /*accumulate=*/false);
+        // dcols = W^T [patch, outCh] * g [outCh, spatial], split by row
+        // tiles of dcols.
+        gemmTransASplit(backend, parts, w_.data(), g, dcols.data(), patch,
+                        outCh_, static_cast<int>(spatial),
+                        /*accumulate=*/false);
         col2im(dcols, dx, n, h, w);
     }
     return dx;
@@ -320,6 +329,29 @@ MaxPool2d::backward(const Tensor &grad_out)
 
 // ----------------------------------------------------------------- Relu
 
+namespace {
+
+/** mask[i] = x[i] > 0 (the ReLU's pass-through pattern). */
+void
+positiveMask(const float *__restrict x, std::uint8_t *__restrict mask,
+             std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        mask[i] = x[i] > 0.0f;
+}
+
+/** y[i] = mask[i] ? g[i] : +0.0f, as a branch-free bit select. */
+void
+maskedCopy(const float *__restrict g, const std::uint8_t *__restrict mask,
+           float *__restrict y, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        y[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) &
+                                    (0u - std::uint32_t{mask[i]}));
+}
+
+} // namespace
+
 Relu::Relu(std::string layer_name) : name_(std::move(layer_name)) {}
 
 Tensor
@@ -331,15 +363,24 @@ Relu::forward(const Tensor &x, bool train)
         activeBackend().relu(x.data(), y.data(), y.numel());
         return y;
     }
-    Tensor y = x;
-    mask_.assign(x.numel(), false);
-    for (std::size_t i = 0; i < y.numel(); ++i) {
-        if (y[i] > 0.0f) {
-            mask_[i] = true;
-        } else {
-            y[i] = 0.0f;
-        }
-    }
+    const std::size_t n = x.numel();
+    Tensor y = Tensor::uninitialized(x.shape());
+    mask_.resize(n);
+    const Backend &backend = activeBackend();
+    const float *src = x.data();
+    float *dst = y.data();
+    std::uint8_t *mask = mask_.data();
+    const unsigned parts = splitParts(n, kMinElemsPerPart);
+    // Part p writes only its element range of y and mask_. Both loops
+    // are branch-free: the backend ReLU is exactly x > 0 ? x : +0.0f.
+    parallelFor(parts, static_cast<int>(parts),
+                [&backend, parts, n, src, dst, mask](std::size_t p,
+                                                     unsigned) {
+                    const auto [begin, end] =
+                        partRange(n, parts, static_cast<unsigned>(p));
+                    backend.relu(src + begin, dst + begin, end - begin);
+                    positiveMask(src + begin, mask + begin, end - begin);
+                });
     return y;
 }
 
@@ -348,11 +389,20 @@ Relu::backward(const Tensor &grad_out)
 {
     if (mask_.size() != grad_out.numel())
         panic("Relu ", name_, ": backward shape mismatch");
-    Tensor dx = grad_out;
-    for (std::size_t i = 0; i < dx.numel(); ++i) {
-        if (!mask_[i])
-            dx[i] = 0.0f;
-    }
+    const std::size_t n = grad_out.numel();
+    Tensor dx = Tensor::uninitialized(grad_out.shape());
+    const float *src = grad_out.data();
+    float *dst = dx.data();
+    const std::uint8_t *mask = mask_.data();
+    const unsigned parts = splitParts(n, kMinElemsPerPart);
+    // Part p writes only its element range of dx.
+    parallelFor(parts, static_cast<int>(parts),
+                [parts, n, src, dst, mask](std::size_t p, unsigned) {
+                    const auto [begin, end] =
+                        partRange(n, parts, static_cast<unsigned>(p));
+                    maskedCopy(src + begin, mask + begin, dst + begin,
+                               end - begin);
+                });
     return dx;
 }
 

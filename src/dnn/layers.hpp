@@ -9,6 +9,7 @@
 #ifndef VBOOST_DNN_LAYERS_HPP
 #define VBOOST_DNN_LAYERS_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -123,7 +124,8 @@ class Relu : public Layer
 
   private:
     std::string name_;
-    std::vector<bool> mask_;
+    /** 1 where the training input was > 0 (the gradient passes). */
+    std::vector<std::uint8_t> mask_;
 };
 
 /** Collapse NCHW feature maps to [B, C*H*W] rows. */

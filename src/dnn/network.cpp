@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "dnn/split.hpp"
 
 namespace vboost::dnn {
 
@@ -66,8 +67,12 @@ Network::weightParams()
 void
 Network::zeroGrads()
 {
-    for (auto &layer : layers_)
-        layer->zeroGrads();
+    // One split region over every gradient (a no-op split outside
+    // training, DESIGN.md §12).
+    std::vector<Tensor *> grads;
+    for (auto &p : params())
+        grads.push_back(p.grad);
+    zeroSplit(grads);
 }
 
 std::vector<int>

@@ -8,6 +8,8 @@
 #endif
 
 #include "common/logging.hpp"
+#include "common/thread_pool.hpp"
+#include "dnn/split.hpp"
 
 namespace vboost::dnn {
 
@@ -53,7 +55,23 @@ encodeAll(const float *src, std::int16_t *dst, std::size_t n,
 FixedPointCodec
 chooseCodec(const Tensor &t)
 {
-    const float max_abs = t.maxAbs();
+    // The max of per-range maxima is the max (exact, NaN-free): a
+    // training split takes one range per part.
+    const std::size_t n = t.numel();
+    const float *x = t.data();
+    const unsigned parts = splitParts(n, kMinElemsPerPart);
+    std::vector<float> part_max(parts);
+    float *const maxima = part_max.data();
+    // Part p writes only maxima[p].
+    parallelFor(parts, static_cast<int>(parts),
+                [n, parts, x, maxima](std::size_t p, unsigned) {
+                    const auto [begin, end] =
+                        partRange(n, parts, static_cast<unsigned>(p));
+                    maxima[p] = maxAbs(x + begin, end - begin);
+                });
+    float max_abs = 0.0f;
+    for (float m : part_max)
+        max_abs = std::max(max_abs, m);
     // Smallest number of integer bits whose range covers max_abs; no
     // wasted headroom bits (a flip in an unused top bit would be a
     // disproportionately large perturbation).
@@ -77,9 +95,18 @@ quantize(const Tensor &t, const FixedPointCodec &codec)
 {
     if (t.numel() == 0)
         fatal("quantize: empty tensor");
-    QuantizedTensor q{std::vector<std::int16_t>(t.numel()), codec,
-                      t.shape()};
-    encodeAll(t.data(), q.words.data(), t.numel(), codec);
+    const std::size_t n = t.numel();
+    QuantizedTensor q{std::vector<std::int16_t>(n), codec, t.shape()};
+    const float *src = t.data();
+    std::int16_t *dst = q.words.data();
+    const unsigned parts = splitParts(n, kMinElemsPerPart);
+    // Part p encodes only its element range.
+    parallelFor(parts, static_cast<int>(parts),
+                [n, parts, src, dst, &codec](std::size_t p, unsigned) {
+                    const auto [begin, end] =
+                        partRange(n, parts, static_cast<unsigned>(p));
+                    encodeAll(src + begin, dst + begin, end - begin, codec);
+                });
     return q;
 }
 

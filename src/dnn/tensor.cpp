@@ -124,28 +124,33 @@ Tensor::fill(float v)
 }
 
 float
-Tensor::maxAbs() const
+maxAbs(const float *x, std::size_t n)
 {
     // max is exact and NaN elements are ignored (std::max keeps m), so
-    // any lane split gives the serial fold's result: MAXPS(|v|, m)
-    // returns its second operand when |v| is NaN.
+    // any lane or range split gives the serial fold's result:
+    // MAXPS(|v|, m) returns its second operand when |v| is NaN.
     float m = 0.0f;
     std::size_t i = 0;
 #if defined(__SSE2__)
     const __m128 abs_mask =
         _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
     __m128 m4 = _mm_setzero_ps();
-    for (; i + 4 <= data_.size(); i += 4)
-        m4 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(data_.data() + i), abs_mask),
-                        m4);
+    for (; i + 4 <= n; i += 4)
+        m4 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(x + i), abs_mask), m4);
     alignas(16) float lanes[4];
     _mm_store_ps(lanes, m4);
     for (float v : lanes)
         m = std::max(m, v);
 #endif
-    for (; i < data_.size(); ++i)
-        m = std::max(m, std::fabs(data_[i]));
+    for (; i < n; ++i)
+        m = std::max(m, std::fabs(x[i]));
     return m;
+}
+
+float
+Tensor::maxAbs() const
+{
+    return dnn::maxAbs(data_.data(), data_.size());
 }
 
 std::string

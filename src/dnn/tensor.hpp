@@ -121,6 +121,9 @@ class Tensor
     std::vector<float, detail::NoInitAlloc<float>> data_;
 };
 
+/** Largest |x[i]| over i < n, NaN elements ignored (0 when n == 0). */
+float maxAbs(const float *x, std::size_t n);
+
 } // namespace vboost::dnn
 
 #endif // VBOOST_DNN_TENSOR_HPP

@@ -4,6 +4,8 @@
 #include <numeric>
 
 #include "common/logging.hpp"
+#include "common/thread_pool.hpp"
+#include "dnn/split.hpp"
 
 namespace vboost::dnn {
 
@@ -16,7 +18,35 @@ TrainConfig::validate() const
         fatal("TrainConfig: learning rate must be positive");
     if (momentum < 0.0 || momentum >= 1.0)
         fatal("TrainConfig: momentum must be in [0,1)");
+    if (numThreads < 0)
+        fatal("TrainConfig: numThreads must be >= 0 (got ", numThreads,
+              ")");
 }
+
+namespace {
+
+/** One target's update operands. */
+struct UpdateSpan
+{
+    float *velocity;
+    float *value;
+    const float *grad;
+    std::size_t size;
+};
+
+std::vector<UpdateSpan>
+updateSpans(const std::vector<ParamRef> &targets,
+            std::vector<Tensor> &velocity)
+{
+    std::vector<UpdateSpan> spans;
+    for (std::size_t p = 0; p < targets.size(); ++p)
+        spans.push_back({velocity[p].data(), targets[p].value->data(),
+                         targets[p].grad->data(),
+                         targets[p].value->numel()});
+    return spans;
+}
+
+} // namespace
 
 std::vector<ParamRef>
 NetworkStep::targets()
@@ -49,6 +79,7 @@ runSgd(const TrainConfig &cfg, BatchStep &step, const Dataset &train_set,
 {
     if (train_set.size() == 0)
         fatal("runSgd: empty training set");
+    const SplitScope split(ThreadPool::resolveThreads(cfg.numThreads));
 
     const auto targets = step.targets();
     std::vector<Tensor> velocity;
@@ -106,23 +137,44 @@ runSgd(const TrainConfig &cfg, BatchStep &step, const Dataset &train_set,
             // The clamps bound fault-induced gradient outliers and keep
             // weights inside the deployment Q-format range. The update
             // is double arithmetic cast to float, in this exact order:
-            // trained weights are part of the bitwise contract.
-            for (std::size_t p = 0; p < targets.size(); ++p) {
-                Tensor &v = velocity[p];
-                Tensor &value = *targets[p].value;
-                const Tensor &g = *targets[p].grad;
-                for (std::size_t e = 0; e < value.numel(); ++e) {
-                    float ge = g[e];
-                    if (gclip > 0.0f)
-                        ge = std::clamp(ge, -gclip, gclip);
-                    v[e] = static_cast<float>(cfg.momentum * v[e] -
-                                              lr * ge);
-                    // vblint: assoc-ok(one momentum update per element)
-                    value[e] += v[e];
-                    if (wclip > 0.0f)
-                        value[e] = std::clamp(value[e], -wclip, wclip);
-                }
-            }
+            // trained weights are part of the bitwise contract. It
+            // splits by element ranges of the targets' concatenation.
+            const std::vector<UpdateSpan> spans =
+                updateSpans(targets, velocity);
+            std::size_t total = 0;
+            for (const UpdateSpan &s : spans)
+                total += s.size;
+            const double momentum = cfg.momentum;
+            const unsigned parts = splitParts(total, kMinElemsPerPart);
+            // Part p writes only its element range of each target's
+            // value and velocity.
+            parallelFor(
+                parts, static_cast<int>(parts),
+                [&spans, parts, total, momentum, lr, gclip,
+                 wclip](std::size_t part, unsigned) {
+                    const auto [begin, end] = partRange(
+                        total, parts, static_cast<unsigned>(part));
+                    std::size_t base = 0;
+                    for (const UpdateSpan &s : spans) {
+                        const std::size_t lo =
+                            std::clamp(begin, base, base + s.size) - base;
+                        const std::size_t hi =
+                            std::clamp(end, base, base + s.size) - base;
+                        base += s.size;
+                        for (std::size_t e = lo; e < hi; ++e) {
+                            float ge = s.grad[e];
+                            if (gclip > 0.0f)
+                                ge = std::clamp(ge, -gclip, gclip);
+                            s.velocity[e] = static_cast<float>(
+                                momentum * s.velocity[e] - lr * ge);
+                            // vblint: assoc-ok(one momentum update per element)
+                            s.value[e] += s.velocity[e];
+                            if (wclip > 0.0f)
+                                s.value[e] =
+                                    std::clamp(s.value[e], -wclip, wclip);
+                        }
+                    }
+                });
         }
 
         EpochStats es;

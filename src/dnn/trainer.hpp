@@ -30,6 +30,10 @@ struct TrainConfig
     double momentum = 0.9;
     /** Learning-rate decay multiplier applied after each epoch. */
     double lrDecay = 0.85;
+    /** Participants each batch's ops split across by output
+     *  (DESIGN.md §12, "Split training"): 0 = all hardware threads,
+     *  1 = serial. Trained bits do not depend on it. */
+    int numThreads = 0;
 
     /** Fatals with a usage-style message on invalid values. */
     void validate() const;
@@ -95,7 +99,9 @@ class NetworkStep : public BatchStep
  * The minibatch SGD loop: a Fisher-Yates shuffle per epoch, then per
  * batch the step's hook, forward, softmax cross-entropy,
  * backward and a momentum update of the step's targets; the learning
- * rate decays after each epoch.
+ * rate decays after each epoch. The run holds a dnn::SplitScope of
+ * cfg.numThreads participants, so the step's layer ops, gradient
+ * zeroing, fault-map packs and the update split by output.
  *
  * @param cfg validated SGD configuration.
  * @param step the per-batch step.

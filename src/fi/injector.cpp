@@ -9,6 +9,7 @@
 #include "common/logging.hpp"
 #include "dnn/backend/backend.hpp"
 #include "dnn/quantize.hpp"
+#include "dnn/split.hpp"
 
 namespace vboost::fi {
 
@@ -32,7 +33,8 @@ stagedWeightBits(dnn::Network &src)
  * corrupted at fail probability `prob_of(l)` (0: the pure quantization
  * round trip untargeted layers take). The faults come from the region
  * image `image_of(l)` when it is not nullptr, else the layer's window
- * is packed on its own.
+ * is packed on its own. Every dst weight tensor is overwritten, so
+ * callers copy only the other parameters into dst beforehand.
  */
 template <typename ProbOf, typename ImageOf>
 std::uint64_t
@@ -48,30 +50,38 @@ stageWeightLayers(dnn::Network &dst, dnn::Network &src,
     std::uint64_t bit_cursor = 0;
     for (std::size_t l = 0; l < src_weights.size(); ++l) {
         auto q = dnn::quantize(*src_weights[l].value);
-        dnn::Tensor decoded = dnn::Tensor::uninitialized(q.shape);
+        // Decode straight into dst's tensor (copyParamsFrom checked
+        // the shapes): no per-batch allocation of a fresh layer.
+        float *decoded = dst_weights[l].value->data();
         if (const sram::PackedFaultMap *image = image_of(l)) {
             flipped += backend.applyRegionImageDequant(
-                q.words, q.codec, decoded.data(), *image, bit_cursor,
-                flip_prob, rng);
+                q.words, q.codec, decoded, *image, bit_cursor, flip_prob,
+                rng);
         } else {
             flipped += backend.applyFaultMapDequant(
-                q.words, q.codec, decoded.data(), map,
+                q.words, q.codec, decoded, map,
                 {0, layout.weightRegionBits, bit_cursor},
                 {prob_of(l), flip_prob}, rng);
         }
-        *dst_weights[l].value = std::move(decoded);
         bit_cursor += q.words.size() * 16ull;
     }
     return flipped;
 }
 
-/** The region image of the first `cells` weight-region cells. */
+/** Cells a split region-image pack gives each part at least. */
+constexpr std::size_t kMinPackCellsPerPart = std::size_t{1} << 18;
+
+/** The region image of the first `cells` weight-region cells, packed
+ *  by packed-word ranges when a training batch splits (DESIGN.md
+ *  §12, "Split training"). */
 sram::PackedFaultMap
 packRegion(const sram::VulnerabilityMap &map, double fail_prob,
            const MemoryLayout &layout, std::uint64_t cells)
 {
-    return sram::PackedFaultMap(map, 0, layout.weightRegionBits, 0, cells,
-                                fail_prob);
+    return sram::PackedFaultMap(
+        map, 0, layout.weightRegionBits, 0, cells, fail_prob,
+        dnn::splitParts(static_cast<std::size_t>(cells),
+                        kMinPackCellsPerPart));
 }
 
 } // namespace
@@ -134,7 +144,9 @@ corruptNetwork(dnn::Network &dst, dnn::Network &src,
                const InjectionSpec &spec, const MemoryLayout &layout,
                Rng &rng, const WeightRegionImage &image)
 {
-    dst.copyParamsFrom(src);
+    // Staging overwrites every weight tensor: copy only the rest then.
+    const bool staging = spec.injectWeights && fail_prob > 0.0;
+    dst.copyParamsFrom(src, /*weights=*/!staging);
 
     const std::size_t layers = src.weightParams().size();
     if (layers != dst.weightParams().size())
@@ -143,7 +155,7 @@ corruptNetwork(dnn::Network &dst, dnn::Network &src,
         fatal("corruptNetwork: layer index ", spec.onlyLayer,
               " out of range (", layers, " weight layers)");
 
-    if (!spec.injectWeights || fail_prob <= 0.0)
+    if (!staging)
         return 0;
 
     // All layers round-trip quantization (the accelerator computes on
@@ -170,7 +182,7 @@ corruptNetworkPerLayer(dnn::Network &dst, dnn::Network &src,
                        double flip_prob, const MemoryLayout &layout,
                        Rng &rng)
 {
-    dst.copyParamsFrom(src);
+    dst.copyParamsFrom(src, /*weights=*/false);
     const std::size_t layers = src.weightParams().size();
     if (fail_prob_by_layer.size() != layers)
         fatal("corruptNetworkPerLayer: expected ", layers,

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/logging.hpp"
+#include "common/thread_pool.hpp"
 #include "sram/cell_hash.hpp"
 
 namespace vboost::sram {
@@ -32,13 +33,14 @@ PackedFaultMap::PackedFaultMap(const VulnerabilityMap &map,
                                std::uint64_t region_base,
                                std::uint64_t region_bits,
                                std::uint64_t start_bit,
-                               std::uint64_t num_bits, double fail_prob)
+                               std::uint64_t num_bits, double fail_prob,
+                               unsigned parts)
     : numBits_(num_bits), regionBits_(region_bits)
 {
     if (region_bits == 0)
         fatal("PackedFaultMap: empty region");
     words_.assign((num_bits + 63) / 64, 0);
-    pack(map, region_base, region_bits, start_bit, fail_prob);
+    pack(map, region_base, region_bits, start_bit, fail_prob, parts);
 }
 
 PackedFaultMap::PackedFaultMap(const VulnerabilityMap &map,
@@ -52,22 +54,59 @@ PackedFaultMap::PackedFaultMap(const VulnerabilityMap &map,
 void
 PackedFaultMap::pack(const VulnerabilityMap &map, std::uint64_t region_base,
                      std::uint64_t region_bits, std::uint64_t start_bit,
-                     double fail_prob)
+                     double fail_prob, unsigned parts)
+{
+    if (detail::probThreshold(fail_prob) == 0)
+        return; // no cell can be faulty; leave all bits clear
+    // Every distinct cell is hashed once, in the first period of the
+    // visit sequence. Parts own disjoint ranges of whole packed words,
+    // so they never write the same word.
+    const std::uint64_t period = std::min(numBits_, region_bits);
+    const std::uint64_t start = start_bit % region_bits;
+    const std::uint64_t period_words = (period + 63) / 64;
+    parts = static_cast<unsigned>(
+        std::max<std::uint64_t>(1, std::min<std::uint64_t>(parts,
+                                                            period_words)));
+    // Part p writes only the words of its visit range; map is const.
+    parallelFor(parts, static_cast<int>(parts),
+                [this, &map, region_base, region_bits, start, fail_prob,
+                 period, period_words, parts](std::size_t p, unsigned) {
+                    const std::uint64_t lo =
+                        std::min(period, period_words * p / parts * 64);
+                    const std::uint64_t hi = std::min(
+                        period, period_words * (p + 1) / parts * 64);
+                    packVisits(map, region_base, region_bits, start,
+                               fail_prob, lo, hi);
+                });
+    // Visit j >= region_bits is the cell of visit j - region_bits:
+    // copy the bits one period back. A chunk never reads bits it has
+    // not yet written, since it spans at most one period.
+    const auto chunk_max =
+        static_cast<unsigned>(std::min<std::uint64_t>(64, region_bits));
+    for (std::uint64_t j = period; j < numBits_;) {
+        const auto chunk = static_cast<unsigned>(
+            std::min<std::uint64_t>(chunk_max, numBits_ - j));
+        deposit(mask(j - region_bits, chunk), j, chunk);
+        j += chunk;
+    }
+}
+
+void
+PackedFaultMap::packVisits(const VulnerabilityMap &map,
+                           std::uint64_t region_base,
+                           std::uint64_t region_bits, std::uint64_t start,
+                           double fail_prob, std::uint64_t begin,
+                           std::uint64_t end)
 {
     const std::uint64_t key = map.streamKey();
     const std::uint64_t thr = detail::probThreshold(fail_prob);
-    if (thr == 0)
-        return; // no cell can be faulty; leave all bits clear
-    // Split the first period of the wrapped visit sequence into
-    // contiguous cell runs so packing can walk consecutive cells
-    // (which the SIMD kernel exploits with an incremental counter).
-    // Every distinct cell is hashed once.
-    const std::uint64_t period = std::min(numBits_, region_bits);
-    std::uint64_t j = 0;
-    std::uint64_t offset = start_bit % region_bits;
-    while (j < period) {
-        const std::uint64_t run =
-            std::min(period - j, region_bits - offset);
+    // Split the visits into contiguous cell runs so packing can walk
+    // consecutive cells (which the SIMD kernel exploits with an
+    // incremental counter).
+    std::uint64_t j = begin;
+    std::uint64_t offset = (start + begin) % region_bits;
+    while (j < end) {
+        const std::uint64_t run = std::min(end - j, region_bits - offset);
         if (map.model() == MapModel::Iid) {
             packRun(key, thr, region_base + offset, run, j);
         } else {
@@ -80,17 +119,6 @@ PackedFaultMap::pack(const VulnerabilityMap &map, std::uint64_t region_base,
         }
         j += run;
         offset = 0; // every later run restarts at the region base
-    }
-    // Visit j >= region_bits is the cell of visit j - region_bits:
-    // copy the bits one period back. A chunk never reads bits it has
-    // not yet written, since it spans at most one period.
-    const auto chunk_max =
-        static_cast<unsigned>(std::min<std::uint64_t>(64, region_bits));
-    for (j = period; j < numBits_;) {
-        const auto chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(chunk_max, numBits_ - j));
-        deposit(mask(j - region_bits, chunk), j, chunk);
-        j += chunk;
     }
 }
 

@@ -52,10 +52,14 @@ class PackedFaultMap
      * @param num_bits visits to pack (may exceed region_bits: the walk
      *        then revisits cells, and the packed bits repeat with it).
      * @param fail_prob bit failure probability F(v).
+     * @param parts participants the first period's packing splits
+     *        across, by packed-word ranges (each word is a pure
+     *        function of its cells, so the bits do not depend on it).
      */
     PackedFaultMap(const VulnerabilityMap &map, std::uint64_t region_base,
                    std::uint64_t region_bits, std::uint64_t start_bit,
-                   std::uint64_t num_bits, double fail_prob);
+                   std::uint64_t num_bits, double fail_prob,
+                   unsigned parts = 1);
 
     /** Pack a linear (non-wrapping) run of cells starting at
      *  `base_cell`, as read by sram::corruptWords. */
@@ -113,7 +117,12 @@ class PackedFaultMap
   private:
     void pack(const VulnerabilityMap &map, std::uint64_t region_base,
               std::uint64_t region_bits, std::uint64_t start_bit,
-              double fail_prob);
+              double fail_prob, unsigned parts);
+    /** Pack visits [begin, end) of the first period, which start at
+     *  region offset `start` and wrap at `region_bits`. */
+    void packVisits(const VulnerabilityMap &map, std::uint64_t region_base,
+                    std::uint64_t region_bits, std::uint64_t start,
+                    double fail_prob, std::uint64_t begin, std::uint64_t end);
     /** OR `count` fault bits for cells [cell, cell+count) into the
      *  packed words at sequence position `bit_offset`. */
     void packRun(std::uint64_t stream_key, std::uint64_t threshold,

@@ -47,6 +47,21 @@ TEST(BenchModelCache, EveryRecipeFieldChangesTheKey)
         EXPECT_NE(v.cachePath("c"), base.cachePath("c")) << v.keyText();
 }
 
+TEST(BenchModelCache, KeyCoversTrainingSourcesButNotThreadCount)
+{
+    // Trained bits do not depend on the participant count, so every
+    // --threads value shares one cache entry.
+    BenchOptions one, eight;
+    one.threads = 1;
+    eight.threads = 8;
+    EXPECT_EQ(mnistFcRecipe(one).train.numThreads, 1);
+    EXPECT_EQ(mnistFcRecipe(one).cachePath("c"),
+              mnistFcRecipe(eight).cachePath("c"));
+    // The key names the digest of the training code it was built by.
+    EXPECT_NE(mnistFcRecipe(one).keyText().find(";dnn_src="),
+              std::string::npos);
+}
+
 TEST(BenchModelCache, DamagedOrForeignEntriesAreRejected)
 {
     const ModelRecipe recipe = mnistFcRecipe(BenchOptions{});
