@@ -2,9 +2,20 @@
 
 #include <atomic>
 
+#include "common/logging.hpp"
 #include "dnn/backend/impl.hpp"
 
 namespace vboost::dnn {
+
+void
+Backend::gemm(const float *a, const float *b, float *c, int m, int k, int n,
+              bool accumulate) const
+{
+    if (accumulate)
+        panic("Backend::gemm: accumulate=true is not supported (a C "
+              "holding -0.0 would break the bitwise contract)");
+    gemmPanel(a, b, c, m, k, n, n, n);
+}
 
 namespace detail {
 

@@ -77,14 +77,19 @@ class Backend
     /** Registry name ("reference", "vectorized"). */
     virtual std::string_view name() const = 0;
 
-    /** C[m,n] (+)= A[m,k] B[k,n], row-major. Per-element accumulation
-     *  is in ascending-k order in every backend (bitwise contract). */
-    void
-    gemm(const float *a, const float *b, float *c, int m, int k, int n,
-         bool accumulate) const
-    {
-        gemmPanel(a, b, c, m, k, n, n, n, accumulate);
-    }
+    /**
+     * C[m,n] = A[m,k] B[k,n], row-major. Each C cell starts at +0.0f
+     * and adds its products in ascending k (bitwise contract). The
+     * reference skips every k whose A[i,k] is exactly zero; the SIMD
+     * backends add those +/-0.0 products instead, which is an identity
+     * only on a chain seeded from +0.0 (round-to-nearest never turns
+     * +0.0 into -0.0, but -0.0 + +0.0 is +0.0). Accumulating into a C
+     * that may hold -0.0 would therefore break the contract, so
+     * `accumulate` must be false: true panics. The parameter stays
+     * for existing callers' source compatibility.
+     */
+    void gemm(const float *a, const float *b, float *c, int m, int k, int n,
+              bool accumulate) const;
 
     /**
      * gemm() over a column panel of wider matrices: rows of B are
@@ -93,8 +98,7 @@ class Backend
      * the same bits.
      */
     virtual void gemmPanel(const float *a, const float *b, float *c, int m,
-                           int k, int n, int ldb, int ldc,
-                           bool accumulate) const = 0;
+                           int k, int n, int ldb, int ldc) const = 0;
 
     /**
      * C[m,n] (+)= A^T B with A [k x m], B [k x n], row-major (the

@@ -1,8 +1,8 @@
 /**
  * @file
  * Internal wiring between the backend registry (backend.cpp) and the
- * concrete implementations (reference.cpp, vectorized.cpp). Not part
- * of the public backend API.
+ * concrete implementations (reference.cpp, vectorized.cpp,
+ * vectorized512.cpp). Not part of the public backend API.
  */
 
 #ifndef VBOOST_DNN_BACKEND_IMPL_HPP
@@ -21,8 +21,8 @@ namespace vboost::dnn::detail {
 float *resizeFloats(std::vector<float> &buf, std::size_t n);
 
 /** This thread's scratch buffer, grown to at least n floats (the
- *  AVX-512 GEMM's B-panel packing). Defined in backend.cpp for the
- *  same reason as resizeFloats(). */
+ *  forward GEMM's packed B panels, simd_gemm.hpp). Defined in
+ *  backend.cpp for the same reason as resizeFloats(). */
 float *threadScratch(std::size_t n);
 
 /**
@@ -57,24 +57,34 @@ std::uint64_t stageRegionImage(std::span<std::int16_t> words,
  *  lacks AVX2 support. */
 const Backend *vectorizedBackendIfAvailable();
 
-/** True when this build and this CPU support the AVX-512 GEMM path
- *  (vectorized512.cpp). */
-bool avx512GemmAvailable();
-
 /**
- * AVX-512 GEMM with the same bitwise contract as every other backend
- * kernel: per-element accumulation in ascending-k order, separate
- * multiply and add (no FMA), masked tails touching exact element
- * subsets. Rows of B and C are ldb and ldc floats apart (a column
- * panel of wider matrices). Only call when avx512GemmAvailable().
+ * The vectorized GEMMs at one SIMD width: the template of
+ * simd_gemm.hpp instantiated in that width's translation unit, with
+ * the reference's per-cell chains (bitwise contract, DESIGN.md §12).
  */
-void gemmAvx512(const float *a, const float *b, float *c, int m, int k,
-                int n, int ldb, int ldc, bool accumulate);
+struct GemmKernels
+{
+    /** Backend::gemmPanel: C = A B, rows of B and C ldb and ldc floats
+     *  apart, every chain seeded from +0.0. */
+    void (*forward)(const float *a, const float *b, float *c, int m, int k,
+                    int n, int ldb, int ldc);
+    /** Backend::gemmTransARows. */
+    void (*transA)(const float *a, const float *b, float *c, int m, int k,
+                   int n, int lda, bool accumulate);
+};
+
+/** The AVX2 GEMMs (vectorized.cpp), or nullptr when this build or
+ *  this CPU lacks AVX2. */
+const GemmKernels *avx2Gemm();
+
+/** The AVX-512 GEMMs (vectorized512.cpp), or nullptr when this build
+ *  or this CPU lacks AVX-512F; non-null also admits im2colAvx512(). */
+const GemmKernels *avx512Gemm();
 
 /**
  * AVX-512 im2col producing byte-identical `cols` to the scalar
  * expansion (copies and +0.0 padding only — no arithmetic). Requires
- * avx512GemmAvailable() and g.outW() <= 128 (the per-row segment-mask
+ * avx512Gemm() != nullptr and g.outW() <= 128 (the per-row segment-mask
  * cache is fixed-size); callers fall back to the AVX2 path otherwise.
  */
 void im2colAvx512(const float *image, const ConvGeom &g,

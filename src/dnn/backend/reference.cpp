@@ -30,10 +30,9 @@ class ReferenceBackend final : public Backend
 
     void
     gemmPanel(const float *a, const float *b, float *c, int m, int k, int n,
-              int ldb, int ldc, bool accumulate) const override
+              int ldb, int ldc) const override
     {
-        if (!accumulate)
-            zeroOutput(c, m, n, ldc);
+        zeroOutput(c, m, n, ldc);
         // i-k-j order: the inner loop is contiguous in both B and C.
         for (int i = 0; i < m; ++i) {
             const float *arow = a + static_cast<std::size_t>(i) * k;

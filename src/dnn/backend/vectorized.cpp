@@ -3,20 +3,16 @@
  * The AVX2 "vectorized" backend (DESIGN.md §12). Bitwise-identical to
  * the reference backend on finite inputs by construction:
  *
- *  - GEMM keeps the reference's per-element accumulation order
- *    (ascending k, one product added at a time). SIMD runs 8/16
- *    output columns in parallel, which reorders nothing within any
- *    single element's chain. Multiplies and adds stay separate
- *    instructions (no FMA — fused rounding differs); the TU is built
- *    with -ffp-contract=off as a backstop.
- *  - The reference's zero-skip (`if (aik == 0) continue`) is dropped
- *    rather than emulated: adding the skipped +/-0.0 products is an
- *    identity on every accumulator chain seeded from +0.0, because
+ *  - The forward GEMM and gemmTransA are the width-generic template of
+ *    simd_gemm.hpp, whose header gives their chain argument:
+ *    gemmKernels() runs its AVX-512 instantiation (vectorized512.cpp)
+ *    when the CPU has it and this file's AVX2 one otherwise. gemmTransA
+ *    keeps the reference's per-cell zero skip, since its C may hold
+ *    -0.0 (for which -0.0 + +0.0 is +0.0).
+ *  - The forward GEMM drops that skip rather than emulating it: it
+ *    always starts from a zeroed C, and adding the skipped +/-0.0
+ *    products is an identity on every chain seeded from +0.0, because
  *    round-to-nearest never yields -0.0 from a +0.0 start.
- *  - gemmTransA keeps the skip, since its C may hold -0.0 (for which
- *    -0.0 + +0.0 is +0.0): each C row first gathers the k whose A
- *    entry is non-zero, then its column strips add exactly those
- *    products in ascending k.
  *  - gemmTransB's per-cell dot product is a GEMM chain seeded from
  *    +0.0 with no skip: it runs as the forward GEMM over a transposed
  *    copy of B into scratch, and the finished dots are then added to
@@ -44,9 +40,9 @@
 
 #if defined(VBOOST_HAVE_AVX2)
 
-#include <cstring>
 #include <immintrin.h>
 
+#include "dnn/backend/simd_gemm.hpp"
 #include "sram/packed_fault_map.hpp"
 
 namespace vboost::dnn {
@@ -55,129 +51,53 @@ namespace {
 
 // ------------------------------------------------------------- GEMM
 
-/**
- * Micro-kernel: one row of C over a 16-column strip, accumulating
- * A[i, k0:k0+kb) * B in ascending-k order. C is loaded, accumulated
- * in registers and stored back, so K blocking preserves each
- * element's left-to-right addition chain.
- */
-inline void
-micro1x16(const float *arow, const float *b, float *crow, int kb, int n)
+/** AVX2 traits of the GEMM template (simd_gemm.hpp): 4 x 16 register
+ *  tiles, eight accumulators of the sixteen ymm registers. */
+struct Avx2
 {
-    __m256 acc0 = _mm256_loadu_ps(crow);
-    __m256 acc1 = _mm256_loadu_ps(crow + 8);
-    const float *bp = b;
-    for (int kk = 0; kk < kb; ++kk, bp += n) {
-        const __m256 av = _mm256_set1_ps(arow[kk]);
-        acc0 = _mm256_add_ps(acc0,
-                             _mm256_mul_ps(av, _mm256_loadu_ps(bp)));
-        acc1 = _mm256_add_ps(acc1,
-                             _mm256_mul_ps(av, _mm256_loadu_ps(bp + 8)));
+    using Vec = __m256;
+    using Mask = __m256i;
+    static constexpr int W = 8;
+    static constexpr int MR = 4;
+    static constexpr int NC = 256;
+    static constexpr int KC = 160;
+
+    static Vec load(const float *p) { return _mm256_loadu_ps(p); }
+    static void store(float *p, Vec v) { _mm256_storeu_ps(p, v); }
+    static Vec set1(float x) { return _mm256_set1_ps(x); }
+    static Vec add(Vec x, Vec y) { return _mm256_add_ps(x, y); }
+    static Vec mul(Vec x, Vec y) { return _mm256_mul_ps(x, y); }
+    static Mask
+    mask(int cols)
+    {
+        return _mm256_cmpgt_epi32(_mm256_set1_epi32(cols),
+                                  _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
     }
-    _mm256_storeu_ps(crow, acc0);
-    _mm256_storeu_ps(crow + 8, acc1);
-}
-
-/** As micro1x16 for an 8-column strip. */
-inline void
-micro1x8(const float *arow, const float *b, float *crow, int kb, int n)
-{
-    __m256 acc = _mm256_loadu_ps(crow);
-    const float *bp = b;
-    for (int kk = 0; kk < kb; ++kk, bp += n)
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(arow[kk]),
-                               _mm256_loadu_ps(bp)));
-    _mm256_storeu_ps(crow, acc);
-}
-
-/**
- * 4x16 register-tiled micro-kernel: four C rows x two ymm columns,
- * eight resident accumulators. Same per-element chain as micro1x16.
- */
-inline void
-micro4x16(const float *a0, const float *a1, const float *a2,
-          const float *a3, const float *b, float *c0, float *c1,
-          float *c2, float *c3, int kb, int n)
-{
-    __m256 r00 = _mm256_loadu_ps(c0), r01 = _mm256_loadu_ps(c0 + 8);
-    __m256 r10 = _mm256_loadu_ps(c1), r11 = _mm256_loadu_ps(c1 + 8);
-    __m256 r20 = _mm256_loadu_ps(c2), r21 = _mm256_loadu_ps(c2 + 8);
-    __m256 r30 = _mm256_loadu_ps(c3), r31 = _mm256_loadu_ps(c3 + 8);
-    const float *bp = b;
-    for (int kk = 0; kk < kb; ++kk, bp += n) {
-        const __m256 b0 = _mm256_loadu_ps(bp);
-        const __m256 b1 = _mm256_loadu_ps(bp + 8);
-        __m256 av = _mm256_set1_ps(a0[kk]);
-        r00 = _mm256_add_ps(r00, _mm256_mul_ps(av, b0));
-        r01 = _mm256_add_ps(r01, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(a1[kk]);
-        r10 = _mm256_add_ps(r10, _mm256_mul_ps(av, b0));
-        r11 = _mm256_add_ps(r11, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(a2[kk]);
-        r20 = _mm256_add_ps(r20, _mm256_mul_ps(av, b0));
-        r21 = _mm256_add_ps(r21, _mm256_mul_ps(av, b1));
-        av = _mm256_set1_ps(a3[kk]);
-        r30 = _mm256_add_ps(r30, _mm256_mul_ps(av, b0));
-        r31 = _mm256_add_ps(r31, _mm256_mul_ps(av, b1));
+    static Vec
+    maskLoad(Mask m, const float *p)
+    {
+        return _mm256_maskload_ps(p, m);
     }
-    _mm256_storeu_ps(c0, r00);
-    _mm256_storeu_ps(c0 + 8, r01);
-    _mm256_storeu_ps(c1, r10);
-    _mm256_storeu_ps(c1 + 8, r11);
-    _mm256_storeu_ps(c2, r20);
-    _mm256_storeu_ps(c2 + 8, r21);
-    _mm256_storeu_ps(c3, r30);
-    _mm256_storeu_ps(c3 + 8, r31);
-}
-
-/** Scalar column tail, ascending k like every other path. */
-inline void
-microScalar(const float *arow, const float *b, float *crow, int kb,
-            int jb, int n)
-{
-    for (int j = 0; j < jb; ++j) {
-        float cv = crow[j];
-        const float *bp = b + j;
-        // vblint: assoc-ok(pointer stride advance, not a float reduction)
-        for (int kk = 0; kk < kb; ++kk, bp += n)
-            cv += arow[kk] * *bp; // vblint: assoc-ok(ascending-k chain pinned by the backend bitwise contract, §12)
-        crow[j] = cv;
+    static void
+    maskStore(float *p, Mask m, Vec v)
+    {
+        _mm256_maskstore_ps(p, m, v);
     }
-}
+};
 
-void gemmAvx2(const float *a, const float *b, float *c, int m, int k,
-              int n, int ldb, int ldc, bool accumulate);
+const detail::GemmKernels kAvx2Gemm{&simd::gemmForward<Avx2>,
+                                    &simd::gemmTransA<Avx2>};
 
-/** Widest bitwise-safe GEMM this CPU offers: the AVX-512 kernels when
- *  available (two 512-bit FP ports double the no-FMA mul+add
- *  throughput), the AVX2 kernels otherwise. Both keep the exact
- *  per-element ascending-k chain, so dispatch never changes bits. */
-inline void
-gemmDispatch(const float *a, const float *b, float *c, int m, int k, int n,
-             int ldb, int ldc, bool accumulate)
+/** The widest GEMM width this CPU runs: AVX-512 when available (two
+ *  512-bit FP ports double the no-FMA mul+add throughput), AVX2
+ *  otherwise. Every width computes each cell's exact chain, so
+ *  dispatch never changes bits. */
+const detail::GemmKernels &
+gemmKernels()
 {
-    static const bool use512 = detail::avx512GemmAvailable();
-    if (use512) {
-        detail::gemmAvx512(a, b, c, m, k, n, ldb, ldc, accumulate);
-        return;
-    }
-    gemmAvx2(a, b, c, m, k, n, ldb, ldc, accumulate);
-}
-
-/** Zero an m x n block of C whose rows are ldc floats apart. */
-inline void
-zeroRows(float *c, int m, int n, int ldc)
-{
-    if (ldc == n) {
-        std::memset(c, 0,
-                    sizeof(float) * static_cast<std::size_t>(m) *
-                        static_cast<std::size_t>(n));
-        return;
-    }
-    for (int i = 0; i < m; ++i)
-        std::memset(c + static_cast<std::size_t>(i) * ldc, 0,
-                    sizeof(float) * static_cast<std::size_t>(n));
+    static const detail::GemmKernels *const widest =
+        detail::avx512Gemm() != nullptr ? detail::avx512Gemm() : &kAvx2Gemm;
+    return *widest;
 }
 
 void im2colAvx2(const float *image, const ConvGeom &g,
@@ -191,7 +111,7 @@ inline void
 im2colDispatch(const float *image, const ConvGeom &g,
                std::vector<float> &cols)
 {
-    static const bool use512 = detail::avx512GemmAvailable();
+    static const bool use512 = detail::avx512Gemm() != nullptr;
     if (use512 && g.outW() <= 128) {
         detail::im2colAvx512(image, g, cols);
         return;
@@ -199,145 +119,7 @@ im2colDispatch(const float *image, const ConvGeom &g,
     im2colAvx2(image, g, cols);
 }
 
-void
-gemmAvx2(const float *a, const float *b, float *c, int m, int k, int n,
-         int ldb, int ldc, bool accumulate)
-{
-    if (!accumulate)
-        zeroRows(c, m, n, ldc);
-    // Cache blocking: column panels of B stay resident while a K
-    // block streams through; C tiles re-load their partial sums, so
-    // each element still sums products in globally ascending k.
-    constexpr int kNC = 256;
-    constexpr int kKC = 160;
-    for (int j0 = 0; j0 < n; j0 += kNC) {
-        const int nb = std::min(kNC, n - j0);
-        for (int k0 = 0; k0 < k; k0 += kKC) {
-            const int kb = std::min(kKC, k - k0);
-            const float *bblk =
-                b + static_cast<std::size_t>(k0) * ldb + j0;
-            int i = 0;
-            for (; i + 4 <= m; i += 4) {
-                const float *a0 = a + static_cast<std::size_t>(i) * k + k0;
-                const float *a1 = a0 + k;
-                const float *a2 = a1 + k;
-                const float *a3 = a2 + k;
-                float *c0 = c + static_cast<std::size_t>(i) * ldc + j0;
-                float *c1 = c0 + ldc;
-                float *c2 = c1 + ldc;
-                float *c3 = c2 + ldc;
-                int j = 0;
-                for (; j + 16 <= nb; j += 16)
-                    micro4x16(a0, a1, a2, a3, bblk + j, c0 + j, c1 + j,
-                              c2 + j, c3 + j, kb, ldb);
-                for (int r = 0; r < 4; ++r) {
-                    const float *ar = a0 + static_cast<std::size_t>(r) * k;
-                    float *cr = c0 + static_cast<std::size_t>(r) * ldc;
-                    int jj = j;
-                    for (; jj + 8 <= nb; jj += 8)
-                        micro1x8(ar, bblk + jj, cr + jj, kb, ldb);
-                    if (jj < nb)
-                        microScalar(ar, bblk + jj, cr + jj, kb, nb - jj,
-                                    ldb);
-                }
-            }
-            for (; i < m; ++i) {
-                const float *ar = a + static_cast<std::size_t>(i) * k + k0;
-                float *cr = c + static_cast<std::size_t>(i) * ldc + j0;
-                int j = 0;
-                for (; j + 16 <= nb; j += 16)
-                    micro1x16(ar, bblk + j, cr + j, kb, ldb);
-                for (; j + 8 <= nb; j += 8)
-                    micro1x8(ar, bblk + j, cr + j, kb, ldb);
-                if (j < nb)
-                    microScalar(ar, bblk + j, cr + j, kb, nb - j, ldb);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------- backward GEMMs
-
-/**
- * C (+)= A^T B, A [k x m], i-outer. Blocks of kTaJ columns and kTaK
- * k indices keep the B block cache-resident; per C row and k block,
- * the k with a non-zero A[k,i] are compacted onto the stack (the
- * reference's zero-skip, branch-free), and every column strip adds
- * exactly those products in ascending k. C re-loads its partial sums
- * between k blocks, so each cell's chain is the reference's.
- */
-void
-gemmTransAAvx2(const float *a, const float *b, float *c, int m, int k,
-               int n, int lda, bool accumulate)
-{
-    if (!accumulate)
-        zeroRows(c, m, n, n);
-    constexpr int kTaJ = 256;
-    constexpr int kTaK = 128;
-    int idx[kTaK];
-    float val[kTaK];
-    for (int j0 = 0; j0 < n; j0 += kTaJ) {
-        const int jend = std::min(n, j0 + kTaJ);
-        for (int k0 = 0; k0 < k; k0 += kTaK) {
-            const int kb = std::min(kTaK, k - k0);
-            for (int i = 0; i < m; ++i) {
-                int cnt = 0;
-                for (int t = 0; t < kb; ++t) {
-                    const float v =
-                        a[static_cast<std::size_t>(k0 + t) * lda + i];
-                    idx[cnt] = k0 + t;
-                    val[cnt] = v;
-                    cnt += v != 0.0f; // NaN is kept, as in the reference
-                }
-                if (cnt == 0)
-                    continue;
-                float *crow = c + static_cast<std::size_t>(i) * n;
-                int j = j0;
-                for (; j + 32 <= jend; j += 32) {
-                    __m256 c0 = _mm256_loadu_ps(crow + j);
-                    __m256 c1 = _mm256_loadu_ps(crow + j + 8);
-                    __m256 c2 = _mm256_loadu_ps(crow + j + 16);
-                    __m256 c3 = _mm256_loadu_ps(crow + j + 24);
-                    for (int t = 0; t < cnt; ++t) {
-                        const __m256 av = _mm256_set1_ps(val[t]);
-                        const float *bp =
-                            b + static_cast<std::size_t>(idx[t]) * n + j;
-                        c0 = _mm256_add_ps(
-                            c0, _mm256_mul_ps(av, _mm256_loadu_ps(bp)));
-                        c1 = _mm256_add_ps(
-                            c1, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 8)));
-                        c2 = _mm256_add_ps(
-                            c2, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 16)));
-                        c3 = _mm256_add_ps(
-                            c3, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 24)));
-                    }
-                    _mm256_storeu_ps(crow + j, c0);
-                    _mm256_storeu_ps(crow + j + 8, c1);
-                    _mm256_storeu_ps(crow + j + 16, c2);
-                    _mm256_storeu_ps(crow + j + 24, c3);
-                }
-                for (; j + 8 <= jend; j += 8) {
-                    __m256 c0 = _mm256_loadu_ps(crow + j);
-                    for (int t = 0; t < cnt; ++t)
-                        c0 = _mm256_add_ps(
-                            c0,
-                            _mm256_mul_ps(
-                                _mm256_set1_ps(val[t]),
-                                _mm256_loadu_ps(
-                                    b + static_cast<std::size_t>(idx[t]) * n +
-                                    j)));
-                    _mm256_storeu_ps(crow + j, c0);
-                }
-                for (; j < jend; ++j) {
-                    float cv = crow[j];
-                    for (int t = 0; t < cnt; ++t)
-                        cv += val[t] * b[static_cast<std::size_t>(idx[t]) * n + j]; // vblint: assoc-ok(ascending-k chain pinned by the backend bitwise contract, §12)
-                    crow[j] = cv;
-                }
-            }
-        }
-    }
-}
 
 /** dst [cols x rows] = src [rows x cols]^T, in 8x8 tiles. */
 void
@@ -359,11 +141,10 @@ transpose(const float *src, float *dst, int rows, int cols)
 /**
  * C (+)= A B^T, B [n x k]. The reference's per-cell dot product,
  * acc = +0.0 then acc += A[i,kk] * B[j,kk] in ascending kk, is exactly
- * the chain this backend's non-accumulating forward GEMM computes for
- * cell (i, j) of A * (B^T): zero start, one product added at a time,
- * no skip. So the dots are computed by the forward GEMM into scratch
- * over a transposed copy of B, and each finished dot is then added to
- * C once.
+ * the chain this backend's forward GEMM computes for cell (i, j) of
+ * A * (B^T): zero start, one product added at a time, no skip. So the
+ * dots are computed by the forward GEMM into scratch over a transposed
+ * copy of B, and each finished dot is then added to C once.
  */
 void
 gemmTransBAvx2(const float *a, const float *b, float *c, int m, int k,
@@ -375,9 +156,9 @@ gemmTransBAvx2(const float *a, const float *b, float *c, int m, int k,
         scratch, mn + static_cast<std::size_t>(k) * n);
     float *const bt = dots + mn;
     transpose(b, bt, n, k);
-    gemmDispatch(a, bt, dots, m, k, n, n, n, /*accumulate=*/false);
+    gemmKernels().forward(a, bt, dots, m, k, n, n, n);
     if (!accumulate)
-        zeroRows(c, m, n, ldc);
+        simd::zeroRows(c, m, n, ldc);
     for (int i = 0; i < m; ++i) {
         float *crow = c + static_cast<std::size_t>(i) * ldc;
         const float *drow = dots + static_cast<std::size_t>(i) * n;
@@ -551,16 +332,16 @@ class VectorizedBackend final : public Backend
 
     void
     gemmPanel(const float *a, const float *b, float *c, int m, int k, int n,
-              int ldb, int ldc, bool accumulate) const override
+              int ldb, int ldc) const override
     {
-        gemmDispatch(a, b, c, m, k, n, ldb, ldc, accumulate);
+        gemmKernels().forward(a, b, c, m, k, n, ldb, ldc);
     }
 
     void
     gemmTransARows(const float *a, const float *b, float *c, int m, int k,
                    int n, int lda, bool accumulate) const override
     {
-        gemmTransAAvx2(a, b, c, m, k, n, lda, accumulate);
+        gemmKernels().transA(a, b, c, m, k, n, lda, accumulate);
     }
 
     void
@@ -585,9 +366,10 @@ class VectorizedBackend final : public Backend
     {
         const std::size_t spatial = g.spatial();
         im2colDispatch(image, g, cols);
-        gemmDispatch(weights, cols.data(), out, g.outCh, g.patch(),
-                     static_cast<int>(spatial), static_cast<int>(spatial),
-                     static_cast<int>(spatial), /*accumulate=*/false);
+        gemmKernels().forward(weights, cols.data(), out, g.outCh, g.patch(),
+                              static_cast<int>(spatial),
+                              static_cast<int>(spatial),
+                              static_cast<int>(spatial));
         for (int oc = 0; oc < g.outCh; ++oc) {
             float *chan = out + static_cast<std::size_t>(oc) * spatial;
             const __m256 bv = _mm256_set1_ps(bias[oc]);
@@ -680,6 +462,12 @@ vectorizedBackendIfAvailable()
     return &kVectorized;
 }
 
+const GemmKernels *
+avx2Gemm()
+{
+    return vectorizedBackendIfAvailable() != nullptr ? &kAvx2Gemm : nullptr;
+}
+
 } // namespace detail
 
 } // namespace vboost::dnn
@@ -690,6 +478,12 @@ namespace vboost::dnn::detail {
 
 const Backend *
 vectorizedBackendIfAvailable()
+{
+    return nullptr;
+}
+
+const GemmKernels *
+avx2Gemm()
 {
     return nullptr;
 }

@@ -1,17 +1,13 @@
 /**
  * @file
- * AVX-512 GEMM inner kernels for the vectorized backend. Same bitwise
- * contract as vectorized.cpp (DESIGN.md §12): every output element
- * accumulates its products in ascending-k order, one product at a
- * time, with separate multiply and add instructions (no FMA; the TU
- * is additionally built with -ffp-contract=off). Masked loads/stores
- * handle row/column tails by touching exact element subsets, so the
- * result is bitwise-identical to the scalar reference on finite
- * inputs regardless of shape.
+ * The AVX-512 tier of the vectorized backend: the GEMM template of
+ * simd_gemm.hpp at 16-float width, and an expand-load im2col. Same
+ * bitwise contract as vectorized.cpp (DESIGN.md §12); masked loads and
+ * stores touch exact element subsets, so tails leave every other
+ * element alone.
  *
  * This is the only translation unit compiled with -mavx512f; callers
- * must gate on avx512GemmAvailable(), which performs the runtime CPU
- * check.
+ * must gate on avx512Gemm(), which performs the runtime CPU check.
  */
 
 #include "dnn/backend/impl.hpp"
@@ -19,100 +15,58 @@
 #if defined(VBOOST_HAVE_AVX512)
 
 #include <algorithm>
-#include <cstring>
 #include <immintrin.h>
 #include <vector>
+
+#include "dnn/backend/simd_gemm.hpp"
 
 namespace vboost::dnn::detail {
 
 namespace {
 
-/**
- * 8x32 micro-kernel: eight C rows x two zmm columns, sixteen resident
- * accumulators (AVX-512 has 32 vector registers). C is loaded,
- * accumulated and stored back, so K blocking preserves each element's
- * left-to-right addition chain.
- */
-inline void
-micro8x32(const float *a, int lda, const float *b, float *c, int ldc,
-          int kb, int n)
+/** AVX-512 traits of the GEMM template: 8 x 32 register tiles, sixteen
+ *  accumulators of the thirty-two zmm registers. */
+struct Avx512
 {
-    __m512 acc[8][2];
-    for (int r = 0; r < 8; ++r) {
-        acc[r][0] = _mm512_loadu_ps(c + static_cast<std::size_t>(r) * ldc);
-        acc[r][1] =
-            _mm512_loadu_ps(c + static_cast<std::size_t>(r) * ldc + 16);
-    }
-    const float *bp = b;
-    for (int kk = 0; kk < kb; ++kk, bp += n) {
-        const __m512 b0 = _mm512_loadu_ps(bp);
-        const __m512 b1 = _mm512_loadu_ps(bp + 16);
-        for (int r = 0; r < 8; ++r) {
-            const __m512 av =
-                _mm512_set1_ps(a[static_cast<std::size_t>(r) * lda + kk]);
-            acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(av, b0));
-            acc[r][1] = _mm512_add_ps(acc[r][1], _mm512_mul_ps(av, b1));
-        }
-    }
-    for (int r = 0; r < 8; ++r) {
-        _mm512_storeu_ps(c + static_cast<std::size_t>(r) * ldc, acc[r][0]);
-        _mm512_storeu_ps(c + static_cast<std::size_t>(r) * ldc + 16,
-                         acc[r][1]);
-    }
-}
+    using Vec = __m512;
+    using Mask = __mmask16;
+    static constexpr int W = 16;
+    static constexpr int MR = 8;
+    static constexpr int NC = 512;
+    static constexpr int KC = 256;
 
-/** Masked tail micro-kernel: up to 8 rows x up to 16 columns. The
- *  mask picks the live columns; masked-off lanes are never read from
- *  or written to C. */
-inline void
-microMasked(const float *a, int lda, int rows, const float *b, float *c,
-            int ldc, int kb, int n, __mmask16 mask)
-{
-    __m512 acc[8];
-    for (int r = 0; r < rows; ++r)
-        acc[r] = _mm512_maskz_loadu_ps(
-            mask, c + static_cast<std::size_t>(r) * ldc);
-    const float *bp = b;
-    for (int kk = 0; kk < kb; ++kk, bp += n) {
-        const __m512 bv = _mm512_maskz_loadu_ps(mask, bp);
-        for (int r = 0; r < rows; ++r) {
-            const __m512 av =
-                _mm512_set1_ps(a[static_cast<std::size_t>(r) * lda + kk]);
-            acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, bv));
-        }
+    static Vec load(const float *p) { return _mm512_loadu_ps(p); }
+    static void store(float *p, Vec v) { _mm512_storeu_ps(p, v); }
+    static Vec set1(float x) { return _mm512_set1_ps(x); }
+    static Vec add(Vec x, Vec y) { return _mm512_add_ps(x, y); }
+    static Vec mul(Vec x, Vec y) { return _mm512_mul_ps(x, y); }
+    static Mask
+    mask(int cols)
+    {
+        return static_cast<Mask>((1u << cols) - 1u);
     }
-    for (int r = 0; r < rows; ++r)
-        _mm512_mask_storeu_ps(c + static_cast<std::size_t>(r) * ldc, mask,
-                              acc[r]);
-}
+    static Vec
+    maskLoad(Mask m, const float *p)
+    {
+        return _mm512_maskz_loadu_ps(m, p);
+    }
+    static void
+    maskStore(float *p, Mask m, Vec v)
+    {
+        _mm512_mask_storeu_ps(p, m, v);
+    }
+};
 
-/**
- * Pack the full 32-column tiles of a B block into tile-contiguous
- * [tile][kk][32] layout so the micro-kernel streams 128-byte rows
- * instead of striding n floats (which thrashes the DTLB when n spans
- * a page). Packing only moves bytes — arithmetic order is untouched.
- */
-inline void
-packB(const float *bblk, int kb, int n, int tiles, float *pack)
-{
-    for (int t = 0; t < tiles; ++t) {
-        const float *src = bblk + static_cast<std::size_t>(t) * 32;
-        float *dst = pack + static_cast<std::size_t>(t) * kb * 32;
-        // vblint: assoc-ok(pointer stride advance, not a float reduction)
-        for (int kk = 0; kk < kb; ++kk, src += n, dst += 32) {
-            _mm512_storeu_ps(dst, _mm512_loadu_ps(src));
-            _mm512_storeu_ps(dst + 16, _mm512_loadu_ps(src + 16));
-        }
-    }
-}
+const GemmKernels kAvx512Gemm{&simd::gemmForward<Avx512>,
+                              &simd::gemmTransA<Avx512>};
 
 } // namespace
 
-bool
-avx512GemmAvailable()
+const GemmKernels *
+avx512Gemm()
 {
     static const bool supported = __builtin_cpu_supports("avx512f");
-    return supported;
+    return supported ? &kAvx512Gemm : nullptr;
 }
 
 void
@@ -271,69 +225,6 @@ im2colAvx512(const float *image, const ConvGeom &g,
     }
 }
 
-void
-gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
-           int ldb, int ldc, bool accumulate)
-{
-    if (!accumulate) {
-        for (int i = 0; i < m; ++i)
-            std::memset(c + static_cast<std::size_t>(i) * ldc, 0,
-                        sizeof(float) * static_cast<std::size_t>(n));
-    }
-    // Cache blocking as in gemmAvx2: B column panels stay resident
-    // while a K block streams through; C tiles re-load their partial
-    // sums so each element still sums in globally ascending k.
-    constexpr int kNC = 512;
-    constexpr int kKC = 256;
-    for (int j0 = 0; j0 < n; j0 += kNC) {
-        const int nb = std::min(kNC, n - j0);
-        for (int k0 = 0; k0 < k; k0 += kKC) {
-            const int kb = std::min(kKC, k - k0);
-            const float *bblk =
-                b + static_cast<std::size_t>(k0) * ldb + j0;
-            // Packing pays for itself once two or more row blocks
-            // reuse the panel AND the unpacked row stride is large
-            // enough (half a page or more) to pressure the DTLB;
-            // small-stride panels are L2-resident and read fine
-            // unpacked. The pack holds this panel's tiles only.
-            const int tiles = (m >= 16 && ldb >= 512) ? nb / 32 : 0;
-            float *bpack = nullptr;
-            if (tiles > 0) {
-                bpack = threadScratch(static_cast<std::size_t>(tiles) * kb *
-                                      32);
-                packB(bblk, kb, ldb, tiles, bpack);
-            }
-            for (int i0 = 0; i0 < m; i0 += 8) {
-                const int rows = std::min(8, m - i0);
-                const float *ablk =
-                    a + static_cast<std::size_t>(i0) * k + k0;
-                float *cblk = c + static_cast<std::size_t>(i0) * ldc + j0;
-                int j = 0;
-                if (rows == 8) {
-                    for (; j + 32 <= nb; j += 32) {
-                        if ((j >> 5) < tiles)
-                            micro8x32(ablk, k,
-                                      bpack +
-                                          static_cast<std::size_t>(j >> 5) *
-                                              kb * 32,
-                                      cblk + j, ldc, kb, 32);
-                        else
-                            micro8x32(ablk, k, bblk + j, cblk + j, ldc, kb,
-                                      ldb);
-                    }
-                }
-                for (; j < nb; j += 16) {
-                    const int cols = std::min(16, nb - j);
-                    const __mmask16 mask =
-                        static_cast<__mmask16>((1u << cols) - 1u);
-                    microMasked(ablk, k, rows, bblk + j, cblk + j, ldc, kb,
-                                ldb, mask);
-                }
-            }
-        }
-    }
-}
-
 } // namespace vboost::dnn::detail
 
 #else // !VBOOST_HAVE_AVX512
@@ -342,17 +233,10 @@ gemmAvx512(const float *a, const float *b, float *c, int m, int k, int n,
 
 namespace vboost::dnn::detail {
 
-bool
-avx512GemmAvailable()
+const GemmKernels *
+avx512Gemm()
 {
-    return false;
-}
-
-void
-gemmAvx512(const float *, const float *, float *, int, int, int, int, int,
-           bool)
-{
-    fatal("gemmAvx512: called in a build without AVX-512 support");
+    return nullptr;
 }
 
 void

@@ -43,8 +43,7 @@ Dense::forward(const Tensor &x, bool train)
     // y = x W + b. Training passes split by column panels of y;
     // inference stays serial (DESIGN.md §12, "Split training").
     gemmSplit(activeBackend(), train ? gemmParts(batch, in_, out_) : 1,
-              x.data(), w_.data(), y.data(), batch, in_, out_,
-              /*accumulate=*/false, b_.data());
+              x.data(), w_.data(), y.data(), batch, in_, out_, b_.data());
     if (train)
         cachedInput_ = x;
     return y;

@@ -88,14 +88,13 @@ addBias(float *c, const float *bias, int m, int n, std::size_t j0,
 
 void
 gemmSplit(const Backend &backend, unsigned parts, const float *a,
-          const float *b, float *c, int m, int k, int n, bool accumulate,
-          const float *bias)
+          const float *b, float *c, int m, int k, int n, const float *bias)
 {
     const auto cols = static_cast<std::size_t>(n);
     parts = std::min<unsigned>(
         parts, static_cast<unsigned>((cols + kPanelGrain - 1) / kPanelGrain));
     if (parts <= 1) {
-        backend.gemm(a, b, c, m, k, n, accumulate);
+        backend.gemmPanel(a, b, c, m, k, n, n, n);
         if (bias != nullptr)
             addBias(c, bias, m, n, 0, cols);
         return;
@@ -103,13 +102,12 @@ gemmSplit(const Backend &backend, unsigned parts, const float *a,
     // Part p writes only its column panel of C; a, b and bias are
     // read-only.
     parallelFor(parts, static_cast<int>(parts),
-                [&backend, parts, a, b, c, m, k, n, cols, accumulate,
+                [&backend, parts, a, b, c, m, k, n, cols,
                  bias](std::size_t p, unsigned) {
                     const auto [j0, j1] = partRange(
                         cols, parts, static_cast<unsigned>(p), kPanelGrain);
                     backend.gemmPanel(a, b + j0, c + j0, m, k,
-                                      static_cast<int>(j1 - j0), n, n,
-                                      accumulate);
+                                      static_cast<int>(j1 - j0), n, n);
                     if (bias != nullptr)
                         addBias(c, bias, m, n, j0, j1);
                 });

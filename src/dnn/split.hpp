@@ -78,7 +78,7 @@ std::pair<std::size_t, std::size_t> partRange(std::size_t n, unsigned parts,
  */
 void gemmSplit(const Backend &backend, unsigned parts, const float *a,
                const float *b, float *c, int m, int k, int n,
-               bool accumulate, const float *bias = nullptr);
+               const float *bias = nullptr);
 
 /** backend.gemmTransA() split into `parts` row tiles of C. */
 void gemmTransASplit(const Backend &backend, unsigned parts, const float *a,

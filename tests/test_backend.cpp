@@ -15,11 +15,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "dnn/backend/backend.hpp"
+#include "dnn/backend/impl.hpp"
 #include "dnn/dataset.hpp"
 #include "dnn/layers.hpp"
 #include "dnn/network.hpp"
@@ -64,6 +66,19 @@ fillMixed(std::vector<float> &v, Rng &rng)
     }
 }
 
+/** Every GEMM width this build compiled and this CPU runs, not only
+ *  the widest one the vectorized backend dispatches to. */
+std::vector<std::pair<const char *, const detail::GemmKernels *>>
+simdWidths()
+{
+    std::vector<std::pair<const char *, const detail::GemmKernels *>> out;
+    if (const detail::GemmKernels *w = detail::avx2Gemm())
+        out.emplace_back("avx2", w);
+    if (const detail::GemmKernels *w = detail::avx512Gemm())
+        out.emplace_back("avx512", w);
+    return out;
+}
+
 class BackendEquivalence : public ::testing::Test
 {
   protected:
@@ -84,13 +99,15 @@ class BackendEquivalence : public ::testing::Test
 
 TEST_F(BackendEquivalence, GemmBitwiseAcrossShapes)
 {
-    // Primes and tails around the 8x32 micro-kernel, the masked
-    // remainder kernel, the packing threshold (n >= 512) and the
-    // cache-blocking boundaries (nc=512, kc=256).
+    // Primes and tails around the 8x32 and 4x16 register tiles, the
+    // masked W-column tails, the packing threshold (ldb >= 512) and
+    // the cache-blocking boundaries (nc=512/kc=256, nc=256/kc=160).
+    // C starts out as garbage with -0.0 entries: the GEMM overwrites it.
     const int shapes[][3] = {{1, 1, 1},     {3, 7, 5},    {8, 32, 32},
                              {7, 13, 31},   {17, 31, 33}, {16, 25, 1024},
                              {64, 64, 64},  {5, 13, 513}, {16, 257, 544},
                              {33, 300, 70}, {2, 400, 36}, {16, 75, 1024}};
+    const auto widths = simdWidths();
     Rng rng(101);
     for (const auto &s : shapes) {
         const int m = s[0], k = s[1], n = s[2];
@@ -98,22 +115,26 @@ TEST_F(BackendEquivalence, GemmBitwiseAcrossShapes)
         std::vector<float> b(static_cast<std::size_t>(k) * n);
         fillMixed(a, rng);
         fillMixed(b, rng);
-        for (bool accumulate : {false, true}) {
-            std::vector<float> c0(static_cast<std::size_t>(m) * n);
-            fillMixed(c0, rng);
-            std::vector<float> c1 = c0;
-            ref_->gemm(a.data(), b.data(), c0.data(), m, k, n, accumulate);
-            vec_->gemm(a.data(), b.data(), c1.data(), m, k, n, accumulate);
+        std::vector<float> c0(static_cast<std::size_t>(m) * n);
+        fillMixed(c0, rng);
+        const std::vector<float> start = c0;
+        std::vector<float> c1 = c0;
+        ref_->gemm(a.data(), b.data(), c0.data(), m, k, n, false);
+        vec_->gemm(a.data(), b.data(), c1.data(), m, k, n, false);
+        EXPECT_TRUE(bitsEqual(c0.data(), c1.data(), c0.size()))
+            << "gemm m=" << m << " k=" << k << " n=" << n;
+        for (const auto &[name, w] : widths) {
+            c1 = start;
+            w->forward(a.data(), b.data(), c1.data(), m, k, n, n, n);
             EXPECT_TRUE(bitsEqual(c0.data(), c1.data(), c0.size()))
-                << "gemm m=" << m << " k=" << k << " n=" << n
-                << " accumulate=" << accumulate;
+                << name << " forward m=" << m << " k=" << k << " n=" << n;
         }
     }
 }
 
 TEST_F(BackendEquivalence, TransposedGemmsBitwiseAcrossShapes)
 {
-    // Tails off every multiple of 8/16/32, the transA column and k
+    // Tails off every multiple of 8/16/32/64, the transA column and k
     // block edges (256, 128), and the Dense backward shapes of the
     // MNIST FC at batch 64 (dW: in x 64 x out; dx: 64 x out x in).
     // A carries exact zeros of both signs (the transA skip) and C holds
@@ -123,6 +144,7 @@ TEST_F(BackendEquivalence, TransposedGemmsBitwiseAcrossShapes)
                              {5, 300, 9},    {40, 129, 257}, {33, 65, 70},
                              {784, 64, 256}, {64, 256, 256}, {64, 32, 256},
                              {256, 64, 32},  {27, 1024, 16}};
+    const auto widths = simdWidths();
     Rng rng(202);
     std::vector<float> s0, s1;
     for (const auto &sh : shapes) {
@@ -134,6 +156,7 @@ TEST_F(BackendEquivalence, TransposedGemmsBitwiseAcrossShapes)
         for (bool accumulate : {false, true}) {
             std::vector<float> c0(static_cast<std::size_t>(m) * n);
             fillMixed(c0, rng);
+            const std::vector<float> start = c0;
             std::vector<float> c1 = c0;
             ref_->gemmTransA(a.data(), b.data(), c0.data(), m, k, n,
                              accumulate);
@@ -142,6 +165,14 @@ TEST_F(BackendEquivalence, TransposedGemmsBitwiseAcrossShapes)
             EXPECT_TRUE(bitsEqual(c0.data(), c1.data(), c0.size()))
                 << "gemmTransA m=" << m << " k=" << k << " n=" << n
                 << " accumulate=" << accumulate;
+            for (const auto &[name, w] : widths) {
+                c1 = start;
+                w->transA(a.data(), b.data(), c1.data(), m, k, n, m,
+                          accumulate);
+                EXPECT_TRUE(bitsEqual(c0.data(), c1.data(), c0.size()))
+                    << name << " transA m=" << m << " k=" << k << " n=" << n
+                    << " accumulate=" << accumulate;
+            }
 
             fillMixed(c0, rng);
             c1 = c0;
