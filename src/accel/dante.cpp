@@ -154,7 +154,6 @@ DanteChip::runFcInference(dnn::Network &net, const dnn::Tensor &x,
                           static_cast<std::uint64_t>(in) *
                           static_cast<std::uint64_t>(out);
         counters_.macOps += macs;
-        // vblint: assoc-ok(layers accumulate in fixed network order)
         counters_.peEnergy += energy_.peOpEnergy(vdd) *
                               static_cast<double>(macs);
 
@@ -243,7 +242,6 @@ DanteChip::runInference(dnn::Network &net, dnn::Network &scratch,
         }
         if (macs > 0) {
             counters_.macOps += macs;
-            // vblint: assoc-ok(layers accumulate in fixed network order)
             counters_.peEnergy +=
                 energy_.peOpEnergy(vdd) * static_cast<double>(macs);
         }

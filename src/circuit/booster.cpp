@@ -70,7 +70,6 @@ BoosterDesign::boostCap(int level, const TechnologyParams &tech) const
     Farad cb(0.0);
     for (int i = 0; i < level; ++i) {
         const auto &c = cells_[static_cast<std::size_t>(i)];
-        // vblint: assoc-ok(cells summed in fixed index order)
         cb += c.mimCap + tech.invCoupleCap * c.numInverters;
     }
     return cb;
@@ -100,7 +99,6 @@ BoosterDesign::enabledMim(int level) const
         fatal("BoosterDesign::enabledMim: level out of range");
     Farad mim(0.0);
     for (int i = 0; i < level; ++i)
-        // vblint: assoc-ok(cells summed in fixed index order)
         mim += cells_[static_cast<std::size_t>(i)].mimCap;
     return mim;
 }
@@ -173,7 +171,6 @@ BoosterBank::boostEventEnergy(Volt vdd, int level) const
     Farad drive = tech_.invDriveCap * design_.enabledInverters(level);
     for (int i = 0; i < level; ++i) {
         if (design_.cells()[static_cast<std::size_t>(i)].mimCap > Farad(0.0))
-            // vblint: assoc-ok(cells summed in fixed index order)
             drive += tech_.mimBufferDriveCap;
     }
     Joule e = switchingEnergy(drive, vdd);

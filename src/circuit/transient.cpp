@@ -47,7 +47,6 @@ TransientSim::sampleIfDue()
     while (now_ >= nextSample_) {
         wave_.push_back(WaveformSample{now_, vddv_, lastAsserted_,
                                        bic_.enabledLevel()});
-        // vblint: assoc-ok(single sequential sample clock)
         nextSample_ += sampleInterval_;
     }
 }
@@ -70,7 +69,6 @@ TransientSim::run(bool cen, bool boost_clk, Second duration)
     while (remaining > Second(0.0)) {
         const Second dt = remaining < step_dt ? remaining : step_dt;
         step(dt, target);
-        // vblint: assoc-ok(time advances in sequential integration steps)
         now_ += dt;
         remaining -= dt;
         sampleIfDue();

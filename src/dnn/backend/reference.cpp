@@ -43,7 +43,6 @@ class ReferenceBackend final : public Backend
                     continue;
                 const float *brow = b + static_cast<std::size_t>(kk) * ldb;
                 for (int j = 0; j < n; ++j)
-                    // vblint: assoc-ok(k advances in fixed index order)
                     crow[j] += aik * brow[j];
             }
         }
@@ -65,7 +64,6 @@ class ReferenceBackend final : public Backend
                     continue;
                 float *crow = c + static_cast<std::size_t>(i) * n;
                 for (int j = 0; j < n; ++j)
-                    // vblint: assoc-ok(k advances in fixed index order)
                     crow[j] += aki * brow[j];
             }
         }
@@ -86,9 +84,7 @@ class ReferenceBackend final : public Backend
                 const float *brow = b + static_cast<std::size_t>(j) * k;
                 float acc = 0.0f;
                 for (int kk = 0; kk < k; ++kk)
-                    // vblint: assoc-ok(dot product in fixed k order)
                     acc += arow[kk] * brow[kk];
-                // vblint: assoc-ok(single accumulated dot per (i,j) cell)
                 crow[j] += acc;
             }
         }
@@ -146,7 +142,7 @@ class ReferenceBackend final : public Backend
             float *chan = out + static_cast<std::size_t>(oc) * spatial;
             const float b = bias[static_cast<std::size_t>(oc)];
             for (std::size_t i = 0; i < spatial; ++i)
-                chan[i] += b; // vblint: assoc-ok(single bias add per element, no reduction)
+                chan[i] += b;
         }
     }
 

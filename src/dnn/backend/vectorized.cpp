@@ -168,7 +168,7 @@ gemmTransBAvx2(const float *a, const float *b, float *c, int m, int k,
                              _mm256_add_ps(_mm256_loadu_ps(crow + j),
                                            _mm256_loadu_ps(drow + j)));
         for (; j < n; ++j)
-            crow[j] += drow[j]; // vblint: assoc-ok(single accumulated dot per (i,j) cell)
+            crow[j] += drow[j];
     }
 }
 
@@ -219,7 +219,6 @@ im2colAvx2(const float *image, const ConvGeom &g, std::vector<float> &cols)
                 // Valid output columns: 0 <= oj + kj - pad < w.
                 const int oj_lo = std::max(0, g.pad - kj);
                 const int oj_hi = std::min(out_w, g.w + g.pad - kj);
-                // vblint: assoc-ok(pointer stride advance, not a float reduction)
                 for (int oi = 0; oi < out_h; ++oi, dst += out_w) {
                     const int ii = oi + ki - g.pad;
                     if (ii < 0 || ii >= g.h || oj_lo >= oj_hi) {
@@ -379,7 +378,7 @@ class VectorizedBackend final : public Backend
                     chan + i,
                     _mm256_add_ps(_mm256_loadu_ps(chan + i), bv));
             for (; i < spatial; ++i)
-                chan[i] += bias[oc]; // vblint: assoc-ok(single bias add per element, no reduction)
+                chan[i] += bias[oc];
         }
     }
 

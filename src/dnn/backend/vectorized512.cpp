@@ -173,7 +173,6 @@ im2colAvx512(const float *image, const ConvGeom &g,
                     const std::size_t nflat =
                         static_cast<std::size_t>(oi_b - oi_a) * out_w;
                     std::size_t p = 0;
-                    // vblint: assoc-ok(integer chunk offset, not a float reduction)
                     for (; p + 16 <= nflat; p += 16)
                         _mm512_storeu_ps(
                             dst + p, _mm512_maskz_loadu_ps(

@@ -74,7 +74,6 @@ class PrototypeField
     {
         double acc = 0.0;
         for (const auto &m : modes_) {
-            // vblint: assoc-ok(modes summed in fixed vector order)
             acc += m.amp * std::cos(2.0 * M_PI * m.fx * u + m.px) *
                    std::cos(2.0 * M_PI * m.fy * v + m.py);
         }
@@ -158,7 +157,6 @@ makeSynthetic(int n, std::uint64_t seed, const SyntheticConfig &cfg,
                     const int sj = std::clamp(j + shift_j, 0, side - 1);
                     double pix = grid[static_cast<std::size_t>(
                         si * side + sj)];
-                    // vblint: assoc-ok(single noise draw per pixel, fixed scan order)
                     pix += rng.normal(0.0, cfg.noiseSigma);
                     if (cfg.dropoutProb > 0.0 &&
                         rng.bernoulli(cfg.dropoutProb)) {

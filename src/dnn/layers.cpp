@@ -206,7 +206,6 @@ Conv2d::backwardParams(const Tensor &grad_out)
             const float *chan = g + static_cast<std::size_t>(oc) * spatial;
             float acc = 0.0f;
             for (std::size_t i = 0; i < spatial; ++i)
-                // vblint: assoc-ok(row sum in fixed spatial order)
                 acc += chan[i];
             bGrad_[static_cast<std::size_t>(oc)] += acc;
         }

@@ -157,10 +157,8 @@ SoftmaxCrossEntropy::lossAndGrad(const Tensor &logits,
             maxv = std::max(maxv, logits.at(i, j));
         double denom = 0.0;
         for (int j = 0; j < classes; ++j)
-            // vblint: assoc-ok(softmax denominator in fixed class order)
             denom += std::exp(static_cast<double>(logits.at(i, j) - maxv));
         const double log_denom = std::log(denom);
-        // vblint: assoc-ok(batch loss summed in fixed sample order)
         total_loss +=
             log_denom - (static_cast<double>(logits.at(i, label)) - maxv);
         for (int j = 0; j < classes; ++j) {

@@ -79,7 +79,6 @@ addBias(float *c, const float *bias, int m, int n, std::size_t j0,
     for (int i = 0; i < m; ++i) {
         float *row = c + static_cast<std::size_t>(i) * n;
         for (std::size_t j = j0; j < j1; ++j)
-            // vblint: assoc-ok(one bias add per element, fixed j order)
             row[j] += bias[j];
     }
 }

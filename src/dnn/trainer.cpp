@@ -118,7 +118,6 @@ runSgd(const TrainConfig &cfg, BatchStep &step, const Dataset &train_set,
             step.beforeBatch(epoch, batch_index++);
             Tensor logits = step.forward(batch.images);
             Tensor grad;
-            // vblint: assoc-ok(batches processed in fixed epoch order)
             loss_sum += loss_fn.lossAndGrad(logits, batch.labels, grad);
             ++batches;
             step.backward(grad);
@@ -167,7 +166,6 @@ runSgd(const TrainConfig &cfg, BatchStep &step, const Dataset &train_set,
                                 ge = std::clamp(ge, -gclip, gclip);
                             s.velocity[e] = static_cast<float>(
                                 momentum * s.velocity[e] - lr * ge);
-                            // vblint: assoc-ok(one momentum update per element)
                             s.value[e] += s.velocity[e];
                             if (wclip > 0.0f)
                                 s.value[e] =

@@ -59,10 +59,8 @@ SupplyConfigurator::boostedDynamicMulti(
     EnergyBreakdown e;
     for (const auto &[accesses, level] : accesses_by_level) {
         const Volt vddv = booster_.boostedVoltage(vdd, level);
-        // vblint: assoc-ok(levels summed in caller-supplied fixed order)
         e.sram += energy_.sramAccessEnergy(vddv, numBanks_) *
                   static_cast<double>(accesses);
-        // vblint: assoc-ok(levels summed in caller-supplied fixed order)
         e.booster += booster_.boostEventEnergy(vdd, level) *
                      static_cast<double>(accesses);
     }

@@ -403,8 +403,8 @@ FaultInjectionRunner::runResilient(Volt vdd, const core::SimContext &ctx,
     double latency_sum = 0.0;
     for (const auto &r : results) {
         out.stats.merge(r.res);
-        energy_sum += r.resEnergy.value();         // vblint: assoc-ok(map-index-order reduction, §7)
-        latency_sum += r.res.retryLatency.value(); // vblint: assoc-ok(map-index-order reduction, §7)
+        energy_sum += r.resEnergy.value();
+        latency_sum += r.res.retryLatency.value();
     }
     const auto n = static_cast<double>(results.size());
     out.meanAccessEnergy = Joule(energy_sum / n);
@@ -478,8 +478,8 @@ FaultInjectionRunner::runTiming(const core::SimContext &ctx,
     double latency_sum = 0.0;
     for (const auto &r : results) {
         out.stats.merge(r.tim);
-        energy_sum += r.tim.logicEnergy.value(); // vblint: assoc-ok(map-index-order reduction, §7)
-        latency_sum +=                           // vblint: assoc-ok(map-index-order reduction, §7)
+        energy_sum += r.tim.logicEnergy.value();
+        latency_sum +=
             static_cast<double>(r.tim.replayCycles +
                                 r.tim.bubbleCycles) *
             period;
@@ -568,10 +568,10 @@ FaultInjectionRunner::runCombined(Volt v_sram,
     for (const auto &r : results) {
         out.sram.merge(r.res);
         out.timing.merge(r.tim);
-        sram_energy += r.resEnergy.value();          // vblint: assoc-ok(map-index-order reduction, §7)
-        logic_energy += r.tim.logicEnergy.value();   // vblint: assoc-ok(map-index-order reduction, §7)
-        retry_latency += r.res.retryLatency.value(); // vblint: assoc-ok(map-index-order reduction, §7)
-        replay_latency +=                            // vblint: assoc-ok(map-index-order reduction, §7)
+        sram_energy += r.resEnergy.value();
+        logic_energy += r.tim.logicEnergy.value();
+        retry_latency += r.res.retryLatency.value();
+        replay_latency +=
             static_cast<double>(r.tim.replayCycles +
                                 r.tim.bubbleCycles) *
             period;

@@ -225,7 +225,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
             dst.count += src.count;
             break;
           case MetricKind::Sum:
-            // vblint: assoc-ok(key-ordered merge, callers merge per-job registries in job order per §7)
             dst.sum += src.sum;
             break;
           case MetricKind::Gauge:
@@ -244,7 +243,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
                                          : std::max(dst.max, src.max);
             }
             dst.count += src.count;
-            // vblint: assoc-ok(key-ordered merge, callers merge per-job registries in job order per §7)
             dst.sum += src.sum;
             break;
         }

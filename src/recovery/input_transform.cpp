@@ -77,7 +77,7 @@ InputTransform::backward(const dnn::Tensor &grad_out)
     dnn::Tensor gx = net_.backward(gt);
     // The identity path of the residual adds the passed gradient.
     for (std::size_t e = 0; e < gx.numel(); ++e)
-        gx[e] += pass[e]; // vblint: assoc-ok(element-wise two-term add, no cross-iteration accumulation)
+        gx[e] += pass[e];
     return gx;
 }
 

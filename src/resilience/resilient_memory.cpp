@@ -191,14 +191,11 @@ ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
             const Volt vddv = supply_.boostedVoltage(vdd, level);
             // Retry accounting accumulates in attempt order, which is
             // fixed per access by the counter-derived RNG streams (§7).
-            // vblint: assoc-ok(attempt-order accumulation, fixed per access)
             stats_.retryEnergy +=
                 supply_.energyModel().sramAccessEnergy(vddv, mem_.banks());
             if (level > 0)
-                // vblint: assoc-ok(attempt-order accumulation, fixed per access)
                 stats_.retryEnergy +=
                     supply_.booster().boostEventEnergy(vdd, level);
-            // vblint: assoc-ok(attempt-order accumulation, fixed per access)
             stats_.retryLatency += latency_.accessTime(vddv, vdd);
         }
         if (dec.outcome != sram::EccOutcome::DetectedUncorrectable ||

@@ -37,9 +37,9 @@ predictTiming(const timing::TimingErrorModel &model,
     double detect_rate = p0;
     double reach = p0; // P(replay k is issued)
     for (int k = 1; k <= policy.replayBudget; ++k) {
-        replay_rate += reach; // vblint: assoc-ok(fixed ascending-k geometric series, single-threaded)
+        replay_rate += reach;
         reach *= p1; // now P(replay k violates) = P(replay k+1 issued)
-        detect_rate += reach; // vblint: assoc-ok(fixed ascending-k geometric series, single-threaded)
+        detect_rate += reach;
     }
     PlannedTiming t;
     t.replayRate = replay_rate;

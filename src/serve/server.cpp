@@ -383,8 +383,8 @@ InferenceServer::aggregate(const std::vector<RequestOutcome> &outcomes,
         tenant.uncorrected += rec.resilience.uncorrected;
         tot.uncorrected += rec.resilience.uncorrected;
         const double pj = rec.modeledEnergy.value() * 1e12;
-        tenant.energyPj += pj; // vblint: assoc-ok(serial aggregation in batch seq order)
-        tot.energyPj += pj;    // vblint: assoc-ok(serial aggregation in batch seq order)
+        tenant.energyPj += pj;
+        tot.energyPj += pj;
     }
 
     for (auto &[name, tenant] : stats.perTenant)

@@ -23,7 +23,7 @@ generatePoissonTrace(const TraceConfig &cfg)
         if (tenant.trafficShare <= 0.0)
             fatal("generatePoissonTrace: tenant '", tenant.name,
                   "' has non-positive traffic share ", tenant.trafficShare);
-        total_share += tenant.trafficShare; // vblint: assoc-ok(serial pass in tenant config order)
+        total_share += tenant.trafficShare;
     }
 
     // Independent streams per draw kind, so e.g. adding a tenant to the
@@ -39,7 +39,6 @@ generatePoissonTrace(const TraceConfig &cfg)
     for (std::size_t i = 0; i < cfg.numRequests; ++i) {
         // Exponential inter-arrival; uniform() is in [0, 1) so the log
         // argument stays in (0, 1].
-        // vblint: assoc-ok(arrival-time integration is serial in trace order by construction)
         t += -std::log(1.0 - arrivals.uniform()) / cfg.requestsPerTick;
 
         double pick = tenant_picks.uniform() * total_share;

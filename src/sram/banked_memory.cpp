@@ -155,7 +155,6 @@ BankedMemory::leakagePower(Volt vdd) const
 {
     Watt p{0.0};
     for (const auto &b : banks_)
-        // vblint: assoc-ok(banks summed in fixed vector order)
         p += b.leakagePower(vdd);
     return p;
 }

@@ -14,7 +14,6 @@ VminDistribution::mean() const
         fatal("VminDistribution: empty sample set");
     double sum = 0;
     for (double v : samples)
-        // vblint: assoc-ok(samples summed in fixed vector order)
         sum += v;
     return sum / static_cast<double>(samples.size());
 }
@@ -64,7 +63,6 @@ YieldAnalyzer::yieldWithTolerance(Volt v,
     double cdf = term;
     for (std::uint64_t k = 1; k <= max_faulty_bits; ++k) {
         term *= lambda / static_cast<double>(k);
-        // vblint: assoc-ok(Poisson CDF terms in fixed k order)
         cdf += term;
     }
     return std::min(cdf, 1.0);

@@ -174,12 +174,10 @@ SpeculativeDatapath::executeOp(std::uint64_t op)
     const std::uint64_t bubble_cycles =
         static_cast<std::uint64_t>(model_.params().numStages());
     for (int issue = 0; issue <= policy_.replayBudget; ++issue) {
-        // vblint: assoc-ok(issues accumulate in sequential replay order)
         stats_.logicEnergy += energy_.peOpEnergy(standingVoltage());
         if (issue > 0) {
             ++stats_.replays;
             stats_.replayCycles += replay_cycles;
-            // vblint: assoc-ok(issues accumulate in sequential replay order)
             stats_.replayEnergy += energy_.peOpEnergy(standingVoltage());
         }
         const int stage = violatingStage(op, issue);

@@ -3,17 +3,16 @@
  * Tests for the vblint static analyzer (DESIGN.md §10). Synthetic
  * snippets exercise each rule's positive and negative space through
  * the exact production code path (analyzeSource/analyzeAll from
- * vblint_core): the per-file rules VB001–VB005, the project rules
- * VB006–VB009 (include-graph layering, RNG-stream discipline,
- * fingerprint hygiene, shared-mutable pool captures) with their
- * symbol-index-driven fixtures, the lexer's edge cases (raw strings,
- * digit separators, spliced comments, directive-trailing waivers),
- * the suppression/baseline machinery including --update-baseline,
- * and the JSON report shape. Two self-checks run the analyzer over
- * the real src/ tree: one asserts the committed-baseline invariant
- * (zero build-failing diagnostics — what the `vblint` ctest entry
- * and the CI job enforce), one injects a layering back-edge and
- * asserts it fails.
+ * vblint_core): the per-file rules VB001, VB002, VB004 and VB005, the
+ * project rules VB006–VB009 (include-graph layering, RNG-stream
+ * discipline, fingerprint hygiene, shared-mutable pool captures) with
+ * their symbol-index-driven fixtures, the lexer's edge cases (raw
+ * strings, digit separators, spliced comments, directive-trailing
+ * waivers), the inline-suppression machinery, and the JSON report
+ * shape. Two self-checks run the analyzer over the real src/ tree:
+ * one asserts it is clean (zero build-failing diagnostics — what the
+ * `vblint` ctest entry and the CI job enforce), one injects a
+ * layering back-edge and asserts it fails.
  */
 
 #include <gtest/gtest.h>
@@ -200,183 +199,6 @@ TEST(VblintVB002, SiblingHeaderSeedsTheTypeEnvironment)
     ASSERT_EQ(withRule(fa, Rule::VB002).size(), 1u);
 }
 
-// ---------------------------------------------------------------- VB003
-
-TEST(VblintVB003, FlagsFloatAccumulationInLoop)
-{
-    const auto fa = analyzeSource("src/fi/x.cpp",
-                                  "double sum(const double *v, int n) {\n"
-                                  "    double s = 0.0;\n"
-                                  "    for (int i = 0; i < n; ++i)\n"
-                                  "        s += v[i];\n"
-                                  "    return s;\n"
-                                  "}\n");
-    const auto diags = withRule(fa, Rule::VB003);
-    ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].line, 4);
-}
-
-TEST(VblintVB003, FlagsUnitTypedAccumulation)
-{
-    // Joule is one of the units.hpp tagged doubles; the float-like
-    // type set must include them or the energy reductions go dark.
-    const auto fa = analyzeSource("src/resilience/x.cpp",
-                                  "Joule total(const Joule *v, int n) {\n"
-                                  "    Joule s{0.0};\n"
-                                  "    for (int i = 0; i < n; ++i)\n"
-                                  "        s += v[i];\n"
-                                  "    return s;\n"
-                                  "}\n");
-    ASSERT_EQ(withRule(fa, Rule::VB003).size(), 1u);
-}
-
-TEST(VblintVB003, TrailingAssocOkSuppresses)
-{
-    const auto fa = analyzeSource(
-        "src/fi/x.cpp",
-        "double sum(const double *v, int n) {\n"
-        "    double s = 0.0;\n"
-        "    for (int i = 0; i < n; ++i)\n"
-        "        s += v[i]; // vblint: assoc-ok(fixed serial order)\n"
-        "    return s;\n"
-        "}\n");
-    const auto diags = withRule(fa, Rule::VB003);
-    ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].status, DiagStatus::Suppressed);
-    EXPECT_EQ(activeCount(fa), 0);
-}
-
-TEST(VblintVB003, IntegerAccumulationIsFine)
-{
-    const auto fa = analyzeSource("src/fi/x.cpp",
-                                  "long sum(const int *v, int n) {\n"
-                                  "    long s = 0;\n"
-                                  "    for (int i = 0; i < n; ++i)\n"
-                                  "        s += v[i];\n"
-                                  "    return s;\n"
-                                  "}\n");
-    EXPECT_TRUE(withRule(fa, Rule::VB003).empty());
-}
-
-TEST(VblintVB003, AccumulationOutsideLoopIsFine)
-{
-    const auto fa = analyzeSource(
-        "src/fi/x.cpp",
-        "double f(double a, double b) { a += b; return a; }\n");
-    EXPECT_TRUE(withRule(fa, Rule::VB003).empty());
-}
-
-TEST(VblintVB003, AppliesUniformlyAcrossSrc)
-{
-    // One scope for all of src/: the per-directory allowlists are
-    // gone. A fixed-order series in circuit/ gets the same diagnostic
-    // as a parallel reduction in serve/ — the difference is expressed
-    // with an assoc-ok waiver at the site, not a scoping exemption.
-    const std::string snippet = "double sum(const double *v, int n) {\n"
-                                "    double s = 0.0;\n"
-                                "    for (int i = 0; i < n; ++i)\n"
-                                "        s += v[i];\n"
-                                "    return s;\n"
-                                "}\n";
-    for (const char *path :
-         {"src/circuit/x.cpp", "src/timing/x.cpp", "src/energy/x.cpp",
-          "src/sram/x.cpp", "src/serve/x.cpp", "src/accel/x.cpp"}) {
-        EXPECT_EQ(withRule(analyzeSource(path, snippet), Rule::VB003)
-                      .size(),
-                  1u)
-            << path;
-    }
-    EXPECT_TRUE(
-        withRule(analyzeSource("bench/x.cpp", snippet), Rule::VB003)
-            .empty());
-    EXPECT_TRUE(
-        withRule(analyzeSource("tools/x.cpp", snippet), Rule::VB003)
-            .empty());
-}
-
-TEST(VblintVB003, ObservabilityLayerIsInScope)
-{
-    // src/obs/ feeds the metrics fingerprint — itself a determinism
-    // acceptance value (DESIGN.md §11) — so its float accumulations
-    // are in VB003 scope like the fi/serve/resilience reductions.
-    const auto fa = analyzeSource(
-        "src/obs/x.cpp",
-        "double total(const double *v, int n) {\n"
-        "    double s = 0.0;\n"
-        "    for (int i = 0; i < n; ++i)\n"
-        "        s += v[i];\n"
-        "    return s;\n"
-        "}\n");
-    const auto diags = withRule(fa, Rule::VB003);
-    ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].line, 4);
-    EXPECT_EQ(diags[0].status, DiagStatus::Active);
-}
-
-TEST(VblintVB003, ComputeBackendsAreInScope)
-{
-    // src/dnn/backend/ kernels carry the bitwise cross-backend
-    // equivalence contract (DESIGN.md §12): every float accumulation
-    // there must pin its order. The rest of src/dnn/ is under the
-    // same uniform scope.
-    const std::string snippet =
-        "void accum(const float *v, float *c, int n) {\n"
-        "    for (int i = 0; i < n; ++i)\n"
-        "        *c += v[i];\n"
-        "}\n";
-    EXPECT_EQ(withRule(analyzeSource("src/dnn/backend/x.cpp", snippet),
-                       Rule::VB003)
-                  .size(),
-              1u);
-    EXPECT_EQ(
-        withRule(analyzeSource("src/dnn/x.cpp", snippet), Rule::VB003)
-            .size(),
-        1u);
-    // An assoc-ok waiver with a reason suppresses it, as elsewhere.
-    const auto fa = analyzeSource(
-        "src/dnn/backend/x.cpp",
-        "void accum(const float *v, float *c, int n) {\n"
-        "    for (int i = 0; i < n; ++i)\n"
-        "        *c += v[i]; // vblint: assoc-ok(ascending-i chain)\n"
-        "}\n");
-    const auto suppressed = withRule(fa, Rule::VB003);
-    ASSERT_EQ(suppressed.size(), 1u);
-    EXPECT_EQ(suppressed[0].status, DiagStatus::Suppressed);
-}
-
-TEST(VblintVB003, BracelessInnerLoopIsReportedOnce)
-{
-    // A braceless loop nested in a braced loop must not be flagged by
-    // both the walk-time check and the braceless-body check.
-    const auto fa = analyzeSource(
-        "src/dnn/x.cpp",
-        "double f(const double *v, int m, int n) {\n"
-        "    double s = 0.0;\n"
-        "    for (int i = 0; i < m; ++i)\n"
-        "        for (int j = 0; j < n; ++j)\n"
-        "            s += v[i * n + j];\n"
-        "    return s;\n"
-        "}\n");
-    EXPECT_EQ(withRule(fa, Rule::VB003).size(), 1u);
-}
-
-TEST(VblintVB003, ClusterTierIsInScope)
-{
-    // src/cluster/ merges per-node stats and fingerprints across the
-    // serving cluster (DESIGN.md §14): an unordered float accumulation
-    // there would break the merged-fingerprint contract, so the
-    // directory is in VB003 scope.
-    const std::string snippet =
-        "void accum(const float *v, float *c, int n) {\n"
-        "    for (int i = 0; i < n; ++i)\n"
-        "        *c += v[i];\n"
-        "}\n";
-    EXPECT_EQ(withRule(analyzeSource("src/cluster/x.cpp", snippet),
-                       Rule::VB003)
-                  .size(),
-              1u);
-}
-
 TEST(VblintVB002, ClusterTierUnorderedIterationIsFlagged)
 {
     // Routing and aggregation in src/cluster/ run on §7 serial paths;
@@ -391,23 +213,6 @@ TEST(VblintVB002, ClusterTierUnorderedIterationIsFlagged)
         "    return s;\n"
         "}\n");
     EXPECT_EQ(withRule(fa, Rule::VB002).size(), 1u);
-}
-
-TEST(VblintVB003, RecoveryTierIsInScope)
-{
-    // src/recovery/ reduces Monte-Carlo read results and training
-    // statistics under the §7 bitwise contract (DESIGN.md §15): an
-    // unordered float accumulation there would break the digest
-    // acceptance values, so the directory is in VB003 scope.
-    const std::string snippet =
-        "void accum(const float *v, float *c, int n) {\n"
-        "    for (int i = 0; i < n; ++i)\n"
-        "        *c += v[i];\n"
-        "}\n";
-    EXPECT_EQ(withRule(analyzeSource("src/recovery/x.cpp", snippet),
-                       Rule::VB003)
-                  .size(),
-              1u);
 }
 
 TEST(VblintVB002, RecoveryTierUnorderedIterationIsFlagged)
@@ -759,7 +564,7 @@ TEST(VblintVB006, DetectsIncludeCycle)
          "#include \"serve/a.hpp\"\n"
          "#endif\n",
          ""}};
-    const auto report = analyzeAll(inputs, {});
+    const auto report = analyzeAll(inputs);
     const auto diags = reportWithRule(report, Rule::VB006);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_NE(diags[0].message.find("include cycle"), std::string::npos);
@@ -821,7 +626,7 @@ TEST(VblintVB007, FlagsAdHocSeedArithmetic)
          "    return Rng(seed * 31 + j);\n"
          "}\n",
          ""}};
-    const auto report = analyzeAll(inputs, {});
+    const auto report = analyzeAll(inputs);
     const auto diags = reportWithRule(report, Rule::VB007);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].file, "src/fi/x.cpp");
@@ -843,7 +648,7 @@ TEST(VblintVB007, HashHelperArithmeticIsBlessed)
          "}\n",
          ""}};
     EXPECT_TRUE(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB007).empty());
+        reportWithRule(analyzeAll(inputs), Rule::VB007).empty());
 }
 
 TEST(VblintVB007, SplitCounterIsClean)
@@ -857,7 +662,7 @@ TEST(VblintVB007, SplitCounterIsClean)
          "}\n",
          ""}};
     EXPECT_TRUE(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB007).empty());
+        reportWithRule(analyzeAll(inputs), Rule::VB007).empty());
 }
 
 TEST(VblintVB007, ProviderFileIsExempt)
@@ -871,7 +676,7 @@ TEST(VblintVB007, ProviderFileIsExempt)
          "void seedHelper() { std::mt19937 gen(7); (void)gen; }\n",
          ""}};
     EXPECT_TRUE(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB007).empty());
+        reportWithRule(analyzeAll(inputs), Rule::VB007).empty());
 }
 
 TEST(VblintVB007, AllowAnnotationSuppresses)
@@ -900,7 +705,7 @@ TEST(VblintVB008, FlagsWallClockMetricWithoutExclusion)
          "    reg.counter(\"serve.elapsed_seconds\");\n"
          "}\n",
          ""}};
-    const auto report = analyzeAll(inputs, {});
+    const auto report = analyzeAll(inputs);
     const auto diags = reportWithRule(report, Rule::VB008);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].file, "src/serve/x.cpp");
@@ -925,7 +730,7 @@ TEST(VblintVB008, ExcludeFromFingerprintClearsTheFinding)
          "}\n",
          ""}};
     EXPECT_TRUE(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB008).empty());
+        reportWithRule(analyzeAll(inputs), Rule::VB008).empty());
 }
 
 TEST(VblintVB008, CleanFunctionsMayRegisterMetrics)
@@ -941,7 +746,7 @@ TEST(VblintVB008, CleanFunctionsMayRegisterMetrics)
          "}\n",
          ""}};
     EXPECT_TRUE(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB008).empty());
+        reportWithRule(analyzeAll(inputs), Rule::VB008).empty());
 }
 
 TEST(VblintVB008, FlagsRegistrationInsidePoolLambda)
@@ -955,7 +760,7 @@ TEST(VblintVB008, FlagsRegistrationInsidePoolLambda)
          "    pool.submit([&reg] { reg.counter(\"fi.inner\"); });\n"
          "}\n",
          ""}};
-    const auto report = analyzeAll(inputs, {});
+    const auto report = analyzeAll(inputs);
     const auto diags = reportWithRule(report, Rule::VB008);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_NE(diags[0].message.find("inside a thread-pool lambda"),
@@ -976,7 +781,7 @@ TEST(VblintVB008, AllowAnnotationSuppresses)
          "    reg.counter(\"serve.elapsed_seconds\");\n"
          "}\n",
          ""}};
-    const auto report = analyzeAll(inputs, {});
+    const auto report = analyzeAll(inputs);
     const auto diags = reportWithRule(report, Rule::VB008);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].status, DiagStatus::Suppressed);
@@ -994,7 +799,7 @@ TEST(VblintVB009, FlagsDefaultRefCapture)
          "    pool.submit([&] { out[0] = 1.0; });\n"
          "}\n",
          ""}};
-    const auto report = analyzeAll(inputs, {});
+    const auto report = analyzeAll(inputs);
     const auto diags = reportWithRule(report, Rule::VB009);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].status, DiagStatus::Active);
@@ -1016,7 +821,7 @@ TEST(VblintVB009, FreeParallelForIsAnEntryPoint)
          "}\n",
          ""}};
     ASSERT_EQ(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB009).size(), 1u);
+        reportWithRule(analyzeAll(inputs), Rule::VB009).size(), 1u);
 }
 
 TEST(VblintVB009, FlagsUnguardedNamedRefCapture)
@@ -1031,7 +836,7 @@ TEST(VblintVB009, FlagsUnguardedNamedRefCapture)
          "}\n",
          ""}};
     const auto diags =
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB009);
+        reportWithRule(analyzeAll(inputs), Rule::VB009);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_NE(diags[0].message.find("total"), std::string::npos);
 }
@@ -1049,7 +854,7 @@ TEST(VblintVB009, AtomicGuardedCaptureIsClean)
          "}\n",
          ""}};
     EXPECT_TRUE(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB009).empty());
+        reportWithRule(analyzeAll(inputs), Rule::VB009).empty());
 }
 
 TEST(VblintVB009, ValueCaptureIsClean)
@@ -1064,7 +869,7 @@ TEST(VblintVB009, ValueCaptureIsClean)
          "}\n",
          ""}};
     EXPECT_TRUE(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB009).empty());
+        reportWithRule(analyzeAll(inputs), Rule::VB009).empty());
 }
 
 TEST(VblintVB009, NonPoolCallIsClean)
@@ -1081,7 +886,7 @@ TEST(VblintVB009, NonPoolCallIsClean)
          "}\n",
          ""}};
     EXPECT_TRUE(
-        reportWithRule(analyzeAll(inputs, {}), Rule::VB009).empty());
+        reportWithRule(analyzeAll(inputs), Rule::VB009).empty());
 }
 
 TEST(VblintVB009, AllowAnnotationSuppresses)
@@ -1096,7 +901,7 @@ TEST(VblintVB009, AllowAnnotationSuppresses)
          "        [&] { out[0] = 1.0; });\n"
          "}\n",
          ""}};
-    const auto report = analyzeAll(inputs, {});
+    const auto report = analyzeAll(inputs);
     const auto diags = reportWithRule(report, Rule::VB009);
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].status, DiagStatus::Suppressed);
@@ -1207,11 +1012,18 @@ TEST(VblintSuppression, UnusedSuppressionRaisesVB900)
 
 TEST(VblintSuppression, MalformedAnnotationRaisesVB901)
 {
-    const auto fa = analyzeSource(
-        "src/core/x.cpp",
-        "// vblint: frobnicate(VB001)\n"
-        "int add(int a, int b) { return a + b; }\n");
-    ASSERT_EQ(withRule(fa, Rule::VB901).size(), 1u);
+    // Unknown keywords — including retired ones — are malformed, so
+    // a stale or newly written one fails the lint.
+    for (const char *annotation :
+         {"// vblint: frobnicate(VB001)\n", "// vblint: assoc-ok(x)\n"}) {
+        const auto fa = analyzeSource(
+            "src/core/x.cpp",
+            std::string(annotation) +
+                "int add(int a, int b) { return a + b; }\n");
+        const auto diags = withRule(fa, Rule::VB901);
+        ASSERT_EQ(diags.size(), 1u) << annotation;
+        EXPECT_EQ(diags[0].status, DiagStatus::Active) << annotation;
+    }
 }
 
 TEST(VblintSuppression, WrongRuleDoesNotSuppress)
@@ -1228,190 +1040,6 @@ TEST(VblintSuppression, WrongRuleDoesNotSuppress)
     EXPECT_EQ(withRule(fa, Rule::VB900).size(), 1u);
 }
 
-// --------------------------------------------------------------- baseline
-
-TEST(VblintBaseline, ParserSkipsCommentsAndReportsMalformedLines)
-{
-    std::vector<std::string> errors;
-    const auto entries = parseBaseline("# comment\n"
-                                       "\n"
-                                       "src/fi/x.cpp|VB003|s += v[i];\n"
-                                       "not a baseline line\n",
-                                       errors);
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].file, "src/fi/x.cpp");
-    EXPECT_EQ(entries[0].rule, "VB003");
-    EXPECT_EQ(entries[0].sourceLine, "s += v[i];");
-    EXPECT_EQ(errors.size(), 1u);
-}
-
-TEST(VblintBaseline, MatchingEntryMarksDiagnosticBaselined)
-{
-    std::vector<SourceInput> inputs{
-        {"src/fi/x.cpp",
-         "double sum(const double *v, int n) {\n"
-         "    double s = 0.0;\n"
-         "    for (int i = 0; i < n; ++i)\n"
-         "        s += v[i];\n"
-         "    return s;\n"
-         "}\n",
-         ""}};
-    std::vector<std::string> errors;
-    const auto baseline =
-        parseBaseline("src/fi/x.cpp|VB003|s += v[i];\n", errors);
-    const auto report = analyzeAll(inputs, baseline);
-    EXPECT_EQ(report.activeCount(), 0);
-    EXPECT_EQ(report.countWithStatus(DiagStatus::Baselined), 1);
-    EXPECT_TRUE(report.staleBaseline.empty());
-}
-
-TEST(VblintBaseline, ContentMatchSurvivesLineNumberChurn)
-{
-    // Same flagged statement, shifted down by new code above it: the
-    // content-keyed baseline still matches (this is the whole reason
-    // the format carries source text instead of line numbers).
-    std::vector<SourceInput> inputs{
-        {"src/fi/x.cpp",
-         "int unrelatedNewFunction() { return 42; }\n"
-         "\n"
-         "double sum(const double *v, int n) {\n"
-         "    double s = 0.0;\n"
-         "    for (int i = 0; i < n; ++i)\n"
-         "        s += v[i];\n"
-         "    return s;\n"
-         "}\n",
-         ""}};
-    std::vector<std::string> errors;
-    const auto baseline =
-        parseBaseline("src/fi/x.cpp|VB003|s += v[i];\n", errors);
-    const auto report = analyzeAll(inputs, baseline);
-    EXPECT_EQ(report.activeCount(), 0);
-    EXPECT_EQ(report.countWithStatus(DiagStatus::Baselined), 1);
-}
-
-TEST(VblintBaseline, StaleEntryIsReported)
-{
-    std::vector<SourceInput> inputs{
-        {"src/fi/x.cpp", "int add(int a, int b) { return a + b; }\n", ""}};
-    std::vector<std::string> errors;
-    const auto baseline =
-        parseBaseline("src/fi/x.cpp|VB003|s += v[i];\n", errors);
-    const auto report = analyzeAll(inputs, baseline);
-    ASSERT_EQ(report.staleBaseline.size(), 1u);
-    EXPECT_EQ(report.staleBaseline[0].sourceLine, "s += v[i];");
-}
-
-TEST(VblintBaseline, FormatRoundTrips)
-{
-    std::vector<SourceInput> inputs{
-        {"src/fi/x.cpp",
-         "double sum(const double *v, int n) {\n"
-         "    double s = 0.0;\n"
-         "    for (int i = 0; i < n; ++i)\n"
-         "        s += v[i];\n"
-         "    return s;\n"
-         "}\n",
-         ""}};
-    const auto first = analyzeAll(inputs, {});
-    ASSERT_EQ(first.activeCount(), 1);
-
-    // Feed the generated baseline straight back in: everything that
-    // was active must come out baselined.
-    std::vector<std::string> errors;
-    const auto baseline =
-        parseBaseline(formatBaseline(first.diagnostics), errors);
-    EXPECT_TRUE(errors.empty());
-    const auto second = analyzeAll(inputs, baseline);
-    EXPECT_EQ(second.activeCount(), 0);
-    EXPECT_EQ(second.countWithStatus(DiagStatus::Baselined), 1);
-}
-
-TEST(VblintBaseline, UpdateAddsActiveFindings)
-{
-    std::vector<SourceInput> inputs{
-        {"src/fi/x.cpp",
-         "double sum(const double *v, int n) {\n"
-         "    double s = 0.0;\n"
-         "    for (int i = 0; i < n; ++i)\n"
-         "        s += v[i];\n"
-         "    return s;\n"
-         "}\n",
-         ""}};
-    const auto report = analyzeAll(inputs, {});
-    const BaselineUpdate up = updateBaseline(report);
-    EXPECT_EQ(up.added, 1);
-    EXPECT_EQ(up.kept, 0);
-    EXPECT_EQ(up.pruned, 0);
-    EXPECT_NE(up.content.find("src/fi/x.cpp|VB003|s += v[i];"),
-              std::string::npos);
-
-    // Feeding the updated baseline straight back leaves nothing active.
-    std::vector<std::string> errors;
-    const auto second = analyzeAll(inputs, parseBaseline(up.content, errors));
-    EXPECT_TRUE(errors.empty());
-    EXPECT_EQ(second.activeCount(), 0);
-}
-
-TEST(VblintBaseline, UpdateKeepsMatchingEntries)
-{
-    std::vector<SourceInput> inputs{
-        {"src/fi/x.cpp",
-         "double sum(const double *v, int n) {\n"
-         "    double s = 0.0;\n"
-         "    for (int i = 0; i < n; ++i)\n"
-         "        s += v[i];\n"
-         "    return s;\n"
-         "}\n",
-         ""}};
-    std::vector<std::string> errors;
-    const auto baseline =
-        parseBaseline("src/fi/x.cpp|VB003|s += v[i];\n", errors);
-    const BaselineUpdate up = updateBaseline(analyzeAll(inputs, baseline));
-    EXPECT_EQ(up.added, 0);
-    EXPECT_EQ(up.kept, 1);
-    EXPECT_EQ(up.pruned, 0);
-    EXPECT_NE(up.content.find("src/fi/x.cpp|VB003|s += v[i];"),
-              std::string::npos);
-}
-
-TEST(VblintBaseline, UpdatePrunesStaleEntriesAndReportsThem)
-{
-    // The fixed file no longer produces the finding: the rewrite drops
-    // the entry and reports the pruning (the CLI exits 1 on it so
-    // silent baseline shrinkage cannot slip through review).
-    std::vector<SourceInput> inputs{
-        {"src/fi/x.cpp", "int add(int a, int b) { return a + b; }\n", ""}};
-    std::vector<std::string> errors;
-    const auto baseline =
-        parseBaseline("src/fi/x.cpp|VB003|s += v[i];\n", errors);
-    const BaselineUpdate up = updateBaseline(analyzeAll(inputs, baseline));
-    EXPECT_EQ(up.added, 0);
-    EXPECT_EQ(up.kept, 0);
-    EXPECT_EQ(up.pruned, 1);
-    ASSERT_EQ(up.prunedEntries.size(), 1u);
-    EXPECT_EQ(up.prunedEntries[0].sourceLine, "s += v[i];");
-    EXPECT_EQ(up.content.find("s += v[i];"), std::string::npos);
-}
-
-TEST(VblintBaseline, UpdateDoesNotAbsorbInlineSuppressedFindings)
-{
-    // An inline waiver documents its reason at the site; hoisting it
-    // into the baseline would lose that, so suppressed findings are
-    // never written out.
-    std::vector<SourceInput> inputs{
-        {"src/fi/x.cpp",
-         "double sum(const double *v, int n) {\n"
-         "    double s = 0.0;\n"
-         "    for (int i = 0; i < n; ++i)\n"
-         "        s += v[i]; // vblint: assoc-ok(fixed serial order)\n"
-         "    return s;\n"
-         "}\n",
-         ""}};
-    const BaselineUpdate up = updateBaseline(analyzeAll(inputs, {}));
-    EXPECT_EQ(up.added, 0);
-    EXPECT_EQ(up.content.find("s += v[i]"), std::string::npos);
-}
-
 // ------------------------------------------------------------------- JSON
 
 TEST(VblintJson, ReportHasExpectedShape)
@@ -1422,7 +1050,7 @@ TEST(VblintJson, ReportHasExpectedShape)
          "// vblint: allow(VB004, test fixture state)\n"
          "int counter = 0;\n",
          ""}};
-    const auto report = analyzeAll(inputs, {});
+    const auto report = analyzeAll(inputs);
     std::ostringstream os;
     writeJson(os, report, "/repo");
     const std::string json = os.str();
@@ -1436,7 +1064,7 @@ TEST(VblintJson, ReportHasExpectedShape)
     EXPECT_NE(json.find("\"id\": \"VB001\""), std::string::npos);
     EXPECT_NE(json.find("\"file\": \"src/fi/x.cpp\""), std::string::npos);
     EXPECT_NE(json.find("\"suppressions\""), std::string::npos);
-    EXPECT_NE(json.find("\"staleBaseline\""), std::string::npos);
+    EXPECT_NE(json.find("\"diagnostics\""), std::string::npos);
 
     // The writer must emit parseable JSON: crude but effective brace
     // balance check on the final artifact.
@@ -1501,7 +1129,7 @@ loadRealSrcTree(const std::filesystem::path &root)
     return inputs;
 }
 
-TEST(VblintSelfCheck, SrcTreeIsCleanUnderCommittedBaseline)
+TEST(VblintSelfCheck, SrcTreeIsClean)
 {
     namespace fs = std::filesystem;
     const fs::path root = VBLINT_SOURCE_ROOT;
@@ -1512,28 +1140,17 @@ TEST(VblintSelfCheck, SrcTreeIsCleanUnderCommittedBaseline)
     ASSERT_GT(inputs.size(), 50u)
         << "suspiciously few files; collection is broken";
 
-    std::ifstream bf(root / "tools" / "vblint" / "baseline.txt");
-    ASSERT_TRUE(bf.good()) << "committed baseline missing";
-    std::ostringstream ss;
-    ss << bf.rdbuf();
-    std::vector<std::string> errors;
-    const auto baseline = parseBaseline(ss.str(), errors);
-    EXPECT_TRUE(errors.empty())
-        << "malformed baseline line: " << errors.front();
+    const auto report = analyzeAll(inputs);
 
-    const auto report = analyzeAll(inputs, baseline);
-
-    // The tier-1 invariant: no unwaived diagnostics in src/, no stale
-    // baseline entries, no dead suppressions. Print offenders so a
-    // failure names file and line without rerunning the CLI.
+    // The tier-1 invariant: no unwaived diagnostics in src/, no dead
+    // or malformed suppressions (VB900/VB901 are active findings).
+    // Print offenders so a failure names file and line without
+    // rerunning the CLI.
     for (const auto &d : report.diagnostics)
         if (d.status == DiagStatus::Active)
             ADD_FAILURE() << d.file << ":" << d.line << ": "
                           << ruleName(d.rule) << ": " << d.message;
     EXPECT_EQ(report.activeCount(), 0);
-    for (const auto &e : report.staleBaseline)
-        ADD_FAILURE() << "stale baseline entry: " << e.file << "|" << e.rule
-                      << "|" << e.sourceLine;
 
     // Every committed waiver must carry a reason — the inventory is
     // only auditable if the "why" rides with the "where".
@@ -1559,15 +1176,7 @@ TEST(VblintSelfCheck, InjectedBackEdgeFailsTheRealTree)
                       "int injected() { return 1; }\n",
                       ""});
 
-    std::ifstream bf(root / "tools" / "vblint" / "baseline.txt");
-    ASSERT_TRUE(bf.good());
-    std::ostringstream ss;
-    ss << bf.rdbuf();
-    std::vector<std::string> errors;
-    const auto baseline = parseBaseline(ss.str(), errors);
-    ASSERT_TRUE(errors.empty());
-
-    const auto report = analyzeAll(inputs, baseline);
+    const auto report = analyzeAll(inputs);
     bool found = false;
     for (const auto &d : report.diagnostics) {
         if (d.rule == Rule::VB006 && d.status == DiagStatus::Active &&

@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "lexer.hpp"
 #include "project_model.hpp"
@@ -21,7 +20,6 @@ namespace {
 struct DeclEnv
 {
     std::set<std::string> unorderedNames;
-    std::set<std::string> floatLikeNames;
 };
 
 const std::set<std::string> &
@@ -33,40 +31,21 @@ unorderedTypes()
     return kTypes;
 }
 
-/** float/double plus the repo's tagged-double quantities (units.hpp)
- *  and the float-element Tensor: accumulating any of these is a
- *  floating-point reduction. */
-const std::set<std::string> &
-floatLikeTypes()
-{
-    static const std::set<std::string> kTypes = {
-        "float", "double", "Volt",  "Joule",   "Farad",
-        "Second", "Watt",  "Hertz", "Coulomb", "Tensor"};
-    return kTypes;
-}
-
 void
 collectDecls(const LexedSource &src, DeclEnv &env)
 {
     const auto &toks = src.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::Ident)
-            continue;
-        const bool unordered = unorderedTypes().count(toks[i].text) > 0;
-        const bool floaty = floatLikeTypes().count(toks[i].text) > 0;
-        if (!unordered && !floaty)
+        if (toks[i].kind != TokKind::Ident ||
+            !unorderedTypes().count(toks[i].text))
             continue;
         std::size_t j = skipAngles(toks, i + 1);
         while (j < toks.size() &&
                (toks[j].text == "&" || toks[j].text == "*" ||
                 toks[j].text == "const"))
             ++j;
-        if (j < toks.size() && toks[j].kind == TokKind::Ident) {
-            if (unordered)
-                env.unorderedNames.insert(toks[j].text);
-            else
-                env.floatLikeNames.insert(toks[j].text);
-        }
+        if (j < toks.size() && toks[j].kind == TokKind::Ident)
+            env.unorderedNames.insert(toks[j].text);
     }
 }
 
@@ -149,11 +128,6 @@ parseAnnotation(const RawAnnotation &raw, const LexedSource &src)
         a.reason = trimmed(inner);
         return a;
     }
-    if (word == "assoc-ok") {
-        a.rule = Rule::VB003;
-        a.reason = trimmed(inner);
-        return a;
-    }
     a.malformed = true;
     return a;
 }
@@ -162,7 +136,6 @@ struct Frame
 {
     enum class Ctx { Top, Namespace, Class, Enum, Function, Block, Init };
     Ctx ctx = Ctx::Top;
-    bool loop = false;
     int savedParenDepth = 0;
 };
 
@@ -266,7 +239,7 @@ class FileChecker
     walk()
     {
         const auto &toks = src_.tokens;
-        stack_.push_back({Ctx::Top, false, 0});
+        stack_.push_back({Ctx::Top, 0});
         head_.clear();
         parenDepth_ = 0;
 
@@ -307,20 +280,8 @@ class FileChecker
                 continue;
             }
 
-            if (t.text == "+=" && inLoop())
-                checkLoopAccumulation(toks, i);
-
             head_.push_back(&t);
         }
-    }
-
-    bool
-    inLoop() const
-    {
-        for (const Frame &f : stack_)
-            if (f.loop)
-                return true;
-        return false;
     }
 
     void
@@ -344,10 +305,8 @@ class FileChecker
                     headContains(head_, "union")) &&
                    !has_paren) {
             f.ctx = Ctx::Class;
-        } else if (first == "for" || first == "while" || first == "do") {
-            f.ctx = Ctx::Block;
-            f.loop = true;
-        } else if (cur == Ctx::Function || cur == Ctx::Block ||
+        } else if (first == "for" || first == "while" || first == "do" ||
+                   cur == Ctx::Function || cur == Ctx::Block ||
                    cur == Ctx::Init) {
             f.ctx = Ctx::Block;
         } else if (has_paren) {
@@ -376,10 +335,6 @@ class FileChecker
         else if (cur == Ctx::Class || cur == Ctx::Function ||
                  cur == Ctx::Block)
             checkStaticDeclaration(/*require_static=*/true);
-        if ((cur == Ctx::Function || cur == Ctx::Block) &&
-            (!head_.empty() && (head_.front()->text == "for" ||
-                                head_.front()->text == "while")))
-            checkBracelessLoop();
         head_.clear();
     }
 
@@ -458,90 +413,6 @@ class FileChecker
                        "' (order is hash-table dependent; see --explain "
                        "VB002)");
         }
-    }
-
-    // ---- VB003 ----------------------------------------------------
-    void
-    flagAccumulation(const std::vector<Token> &toks, std::size_t plusEq)
-    {
-        // Walk back over the lvalue (`a.b[i] +=` etc.) and take the
-        // last identifier outside index brackets as the accumulator.
-        std::size_t j = plusEq;
-        std::string name;
-        while (j > 0) {
-            const Token &p = toks[j - 1];
-            if (p.text == "]") {
-                int depth = 0;
-                while (j > 0) {
-                    if (toks[j - 1].text == "]")
-                        ++depth;
-                    else if (toks[j - 1].text == "[") {
-                        if (--depth == 0) {
-                            --j;
-                            break;
-                        }
-                    }
-                    --j;
-                }
-                continue;
-            }
-            if (p.kind == TokKind::Ident) {
-                name = p.text;
-                break;
-            }
-            if (p.text == "." || p.text == "->" || p.text == "::" ||
-                p.text == ")") {
-                --j;
-                continue;
-            }
-            break;
-        }
-        if (name.empty() || !env_.floatLikeNames.count(name))
-            return;
-        report(Rule::VB003, toks[plusEq].line,
-               "floating-point accumulation '" + name +
-                   " +=' inside a loop (order-sensitive; annotate "
-                   "assoc-ok if the order is fixed; see --explain "
-                   "VB003)");
-    }
-
-    void
-    checkLoopAccumulation(const std::vector<Token> &toks, std::size_t i)
-    {
-        if (!modelCode_)
-            return;
-        flagAccumulation(toks, i);
-    }
-
-    /** Braceless `for (...) stmt;` / `while (...) stmt;`: scan the
-     *  body (tokens after the control parens) for accumulations. With
-     *  an enclosing braced loop the walk already flagged every `+=` in
-     *  this statement — running again would double-report. */
-    void
-    checkBracelessLoop()
-    {
-        if (!modelCode_ || inLoop())
-            return;
-        // Rebuild a token vector from the head pointers; find the end
-        // of the control clause.
-        std::size_t depth = 0;
-        std::size_t body_start = head_.size();
-        for (std::size_t j = 0; j < head_.size(); ++j) {
-            if (head_[j]->text == "(")
-                ++depth;
-            else if (head_[j]->text == ")") {
-                if (--depth == 0) {
-                    body_start = j + 1;
-                    break;
-                }
-            }
-        }
-        std::vector<Token> body;
-        for (std::size_t j = body_start; j < head_.size(); ++j)
-            body.push_back(*head_[j]);
-        for (std::size_t j = 0; j < body.size(); ++j)
-            if (body[j].text == "+=")
-                flagAccumulation(body, j);
     }
 
     // ---- VB004 ----------------------------------------------------
@@ -669,7 +540,7 @@ resolveAnnotations(const std::string &path, const LexedSource &src,
             d.rule = Rule::VB901;
             d.message =
                 "malformed vblint annotation (expected allow(VBxxx, "
-                "reason), ordered-ok(reason) or assoc-ok(reason))";
+                "reason) or ordered-ok(reason))";
             d.sourceLine = src.line(a.line);
             diags.push_back(std::move(d));
             continue;
@@ -710,72 +581,11 @@ FileAnalysis
 analyzeSource(const std::string &path, const std::string &content,
               const std::string &sibling_header)
 {
-    const RepoReport report =
-        analyzeAll({{path, content, sibling_header}}, {});
+    const RepoReport report = analyzeAll({{path, content, sibling_header}});
     FileAnalysis out;
     out.diagnostics = report.diagnostics;
     out.suppressions = report.suppressions;
     return out;
-}
-
-std::vector<BaselineEntry>
-parseBaseline(const std::string &content, std::vector<std::string> &errors)
-{
-    std::vector<BaselineEntry> out;
-    std::istringstream in(content);
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const std::string t = normalizeWs(line);
-        if (t.empty() || t.front() == '#')
-            continue;
-        const std::size_t p1 = line.find('|');
-        const std::size_t p2 =
-            p1 == std::string::npos ? std::string::npos
-                                    : line.find('|', p1 + 1);
-        if (p2 == std::string::npos) {
-            errors.push_back("baseline line " + std::to_string(lineno) +
-                             ": expected 'file|RULE|source text'");
-            continue;
-        }
-        BaselineEntry e;
-        e.file = normalizeWs(line.substr(0, p1));
-        e.rule = normalizeWs(line.substr(p1 + 1, p2 - p1 - 1));
-        e.sourceLine = normalizeWs(line.substr(p2 + 1));
-        if (!ruleFromName(e.rule)) {
-            errors.push_back("baseline line " + std::to_string(lineno) +
-                             ": unknown rule '" + e.rule + "'");
-            continue;
-        }
-        out.push_back(std::move(e));
-    }
-    return out;
-}
-
-namespace {
-
-const char *kBaselineHeader =
-    "# vblint baseline: pre-existing waived diagnostics.\n"
-    "# Format: file|RULE|normalized source line text.\n"
-    "# Entries match by content, not line number, so unrelated\n"
-    "# edits never invalidate them. Remove entries as the code\n"
-    "# they waive is fixed; vblint reports stale entries.\n";
-
-} // namespace
-
-std::string
-formatBaseline(const std::vector<Diagnostic> &diags)
-{
-    std::ostringstream out;
-    out << kBaselineHeader;
-    for (const Diagnostic &d : diags) {
-        if (d.status != DiagStatus::Active)
-            continue;
-        out << d.file << '|' << ruleName(d.rule) << '|'
-            << normalizeWs(d.sourceLine) << '\n';
-    }
-    return out.str();
 }
 
 int
@@ -789,8 +599,7 @@ RepoReport::countWithStatus(DiagStatus s) const
 }
 
 RepoReport
-analyzeAll(const std::vector<SourceInput> &inputs,
-           const std::vector<BaselineEntry> &baseline)
+analyzeAll(const std::vector<SourceInput> &inputs)
 {
     RepoReport report;
     report.filesScanned = static_cast<int>(inputs.size());
@@ -817,64 +626,16 @@ analyzeAll(const std::vector<SourceInput> &inputs,
     for (Diagnostic &d : projectDiags)
         byFile[d.file].push_back(std::move(d));
 
-    // ---- waiver resolution + baseline, in input order --------------
-    std::map<std::string, int> pending;
-    auto keyOf = [](const std::string &file, const std::string &rule,
-                    const std::string &text) {
-        return file + "|" + rule + "|" + text;
-    };
-    for (const BaselineEntry &e : baseline)
-        ++pending[keyOf(e.file, e.rule, e.sourceLine)];
-
+    // ---- waiver resolution, in input order --------------------------
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         const LexedFile &f = model.files[i];
         std::vector<Diagnostic> diags = std::move(byFile[f.path]);
         byFile[f.path].clear(); // duplicate paths analyze once
         resolveAnnotations(f.path, f.lex, diags, report.suppressions);
-        for (Diagnostic &d : diags) {
-            if (d.status == DiagStatus::Active) {
-                const std::string key = keyOf(
-                    d.file, ruleName(d.rule), normalizeWs(d.sourceLine));
-                auto it = pending.find(key);
-                if (it != pending.end() && it->second > 0) {
-                    --it->second;
-                    d.status = DiagStatus::Baselined;
-                }
-            }
+        for (Diagnostic &d : diags)
             report.diagnostics.push_back(std::move(d));
-        }
-    }
-
-    for (const BaselineEntry &e : baseline) {
-        auto it = pending.find(keyOf(e.file, e.rule, e.sourceLine));
-        if (it != pending.end() && it->second > 0) {
-            --it->second;
-            report.staleBaseline.push_back(e);
-        }
     }
     return report;
-}
-
-BaselineUpdate
-updateBaseline(const RepoReport &report)
-{
-    BaselineUpdate up;
-    std::ostringstream out;
-    out << kBaselineHeader;
-    for (const Diagnostic &d : report.diagnostics) {
-        if (d.status == DiagStatus::Suppressed)
-            continue;
-        if (d.status == DiagStatus::Active)
-            ++up.added;
-        else
-            ++up.kept;
-        out << d.file << '|' << ruleName(d.rule) << '|'
-            << normalizeWs(d.sourceLine) << '\n';
-    }
-    up.content = out.str();
-    up.prunedEntries = report.staleBaseline;
-    up.pruned = static_cast<int>(up.prunedEntries.size());
-    return up;
 }
 
 } // namespace vboost::vblint

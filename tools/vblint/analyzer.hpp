@@ -3,17 +3,17 @@
  * vblint analysis engine (DESIGN.md §10): two passes over the scanned
  * file set. Pass 1 (project_model.hpp) lexes every file once and
  * builds the project model — include graph plus symbol index. Pass 2
- * runs the per-file rules (VB001–VB005, here) and the project rules
- * (VB006–VB009, project_rules.hpp) over that model, then resolves
- * `// vblint:` suppressions and the content-keyed baseline. Exposed as
- * a library so tests/test_vblint.cpp feeds synthetic snippets through
- * the exact production code path, and so the CLI stays a thin shell.
+ * runs the per-file rules (VB001, VB002, VB004, VB005, here) and the
+ * project rules (VB006–VB009, project_rules.hpp) over that model, then
+ * resolves `// vblint:` suppressions. Exposed as a library so
+ * tests/test_vblint.cpp feeds synthetic snippets through the exact
+ * production code path, and so the CLI stays a thin shell.
  *
- * Scoping is path-based and uniform: VB001/VB003/VB004 and the
- * project rules apply to all model code (paths under src/, no
- * per-directory lists); VB002 applies everywhere scanned; VB005 to
- * headers. Paths are repo-relative, which keeps diagnostics and the
- * baseline file stable regardless of the invocation directory.
+ * Scoping is path-based and uniform: VB001/VB004 and the project
+ * rules apply to all model code (paths under src/, no per-directory
+ * lists); VB002 applies everywhere scanned; VB005 to headers. Paths
+ * are repo-relative, which keeps diagnostics stable regardless of the
+ * invocation directory.
  */
 
 #ifndef VBOOST_VBLINT_ANALYZER_HPP
@@ -27,7 +27,7 @@
 namespace vboost::vblint {
 
 /** Lifecycle of one finding through the waiver machinery. */
-enum class DiagStatus { Active, Suppressed, Baselined };
+enum class DiagStatus { Active, Suppressed };
 
 struct Diagnostic
 {
@@ -36,8 +36,7 @@ struct Diagnostic
     Rule rule = Rule::VB001;
     std::string message;
     DiagStatus status = DiagStatus::Active;
-    /** Trimmed source text of the flagged line (the baseline key, so
-     *  waivers survive unrelated line-number churn). */
+    /** Trimmed source text of the flagged line. */
     std::string sourceLine;
 };
 
@@ -65,48 +64,30 @@ struct FileAnalysis
  * @param content full source text.
  * @param sibling_header content of the paired header (same stem) when
  *        analyzing a .cpp — its declarations seed the per-file type
- *        environment (unordered containers, float-like members) so
- *        member accumulations in the .cpp resolve correctly.
+ *        environment (unordered containers) so member iterations in
+ *        the .cpp resolve correctly.
  */
 FileAnalysis analyzeSource(const std::string &path,
                            const std::string &content,
                            const std::string &sibling_header = "");
-
-/** `file|rule|collapsed source text` waiver, parsed from baseline.txt. */
-struct BaselineEntry
-{
-    std::string file;
-    std::string rule;
-    std::string sourceLine;
-};
-
-/** Parse a baseline file's content (see tools/vblint/baseline.txt for
- *  the format); malformed lines are reported into `errors`. */
-std::vector<BaselineEntry> parseBaseline(const std::string &content,
-                                         std::vector<std::string> &errors);
-
-/** Serialize diagnostics into baseline format (active ones only). */
-std::string formatBaseline(const std::vector<Diagnostic> &diags);
 
 /** Aggregated result over a file set. */
 struct RepoReport
 {
     std::vector<Diagnostic> diagnostics;
     std::vector<Suppression> suppressions;
-    /** Baseline entries that matched nothing (stale waivers). */
-    std::vector<BaselineEntry> staleBaseline;
     int filesScanned = 0;
 
     int countWithStatus(DiagStatus s) const;
-    /** Diagnostics neither suppressed inline nor baselined. */
+    /** Diagnostics not suppressed inline. */
     int activeCount() const { return countWithStatus(DiagStatus::Active); }
 };
 
 /**
- * Analyze a set of already-loaded files and apply a baseline. Inputs
- * must be ordered (path, content[, sibling]) triples; the report keeps
- * that order. Used by both the CLI (which loads from disk) and the
- * self-check test.
+ * Analyze a set of already-loaded files. Inputs must be ordered
+ * (path, content[, sibling]) triples; the report keeps that order.
+ * Used by both the CLI (which loads from disk) and the self-check
+ * test.
  */
 struct SourceInput
 {
@@ -115,22 +96,7 @@ struct SourceInput
     std::string siblingHeader;
 };
 
-RepoReport analyzeAll(const std::vector<SourceInput> &inputs,
-                      const std::vector<BaselineEntry> &baseline);
-
-/** Result of rebuilding the baseline from a report (--update-baseline). */
-struct BaselineUpdate
-{
-    /** New baseline file content: every Active and Baselined finding,
-     *  suppressed ones excluded. */
-    std::string content;
-    int added = 0; ///< Active findings newly entering the baseline
-    int kept = 0;  ///< Baselined findings retained
-    int pruned = 0; ///< stale entries dropped (CLI exits nonzero)
-    std::vector<BaselineEntry> prunedEntries;
-};
-
-BaselineUpdate updateBaseline(const RepoReport &report);
+RepoReport analyzeAll(const std::vector<SourceInput> &inputs);
 
 } // namespace vboost::vblint
 

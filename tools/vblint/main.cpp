@@ -2,23 +2,18 @@
  * @file
  * vblint CLI (DESIGN.md §10): the repo's determinism & modeling-hygiene
  * static analyzer. Scans C++ sources under --root (default: the
- * current directory) and fails the build when any diagnostic is
- * neither inline-suppressed nor baselined.
+ * current directory) and fails the build when any diagnostic is not
+ * suppressed by an inline `// vblint:` waiver.
  *
  *   vblint [options] [paths...]          # paths default to: src
  *
  * Options:
  *   --root <dir>            repo root paths are resolved against
- *   --baseline <file>       committed waiver file (file|RULE|text)
  *   --json <file>           write the machine-readable report
  *   --explain <rule>        print a rule's rationale and exit
  *   --list-suppressions     dump the inline-waiver inventory and exit
- *   --write-baseline <file> write active diagnostics as a new baseline
- *   --update-baseline       rewrite --baseline from current findings;
- *                           exits 1 when stale entries were pruned so
- *                           removals stay visible in CI
- *   --github-annotations    emit ::error/::warning workflow commands
- *   --all                   also print suppressed/baselined findings
+ *   --github-annotations    emit ::error workflow commands
+ *   --all                   also print suppressed findings
  *
  * Exit status: 0 clean, 1 unwaived diagnostics, 2 usage/IO error.
  */
@@ -42,11 +37,8 @@ namespace {
 struct Options
 {
     std::string root = ".";
-    std::string baselinePath;
     std::string jsonPath;
     std::string explainRule;
-    std::string writeBaselinePath;
-    bool updateBaselineMode = false;
     bool githubAnnotations = false;
     bool listSuppressions = false;
     bool showAll = false;
@@ -56,10 +48,9 @@ struct Options
 void
 usage(std::ostream &os)
 {
-    os << "usage: vblint [--root DIR] [--baseline FILE] [--json FILE]\n"
-          "              [--explain RULE] [--list-suppressions]\n"
-          "              [--write-baseline FILE] [--update-baseline]\n"
-          "              [--github-annotations] [--all] [paths...]\n"
+    os << "usage: vblint [--root DIR] [--json FILE] [--explain RULE]\n"
+          "              [--list-suppressions] [--github-annotations]\n"
+          "              [--all] [paths...]\n"
           "paths default to 'src' (relative to --root).\n";
 }
 
@@ -85,7 +76,7 @@ readFile(const fs::path &p, bool &ok)
     return ss.str();
 }
 
-/** Repo-relative path with forward slashes (diagnostic/baseline key). */
+/** Repo-relative path with forward slashes (the diagnostic's file). */
 std::string
 relPath(const fs::path &file, const fs::path &root)
 {
@@ -114,16 +105,10 @@ main(int argc, char **argv)
         };
         if (arg == "--root")
             opt.root = need("--root");
-        else if (arg == "--baseline")
-            opt.baselinePath = need("--baseline");
         else if (arg == "--json")
             opt.jsonPath = need("--json");
         else if (arg == "--explain")
             opt.explainRule = need("--explain");
-        else if (arg == "--write-baseline")
-            opt.writeBaselinePath = need("--write-baseline");
-        else if (arg == "--update-baseline")
-            opt.updateBaselineMode = true;
         else if (arg == "--github-annotations")
             opt.githubAnnotations = true;
         else if (arg == "--list-suppressions")
@@ -211,66 +196,10 @@ main(int argc, char **argv)
         inputs.push_back(std::move(in));
     }
 
-    std::vector<BaselineEntry> baseline;
-    if (!opt.baselinePath.empty()) {
-        bool ok = false;
-        const std::string content = readFile(opt.baselinePath, ok);
-        if (!ok) {
-            std::cerr << "vblint: cannot read baseline "
-                      << opt.baselinePath << "\n";
-            return 2;
-        }
-        std::vector<std::string> errors;
-        baseline = parseBaseline(content, errors);
-        for (const std::string &e : errors)
-            std::cerr << "vblint: " << opt.baselinePath << ": " << e
-                      << "\n";
-        if (!errors.empty())
-            return 2;
-    }
-
-    const RepoReport report = analyzeAll(inputs, baseline);
+    const RepoReport report = analyzeAll(inputs);
 
     if (opt.listSuppressions) {
         printSuppressions(std::cout, report);
-        return 0;
-    }
-
-    if (opt.updateBaselineMode) {
-        if (opt.baselinePath.empty()) {
-            std::cerr << "vblint: --update-baseline requires "
-                         "--baseline FILE\n";
-            return 2;
-        }
-        const BaselineUpdate up = updateBaseline(report);
-        std::ofstream out(opt.baselinePath);
-        if (!out) {
-            std::cerr << "vblint: cannot write " << opt.baselinePath
-                      << "\n";
-            return 2;
-        }
-        out << up.content;
-        std::cout << "vblint: baseline updated (" << up.added
-                  << " added, " << up.kept << " kept, " << up.pruned
-                  << " pruned)\n";
-        for (const BaselineEntry &e : up.prunedEntries)
-            std::cout << "vblint: pruned stale entry: " << e.file << "|"
-                      << e.rule << "|" << e.sourceLine << "\n";
-        // Pruning means the committed baseline claimed findings that no
-        // longer exist — surface that as a failure so it gets reviewed.
-        return up.pruned == 0 ? 0 : 1;
-    }
-
-    if (!opt.writeBaselinePath.empty()) {
-        std::ofstream out(opt.writeBaselinePath);
-        if (!out) {
-            std::cerr << "vblint: cannot write "
-                      << opt.writeBaselinePath << "\n";
-            return 2;
-        }
-        out << formatBaseline(report.diagnostics);
-        std::cout << "vblint: baseline written to "
-                  << opt.writeBaselinePath << "\n";
         return 0;
     }
 

@@ -14,8 +14,6 @@ statusName(DiagStatus s)
         return "active";
       case DiagStatus::Suppressed:
         return "suppressed";
-      case DiagStatus::Baselined:
-        return "baselined";
     }
     return "?";
 }
@@ -73,13 +71,6 @@ printGithubAnnotations(std::ostream &os, const RepoReport &report)
            << ghEscapeProperty("vblint " + ruleName(d.rule)) << "::"
            << ghEscapeData(d.message) << "\n";
     }
-    for (const BaselineEntry &e : report.staleBaseline) {
-        os << "::warning file=" << ghEscapeProperty(e.file) << ",title="
-           << ghEscapeProperty("vblint stale baseline") << "::"
-           << ghEscapeData("stale baseline entry (matched nothing): " +
-                           e.rule + "|" + e.sourceLine)
-           << "\n";
-    }
 }
 
 void
@@ -96,9 +87,6 @@ printText(std::ostream &os, const RepoReport &report, bool all)
         if (!d.sourceLine.empty())
             os << "    " << d.sourceLine << "\n";
     }
-    for (const BaselineEntry &e : report.staleBaseline)
-        os << "vblint: stale baseline entry (matched nothing): " << e.file
-           << "|" << e.rule << "|" << e.sourceLine << "\n";
 }
 
 void
@@ -123,15 +111,9 @@ printSummary(std::ostream &os, const RepoReport &report)
 {
     const int active = report.countWithStatus(DiagStatus::Active);
     const int suppressed = report.countWithStatus(DiagStatus::Suppressed);
-    const int baselined = report.countWithStatus(DiagStatus::Baselined);
     os << "vblint: " << report.filesScanned << " files, "
-       << (active + suppressed + baselined) << " diagnostics (" << active
-       << " active, " << suppressed << " suppressed inline, " << baselined
-       << " baselined)";
-    if (!report.staleBaseline.empty())
-        os << ", " << report.staleBaseline.size()
-           << " stale baseline entries";
-    os << "\n";
+       << (active + suppressed) << " diagnostics (" << active
+       << " active, " << suppressed << " suppressed inline)\n";
 }
 
 void
@@ -151,10 +133,6 @@ writeJson(std::ostream &os, const RepoReport &report,
                std::int64_t{report.countWithStatus(DiagStatus::Active)})
         .field("suppressed",
                std::int64_t{report.countWithStatus(DiagStatus::Suppressed)})
-        .field("baselined",
-               std::int64_t{report.countWithStatus(DiagStatus::Baselined)})
-        .field("staleBaseline",
-               std::int64_t(report.staleBaseline.size()))
         .endObject();
 
     j.beginArrayField("rules");
@@ -188,16 +166,6 @@ writeJson(std::ostream &os, const RepoReport &report,
             .field("rule", ruleName(s.rule))
             .field("reason", s.reason)
             .field("used", s.used)
-            .endObject();
-    }
-    j.endArray();
-
-    j.beginArrayField("staleBaseline");
-    for (const BaselineEntry &e : report.staleBaseline) {
-        j.beginObject()
-            .field("file", e.file)
-            .field("rule", e.rule)
-            .field("sourceLine", e.sourceLine)
             .endObject();
     }
     j.endArray();

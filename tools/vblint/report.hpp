@@ -30,9 +30,8 @@ void writeJson(std::ostream &os, const RepoReport &report,
                const std::string &root);
 
 /** GitHub Actions workflow commands: `::error file=,line=,title=` for
- *  every active diagnostic and `::warning` for stale baseline entries,
- *  so findings surface as inline PR annotations (same pattern as
- *  tools/bench_compare). Values are escaped per the workflow-command
+ *  every active diagnostic, so findings surface as inline PR
+ *  annotations (same pattern as tools/bench_compare). Values are escaped per the workflow-command
  *  rules (%25 %0D %0A, plus %2C %3A in properties). */
 void printGithubAnnotations(std::ostream &os, const RepoReport &report);
 

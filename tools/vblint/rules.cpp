@@ -10,8 +10,6 @@ ruleName(Rule r)
         return "VB001";
       case Rule::VB002:
         return "VB002";
-      case Rule::VB003:
-        return "VB003";
       case Rule::VB004:
         return "VB004";
       case Rule::VB005:
@@ -53,8 +51,6 @@ ruleSummary(Rule r)
         return "banned nondeterminism source in model code";
       case Rule::VB002:
         return "iteration over an unordered container";
-      case Rule::VB003:
-        return "floating-point += accumulation inside a loop";
       case Rule::VB004:
         return "mutable static/global state in model code";
       case Rule::VB005:
@@ -113,22 +109,6 @@ ruleExplanation(Rule r)
                "before iterating.\n"
                "Waive (iteration provably order-insensitive):\n"
                "// vblint: ordered-ok(<reason>).";
-      case Rule::VB003:
-        return "VB003 — floating-point += accumulation inside a loop\n"
-               "\n"
-               "Floating-point addition is not associative: the same\n"
-               "summands in a different order give a different result, so\n"
-               "an accumulation loop whose iteration order can change\n"
-               "(thread count, container order, work stealing) silently\n"
-               "breaks bitwise determinism. In the fi/, serve/,\n"
-               "resilience/ and obs/ layers every float/double/unit-\n"
-               "quantity accumulation must either run in a deterministic\n"
-               "order or say so.\n"
-               "\n"
-               "Fix: reduce in a fixed order (map-index order, batch seq\n"
-               "order) or use an ordered-reduce/Kahan helper.\n"
-               "Waive (order is provably fixed):\n"
-               "// vblint: assoc-ok(<reason>).";
       case Rule::VB004:
         return "VB004 — mutable static/global state in model code\n"
                "\n"
@@ -253,14 +233,13 @@ ruleExplanation(Rule r)
         return "VB901 — malformed vblint annotation\n"
                "\n"
                "A comment starting with `vblint:` that does not parse as\n"
-               "allow(VBxxx, reason) / ordered-ok(reason) / assoc-ok\n"
-               "almost certainly meant to waive something and silently\n"
-               "does not.\n"
+               "allow(VBxxx, reason) or ordered-ok(reason) almost\n"
+               "certainly meant to waive something and silently does\n"
+               "not.\n"
                "\n"
                "Fix: use one of\n"
                "  // vblint: allow(VB004, <reason>)\n"
-               "  // vblint: ordered-ok(<reason>)\n"
-               "  // vblint: assoc-ok(<reason>)";
+               "  // vblint: ordered-ok(<reason>)";
     }
     return "unknown rule";
 }
@@ -269,9 +248,9 @@ const std::vector<Rule> &
 allRules()
 {
     static const std::vector<Rule> kRules = {
-        Rule::VB001, Rule::VB002, Rule::VB003, Rule::VB004,
-        Rule::VB005, Rule::VB006, Rule::VB007, Rule::VB008,
-        Rule::VB009, Rule::VB900, Rule::VB901,
+        Rule::VB001, Rule::VB002, Rule::VB004, Rule::VB005,
+        Rule::VB006, Rule::VB007, Rule::VB008, Rule::VB009,
+        Rule::VB900, Rule::VB901,
     };
     return kRules;
 }

@@ -19,7 +19,6 @@ namespace vboost::vblint {
 enum class Rule {
     VB001, ///< banned nondeterminism source in model code
     VB002, ///< iteration over an unordered container
-    VB003, ///< floating-point += in a loop without assoc-ok
     VB004, ///< mutable static / global state
     VB005, ///< header hygiene (guard, using-namespace)
     VB006, ///< module layering violation in the include graph

@@ -67,25 +67,6 @@ isHeaderPath(const std::string &path)
     return ends(".hpp") || ends(".h") || ends(".hh");
 }
 
-/** Collapse tabs/space runs to single spaces (baseline key normal form). */
-inline std::string
-normalizeWs(const std::string &s)
-{
-    std::string out;
-    bool in_ws = false;
-    for (char c : s) {
-        if (c == ' ' || c == '\t') {
-            in_ws = true;
-            continue;
-        }
-        if (in_ws && !out.empty())
-            out.push_back(' ');
-        in_ws = false;
-        out.push_back(c);
-    }
-    return out;
-}
-
 /** Skip a balanced <...> template argument list; returns the index
  *  just past the closing '>' (or `from` when not at a '<'). */
 inline std::size_t
