@@ -8,6 +8,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "dnn/backend/backend.hpp"
 #include "dnn/quantize.hpp"
@@ -215,11 +216,8 @@ exact(double v)
 std::uint64_t
 fnv1a(const std::string &bytes)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
+    std::uint64_t h = fnv::kTruncatedBasis;
+    fnv::mixBytes(h, bytes);
     return h;
 }
 

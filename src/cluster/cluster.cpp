@@ -1,9 +1,9 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 
@@ -11,44 +11,24 @@ namespace vboost::cluster {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashDouble(std::uint64_t &h, double d)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    hashU64(h, bits);
-}
-
 void
 hashTenantTotals(std::uint64_t &h, const serve::TenantStats &t)
 {
-    hashU64(h, t.requests);
-    hashU64(h, t.admitted);
-    hashU64(h, t.shedQueueFull);
-    hashU64(h, t.shedTenantQuota);
-    hashU64(h, t.batches);
-    hashU64(h, t.inferences);
-    hashU64(h, t.correct);
-    hashU64(h, t.retries);
-    hashU64(h, t.escalations);
-    hashU64(h, t.quarantines);
-    hashU64(h, t.uncorrected);
-    hashDouble(h, t.energyPj);
-    hashU64(h, t.queueWaitTicksSum);
-    hashU64(h, t.latencyTicksSum);
-    hashU64(h, t.maxLatencyTicks);
+    fnv::mixU64(h, t.requests);
+    fnv::mixU64(h, t.admitted);
+    fnv::mixU64(h, t.shedQueueFull);
+    fnv::mixU64(h, t.shedTenantQuota);
+    fnv::mixU64(h, t.batches);
+    fnv::mixU64(h, t.inferences);
+    fnv::mixU64(h, t.correct);
+    fnv::mixU64(h, t.retries);
+    fnv::mixU64(h, t.escalations);
+    fnv::mixU64(h, t.quarantines);
+    fnv::mixU64(h, t.uncorrected);
+    fnv::mixDouble(h, t.energyPj);
+    fnv::mixU64(h, t.queueWaitTicksSum);
+    fnv::mixU64(h, t.latencyTicksSum);
+    fnv::mixU64(h, t.maxLatencyTicks);
 }
 
 /** Sum `from` into `into` (serial, node-index order: §7). */
@@ -119,33 +99,33 @@ ClusterConfig::validate() const
 std::uint64_t
 ClusterStats::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
-    hashU64(h, requests);
-    hashU64(h, routedPrimary);
-    hashU64(h, routedSpill);
-    hashU64(h, routedFailover);
-    hashU64(h, shedCluster);
-    hashU64(h, transitions);
+    std::uint64_t h = fnv::kTruncatedBasis;
+    fnv::mixU64(h, requests);
+    fnv::mixU64(h, routedPrimary);
+    fnv::mixU64(h, routedSpill);
+    fnv::mixU64(h, routedFailover);
+    fnv::mixU64(h, shedCluster);
+    fnv::mixU64(h, transitions);
     hashTenantTotals(h, total);
-    hashU64(h, perNode.size());
+    fnv::mixU64(h, perNode.size());
     for (const NodeStats &n : perNode) {
-        hashU64(h, n.primaryRequests);
-        hashU64(h, n.spillRequests);
-        hashU64(h, n.failoverRequests);
-        hashU64(h, n.epochsServed);
+        fnv::mixU64(h, n.primaryRequests);
+        fnv::mixU64(h, n.spillRequests);
+        fnv::mixU64(h, n.failoverRequests);
+        fnv::mixU64(h, n.epochsServed);
         hashTenantTotals(h, n.serve);
-        hashU64(h, n.lastCompletionTick);
-        hashU64(h, static_cast<std::uint64_t>(n.finalState));
-        hashDouble(h, n.finalEwma);
+        fnv::mixU64(h, n.lastCompletionTick);
+        fnv::mixU64(h, static_cast<std::uint64_t>(n.finalState));
+        fnv::mixDouble(h, n.finalEwma);
     }
-    hashDouble(h, p50LatencyTicks);
-    hashDouble(h, p95LatencyTicks);
+    fnv::mixDouble(h, p50LatencyTicks);
+    fnv::mixDouble(h, p95LatencyTicks);
     for (double v : p95LatencyBySlo)
-        hashDouble(h, v);
+        fnv::mixDouble(h, v);
     for (double v : accuracyBySlo)
-        hashDouble(h, v);
-    hashDouble(h, accuracy);
-    hashU64(h, makespanTicks);
+        fnv::mixDouble(h, v);
+    fnv::mixDouble(h, accuracy);
+    fnv::mixU64(h, makespanTicks);
     return h;
 }
 

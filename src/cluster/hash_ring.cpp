@@ -1,21 +1,18 @@
 #include "cluster/hash_ring.hpp"
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 
 namespace vboost::cluster {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
+/** FNV-1a of the bytes of `s`. */
 std::uint64_t
-fnv1a(const std::string &s, std::uint64_t h = kFnvOffset)
+fnv1a(const std::string &s)
 {
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
+    std::uint64_t h = fnv::kTruncatedBasis;
+    fnv::mixBytes(h, s);
     return h;
 }
 
@@ -44,13 +41,8 @@ pointHash(const std::string &node, int k)
     // "node#k" without the string round trip: hash the name, then fold
     // in the replica index byte-wise.
     std::uint64_t h = fnv1a(node);
-    h ^= static_cast<unsigned char>('#');
-    h *= kFnvPrime;
-    auto v = static_cast<std::uint64_t>(k);
-    for (int i = 0; i < 4; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
+    fnv::mixBytes(h, "#");
+    fnv::mixU64(h, static_cast<std::uint64_t>(k), 4);
     return fmix64(h);
 }
 
@@ -162,18 +154,12 @@ HashRing::replicasFor(const std::string &key, std::size_t replicas) const
 std::uint64_t
 HashRing::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= kFnvPrime;
-        }
-    };
-    mix(static_cast<std::uint64_t>(cfg_.virtualNodes));
-    mix(ring_.size());
+    std::uint64_t h = fnv::kTruncatedBasis;
+    fnv::mixU64(h, static_cast<std::uint64_t>(cfg_.virtualNodes));
+    fnv::mixU64(h, ring_.size());
     for (const auto &[point, node] : ring_) {
-        mix(point);
-        h = fnv1a(node, h);
+        fnv::mixU64(h, point);
+        fnv::mixBytes(h, node);
     }
     return h;
 }

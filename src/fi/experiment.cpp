@@ -81,21 +81,28 @@ evaluateWithTimingFaults(dnn::Network &net, const dnn::Dataset &set,
            static_cast<double>(set.size());
 }
 
-/** Stream key of map m's datapath violation hashes (base 5000 for
- *  runTiming, 7000 for runCombined; 1000-4000 belong to the SRAM
- *  experiment kinds). */
-std::uint64_t
-datapathKey(std::uint64_t seed, std::uint64_t base, std::uint64_t m)
-{
-    return sram::detail::mix64(seed ^ sram::detail::mix64(base + m));
-}
+/**
+ * Counter-stream bases of the experiment kinds (DESIGN.md §7): map m
+ * of a kind draws its randomness from base + m, so a map's numbers
+ * depend only on (seed, kind, m) and no two kinds share a stream.
+ */
+namespace stream {
+constexpr std::uint64_t kInject = 1000;         // run, sweepVoltage
+constexpr std::uint64_t kPerLayer = 2000;       // runPerLayer
+constexpr std::uint64_t kEcc = 3000;            // runWithEcc
+constexpr std::uint64_t kResilient = 4000;      // runResilient
+constexpr std::uint64_t kTiming = 5000;         // runTiming's datapath
+constexpr std::uint64_t kCombinedSram = 6000;   // runCombined's SRAM
+constexpr std::uint64_t kCombinedTiming = 7000; // runCombined's datapath
+} // namespace stream
 
-/** Key of the corrupted-commit bit-position stream, salted off the
- *  datapath key so the two streams never collide. */
-std::uint64_t
-corruptKey(std::uint64_t dp_key)
+/** The validated injection's prototype datapath. */
+timing::SpeculativeDatapath
+prototype(const core::SimContext &ctx, const TimingInjection &inj)
 {
-    return sram::detail::mix64(dp_key ^ 0x2545f4914f6cdd1dull);
+    inj.params.validate();
+    inj.policy.validate();
+    return {ctx.tech, inj.params, inj.policy, inj.vLogic, inj.clock};
 }
 
 } // namespace
@@ -184,11 +191,157 @@ FaultInjectionRunner::ensureScratch(unsigned count)
             std::make_unique<dnn::Network>(net_.clone()));
 }
 
-std::vector<FaultInjectionRunner::MapResult>
-FaultInjectionRunner::runMaps(
-    std::size_t jobs,
-    const std::function<MapResult(std::size_t, dnn::Network &)> &evaluate)
+/**
+ * The resilient-staging step of runResilient and runCombined. Each
+ * map is one device instance: fresh banked weight memory, monitors,
+ * standing levels and spare table, with its per-access flips drawn
+ * from streamBase + m.
+ */
+struct FaultInjectionRunner::ResilientStep
 {
+    ResilientStep(const FaultInjectionRunner &owner, const char *caller,
+                  Volt v, const core::SimContext &c,
+                  const resilience::ResiliencePolicy &p,
+                  std::uint64_t stream_base)
+        : runner(owner), vdd(v), ctx(c), policy(p), streamBase(stream_base),
+          failure(c.failure)
+    {
+        // Dante's weight memory: the layout's weight region split
+        // into 64 Kbit banks (16 for the 128 KB default).
+        banks = static_cast<int>(runner.cfg_.layout.weightRegionBits /
+                                 sram::SramBank::kBits);
+        if (banks < 1)
+            fatal(caller, ": weight region smaller than one bank");
+        // Every map stages the same weights: quantize and encode once.
+        image = stageWeights(runner.net_);
+    }
+
+    /** Stage map m's weights into `scratch`: sets bitFlips, res,
+     *  resEnergy and the memory's metrics. */
+    void
+    operator()(std::uint64_t m, dnn::Network &scratch, MapResult &r) const
+    {
+        sram::BankedMemory mem("weight_mem", banks, ctx.design, ctx.tech,
+                               failure);
+        resilience::ResilientMemory rmem(mem, ctx, policy);
+        rmem.reseed(Rng(runner.cfg_.seed).split(streamBase + m));
+        r.bitFlips = corruptNetworkResilient(scratch, runner.net_, image,
+                                             rmem, vdd, runner.makeMap(m));
+        r.res = rmem.snapshot();
+        r.resEnergy = rmem.totalAccessEnergy();
+        if (runner.obs_)
+            rmem.exportMetrics(r.metrics, runner.withBase({}));
+    }
+
+    /** Map-order SRAM counters and per-map means (the caller fills
+     *  `point`); energy and latency keep separate sum chains. */
+    ResilientAccuracyPoint
+    reduce(const std::vector<MapResult> &results) const
+    {
+        ResilientAccuracyPoint out;
+        double energy_sum = 0.0;
+        double latency_sum = 0.0;
+        for (const auto &r : results) {
+            out.stats.merge(r.res);
+            energy_sum += r.resEnergy.value();
+            latency_sum += r.res.retryLatency.value();
+        }
+        const auto n = static_cast<double>(results.size());
+        out.meanAccessEnergy = Joule(energy_sum / n);
+        out.meanRetryLatency = Second(latency_sum / n);
+        return out;
+    }
+
+    const FaultInjectionRunner &runner;
+    Volt vdd;
+    const core::SimContext &ctx;
+    const resilience::ResiliencePolicy &policy;
+    std::uint64_t streamBase;
+    sram::FailureRateModel failure;
+    int banks = 0;
+    StagedWeights image;
+};
+
+/**
+ * The timing-evaluation step of runTiming and runCombined: every
+ * layer-output element of the staged network is one op on the
+ * speculative datapath. Each map is one device instance: a copy of
+ * the untouched prototype (fresh monitors and ladder position) whose
+ * violation hashes are keyed by streamBase + m.
+ */
+struct FaultInjectionRunner::TimingStep
+{
+    /** Evaluate map m on the staged `scratch`: sets accuracy, tim and
+     *  the datapath's metrics, and adds the corrupted commits to
+     *  bitFlips. */
+    void
+    operator()(std::uint64_t m, dnn::Network &scratch, MapResult &r) const
+    {
+        timing::SpeculativeDatapath dp = proto;
+        const std::uint64_t key = sram::detail::mix64(
+            runner.cfg_.seed ^ sram::detail::mix64(streamBase + m));
+        dp.reseed(key);
+        // The corrupted-commit bit positions hash off a key salted
+        // from the datapath key, so the two streams never collide.
+        r.accuracy = evaluateWithTimingFaults(
+            scratch, runner.evalSet_, dp,
+            sram::detail::mix64(key ^ 0x2545f4914f6cdd1dull));
+        r.tim = dp.stats();
+        // "Bit flips" on the timing side = corrupted commits that
+        // reached inference (one flipped bit each).
+        r.bitFlips += r.tim.corrupted;
+        if (runner.obs_)
+            dp.exportMetrics(r.metrics, runner.withBase({}));
+    }
+
+    /** Map-order datapath counters, per-map means and the operating
+     *  point (the caller fills `point`); energy and latency keep
+     *  separate sum chains. */
+    TimingAccuracyPoint
+    reduce(const std::vector<MapResult> &results) const
+    {
+        TimingAccuracyPoint out;
+        const double period = proto.effectivePeriod().value();
+        double energy_sum = 0.0;
+        double latency_sum = 0.0;
+        for (const auto &r : results) {
+            out.stats.merge(r.tim);
+            energy_sum += r.tim.logicEnergy.value();
+            latency_sum +=
+                static_cast<double>(r.tim.replayCycles +
+                                    r.tim.bubbleCycles) *
+                period;
+        }
+        const auto n = static_cast<double>(results.size());
+        out.meanLogicEnergy = Joule(energy_sum / n);
+        out.meanReplayLatency = Second(latency_sum / n);
+        out.cycleStretch = proto.cycleStretch();
+        out.safeVoltage = proto.safeVoltage();
+        return out;
+    }
+
+    const FaultInjectionRunner &runner;
+    const core::SimContext &ctx;
+    const TimingInjection &inj;
+    std::uint64_t streamBase;
+    /** Gives the derived operating-point quantities (safe rail,
+     *  initial-rail error probability, cycle stretch) and each map's
+     *  datapath; never executes ops itself. */
+    timing::SpeculativeDatapath proto = prototype(ctx, inj);
+};
+
+std::vector<FaultInjectionRunner::MapResult>
+FaultInjectionRunner::trials(
+    const std::string &kind, std::size_t jobs,
+    const std::function<void(std::size_t, dnn::Network &, MapResult &)>
+        &evaluate)
+{
+    // Spans the fan-out, recordTrials and the metrics merge.
+    std::optional<obs::ScopeTimer> timer;
+    if (obs_) {
+        timer.emplace(obs_->metrics, "fi.run", trialClock_,
+                      withBase({{"kind", kind}}));
+    }
     const unsigned threads =
         ThreadPool::resolveThreads(cfg_.numThreads);
     const unsigned workers = static_cast<unsigned>(
@@ -201,13 +354,21 @@ FaultInjectionRunner::runMaps(
     parallelFor(jobs, static_cast<int>(workers),
                 // vblint: allow(VB009, job j writes only results[j]; scratch is slot-exclusive)
                 [&](std::size_t j, unsigned slot) {
-                    results[j] = evaluate(j, *scratch_[slot]);
+                    evaluate(j, *scratch_[slot], results[j]);
                 });
+
+    recordTrials(kind, results);
+    // Each job exported into its own registry (reading obsLabels_
+    // only); merging them here keeps the §7 map order.
+    if (obs_) {
+        for (const MapResult &r : results)
+            obs_->metrics.merge(r.metrics);
+    }
     return results;
 }
 
 AccuracyPoint
-FaultInjectionRunner::reduce(const std::vector<MapResult> &results,
+FaultInjectionRunner::reduce(std::span<const MapResult> results,
                              double fail_prob, sram::EccStats *stats)
 {
     // Deterministic reduction: one singleton accumulator per map,
@@ -235,80 +396,81 @@ FaultInjectionRunner::reduce(const std::vector<MapResult> &results,
     return p;
 }
 
+void
+FaultInjectionRunner::stageFaultFree(dnn::Network &scratch)
+{
+    // At fail_prob 0 corruptNetwork copies the float weights verbatim
+    // and draws nothing, so neither the map nor the stream matters.
+    Rng rng(cfg_.seed);
+    corruptNetwork(scratch, net_, makeMap(0), /*fail_prob=*/0.0,
+                   InjectionSpec::allWeights(), cfg_.layout, rng);
+}
+
 double
 FaultInjectionRunner::baselineAccuracy()
 {
-    // Quantization round trip with no faults: the accelerator's
-    // error-free ceiling (what "maximum accuracy" means in Fig. 2).
+    // The fault-free ceiling (what "maximum accuracy" means in
+    // Fig. 2): the network as a zero-rate run stages it.
     ensureScratch(1);
-    dnn::Network &scratch = *scratch_[0];
-    const sram::VulnerabilityMap map = makeMap(0);
-    Rng rng(cfg_.seed);
-    InjectionSpec spec;
-    spec.injectWeights = true;
-    corruptNetwork(scratch, net_, map, /*fail_prob=*/0.0, spec,
-                   cfg_.layout, rng);
-    return dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
+    stageFaultFree(*scratch_[0]);
+    return dnn::SgdTrainer::evaluate(*scratch_[0], evalSet_, 0);
+}
+
+std::vector<AccuracyPoint>
+FaultInjectionRunner::injectSweep(const std::string &kind,
+                                  const std::vector<double> &rates,
+                                  const InjectionSpec &spec)
+{
+    // One flat job grid over (rate, map), maps innermost: sweeps with
+    // few maps per point still fill every worker, and every rate's
+    // map m draws what a one-rate run's map m draws.
+    const std::size_t maps = static_cast<std::size_t>(cfg_.numMaps);
+    const auto results = trials(
+        kind, rates.size() * maps,
+        [&](std::size_t j, dnn::Network &scratch, MapResult &r) {
+            const std::uint64_t m = j % maps;
+            const double fail_prob = rates[j / maps];
+            const sram::VulnerabilityMap map = makeMap(m);
+            Rng rng = Rng(cfg_.seed).split(stream::kInject + m);
+            r.bitFlips = corruptNetwork(scratch, net_, map, fail_prob, spec,
+                                        cfg_.layout, rng);
+            if (spec.injectInputs) {
+                dnn::Tensor corrupted =
+                    corruptInputs(evalSet_.images, map, fail_prob,
+                                  spec.flipProb, cfg_.layout, rng);
+                r.accuracy = scratch.accuracy(corrupted, evalSet_.labels);
+            } else {
+                r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
+            }
+        });
+
+    std::vector<AccuracyPoint> out;
+    out.reserve(rates.size());
+    for (std::size_t i = 0; i < rates.size(); ++i)
+        out.push_back(reduce(std::span(results).subspan(i * maps, maps),
+                             rates[i]));
+    return out;
 }
 
 AccuracyPoint
 FaultInjectionRunner::run(double fail_prob, const InjectionSpec &spec)
 {
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "inject"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                1000 + static_cast<std::uint64_t>(m));
-            MapResult r;
-            r.bitFlips = corruptNetwork(scratch, net_, map, fail_prob,
-                                        spec, cfg_.layout, rng);
-            if (spec.injectInputs) {
-                dnn::Tensor corrupted = corruptInputs(
-                    evalSet_.images, map, fail_prob, spec.flipProb,
-                    cfg_.layout, rng);
-                r.accuracy =
-                    scratch.accuracy(corrupted, evalSet_.labels);
-            } else {
-                r.accuracy =
-                    dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            }
-            return r;
-        });
-    recordTrials("inject", results);
-    return reduce(results, fail_prob);
+    return injectSweep("inject", {fail_prob}, spec).front();
 }
 
 AccuracyPoint
 FaultInjectionRunner::runPerLayer(const std::vector<double> &fail_by_layer,
                                   double flip_prob)
 {
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "per_layer"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                2000 + static_cast<std::uint64_t>(m));
-            MapResult r;
-            r.bitFlips = corruptNetworkPerLayer(scratch, net_, map,
+    const auto results = trials(
+        "per_layer", static_cast<std::size_t>(cfg_.numMaps),
+        [&](std::size_t m, dnn::Network &scratch, MapResult &r) {
+            Rng rng = Rng(cfg_.seed).split(stream::kPerLayer + m);
+            r.bitFlips = corruptNetworkPerLayer(scratch, net_, makeMap(m),
                                                 fail_by_layer, flip_prob,
                                                 cfg_.layout, rng);
             r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            return r;
         });
-    recordTrials("per_layer", results);
     double max_f = 0.0;
     for (double f : fail_by_layer)
         max_f = std::max(max_f, f);
@@ -319,26 +481,15 @@ AccuracyPoint
 FaultInjectionRunner::runWithEcc(double fail_prob, double flip_prob,
                                  sram::EccStats *stats)
 {
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "ecc"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                3000 + static_cast<std::uint64_t>(m));
-            MapResult r;
+    const auto results = trials(
+        "ecc", static_cast<std::size_t>(cfg_.numMaps),
+        [&](std::size_t m, dnn::Network &scratch, MapResult &r) {
+            Rng rng = Rng(cfg_.seed).split(stream::kEcc + m);
             r.bitFlips =
-                corruptNetworkEcc(scratch, net_, map, fail_prob,
+                corruptNetworkEcc(scratch, net_, makeMap(m), fail_prob,
                                   flip_prob, cfg_.layout, rng, &r.ecc);
             r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            return r;
         });
-    recordTrials("ecc", results);
     return reduce(results, fail_prob, stats);
 }
 
@@ -346,69 +497,17 @@ ResilientAccuracyPoint
 FaultInjectionRunner::runResilient(Volt vdd, const core::SimContext &ctx,
                                    const resilience::ResiliencePolicy &policy)
 {
-    // Dante's weight memory: the layout's weight region split into
-    // 64 Kbit banks (16 for the 128 KB default).
-    const int banks = static_cast<int>(cfg_.layout.weightRegionBits /
-                                       sram::SramBank::kBits);
-    if (banks < 1)
-        fatal("runResilient: weight region smaller than one bank");
-    const sram::FailureRateModel failure(ctx.failure);
-
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "resilient"}}));
-    }
-    // Every map stages the same weights: quantize and encode them once.
-    const StagedWeights image = stageWeights(net_);
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            // Each map is one device instance: fresh memory, monitors,
-            // standing levels and spare table. The per-access flip
-            // randomness comes from a counter-derived stream (4000+m;
-            // 1000/2000/3000 belong to the other experiment kinds).
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            sram::BankedMemory mem("weight_mem", banks, ctx.design,
-                                   ctx.tech, failure);
-            resilience::ResilientMemory rmem(mem, ctx, policy);
-            rmem.reseed(Rng(cfg_.seed).split(
-                4000 + static_cast<std::uint64_t>(m)));
-
-            MapResult r;
-            r.bitFlips = corruptNetworkResilient(scratch, net_, image, rmem,
-                                                 vdd, map);
+    const ResilientStep stage(*this, "runResilient", vdd, ctx, policy,
+                              stream::kResilient);
+    const auto results = trials(
+        "resilient", static_cast<std::size_t>(cfg_.numMaps),
+        [&](std::size_t m, dnn::Network &scratch, MapResult &r) {
+            stage(m, scratch, r);
             r.accuracy = dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            r.res = rmem.snapshot();
-            r.resEnergy = rmem.totalAccessEnergy();
-            // Each worker exports into its map's private registry
-            // (reads obsLabels_ only); the serial reduction below
-            // merges them in map order per the §7 discipline.
-            if (obs_)
-                rmem.exportMetrics(r.metrics, withBase({}));
-            return r;
         });
-
-    recordTrials("resilient", results);
-    if (obs_) {
-        for (const MapResult &r : results)
-            obs_->metrics.merge(r.metrics);
-    }
-
-    ResilientAccuracyPoint out;
-    out.point = reduce(results, failure.rate(vdd));
+    ResilientAccuracyPoint out = stage.reduce(results);
+    out.point = reduce(results, stage.failure.rate(vdd));
     out.point.voltage = vdd;
-    double energy_sum = 0.0;
-    double latency_sum = 0.0;
-    for (const auto &r : results) {
-        out.stats.merge(r.res);
-        energy_sum += r.resEnergy.value();
-        latency_sum += r.res.retryLatency.value();
-    }
-    const auto n = static_cast<double>(results.size());
-    out.meanAccessEnergy = Joule(energy_sum / n);
-    out.meanRetryLatency = Second(latency_sum / n);
     return out;
 }
 
@@ -416,79 +515,17 @@ TimingAccuracyPoint
 FaultInjectionRunner::runTiming(const core::SimContext &ctx,
                                 const TimingInjection &inj)
 {
-    inj.params.validate();
-    inj.policy.validate();
-    // Prototype datapath for the derived operating-point quantities
-    // (safe rail, initial-rail error probability, cycle stretch);
-    // never executes ops.
-    const timing::SpeculativeDatapath proto(
-        ctx.tech, inj.params, inj.policy, inj.vLogic, inj.clock);
-
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "timing"}}));
-    }
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            // Weights stage fault-free through the int16 round trip:
-            // the SRAM is clean, only the datapath misbehaves.
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                5000 + static_cast<std::uint64_t>(m));
-            InjectionSpec spec;
-            spec.injectWeights = true;
-            corruptNetwork(scratch, net_, map, /*fail_prob=*/0.0, spec,
-                           cfg_.layout, rng);
-
-            // Each map is one device instance: fresh monitors, ladder
-            // position and violation-hash stream.
-            timing::SpeculativeDatapath dp(ctx.tech, inj.params,
-                                           inj.policy, inj.vLogic,
-                                           inj.clock);
-            const std::uint64_t key = datapathKey(
-                cfg_.seed, 5000, static_cast<std::uint64_t>(m));
-            dp.reseed(key);
-
-            MapResult r;
-            r.accuracy = evaluateWithTimingFaults(scratch, evalSet_, dp,
-                                                  corruptKey(key));
-            r.tim = dp.stats();
-            // "Bit flips" on the timing side = corrupted commits that
-            // reached inference (one flipped bit each).
-            r.bitFlips = r.tim.corrupted;
-            if (obs_)
-                dp.exportMetrics(r.metrics, withBase({}));
-            return r;
+    const TimingStep datapath{*this, ctx, inj, stream::kTiming};
+    const auto results = trials(
+        "timing", static_cast<std::size_t>(cfg_.numMaps),
+        [&](std::size_t m, dnn::Network &scratch, MapResult &r) {
+            // The SRAM is clean; only the datapath misbehaves.
+            stageFaultFree(scratch);
+            datapath(m, scratch, r);
         });
-
-    recordTrials("timing", results);
-    if (obs_) {
-        for (const MapResult &r : results)
-            obs_->metrics.merge(r.metrics);
-    }
-
-    TimingAccuracyPoint out;
-    out.point = reduce(results, proto.currentOpErrorProb());
+    TimingAccuracyPoint out = datapath.reduce(results);
+    out.point = reduce(results, datapath.proto.currentOpErrorProb());
     out.point.voltage = inj.vLogic;
-    const double period = proto.effectivePeriod().value();
-    double energy_sum = 0.0;
-    double latency_sum = 0.0;
-    for (const auto &r : results) {
-        out.stats.merge(r.tim);
-        energy_sum += r.tim.logicEnergy.value();
-        latency_sum +=
-            static_cast<double>(r.tim.replayCycles +
-                                r.tim.bubbleCycles) *
-            period;
-    }
-    const auto n = static_cast<double>(results.size());
-    out.meanLogicEnergy = Joule(energy_sum / n);
-    out.meanReplayLatency = Second(latency_sum / n);
-    out.cycleStretch = proto.cycleStretch();
-    out.safeVoltage = proto.safeVoltage();
     return out;
 }
 
@@ -498,91 +535,29 @@ FaultInjectionRunner::runCombined(Volt v_sram,
                                   const resilience::ResiliencePolicy &policy,
                                   const TimingInjection &inj)
 {
-    inj.params.validate();
-    inj.policy.validate();
-    const int banks = static_cast<int>(cfg_.layout.weightRegionBits /
-                                       sram::SramBank::kBits);
-    if (banks < 1)
-        fatal("runCombined: weight region smaller than one bank");
-    const sram::FailureRateModel failure(ctx.failure);
-    const timing::SpeculativeDatapath proto(
-        ctx.tech, inj.params, inj.policy, inj.vLogic, inj.clock);
-
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "combined"}}));
-    }
-    const StagedWeights image = stageWeights(net_);
-    const auto results = runMaps(
-        static_cast<std::size_t>(cfg_.numMaps),
-        [&](std::size_t m, dnn::Network &scratch) {
-            // SRAM side exactly as runResilient, but on its own
-            // counter streams (6000+m) so combined runs never reuse
-            // the resilient-only experiment's randomness.
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            sram::BankedMemory mem("weight_mem", banks, ctx.design,
-                                   ctx.tech, failure);
-            resilience::ResilientMemory rmem(mem, ctx, policy);
-            rmem.reseed(Rng(cfg_.seed).split(
-                6000 + static_cast<std::uint64_t>(m)));
-
-            MapResult r;
-            r.bitFlips = corruptNetworkResilient(scratch, net_, image, rmem,
-                                                 v_sram, map);
-
-            timing::SpeculativeDatapath dp(ctx.tech, inj.params,
-                                           inj.policy, inj.vLogic,
-                                           inj.clock);
-            const std::uint64_t key = datapathKey(
-                cfg_.seed, 7000, static_cast<std::uint64_t>(m));
-            dp.reseed(key);
-            r.accuracy = evaluateWithTimingFaults(scratch, evalSet_, dp,
-                                                  corruptKey(key));
-            r.tim = dp.stats();
-            r.bitFlips += r.tim.corrupted;
-            r.res = rmem.snapshot();
-            r.resEnergy = rmem.totalAccessEnergy();
-            if (obs_) {
-                rmem.exportMetrics(r.metrics, withBase({}));
-                dp.exportMetrics(r.metrics, withBase({}));
-            }
-            return r;
+    const TimingStep datapath{*this, ctx, inj, stream::kCombinedTiming};
+    const ResilientStep stage(*this, "runCombined", v_sram, ctx, policy,
+                              stream::kCombinedSram);
+    const auto results = trials(
+        "combined", static_cast<std::size_t>(cfg_.numMaps),
+        [&](std::size_t m, dnn::Network &scratch, MapResult &r) {
+            stage(m, scratch, r);
+            datapath(m, scratch, r);
         });
 
-    recordTrials("combined", results);
-    if (obs_) {
-        for (const MapResult &r : results)
-            obs_->metrics.merge(r.metrics);
-    }
-
+    const ResilientAccuracyPoint s = stage.reduce(results);
+    const TimingAccuracyPoint t = datapath.reduce(results);
     CombinedAccuracyPoint out;
-    out.point = reduce(results, failure.rate(v_sram));
+    out.point = reduce(results, stage.failure.rate(v_sram));
     out.point.voltage = v_sram;
-    const double period = proto.effectivePeriod().value();
-    double sram_energy = 0.0;
-    double logic_energy = 0.0;
-    double retry_latency = 0.0;
-    double replay_latency = 0.0;
-    for (const auto &r : results) {
-        out.sram.merge(r.res);
-        out.timing.merge(r.tim);
-        sram_energy += r.resEnergy.value();
-        logic_energy += r.tim.logicEnergy.value();
-        retry_latency += r.res.retryLatency.value();
-        replay_latency +=
-            static_cast<double>(r.tim.replayCycles +
-                                r.tim.bubbleCycles) *
-            period;
-    }
-    const auto n = static_cast<double>(results.size());
-    out.meanSramEnergy = Joule(sram_energy / n);
-    out.meanLogicEnergy = Joule(logic_energy / n);
-    out.meanRetryLatency = Second(retry_latency / n);
-    out.meanReplayLatency = Second(replay_latency / n);
-    out.cycleStretch = proto.cycleStretch();
-    out.safeVoltage = proto.safeVoltage();
+    out.sram = s.stats;
+    out.timing = t.stats;
+    out.meanSramEnergy = s.meanAccessEnergy;
+    out.meanLogicEnergy = t.meanLogicEnergy;
+    out.meanRetryLatency = s.meanRetryLatency;
+    out.meanReplayLatency = t.meanReplayLatency;
+    out.cycleStretch = t.cycleStretch;
+    out.safeVoltage = t.safeVoltage;
     return out;
 }
 
@@ -601,54 +576,12 @@ FaultInjectionRunner::sweepVoltage(const std::vector<Volt> &voltages,
                                    const sram::FailureRateModel &model,
                                    const InjectionSpec &spec)
 {
-    const std::size_t maps = static_cast<std::size_t>(cfg_.numMaps);
     std::vector<double> rates(voltages.size());
     for (std::size_t v = 0; v < voltages.size(); ++v)
         rates[v] = model.rate(voltages[v]);
-
-    std::optional<obs::ScopeTimer> timer;
-    if (obs_) {
-        timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", "sweep"}}));
-    }
-    // One flat job grid over (voltage, map): sweeps with few maps per
-    // point still fill every worker.
-    const auto results = runMaps(
-        voltages.size() * maps,
-        [&](std::size_t j, dnn::Network &scratch) {
-            const std::size_t m = j % maps;
-            const double fail_prob = rates[j / maps];
-            const sram::VulnerabilityMap map =
-                makeMap(static_cast<std::uint64_t>(m));
-            Rng rng = Rng(cfg_.seed).split(
-                1000 + static_cast<std::uint64_t>(m));
-            MapResult r;
-            r.bitFlips = corruptNetwork(scratch, net_, map, fail_prob,
-                                        spec, cfg_.layout, rng);
-            if (spec.injectInputs) {
-                dnn::Tensor corrupted = corruptInputs(
-                    evalSet_.images, map, fail_prob, spec.flipProb,
-                    cfg_.layout, rng);
-                r.accuracy =
-                    scratch.accuracy(corrupted, evalSet_.labels);
-            } else {
-                r.accuracy =
-                    dnn::SgdTrainer::evaluate(scratch, evalSet_, 0);
-            }
-            return r;
-        });
-
-    recordTrials("sweep", results);
-    std::vector<AccuracyPoint> out;
-    out.reserve(voltages.size());
-    for (std::size_t v = 0; v < voltages.size(); ++v) {
-        const std::vector<MapResult> slice(
-            results.begin() + static_cast<long>(v * maps),
-            results.begin() + static_cast<long>((v + 1) * maps));
-        AccuracyPoint p = reduce(slice, rates[v]);
-        p.voltage = voltages[v];
-        out.push_back(p);
-    }
+    std::vector<AccuracyPoint> out = injectSweep("sweep", rates, spec);
+    for (std::size_t v = 0; v < voltages.size(); ++v)
+        out[v].voltage = voltages[v];
     return out;
 }
 

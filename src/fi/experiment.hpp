@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -167,7 +168,9 @@ class FaultInjectionRunner
     FaultInjectionRunner(dnn::Network &net, const dnn::Dataset &test_set,
                          ExperimentConfig cfg = {});
 
-    /** Accuracy with fault-free int16 quantization (the ceiling). */
+    /** Fault-free accuracy (the ceiling): the network as a zero-rate
+     *  run stages it, i.e. its float weights copied verbatim, with no
+     *  int16 round trip (see corruptNetwork). */
     double baselineAccuracy();
 
     /** Monte-Carlo accuracy at one bit failure probability. */
@@ -203,12 +206,13 @@ class FaultInjectionRunner
 
     /**
      * Monte-Carlo accuracy with *timing* faults only (DESIGN.md §13):
-     * weights stage fault-free through the int16 round trip, but
-     * every layer-output element is one op on a timing-speculative
-     * datapath at `inj.vLogic`. Ops whose replay budget exhausts
-     * commit a corrupted output (one deterministic bit flip in the
-     * element's int16 representation). The datapath evolves serially
-     * within a map (monitors, ladder), fresh per map.
+     * weights stage as a zero-rate run does (the float weights copied
+     * verbatim; the SRAM is clean), but every layer-output element is
+     * one op on a timing-speculative datapath at `inj.vLogic`. Ops
+     * whose replay budget exhausts commit a corrupted output (one
+     * deterministic bit flip in the element's int16 representation).
+     * The datapath evolves serially within a map (monitors, ladder),
+     * fresh per map.
      */
     TimingAccuracyPoint runTiming(const core::SimContext &ctx,
                                   const TimingInjection &inj);
@@ -244,10 +248,11 @@ class FaultInjectionRunner
      * experiment publishes per-trial spans (`fi.<kind>` on a virtual
      * trial clock under `trace_pid`), injection counters
      * (`fi.trials{kind=..}`, `fi.bit_flips`), per-trial accuracy
-     * histograms and — for runResilient — the merged ResilientMemory
-     * metrics. `labels` is folded into every metric. All recording
-     * happens on the serial reduction path in map order, so the output
-     * is thread-count invariant (§7). Pass nullptr to detach.
+     * histograms and — for runResilient, runTiming and runCombined —
+     * the merged ResilientMemory and datapath metrics. `labels` is
+     * folded into every metric. All recording happens on the serial
+     * reduction path in map order, so the output is thread-count
+     * invariant (§7). Pass nullptr to detach.
      */
     void attachObservability(obs::Observability *o,
                              std::uint64_t trace_pid = 0,
@@ -260,30 +265,47 @@ class FaultInjectionRunner
         double accuracy = 0.0;
         std::uint64_t bitFlips = 0;
         sram::EccStats ecc;
-        /** Resilient-pipeline counters (runResilient only). */
+        /** Resilient-pipeline counters (resilient staging only). */
         resilience::ResilienceStats res;
-        /** Timing-datapath counters (runTiming/runCombined only). */
+        /** Timing-datapath counters (timing evaluation only). */
         timing::TimingStats tim;
-        /** Per-map SRAM energy incl. resilience (runResilient only). */
+        /** Per-map SRAM energy incl. resilience (resilient staging
+         *  only). */
         Joule resEnergy{0.0};
-        /** Per-map ResilientMemory metrics export (runResilient with
-         *  observability attached only); merged in map order. */
+        /** Per-map metrics exports (resilient staging and timing
+         *  evaluation with observability attached only); merged in map
+         *  order. */
         obs::MetricsRegistry metrics;
     };
 
+    /** The resilient-staging and timing-evaluation steps, each with
+     *  its own reduction (defined in experiment.cpp). */
+    struct ResilientStep;
+    struct TimingStep;
+
     /**
-     * Evaluate `jobs` fault-map jobs in parallel; job j calls
-     * evaluate(j, scratch) with a worker-exclusive scratch clone and
-     * deposits into a results slot. Returns per-job results in job
-     * order regardless of scheduling.
+     * The Monte-Carlo trial skeleton every experiment runs on: the
+     * `fi.run{kind}` timer, `jobs` parallel calls evaluate(j, scratch,
+     * result) with a worker-exclusive scratch clone, then recordTrials
+     * and the map-order merge of the per-job metrics. Returns per-job
+     * results in job order regardless of scheduling.
      */
-    std::vector<MapResult> runMaps(
-        std::size_t jobs,
-        const std::function<MapResult(std::size_t, dnn::Network &)>
+    std::vector<MapResult> trials(
+        const std::string &kind, std::size_t jobs,
+        const std::function<void(std::size_t, dnn::Network &, MapResult &)>
             &evaluate);
 
+    /** run over a (rate x map) job grid, maps innermost: one point per
+     *  rate. */
+    std::vector<AccuracyPoint> injectSweep(const std::string &kind,
+                                           const std::vector<double> &rates,
+                                           const InjectionSpec &spec);
+
+    /** Stage net_ into `scratch` as a zero-rate run does. */
+    void stageFaultFree(dnn::Network &scratch);
+
     /** Map-order (deterministic) reduction of per-map results. */
-    static AccuracyPoint reduce(const std::vector<MapResult> &results,
+    static AccuracyPoint reduce(std::span<const MapResult> results,
                                 double fail_prob,
                                 sram::EccStats *stats = nullptr);
 

@@ -130,9 +130,14 @@ class WeightRegionImage
 /**
  * Produce a corrupted copy of `src`'s parameters in `dst` (both must
  * be structurally identical; build `dst` with the same zoo function).
- * Biases and non-targeted layers are copied verbatim through their
- * quantized round trip so the only difference is the injected faults.
- * All-weights injection packs one WeightRegionImage for the call.
+ * Biases are copied verbatim. When weights are injected at
+ * fail_prob > 0, every weight layer takes the int16 round trip
+ * (non-targeted layers fault-free), so the injected faults are the
+ * only difference from a fault-free int16 image. At fail_prob <= 0,
+ * or without weight injection, the float weights are copied verbatim:
+ * no round trip, unlike the per-layer, ECC and resilient variants,
+ * which round-trip every weight layer at any rate. All-weights
+ * injection packs one WeightRegionImage for the call.
  *
  * @return number of bit flips applied.
  */

@@ -1,44 +1,21 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <ostream>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 
 namespace vboost::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    hashU64(h, bits);
-}
-
+/** The bytes, then the length: ("ab", "c") and ("a", "bc") differ. */
 void
 hashString(std::uint64_t &h, const std::string &s)
 {
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-    hashU64(h, s.size());
+    fnv::mixBytes(h, s);
+    fnv::mixU64(h, s.size());
 }
 
 bool
@@ -253,22 +230,22 @@ MetricsRegistry::merge(const MetricsRegistry &other)
 std::uint64_t
 MetricsRegistry::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kTruncatedBasis;
     for (const auto &[key, m] : metrics_) {
         if (excluded_.count(key.name) > 0)
             continue;
         hashString(h, key.render());
-        hashU64(h, static_cast<std::uint64_t>(m.kind));
-        hashU64(h, m.count);
-        hashDouble(h, m.sum);
-        hashU64(h, m.gaugeSet ? 1 : 0);
-        hashU64(h, m.bounds.size());
+        fnv::mixU64(h, static_cast<std::uint64_t>(m.kind));
+        fnv::mixU64(h, m.count);
+        fnv::mixDouble(h, m.sum);
+        fnv::mixU64(h, m.gaugeSet ? 1 : 0);
+        fnv::mixU64(h, m.bounds.size());
         for (const double b : m.bounds)
-            hashDouble(h, b);
+            fnv::mixDouble(h, b);
         for (const std::uint64_t c : m.buckets)
-            hashU64(h, c);
-        hashDouble(h, m.min);
-        hashDouble(h, m.max);
+            fnv::mixU64(h, c);
+        fnv::mixDouble(h, m.min);
+        fnv::mixDouble(h, m.max);
     }
     return h;
 }

@@ -2,44 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <ostream>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 
 namespace vboost::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    hashU64(h, bits);
-}
-
+/** The bytes, then the length: ("ab", "c") and ("a", "bc") differ. */
 void
 hashString(std::uint64_t &h, const std::string &s)
 {
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-    hashU64(h, s.size());
+    fnv::mixBytes(h, s);
+    fnv::mixU64(h, s.size());
 }
 
 /** Minimal JSON string escaper (control chars, quote, backslash). */
@@ -213,27 +190,27 @@ Tracer::openSpans() const
 std::uint64_t
 Tracer::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kTruncatedBasis;
     for (const auto &[pid, name] : processNames_) {
-        hashU64(h, pid);
+        fnv::mixU64(h, pid);
         hashString(h, name);
     }
     for (const auto &[key, name] : threadNames_) {
-        hashU64(h, key.first);
-        hashU64(h, key.second);
+        fnv::mixU64(h, key.first);
+        fnv::mixU64(h, key.second);
         hashString(h, name);
     }
     for (const TraceEvent &e : events_) {
         hashString(h, e.name);
-        hashU64(h, static_cast<std::uint64_t>(e.phase));
-        hashU64(h, e.pid);
-        hashU64(h, e.tid);
-        hashU64(h, e.ts);
-        hashU64(h, e.dur);
-        hashU64(h, e.open ? 1 : 0);
+        fnv::mixU64(h, static_cast<std::uint64_t>(e.phase));
+        fnv::mixU64(h, e.pid);
+        fnv::mixU64(h, e.tid);
+        fnv::mixU64(h, e.ts);
+        fnv::mixU64(h, e.dur);
+        fnv::mixU64(h, e.open ? 1 : 0);
         for (const auto &[k, v] : e.numArgs) {
             hashString(h, k);
-            hashDouble(h, v);
+            fnv::mixDouble(h, v);
         }
         for (const auto &[k, v] : e.strArgs) {
             hashString(h, k);

@@ -30,21 +30,15 @@ toString(RecoveryMode mode)
 std::uint64_t
 fnvMix(std::uint64_t h, std::uint64_t word)
 {
-    constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-    for (int i = 0; i < 8; ++i) {
-        h ^= (word >> (8 * i)) & 0xffull;
-        h *= kFnvPrime;
-    }
+    fnv::mixU64(h, word);
     return h;
 }
 
 std::uint64_t
 fnvMixDouble(std::uint64_t h, double value)
 {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    return fnvMix(h, bits);
+    fnv::mixDouble(h, value);
+    return h;
 }
 
 void
@@ -123,8 +117,9 @@ ChipEvaluator::ensureScratch(unsigned count)
 double
 ChipEvaluator::baselineAccuracy()
 {
-    // Quantization round trip with no faults: the chip's error-free
-    // ceiling (the iso-accuracy reference of the recovery frontier).
+    // A zero-rate staging (the float weights, copied verbatim): the
+    // chip's error-free ceiling (the iso-accuracy reference of the
+    // recovery frontier).
     ensureScratch(1);
     auto spec = fi::InjectionSpec::allWeights();
     spec.flipProb = cfg_.flipProb;

@@ -22,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/units.hpp"
 #include "dnn/dataset.hpp"
 #include "dnn/network.hpp"
@@ -73,8 +74,8 @@ struct PlannedRecovery
     void validate() const;
 };
 
-/** FNV-1a offset basis shared by the recovery digests. */
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+/** FNV-1a seed shared by the recovery digests (fnv::kTruncatedBasis). */
+inline constexpr std::uint64_t kFnvOffset = fnv::kTruncatedBasis;
 
 /** FNV-1a fold of one 64-bit word into `h`, byte by byte. */
 std::uint64_t fnvMix(std::uint64_t h, std::uint64_t word);
@@ -146,7 +147,8 @@ class ChipEvaluator
     ChipEvaluator(dnn::Network &net, const dnn::Dataset &test_set,
                   sram::VulnerabilityMap map, ChipEvalConfig cfg = {});
 
-    /** Accuracy with fault-free int16 quantization (the ceiling). */
+    /** Fault-free accuracy (the ceiling): the network as a zero-rate
+     *  corruptNetwork stages it, i.e. its float weights verbatim. */
     double baselineAccuracy();
 
     /** Monte-Carlo accuracy at one bit failure probability, weights

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -18,55 +18,33 @@ namespace vboost::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-hashU64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
-
-void
-hashDouble(std::uint64_t &h, double d)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    hashU64(h, bits);
-}
-
+/** Length-prefixed, so ("ab", "c") and ("a", "bc") differ. */
 void
 hashString(std::uint64_t &h, const std::string &s)
 {
-    hashU64(h, s.size());
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
+    fnv::mixU64(h, s.size());
+    fnv::mixBytes(h, s);
 }
 
 void
 hashTenant(std::uint64_t &h, const TenantStats &t)
 {
-    hashU64(h, t.requests);
-    hashU64(h, t.admitted);
-    hashU64(h, t.shedQueueFull);
-    hashU64(h, t.shedTenantQuota);
-    hashU64(h, t.batches);
-    hashU64(h, t.inferences);
-    hashU64(h, t.correct);
-    hashU64(h, t.retries);
-    hashU64(h, t.escalations);
-    hashU64(h, t.quarantines);
-    hashU64(h, t.uncorrected);
-    hashDouble(h, t.energyPj);
-    hashU64(h, t.queueWaitTicksSum);
-    hashU64(h, t.latencyTicksSum);
-    hashU64(h, t.maxLatencyTicks);
-    hashU64(h, static_cast<std::uint64_t>(t.finalVddStep));
+    fnv::mixU64(h, t.requests);
+    fnv::mixU64(h, t.admitted);
+    fnv::mixU64(h, t.shedQueueFull);
+    fnv::mixU64(h, t.shedTenantQuota);
+    fnv::mixU64(h, t.batches);
+    fnv::mixU64(h, t.inferences);
+    fnv::mixU64(h, t.correct);
+    fnv::mixU64(h, t.retries);
+    fnv::mixU64(h, t.escalations);
+    fnv::mixU64(h, t.quarantines);
+    fnv::mixU64(h, t.uncorrected);
+    fnv::mixDouble(h, t.energyPj);
+    fnv::mixU64(h, t.queueWaitTicksSum);
+    fnv::mixU64(h, t.latencyTicksSum);
+    fnv::mixU64(h, t.maxLatencyTicks);
+    fnv::mixU64(h, static_cast<std::uint64_t>(t.finalVddStep));
 }
 
 } // namespace
@@ -90,17 +68,17 @@ ServerConfig::validate() const
 std::uint64_t
 ServerStats::fingerprint() const
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kTruncatedBasis;
     hashTenant(h, total);
-    hashU64(h, perTenant.size());
+    fnv::mixU64(h, perTenant.size());
     for (const auto &[name, tenant] : perTenant) {
         hashString(h, name);
         hashTenant(h, tenant);
     }
-    hashDouble(h, meanBatchSize);
-    hashDouble(h, p50LatencyTicks);
-    hashDouble(h, p95LatencyTicks);
-    hashDouble(h, accuracy);
+    fnv::mixDouble(h, meanBatchSize);
+    fnv::mixDouble(h, p50LatencyTicks);
+    fnv::mixDouble(h, p95LatencyTicks);
+    fnv::mixDouble(h, accuracy);
     return h;
 }
 

@@ -8,21 +8,6 @@
 
 namespace vboost::timing {
 
-namespace {
-
-/** FNV-1a fold of one 64-bit value. */
-std::uint64_t
-fnvFold(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
-
 void
 TimingStats::merge(const TimingStats &other)
 {
@@ -36,7 +21,7 @@ TimingStats::merge(const TimingStats &other)
     bubbleCycles += other.bubbleCycles;
     logicEnergy += other.logicEnergy;
     replayEnergy += other.replayEnergy;
-    replayDigest = fnvFold(replayDigest, other.replayDigest);
+    fnv::mixU64(replayDigest, other.replayDigest);
 }
 
 SpeculativeDatapath::SpeculativeDatapath(
@@ -186,10 +171,9 @@ SpeculativeDatapath::executeOp(std::uint64_t op)
             return false; // clean commit
         ++stats_.errors;
         stats_.bubbleCycles += bubble_cycles;
-        stats_.replayDigest = fnvFold(
-            fnvFold(fnvFold(stats_.replayDigest, op),
-                    static_cast<std::uint64_t>(issue)),
-            static_cast<std::uint64_t>(stage));
+        fnv::mixU64(stats_.replayDigest, op);
+        fnv::mixU64(stats_.replayDigest, static_cast<std::uint64_t>(issue));
+        fnv::mixU64(stats_.replayDigest, static_cast<std::uint64_t>(stage));
     }
     ++stats_.corrupted;
     return true; // budget exhausted: corrupted result committed

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "circuit/energy_model.hpp"
+#include "common/fnv.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "timing/replay_policy.hpp"
@@ -59,7 +60,7 @@ struct TimingStats
     /** FNV-1a digest over (op, issue, stage) of every detected
      *  violation, chained in map order by merge(): the replay-count
      *  digest of the thread-count-invariance contract. */
-    std::uint64_t replayDigest = 0xcbf29ce484222325ull;
+    std::uint64_t replayDigest = fnv::kOffsetBasis;
 
     /** Fold another run's stats in (caller fixes the order). */
     void merge(const TimingStats &other);
