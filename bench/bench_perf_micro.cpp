@@ -119,22 +119,6 @@ microSuite(const dnn::Backend &b, const bench::BenchOptions &opts,
     const std::string name(b.name());
     const int scale = opts.smoke ? 4 : 1;
 
-    // corrupt_words: one whole-buffer pass of the fault kernel near
-    // the fig14 operating point.
-    {
-        constexpr std::size_t kWords = 65536;
-        const sram::VulnerabilityMap map(1, 0);
-        const dnn::FaultWindow win{0, kWords * 16, 0};
-        std::vector<std::int16_t> words(kWords, 0x1234);
-        std::vector<std::int16_t> scratch;
-        Rng rng(2);
-        const double ns = minNsPerOp(3, 4 / scale + 1, [&] {
-            scratch = words;
-            g_sink = g_sink + b.applyFaultMap(scratch, map, win, {0.01, 0.5}, rng);
-        });
-        out.push_back({"corrupt_words", name, "soft", ns, kWords * 16});
-    }
-
     // fused_corrupt_dequant: the fault-injection hot loop (corrupt +
     // dequantize in one pass). The optimized (non-reference) copy is
     // the hard regression gate; the scalar copy stays soft — nobody

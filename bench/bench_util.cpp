@@ -295,7 +295,10 @@ alexNetRecipe(const BenchOptions &opts)
     r.arch = "alexnet_cifar";
     r.train.epochs = 3;
     r.train.numThreads = opts.threads;
-    r.train.learningRate = 0.05;
+    // The 3000-image run takes twice the steps: at 0.05 (or 0.03) it
+    // diverges to chance in its second epoch, at 0.01 it fits (1.000
+    // on the 5000 paper test images).
+    r.train.learningRate = opts.paper ? 0.01 : 0.05;
     r.trainSize = opts.paper ? 3000 : 1500;
     return r;
 }

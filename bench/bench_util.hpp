@@ -136,8 +136,8 @@ struct ModelRecipe
 /** Recipe of trainedMnistFc (training runs on --threads
  *  participants; nothing else depends on the options today). */
 ModelRecipe mnistFcRecipe(const BenchOptions &opts);
-/** Recipe of trainedAlexNet (--paper trains on 3000 images, else
- *  1500). */
+/** Recipe of trainedAlexNet (--paper trains on 3000 images at
+ *  learning rate 0.01, else on 1500 at 0.05). */
 ModelRecipe alexNetRecipe(const BenchOptions &opts);
 
 /**

@@ -17,6 +17,24 @@ Backend::gemm(const float *a, const float *b, float *c, int m, int k, int n,
     gemmPanel(a, b, c, m, k, n, n, n);
 }
 
+std::uint64_t
+Backend::applyFaultMapDequant(std::span<std::int16_t> words,
+                              const FixedPointCodec &codec, float *out,
+                              const sram::VulnerabilityMap &map,
+                              const FaultWindow &win,
+                              sram::FaultParams params, Rng &rng) const
+{
+    // Packed bit j of the window is visit j's cell, and bit j +
+    // regionBits repeats it, so walking the window from visit 0 with
+    // wrap at regionBits reads every visit right, however long.
+    const bool faulty = params.failProb > 0.0 && params.flipProb > 0.0;
+    const sram::PackedFaultMap window(
+        map, win.regionBase, win.regionBits, win.startBit,
+        faulty ? words.size() * 16ull : 0, faulty ? params.failProb : 0.0);
+    return applyRegionImageDequant(words, codec, out, window, 0,
+                                   faulty ? params.flipProb : 0.0, rng);
+}
+
 namespace detail {
 
 float *

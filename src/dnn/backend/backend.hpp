@@ -2,14 +2,13 @@
  * @file
  * Swappable compute backends (DESIGN.md §12). A Backend owns the hot
  * kernels of the repro — forward and backward GEMMs, the im2col
- * convolution and the fault-map application / fused
- * corrupt-and-dequantize kernels the fault-injection staging loop
- * runs — so scalar reference code and SIMD implementations can be
- * exchanged freely.
+ * convolution and the fused corrupt-and-dequantize kernel the
+ * fault-injection staging loop runs — so scalar reference code and
+ * SIMD implementations can be exchanged freely.
  *
  * Contract: every backend is BITWISE-IDENTICAL to the reference
  * backend on finite inputs, at every thread count, including the
- * per-faulty-cell RNG consumption order of the fault kernels. This is
+ * per-faulty-cell RNG consumption order of the fault kernel. This is
  * the §7 determinism bar: swapping backends may change speed, never a
  * single output bit. tests/test_backend.cpp (ctest `backend_equivalence`)
  * enforces it.
@@ -180,40 +179,35 @@ class Backend
     virtual void relu(const float *x, float *y, std::size_t n) const = 0;
 
     /**
-     * Corrupt staged 16-bit words through a fault window: bit b of
-     * word w is visit 16*w + b; each faulty visited cell flips with
-     * params.flipProb. RNG is consumed exactly once per faulty visited
-     * cell, in visit order (bitwise contract with the reference
-     * scalar loop). @return bits flipped.
+     * The fused fault-injection kernel over a fault window: corrupt
+     * `words` in place — bit b of word w is visit 16*w + b, and each
+     * faulty visited cell flips with params.flipProb — then dequantize
+     * every (possibly corrupted) word through `codec` into `out`
+     * (words.size() floats). It packs the window's faults from
+     * startBit, which makes them a region image walked from visit 0,
+     * and runs applyRegionImageDequant() over it. With
+     * params.failProb or params.flipProb at 0 nothing is drawn and
+     * this is a pure decode. @return bits flipped.
      */
-    virtual std::uint64_t applyFaultMap(std::span<std::int16_t> words,
-                                        const sram::VulnerabilityMap &map,
-                                        const FaultWindow &win,
-                                        sram::FaultParams params,
-                                        Rng &rng) const = 0;
+    std::uint64_t applyFaultMapDequant(std::span<std::int16_t> words,
+                                       const FixedPointCodec &codec,
+                                       float *out,
+                                       const sram::VulnerabilityMap &map,
+                                       const FaultWindow &win,
+                                       sram::FaultParams params,
+                                       Rng &rng) const;
 
     /**
-     * The fused fault-injection kernel: corrupt `words` in place as
-     * applyFaultMap, then dequantize every (possibly corrupted) word
-     * through `codec` into `out` (words.size() floats). With
-     * params.failProb == 0 this is a pure vectorizable decode — the
-     * round-trip path untargeted layers take. @return bits flipped.
-     */
-    virtual std::uint64_t
-    applyFaultMapDequant(std::span<std::int16_t> words,
-                         const FixedPointCodec &codec, float *out,
-                         const sram::VulnerabilityMap &map,
-                         const FaultWindow &win, sram::FaultParams params,
-                         Rng &rng) const = 0;
-
-    /**
-     * applyFaultMapDequant with the fault bits read from a prebuilt
-     * image of the whole region instead of packing the window's own:
-     * `region` holds region cell p at bit p (a PackedFaultMap packed
-     * from start 0, wrapping at region.regionBits()), and visit j of
-     * this call reads bit (startBit + j) mod region.regionBits(),
-     * which must be below region.numBits(). Flips, RNG draws and
-     * outputs equal applyFaultMapDequant's over the same cells.
+     * The one fault kernel of a backend: corrupt `words` in place from
+     * a prebuilt region image, then dequantize them through `codec`
+     * into `out` (words.size() floats). `region` holds region cell p
+     * at bit p (a PackedFaultMap packed from start 0, wrapping at
+     * region.regionBits()), and visit j of this call — bit b of word
+     * w is visit 16*w + b — reads bit (startBit + j) mod
+     * region.regionBits(), which must be below region.numBits(). Each
+     * faulty visited cell flips with flipProb: RNG is consumed exactly
+     * once per faulty visited cell, in visit order (bitwise contract
+     * with the reference scalar loop); flipProb <= 0 draws nothing.
      * @return bits flipped.
      */
     virtual std::uint64_t
@@ -222,21 +216,6 @@ class Backend
                             const sram::PackedFaultMap &region,
                             std::uint64_t startBit, double flipProb,
                             Rng &rng) const = 0;
-
-    /**
-     * Corrupt the low `nbits` (1..64) of one staged word from a region
-     * image (as applyRegionImageDequant reads it) — the ECC path's
-     * data/check groups, whose RNG draws interleave across two
-     * regions. Visit j of this call reads bit
-     * (startBit + j) mod region.regionBits(). One bernoulli is drawn
-     * per faulty visited cell even at flipProb 0, as the ECC staging
-     * loop always has. @return bits flipped.
-     */
-    virtual std::uint64_t
-    applyRegionImageBits(std::uint64_t &bits, int nbits,
-                         const sram::PackedFaultMap &region,
-                         std::uint64_t startBit, double flipProb,
-                         Rng &rng) const = 0;
 };
 
 /** The scalar reference backend (always available). */

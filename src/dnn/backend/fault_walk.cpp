@@ -1,14 +1,14 @@
 /**
  * @file
- * The fault walk of the vectorized backend's fault kernels (DESIGN.md
- * §12): given packed fault masks, flip the staged words, drawing
- * exactly one bernoulli per faulty visited cell in ascending visit
- * order — the reference scalar loop's RNG stream.
+ * The fault walk of the vectorized backend's fault kernel (DESIGN.md
+ * §12): given a region image, flip the staged words, drawing exactly
+ * one bernoulli per faulty visited cell in ascending visit order — the
+ * reference scalar loop's RNG stream.
  *
- * Each 64-visit group (four staged 16-bit words) builds its flip mask
- * without branching on the draws, flip |= uint64(bernoulli) << bit,
- * and XORs it into the four words once; fault-free groups cost one
- * compare.
+ * Each 64-visit group (four staged 16-bit words) reads its fault mask
+ * from the image and draws its flips with sram::drawFlips, the one
+ * draw loop every faulty read shares, then XORs them into the four
+ * words once; fault-free groups cost one compare.
  *
  * Inside a training split (dnn/split.hpp) a region-image walk splits
  * by group ranges: each part counts its faulty visits, the draws are
@@ -30,30 +30,11 @@
 #include "common/thread_pool.hpp"
 #include "dnn/backend/impl.hpp"
 #include "dnn/split.hpp"
+#include "sram/word_fault_masks.hpp"
 
 namespace vboost::dnn::detail {
 
 namespace {
-
-/** One bernoulli(flip_prob) per set bit of `faults`, ascending; the
- *  accepted bits form the returned flip mask and are counted into
- *  `flipped` (a running sum: generic x86-64 has no popcount
- *  instruction). */
-inline std::uint64_t
-drawFlips(std::uint64_t faults, double flip_prob, Rng &rng,
-          std::uint64_t &flipped)
-{
-    std::uint64_t flip = 0;
-    while (faults != 0) {
-        const int b = std::countr_zero(faults);
-        faults &= faults - 1;
-        const auto accept =
-            static_cast<std::uint64_t>(rng.bernoulli(flip_prob));
-        flip |= accept << b;
-        flipped += accept;
-    }
-    return flip;
-}
 
 /** XOR a 64-visit flip mask into up to four consecutive staged words
  *  (bit 16q + b is bit b of word q). */
@@ -183,15 +164,15 @@ splitRegionWalk(std::span<std::int16_t> words, const FixedPointCodec &codec,
     for (unsigned p = 0; p < parts; ++p)
         first_draw[p + 1] += first_draw[p];
 
-    // 2. The serial part: every draw, in visit order, into a bit stream.
+    // 2. The serial part: every draw, in visit order, into a bit stream
+    //    (draw i is bit i of the stream).
     const std::uint64_t total = first_draw[parts];
     std::vector<std::uint64_t> draws((total + 63) / 64, 0);
     std::uint64_t flipped = 0;
-    for (std::uint64_t i = 0; i < total; ++i) {
-        const auto accept =
-            static_cast<std::uint64_t>(rng.bernoulli(flip_prob));
-        draws[i >> 6] |= accept << (i & 63);
-        flipped += accept;
+    for (std::uint64_t i = 0; i < total; i += 64) {
+        const std::uint64_t n = std::min<std::uint64_t>(64, total - i);
+        draws[i >> 6] = sram::drawFlips(n == 64 ? ~0ull : (1ull << n) - 1,
+                                        flip_prob, rng, flipped);
     }
 
     // 3. Each part deposits its slice of the stream onto its faulty
@@ -234,39 +215,6 @@ splitRegionWalk(std::span<std::int16_t> words, const FixedPointCodec &codec,
 } // namespace
 
 std::uint64_t
-flipMaskedBits(std::uint64_t &bits, std::uint64_t faults, double flip_prob,
-               Rng &rng)
-{
-    std::uint64_t flipped = 0;
-    bits ^= drawFlips(faults, flip_prob, rng, flipped);
-    return flipped;
-}
-
-std::uint64_t
-flipWindow(std::span<std::int16_t> words, const sram::VulnerabilityMap &map,
-           const FaultWindow &win, sram::FaultParams params, Rng &rng)
-{
-    if (params.failProb <= 0.0 || params.flipProb <= 0.0)
-        return 0;
-    const sram::PackedFaultMap packed(map, win.regionBase, win.regionBits,
-                                      win.startBit, words.size() * 16ull,
-                                      params.failProb);
-    // Four 16-bit words per packed 64-bit mask; one compare skips a
-    // whole fault-free group (the common case).
-    const std::uint64_t *masks = packed.words().data();
-    std::uint64_t flipped = 0;
-    for (std::size_t w = 0; w < words.size(); w += 4) {
-        const std::uint64_t m = masks[w >> 2];
-        if (m != 0) {
-            const std::size_t nw = std::min<std::size_t>(4, words.size() - w);
-            xorGroup(words.data() + w, nw,
-                     drawFlips(m, params.flipProb, rng, flipped));
-        }
-    }
-    return flipped;
-}
-
-std::uint64_t
 stageRegionImage(std::span<std::int16_t> words, const FixedPointCodec &codec,
                  float *out, const sram::PackedFaultMap &region,
                  std::uint64_t start_bit, double flip_prob, Rng &rng,
@@ -289,7 +237,7 @@ stageRegionImage(std::span<std::int16_t> words, const FixedPointCodec &codec,
         pos = groups.next(pos);
         if (m != 0)
             xorGroup(words.data() + 4 * g, nw,
-                     drawFlips(m, flip_prob, rng, flipped));
+                     sram::drawFlips(m, flip_prob, rng, flipped));
     }
     dequant(words, codec, out);
     return flipped;

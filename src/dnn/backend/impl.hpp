@@ -25,26 +25,12 @@ float *resizeFloats(std::vector<float> &buf, std::size_t n);
  *  backend.cpp for the same reason as resizeFloats(). */
 float *threadScratch(std::size_t n);
 
-/**
- * The fault walk (fault_walk.cpp, a generic translation unit):
- * flip bits under packed fault masks, one bernoulli(flip_prob) per
- * faulty visited cell in ascending visit order. @return bits flipped.
- */
-/** Corrupt the low bits of `bits` under one fault mask. */
-std::uint64_t flipMaskedBits(std::uint64_t &bits, std::uint64_t faults,
-                             double flip_prob, Rng &rng);
-
-/** Backend::applyFaultMap over the window's own packed masks. */
-std::uint64_t flipWindow(std::span<std::int16_t> words,
-                         const sram::VulnerabilityMap &map,
-                         const FaultWindow &win, sram::FaultParams params,
-                         Rng &rng);
-
 /** Decode staged words into floats (a backend's dequantize). */
 using DequantFn = void (*)(std::span<const std::int16_t> words,
                            const FixedPointCodec &codec, float *out);
 
-/** Backend::applyRegionImageDequant, decoding through `dequant`. Inside
+/** Backend::applyRegionImageDequant, decoding through `dequant` (the
+ *  fault walk of fault_walk.cpp, a generic translation unit). Inside
  *  a training split the walk and the decode split by group ranges;
  *  only the draws stay serial. */
 std::uint64_t stageRegionImage(std::span<std::int16_t> words,

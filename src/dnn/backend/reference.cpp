@@ -187,53 +187,14 @@ class ReferenceBackend final : public Backend
     }
 
     std::uint64_t
-    applyFaultMap(std::span<std::int16_t> words,
-                  const sram::VulnerabilityMap &map, const FaultWindow &win,
-                  sram::FaultParams params, Rng &rng) const override
-    {
-        if (params.failProb <= 0.0 || params.flipProb <= 0.0)
-            return 0;
-        std::uint64_t flipped = 0;
-        std::uint64_t bit = win.startBit % win.regionBits;
-        for (auto &word : words) {
-            auto raw = static_cast<std::uint16_t>(word);
-            for (int b = 0; b < 16; ++b) {
-                const std::uint64_t cell = win.regionBase + bit;
-                if (map.isFaulty(cell, params.failProb) &&
-                    rng.bernoulli(params.flipProb)) {
-                    raw ^= static_cast<std::uint16_t>(1u << b);
-                    ++flipped;
-                }
-                if (++bit == win.regionBits)
-                    bit = 0;
-            }
-            word = static_cast<std::int16_t>(raw);
-        }
-        return flipped;
-    }
-
-    std::uint64_t
-    applyFaultMapDequant(std::span<std::int16_t> words,
-                         const FixedPointCodec &codec, float *out,
-                         const sram::VulnerabilityMap &map,
-                         const FaultWindow &win, sram::FaultParams params,
-                         Rng &rng) const override
-    {
-        const std::uint64_t flipped =
-            applyFaultMap(words, map, win, params, rng);
-        for (std::size_t i = 0; i < words.size(); ++i)
-            out[i] = codec.decode(words[i]);
-        return flipped;
-    }
-
-    std::uint64_t
     applyRegionImageDequant(std::span<std::int16_t> words,
                             const FixedPointCodec &codec, float *out,
                             const sram::PackedFaultMap &region,
                             std::uint64_t startBit, double flipProb,
                             Rng &rng) const override
     {
-        // applyFaultMap's walk, with isFaulty() read from the image.
+        // The per-cell walk: one draw per faulty visited cell, in
+        // visit order, the stream every backend must reproduce.
         std::uint64_t flipped = 0;
         if (flipProb > 0.0) {
             std::uint64_t bit = startBit % region.regionBits();
@@ -252,27 +213,6 @@ class ReferenceBackend final : public Backend
         }
         for (std::size_t i = 0; i < words.size(); ++i)
             out[i] = codec.decode(words[i]);
-        return flipped;
-    }
-
-    std::uint64_t
-    applyRegionImageBits(std::uint64_t &bits, int nbits,
-                         const sram::PackedFaultMap &region,
-                         std::uint64_t startBit, double flipProb,
-                         Rng &rng) const override
-    {
-        // No flipProb early-out: the ECC staging loop historically
-        // consumed one bernoulli per faulty cell even at flipProb 0,
-        // and downstream draws must see an unchanged RNG stream.
-        std::uint64_t flipped = 0;
-        for (int b = 0; b < nbits; ++b) {
-            if (region.test((startBit + static_cast<std::uint64_t>(b)) %
-                            region.regionBits()) &&
-                rng.bernoulli(flipProb)) {
-                bits ^= 1ull << b;
-                ++flipped;
-            }
-        }
         return flipped;
     }
 };

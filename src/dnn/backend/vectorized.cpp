@@ -404,27 +404,6 @@ class VectorizedBackend final : public Backend
     }
 
     std::uint64_t
-    applyFaultMap(std::span<std::int16_t> words,
-                  const sram::VulnerabilityMap &map, const FaultWindow &win,
-                  sram::FaultParams params, Rng &rng) const override
-    {
-        return detail::flipWindow(words, map, win, params, rng);
-    }
-
-    std::uint64_t
-    applyFaultMapDequant(std::span<std::int16_t> words,
-                         const FixedPointCodec &codec, float *out,
-                         const sram::VulnerabilityMap &map,
-                         const FaultWindow &win, sram::FaultParams params,
-                         Rng &rng) const override
-    {
-        const std::uint64_t flipped =
-            detail::flipWindow(words, map, win, params, rng);
-        dequantizeAvx2(words, codec, out);
-        return flipped;
-    }
-
-    std::uint64_t
     applyRegionImageDequant(std::span<std::int16_t> words,
                             const FixedPointCodec &codec, float *out,
                             const sram::PackedFaultMap &region,
@@ -433,17 +412,6 @@ class VectorizedBackend final : public Backend
     {
         return detail::stageRegionImage(words, codec, out, region, startBit,
                                         flipProb, rng, dequantizeAvx2);
-    }
-
-    std::uint64_t
-    applyRegionImageBits(std::uint64_t &bits, int nbits,
-                         const sram::PackedFaultMap &region,
-                         std::uint64_t startBit, double flipProb,
-                         Rng &rng) const override
-    {
-        const std::uint64_t mask = region.maskWrapped(
-            startBit % region.regionBits(), static_cast<unsigned>(nbits));
-        return detail::flipMaskedBits(bits, mask, flipProb, rng);
     }
 };
 

@@ -4,12 +4,14 @@
 #include <array>
 #include <bit>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/logging.hpp"
 #include "dnn/backend/backend.hpp"
 #include "dnn/quantize.hpp"
 #include "dnn/split.hpp"
+#include "sram/word_fault_masks.hpp"
 
 namespace vboost::fi {
 
@@ -214,16 +216,16 @@ corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
                   double flip_prob, const MemoryLayout &layout, Rng &rng,
                   sram::EccStats *stats)
 {
-    dst.copyParamsFrom(src);
-    auto src_weights = src.weightParams();
+    // Every weight tensor is overwritten below: copy only the rest.
+    dst.copyParamsFrom(src, /*weights=*/false);
     auto dst_weights = dst.weightParams();
+    const StagedWeights image = stageWeights(src);
 
-    // Each group stages 64 data cells (the tail group padded) and 8
-    // check cells; both walks wrap their regions, which are packed
-    // once per call.
-    std::uint64_t groups = 0;
-    for (const auto &p : src_weights)
-        groups += (p.value->numel() + 3) / 4;
+    // Group i stages 64 data cells (the tail group of a layer padded)
+    // from weight-region bit 64i and 8 check cells from parity-region
+    // bit 8i; both walks wrap their regions, which are packed once per
+    // call.
+    const std::uint64_t groups = image.groups.size();
     std::optional<sram::PackedFaultMap> data_image;
     std::optional<sram::PackedFaultMap> check_image;
     if (fail_prob > 0.0) {
@@ -235,45 +237,35 @@ corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
             std::min(groups * 8, layout.parityRegionBits()), fail_prob);
     }
 
-    const dnn::Backend &backend = dnn::activeBackend();
     std::uint64_t flipped = 0;
-    std::uint64_t bit_cursor = 0;   // data-bit cursor (weight region)
-    std::uint64_t check_cursor = 0; // check-bit cursor (parity region)
-    for (std::size_t l = 0; l < src_weights.size(); ++l) {
-        auto q = dnn::quantize(*src_weights[l].value);
-        // Process 64-bit groups of four int16 words; the tail group is
-        // zero-padded (as a real ECC memory would pad the row).
-        for (std::size_t g = 0; g < q.words.size(); g += 4) {
-            std::uint64_t word = 0;
-            for (std::size_t k = 0; k < 4 && g + k < q.words.size(); ++k)
-                word |= static_cast<std::uint64_t>(
-                            static_cast<std::uint16_t>(q.words[g + k]))
-                        << (16 * k);
-            std::uint8_t check = sram::SecdedCodec::encode(word);
-
-            // Corrupt the 64 data cells, then the 8 check cells (their
-            // own region); RNG draws interleave per group, in cell
-            // order, exactly as the backend contract specifies.
+    for (std::size_t l = 0; l < image.layers.size(); ++l) {
+        const StagedWeights::Layer &layer = image.layers[l];
+        dnn::Tensor &out = *dst_weights[l].value;
+        out = layer.clean;
+        for (std::size_t g = 0; 4 * g < layer.words; ++g) {
+            const std::size_t i = layer.firstGroup + g;
+            std::uint64_t word = image.groups[i];
+            std::uint8_t check = image.checks[i];
+            // One resilient read of the codeword: data cells, then
+            // check cells, drawn even at flip_prob 0.
             if (data_image) {
-                flipped += backend.applyRegionImageBits(
-                    word, 64, *data_image, bit_cursor, flip_prob, rng);
-                std::uint64_t check_bits = check;
-                flipped += backend.applyRegionImageBits(
-                    check_bits, 8, *check_image, check_cursor, flip_prob,
-                    rng);
-                check = static_cast<std::uint8_t>(check_bits);
+                const sram::WordMask mask{
+                    data_image->maskWrapped(64 * i % layout.weightRegionBits,
+                                            64),
+                    static_cast<std::uint8_t>(check_image->maskWrapped(
+                        8 * i % layout.parityRegionBits(), 8))};
+                flipped += static_cast<std::uint64_t>(
+                    sram::flipMasked(word, check, mask, flip_prob, rng));
             }
-            bit_cursor += 64;
-            check_cursor += 8;
-
             const auto decoded = sram::SecdedCodec::decode(word, check);
             if (stats)
                 stats->record(decoded.outcome);
-            for (std::size_t k = 0; k < 4 && g + k < q.words.size(); ++k)
-                q.words[g + k] = static_cast<std::int16_t>(
-                    static_cast<std::uint16_t>(decoded.data >> (16 * k)));
+            if (decoded.data == image.groups[i])
+                continue;
+            for (std::size_t k = 0; k < 4 && 4 * g + k < layer.words; ++k)
+                out[4 * g + k] = layer.codec.decode(static_cast<std::int16_t>(
+                    static_cast<std::uint16_t>(decoded.data >> (16 * k))));
         }
-        *dst_weights[l].value = dnn::dequantize(q);
     }
     return flipped;
 }
@@ -368,26 +360,27 @@ corruptInputs(const dnn::Tensor &images, const sram::VulnerabilityMap &map,
               const MemoryLayout &layout, Rng &rng)
 {
     auto q = dnn::quantize(images);
-    if (fail_prob > 0.0) {
-        // Each image is staged through the same physical input memory:
-        // image i's bits start where a fresh staging would place them
-        // (offset 0 of the region), so all images see the same cells.
-        const dnn::Backend &backend = dnn::activeBackend();
-        const int batch = images.dim(0);
-        const std::size_t per_image = images.numel() /
-                                      static_cast<std::size_t>(batch);
-        for (int i = 0; i < batch; ++i) {
-            backend.applyFaultMap(
-                std::span<std::int16_t>(
-                    q.words.data() +
-                        per_image * static_cast<std::size_t>(i),
-                    per_image),
-                map,
-                {layout.inputRegionBase(), layout.inputRegionBits, 0},
-                {fail_prob, flip_prob}, rng);
-        }
+    if (fail_prob <= 0.0)
+        return dnn::dequantize(q);
+    // Each image is staged through the same physical input memory:
+    // image i's bits start where a fresh staging would place them
+    // (offset 0 of the region), so all images read one region image.
+    const int batch = images.dim(0);
+    const std::size_t per_image =
+        images.numel() / static_cast<std::size_t>(batch);
+    const sram::PackedFaultMap region(
+        map, layout.inputRegionBase(), layout.inputRegionBits, 0,
+        std::min<std::uint64_t>(per_image * 16ull, layout.inputRegionBits),
+        fail_prob);
+    const dnn::Backend &backend = dnn::activeBackend();
+    dnn::Tensor out = dnn::Tensor::uninitialized(images.shape());
+    for (int i = 0; i < batch; ++i) {
+        const std::size_t first = per_image * static_cast<std::size_t>(i);
+        backend.applyRegionImageDequant(
+            std::span<std::int16_t>(q.words.data() + first, per_image),
+            q.codec, out.data() + first, region, 0, flip_prob, rng);
     }
-    return dnn::dequantize(q);
+    return out;
 }
 
 } // namespace vboost::fi

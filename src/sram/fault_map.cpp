@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "sram/cell_hash.hpp"
 
 namespace vboost::sram {
@@ -174,58 +175,6 @@ VulnerabilityMap::minUniform(std::uint64_t num_cells) const
     for (std::uint64_t c = 0; c < num_cells; ++c)
         min_hash = std::min(min_hash, cellHash(streamKey_, c));
     return (min_hash >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-corruptWords(std::span<std::int16_t> words, const VulnerabilityMap &map,
-             std::uint64_t base_cell, FaultParams params, Rng &rng)
-{
-    if (params.failProb < 0.0 || params.failProb > 1.0 ||
-        params.flipProb < 0.0 || params.flipProb > 1.0) {
-        fatal("corruptWords: probabilities must be in [0,1]");
-    }
-    if (params.failProb == 0.0 || params.flipProb == 0.0)
-        return 0;
-
-    std::uint64_t flipped = 0;
-    std::uint64_t cell = base_cell;
-    for (auto &word : words) {
-        auto bits = static_cast<std::uint16_t>(word);
-        for (int b = 0; b < 16; ++b, ++cell) {
-            if (map.isFaulty(cell, params.failProb) &&
-                rng.bernoulli(params.flipProb)) {
-                bits ^= static_cast<std::uint16_t>(1u << b);
-                ++flipped;
-            }
-        }
-        word = static_cast<std::int16_t>(bits);
-    }
-    return flipped;
-}
-
-std::uint64_t
-corruptWords64(std::span<std::uint64_t> words, const VulnerabilityMap &map,
-               std::uint64_t base_cell, FaultParams params, Rng &rng)
-{
-    if (params.failProb < 0.0 || params.failProb > 1.0 ||
-        params.flipProb < 0.0 || params.flipProb > 1.0) {
-        fatal("corruptWords64: probabilities must be in [0,1]");
-    }
-    if (params.failProb == 0.0 || params.flipProb == 0.0)
-        return 0;
-
-    std::uint64_t flipped = 0;
-    std::uint64_t cell = base_cell;
-    for (auto &word : words) {
-        for (int b = 0; b < 64; ++b, ++cell) {
-            if (map.isFaulty(cell, params.failProb) &&
-                rng.bernoulli(params.flipProb)) {
-                word ^= 1ull << b;
-                ++flipped;
-            }
-        }
-    }
-    return flipped;
 }
 
 } // namespace vboost::sram

@@ -20,10 +20,7 @@
 #define VBOOST_SRAM_FAULT_MAP_HPP
 
 #include <cstdint>
-#include <span>
 #include <vector>
-
-#include "common/rng.hpp"
 
 namespace vboost::sram {
 
@@ -165,31 +162,6 @@ struct FaultParams
     /** Probability a faulty cell flips on a given read (paper: 0.5). */
     double flipProb = 0.5;
 };
-
-/**
- * Corrupt a buffer of 16-bit words in place, as one read of the whole
- * buffer through a faulty SRAM: each bit whose cell is faulty in `map`
- * flips with probability flipProb.
- *
- * @param words buffer to corrupt (bit i of word w is cell
- *        base_cell + 16*w + i).
- * @param map vulnerability map.
- * @param base_cell cell index of the buffer's first bit in the global
- *        SRAM cell space.
- * @param params failure/flip probabilities.
- * @param rng randomness for the per-read flip decisions.
- * @return number of bits flipped.
- */
-std::uint64_t corruptWords(std::span<std::int16_t> words,
-                           const VulnerabilityMap &map,
-                           std::uint64_t base_cell, FaultParams params,
-                           Rng &rng);
-
-/** As corruptWords, for a span of 64-bit words. */
-std::uint64_t corruptWords64(std::span<std::uint64_t> words,
-                             const VulnerabilityMap &map,
-                             std::uint64_t base_cell, FaultParams params,
-                             Rng &rng);
 
 } // namespace vboost::sram
 

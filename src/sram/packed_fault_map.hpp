@@ -21,7 +21,9 @@
  *
  * A *region image* is the walk from start 0 over the first n <=
  * region_bits cells: bit p is cell region_base + p. Staging windows
- * that start anywhere in the region read it with maskWrapped().
+ * that start anywhere in the region read it with maskWrapped(). A
+ * walk packed from any start is itself a region image read from
+ * position 0: bit j mod region_bits repeats visit j's cell.
  */
 
 #ifndef VBOOST_SRAM_PACKED_FAULT_MAP_HPP
@@ -62,7 +64,8 @@ class PackedFaultMap
                    unsigned parts = 1);
 
     /** Pack a linear (non-wrapping) run of cells starting at
-     *  `base_cell`, as read by sram::corruptWords. */
+     *  `base_cell`: bit j is cell base_cell + j (a bank's word masks,
+     *  WordFaultMasks). */
     PackedFaultMap(const VulnerabilityMap &map, std::uint64_t base_cell,
                    std::uint64_t num_bits, double fail_prob);
 

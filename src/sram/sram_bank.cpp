@@ -27,9 +27,7 @@ SramBank::SramBank(int bank_id, const circuit::BoosterDesign &design,
       energy_(tech),
       failure_(failure),
       numBanksInMemory_(num_banks_in_memory),
-      macros_{SramMacro(static_cast<std::uint64_t>(bank_id) * kBits),
-              SramMacro(static_cast<std::uint64_t>(bank_id) * kBits +
-                        SramMacro::kBits)}
+      words_(kWords, 0)
 {
     if (bank_id < 0)
         fatal("SramBank: negative bank id");
@@ -61,13 +59,11 @@ SramBank::failProbAt(Volt vdd) const
     return failure_.rate(effectiveVoltage(vdd));
 }
 
-const SramMacro &
-SramBank::macroFor(std::uint32_t addr, std::uint32_t &macro_addr) const
+void
+SramBank::checkAddr(std::uint32_t addr)
 {
     if (addr >= kWords)
         fatal("SramBank: address ", addr, " out of range [0,", kWords, ")");
-    macro_addr = addr % SramMacro::kWords;
-    return macros_[addr / SramMacro::kWords];
 }
 
 const SramBank::OperatingPoint &
@@ -136,9 +132,8 @@ void
 SramBank::writeReadClean(std::uint32_t addr, std::uint64_t data,
                          const AccessRun &run)
 {
-    std::uint32_t macro_addr;
-    macroFor(addr, macro_addr); // bounds check
-    macros_[addr / SramMacro::kWords].write(macro_addr, data);
+    checkAddr(addr);
+    words_[addr] = data;
     chargeAccess(run.point);
     ++counters_.writes;
     chargeAccess(run.point);
@@ -148,9 +143,8 @@ SramBank::writeReadClean(std::uint32_t addr, std::uint64_t data,
 void
 SramBank::write(std::uint32_t addr, std::uint64_t data, Volt vdd)
 {
-    std::uint32_t macro_addr;
-    macroFor(addr, macro_addr); // bounds check
-    macros_[addr / SramMacro::kWords].write(macro_addr, data);
+    checkAddr(addr);
+    words_[addr] = data;
     chargeAccess(operatingPoint(vdd, bic_.enabledLevel()));
     ++counters_.writes;
 }
@@ -171,13 +165,12 @@ SramBank::RawRead
 SramBank::readRaw(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
                   std::uint64_t check_base)
 {
-    std::uint32_t macro_addr;
-    const auto &macro = macroFor(addr, macro_addr);
+    checkAddr(addr);
     const OperatingPoint &p = operatingPoint(vdd, bic_.enabledLevel());
     chargeAccess(p);
     ++counters_.reads;
     RawRead r;
-    r.data = macro.peek(macro_addr);
+    r.data = words_[addr];
     r.flipProb = flipProb_;
     if (p.failProb > 0.0)
         r.mask = masks(map, p.failProb, check_base).at(addr);
@@ -187,9 +180,8 @@ SramBank::readRaw(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
 std::uint64_t
 SramBank::peek(std::uint32_t addr) const
 {
-    std::uint32_t macro_addr;
-    const auto &macro = macroFor(addr, macro_addr);
-    return macro.peek(macro_addr);
+    checkAddr(addr);
+    return words_[addr];
 }
 
 Watt
@@ -204,9 +196,9 @@ SramBank::leakagePower(Volt vdd) const
 std::uint64_t
 SramBank::cellIndex(std::uint32_t addr) const
 {
-    std::uint32_t macro_addr;
-    const auto &macro = macroFor(addr, macro_addr);
-    return macro.cellIndex(macro_addr, 0);
+    checkAddr(addr);
+    return static_cast<std::uint64_t>(bankId_) * kBits +
+           static_cast<std::uint64_t>(addr) * kWordBits;
 }
 
 void

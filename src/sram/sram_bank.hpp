@@ -21,7 +21,6 @@
 #include "circuit/booster.hpp"
 #include "circuit/energy_model.hpp"
 #include "sram/failure_model.hpp"
-#include "sram/sram_macro.hpp"
 #include "sram/word_fault_masks.hpp"
 
 namespace vboost::sram {
@@ -44,11 +43,15 @@ class SramBank
   public:
     /** Macros per bank. */
     static constexpr int kMacros = 2;
-    /** 64-bit words per bank. */
-    static constexpr std::uint32_t kWords = kMacros * SramMacro::kWords;
+    /** Words per macro (512 x 64 bit = 4 KB). */
+    static constexpr std::uint32_t kMacroWords = 512;
+    /** Bits per word. */
+    static constexpr std::uint32_t kWordBits = 64;
+    /** 64-bit words per bank; words [512m, 512m + 512) are macro m's. */
+    static constexpr std::uint32_t kWords = kMacros * kMacroWords;
     /** Bitcells per bank. */
     static constexpr std::uint64_t kBits =
-        static_cast<std::uint64_t>(kMacros) * SramMacro::kBits;
+        static_cast<std::uint64_t>(kWords) * kWordBits;
 
     /**
      * @param bank_id position of the bank in its memory (determines the
@@ -83,11 +86,15 @@ class SramBank
 
     /**
      * Write a 64-bit word. Consumes access energy at the boosted
-     * voltage and a boost event if boosting is enabled.
+     * voltage and a boost event if boosting is enabled. Writes are
+     * modeled as reliable; low-voltage failures manifest on the read
+     * path (paper Sec. 5.1).
      */
     void write(std::uint32_t addr, std::uint64_t data, Volt vdd);
 
-    /** Read a word through the faulty read path at chip supply vdd. */
+    /** Read a word through the faulty read path at chip supply vdd:
+     *  each bit whose cell is faulty at the access's fail probability
+     *  flips with flipProb() (flipMasked() over the word's mask). */
     std::uint64_t read(std::uint32_t addr, Volt vdd,
                        const VulnerabilityMap &map, Rng &rng);
 
@@ -171,7 +178,8 @@ class SramBank
     /** Reset counters. */
     void resetCounters() { counters_.reset(); }
 
-    /** Global cell index of bit 0 of word `addr`. */
+    /** Global cell index of bit 0 of word `addr`: the bank's cells
+     *  start at bank_id * kBits, kWordBits per word. */
     std::uint64_t cellIndex(std::uint32_t addr) const;
 
     /** Per-read flip probability used on faulty cells. */
@@ -195,8 +203,8 @@ class SramBank
     static constexpr std::size_t kMaxOperatingPoints = 64;
     static constexpr std::size_t kMaxMaskTables = 8;
 
-    const SramMacro &macroFor(std::uint32_t addr,
-                              std::uint32_t &macro_addr) const;
+    /** Fatal unless addr < kWords. */
+    static void checkAddr(std::uint32_t addr);
     /** Charge one access at memo entry p (p.level is the current
      *  level): every write and read goes through here. */
     void chargeAccess(const OperatingPoint &p);
@@ -211,7 +219,7 @@ class SramBank
     FailureRateModel failure_;
     int numBanksInMemory_;
     double flipProb_ = 0.5;
-    std::array<SramMacro, kMacros> macros_;
+    std::vector<std::uint64_t> words_;
     BankCounters counters_;
     std::vector<OperatingPoint> points_;
     std::vector<MaskTable> maskTables_;

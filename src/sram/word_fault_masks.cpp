@@ -8,21 +8,11 @@ int
 flipMasked(std::uint64_t &data, std::uint8_t &check, WordMask mask,
            double flip_prob, Rng &rng)
 {
-    int flips = 0;
-    for (std::uint64_t m = mask.data; m != 0; m &= m - 1) {
-        if (rng.bernoulli(flip_prob)) {
-            data ^= 1ull << std::countr_zero(m);
-            ++flips;
-        }
-    }
-    for (unsigned m = mask.check; m != 0; m &= m - 1) {
-        if (rng.bernoulli(flip_prob)) {
-            check = static_cast<std::uint8_t>(check ^
-                                              (1u << std::countr_zero(m)));
-            ++flips;
-        }
-    }
-    return flips;
+    std::uint64_t flips = 0;
+    data ^= drawFlips(mask.data, flip_prob, rng, flips);
+    check ^= static_cast<std::uint8_t>(
+        drawFlips(mask.check, flip_prob, rng, flips));
+    return static_cast<int>(flips);
 }
 
 FaultMaskKey

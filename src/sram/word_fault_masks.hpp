@@ -1,7 +1,7 @@
 /**
  * @file
- * Per-word fault masks and the masked-flip read routine (DESIGN.md §8,
- * "Packed resilient reads").
+ * Per-word fault masks and the one draw loop of every faulty read
+ * (DESIGN.md §8, "Packed resilient reads").
  *
  * A read through a faulty array flips each faulty cell with the flip
  * probability p. Instead of asking the vulnerability map about every
@@ -35,12 +35,39 @@ struct WordMask
 };
 
 /**
- * Manifest one read of a codeword: every set mask bit draws
- * rng.bernoulli(flip_prob) and flips its bit on success, in ascending
- * cell order, data cells before check cells. These are exactly the
- * draws a per-cell `isFaulty(cell) && rng.bernoulli(p)` loop over the
- * data cells and then the check cells makes, so the flip stream of a
- * read is unchanged by the packing.
+ * The one draw loop of a faulty read: one rng.bernoulli(flip_prob)
+ * per set bit of `faults`, in ascending bit order, even at flip_prob
+ * 0. The accepted bits form the returned flip mask, built without
+ * branching on the draws (flip |= accept << bit), and are counted into
+ * `flipped` as a running sum (generic x86-64 has no popcount
+ * instruction). Every fault kernel but the reference backend's oracle
+ * loop draws here — the vectorized region walk, and through
+ * flipMasked() bank, ECC and resilient reads — so a set mask bit is
+ * exactly one `isFaulty(cell) && rng.bernoulli(p)` step of a per-cell
+ * loop.
+ */
+inline std::uint64_t
+drawFlips(std::uint64_t faults, double flip_prob, Rng &rng,
+          std::uint64_t &flipped)
+{
+    std::uint64_t flip = 0;
+    while (faults != 0) {
+        const int b = std::countr_zero(faults);
+        faults &= faults - 1;
+        const auto accept =
+            static_cast<std::uint64_t>(rng.bernoulli(flip_prob));
+        flip |= accept << b;
+        flipped += accept;
+    }
+    return flip;
+}
+
+/**
+ * Manifest one read of a codeword with drawFlips(): the data cells'
+ * draws, then the check cells'. These are exactly the draws a
+ * per-cell `isFaulty(cell) && rng.bernoulli(p)` loop over the data
+ * cells and then the check cells makes, so the flip stream of a read
+ * is unchanged by the packing.
  *
  * @return number of bits flipped.
  */

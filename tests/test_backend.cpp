@@ -5,7 +5,7 @@
  * produce byte-identical results to the scalar reference backend —
  * GEMM across awkward shapes, im2col/conv geometries on and off the
  * SIMD fast paths, pooling and relu on signed zeros and NaNs, the
- * fault kernels' flip patterns AND their RNG consumption order, packed
+ * fault kernel's flip patterns AND its RNG consumption order, packed
  * fault-map bits, whole-network logits, and Monte-Carlo experiment
  * digests plus observability fingerprints at 1 vs 8 threads.
  */
@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "obs/observability.hpp"
 #include "sram/fault_map.hpp"
 #include "sram/packed_fault_map.hpp"
+#include "sram/word_fault_masks.hpp"
 
 namespace vboost::dnn {
 namespace {
@@ -64,6 +66,37 @@ fillMixed(std::vector<float> &v, Rng &rng)
             v[i] = static_cast<float>(rng.normal(0.0, 1.0));
         }
     }
+}
+
+/**
+ * The per-cell fault walk every fault kernel must reproduce: bit b of
+ * word w is visit 16*w + b, visit j touches cell regionBase +
+ * (startBit + j) mod regionBits, and a faulty visited cell draws one
+ * bernoulli(flipProb) and flips on success. Nothing is drawn at
+ * failProb or flipProb 0. @return bits flipped.
+ */
+std::uint64_t
+perCellFlips(std::span<std::int16_t> words, const sram::VulnerabilityMap &map,
+             const FaultWindow &win, sram::FaultParams params, Rng &rng)
+{
+    if (params.failProb <= 0.0 || params.flipProb <= 0.0)
+        return 0;
+    std::uint64_t flipped = 0;
+    std::uint64_t bit = win.startBit % win.regionBits;
+    for (auto &word : words) {
+        auto raw = static_cast<std::uint16_t>(word);
+        for (int b = 0; b < 16; ++b) {
+            if (map.isFaulty(win.regionBase + bit, params.failProb) &&
+                rng.bernoulli(params.flipProb)) {
+                raw ^= static_cast<std::uint16_t>(1u << b);
+                ++flipped;
+            }
+            if (++bit == win.regionBits)
+                bit = 0;
+        }
+        word = static_cast<std::int16_t>(raw);
+    }
+    return flipped;
 }
 
 /** Every GEMM width this build compiled and this CPU runs, not only
@@ -323,8 +356,11 @@ TEST_F(BackendEquivalence, ReluSignedZeroAndNaN)
 
 TEST_F(BackendEquivalence, FaultMapWordsFlipsAndRngOrder)
 {
+    // applyFaultMapDequant on both backends against the per-cell walk:
+    // the same flipped words, decoded outputs and RNG draws.
     const sram::VulnerabilityMap map(7, 3);
     const std::size_t kWords = 700; // not a multiple of 4 or 64
+    const FixedPointCodec codec(12);
     const struct
     {
         FaultWindow win;
@@ -339,22 +375,29 @@ TEST_F(BackendEquivalence, FaultMapWordsFlipsAndRngOrder)
     };
     Rng fill(505);
     for (const auto &tc : cases) {
-        std::vector<std::int16_t> w0(kWords), w1(kWords);
-        for (auto &v : w0)
+        std::vector<std::int16_t> words(kWords);
+        for (auto &v : words)
             v = static_cast<std::int16_t>(fill.uniformInt(65536) - 32768);
-        w1 = w0;
-        Rng r0(99), r1(99);
-        const auto f0 = ref_->applyFaultMap(w0, map, tc.win,
-                                            {tc.fail, 0.5}, r0);
-        const auto f1 = vec_->applyFaultMap(w1, map, tc.win,
-                                            {tc.fail, 0.5}, r1);
-        EXPECT_EQ(f0, f1) << "fail_prob=" << tc.fail;
-        EXPECT_EQ(std::memcmp(w0.data(), w1.data(),
-                              kWords * sizeof(std::int16_t)),
-                  0)
-            << "fail_prob=" << tc.fail;
-        // Identical RNG consumption: the next draws must agree.
-        EXPECT_EQ(r0.next(), r1.next()) << "fail_prob=" << tc.fail;
+        std::vector<std::int16_t> want = words;
+        Rng r0(99);
+        const auto f0 = perCellFlips(want, map, tc.win, {tc.fail, 0.5}, r0);
+        std::vector<float> decoded(kWords);
+        for (std::size_t i = 0; i < kWords; ++i)
+            decoded[i] = codec.decode(want[i]);
+        for (const Backend *be : {ref_, vec_}) {
+            std::vector<std::int16_t> w = words;
+            std::vector<float> out(kWords);
+            Rng r1(99);
+            const auto f1 = be->applyFaultMapDequant(
+                w, codec, out.data(), map, tc.win, {tc.fail, 0.5}, r1);
+            EXPECT_EQ(f0, f1) << be->name() << " fail_prob=" << tc.fail;
+            EXPECT_EQ(w, want) << be->name() << " fail_prob=" << tc.fail;
+            EXPECT_TRUE(bitsEqual(out.data(), decoded.data(), kWords))
+                << be->name() << " fail_prob=" << tc.fail;
+            // Identical RNG consumption: the next draws must agree.
+            EXPECT_EQ(Rng(r0).next(), r1.next())
+                << be->name() << " fail_prob=" << tc.fail;
+        }
     }
 }
 
@@ -388,10 +431,12 @@ TEST_F(BackendEquivalence, FusedDequantMatchesReference)
 
 TEST_F(BackendEquivalence, FaultMapBitsInterleavedWindows)
 {
-    // The ECC path draws alternately from a data region and a check
-    // region image; both backends must flip the bits per-cell isFaulty
-    // answers name, with the same RNG draws, under that interleaving —
-    // including windows that wrap and flipProb 0 (which still draws).
+    // The ECC path reads each codeword with sram::flipMasked over the
+    // masks of its data and check region images, so its draws
+    // alternate between the two regions. The flips must be the ones
+    // per-cell isFaulty answers name, data cells before check cells,
+    // with the same RNG draws — including windows that wrap and
+    // flipProb 0 (which still draws).
     const sram::VulnerabilityMap map(13, 2);
     const std::uint64_t data_bits = 1 << 14, check_bits = 100;
     const std::uint64_t check_base = 1 << 14;
@@ -400,31 +445,49 @@ TEST_F(BackendEquivalence, FaultMapBitsInterleavedWindows)
                                      check_bits, 0.04);
     Rng r0(3), r1(3), fill(707);
     for (int i = 0; i < 64; ++i) {
-        const std::uint64_t b = fill.next();
-        std::uint64_t b0 = b, b1 = b;
+        const std::uint64_t d = fill.next();
+        const auto c = static_cast<std::uint8_t>(fill.next());
+        // Data windows of 1..64 cells, the last one wrapping.
         const int nbits = 1 + static_cast<int>(fill.uniformInt(64));
-        const bool is_check = i % 2 != 0;
-        const sram::PackedFaultMap &region = is_check ? check : data;
-        const std::uint64_t base = is_check ? check_base : 0;
-        const std::uint64_t start =
-            static_cast<std::uint64_t>(i) * (is_check ? 37 : 64) + 100;
+        const std::uint64_t data_start =
+            (static_cast<std::uint64_t>(i) * 256 + 100) % data_bits;
+        const std::uint64_t check_start =
+            (static_cast<std::uint64_t>(i) * 37 + 100) % check_bits;
         const double flip = i % 5 == 0 ? 0.0 : 0.5;
-        std::uint64_t faulty = 0;
-        for (int k = 0; k < nbits; ++k)
-            faulty += map.isFaulty(
-                base + (start + static_cast<std::uint64_t>(k)) %
-                           region.regionBits(),
-                0.04);
-        Rng probe = r0;
-        const auto f0 =
-            ref_->applyRegionImageBits(b0, nbits, region, start, flip, r0);
-        const auto f1 =
-            vec_->applyRegionImageBits(b1, nbits, region, start, flip, r1);
+
+        std::uint64_t d0 = d;
+        std::uint8_t c0 = c;
+        const sram::WordMask mask{
+            data.maskWrapped(data_start, static_cast<unsigned>(nbits)),
+            static_cast<std::uint8_t>(check.maskWrapped(check_start, 8))};
+        const int f0 = sram::flipMasked(d0, c0, mask, flip, r0);
+
+        std::uint64_t d1 = d;
+        std::uint8_t c1 = c;
+        int f1 = 0;
+        for (int k = 0; k < nbits; ++k) {
+            if (map.isFaulty((data_start + static_cast<std::uint64_t>(k)) %
+                                 data_bits,
+                             0.04) &&
+                r1.bernoulli(flip)) {
+                d1 ^= 1ull << k;
+                ++f1;
+            }
+        }
+        for (int k = 0; k < 8; ++k) {
+            if (map.isFaulty(check_base +
+                                 (check_start + static_cast<std::uint64_t>(k)) %
+                                     check_bits,
+                             0.04) &&
+                r1.bernoulli(flip)) {
+                c1 = static_cast<std::uint8_t>(c1 ^ (1u << k));
+                ++f1;
+            }
+        }
         EXPECT_EQ(f0, f1) << "i=" << i << " nbits=" << nbits;
-        EXPECT_EQ(b0, b1) << "i=" << i << " nbits=" << nbits;
-        for (std::uint64_t d = 0; d < faulty; ++d)
-            probe.next(); // one draw per faulty visited cell
-        EXPECT_EQ(probe.next(), Rng(r0).next()) << "i=" << i;
+        EXPECT_EQ(d0, d1) << "i=" << i << " nbits=" << nbits;
+        EXPECT_EQ(c0, c1) << "i=" << i;
+        EXPECT_EQ(Rng(r0).next(), Rng(r1).next()) << "i=" << i;
     }
     EXPECT_EQ(r0.next(), r1.next());
 }
@@ -432,9 +495,9 @@ TEST_F(BackendEquivalence, FaultMapBitsInterleavedWindows)
 TEST_F(BackendEquivalence, RegionImageDequantMatchesWindowPacking)
 {
     // Reading a window from a region image gives the flips, RNG draws
-    // and outputs of packing the window itself, on both backends:
-    // windows starting near the region end, longer than the region,
-    // and a tail of fewer than four words.
+    // and outputs of the per-cell walk over the window, on both
+    // backends: windows starting near the region end, longer than the
+    // region, and a tail of fewer than four words.
     const FixedPointCodec codec(11);
     const std::uint64_t region = 3000; // not a multiple of 64
     for (const sram::VulnerabilityMap &map :
@@ -456,9 +519,10 @@ TEST_F(BackendEquivalence, RegionImageDequantMatchesWindowPacking)
                 std::vector<std::int16_t> w0 = w, w1 = w;
                 std::vector<float> o0(nwords), o1(nwords);
                 Rng r0(5), r1(5);
-                const auto f0 = ref_->applyFaultMapDequant(
-                    w0, codec, o0.data(), map, {0, region, start},
-                    {0.04, 0.5}, r0);
+                const auto f0 = perCellFlips(w0, map, {0, region, start},
+                                             {0.04, 0.5}, r0);
+                for (std::size_t i = 0; i < nwords; ++i)
+                    o0[i] = codec.decode(w0[i]);
                 const auto f1 = be->applyRegionImageDequant(
                     w1, codec, o1.data(), image, start, 0.5, r1);
                 EXPECT_EQ(f0, f1) << be->name() << " start=" << start;
@@ -466,6 +530,50 @@ TEST_F(BackendEquivalence, RegionImageDequantMatchesWindowPacking)
                 EXPECT_TRUE(bitsEqual(o0.data(), o1.data(), nwords))
                     << be->name() << " start=" << start;
                 EXPECT_EQ(r0.next(), r1.next()) << be->name();
+            }
+        }
+    }
+}
+
+TEST(CorruptWords, FlipRateMatchesFailTimesFlipProb)
+{
+    const sram::VulnerabilityMap map(3, 1);
+    const FixedPointCodec codec(12);
+    const double fail = 0.05, flip = 0.5;
+    const double expected = 20000.0 * 16 * fail * flip;
+    for (const auto name : availableBackends()) {
+        std::vector<std::int16_t> words(20000, 0x5555);
+        std::vector<float> out(words.size());
+        Rng rng(5);
+        const auto flips = findBackend(name)->applyFaultMapDequant(
+            words, codec, out.data(), map, {0, words.size() * 16, 0},
+            {fail, flip}, rng);
+        EXPECT_NEAR(static_cast<double>(flips), expected, expected * 0.1)
+            << name;
+    }
+}
+
+TEST(CorruptWords, NoOpAtZeroProbability)
+{
+    // A zero fail or flip probability flips nothing, draws nothing and
+    // leaves a plain decode.
+    const sram::VulnerabilityMap map(3, 1);
+    const FixedPointCodec codec(12);
+    for (const auto name : availableBackends()) {
+        for (const sram::FaultParams params :
+             {sram::FaultParams{0.0, 0.5}, sram::FaultParams{0.5, 0.0}}) {
+            std::vector<std::int16_t> words(100, 0x1234);
+            std::vector<float> out(words.size());
+            Rng rng(5);
+            EXPECT_EQ(findBackend(name)->applyFaultMapDequant(
+                          words, codec, out.data(), map, {0, 1600, 0},
+                          params, rng),
+                      0u)
+                << name;
+            EXPECT_EQ(rng.next(), Rng(5).next()) << name;
+            for (std::size_t i = 0; i < words.size(); ++i) {
+                EXPECT_EQ(words[i], 0x1234);
+                EXPECT_EQ(out[i], codec.decode(0x1234));
             }
         }
     }

@@ -96,7 +96,7 @@ TEST_F(FiTest, TrainedModelIsAccurate)
     EXPECT_GT(dnn::SgdTrainer::evaluate(*net_, *test_, 0), 0.95);
 }
 
-TEST_F(FiTest, CorruptNetworkZeroProbIsQuantizationOnly)
+TEST_F(FiTest, CorruptNetworkZeroProbCopiesFloatWeights)
 {
     auto scratch = smallNet(2);
     sram::VulnerabilityMap map(3, 0);
@@ -105,7 +105,19 @@ TEST_F(FiTest, CorruptNetworkZeroProbIsQuantizationOnly)
                                       InjectionSpec::allWeights(),
                                       MemoryLayout{}, rng);
     EXPECT_EQ(flips, 0u);
-    // Accuracy unchanged by quantization round trip on this model.
+    // At fail probability 0 nothing is staged: dst gets src's float
+    // weights bit for bit, with no int16 round trip.
+    const auto src_weights = net_->weightParams();
+    const auto dst_weights = scratch.weightParams();
+    ASSERT_EQ(src_weights.size(), dst_weights.size());
+    for (std::size_t l = 0; l < src_weights.size(); ++l) {
+        const dnn::Tensor &a = *src_weights[l].value;
+        const dnn::Tensor &b = *dst_weights[l].value;
+        ASSERT_EQ(a.numel(), b.numel());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)),
+                  0)
+            << "layer " << l;
+    }
     EXPECT_GT(dnn::SgdTrainer::evaluate(scratch, *test_, 0), 0.95);
 }
 

@@ -11,11 +11,13 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "accel/dataflow.hpp"
 #include "common/fixed_point.hpp"
 #include "core/context.hpp"
 #include "core/tradeoff.hpp"
+#include "dnn/backend/backend.hpp"
 #include "dnn/quantize.hpp"
 #include "energy/supply_config.hpp"
 #include "sram/failure_model.hpp"
@@ -162,12 +164,19 @@ INSTANTIATE_TEST_SUITE_P(Formats, QuantSweep,
 TEST(CorruptionDeterminism, SameSeedsSameFlips)
 {
     const sram::VulnerabilityMap map(5, 9);
+    const FixedPointCodec codec(12);
+    const dnn::Backend &backend = dnn::activeBackend();
     std::vector<std::int16_t> a(256, 0x2222), b(256, 0x2222);
+    std::vector<float> oa(a.size()), ob(b.size());
     Rng r1(42), r2(42);
-    const auto fa = sram::corruptWords(a, map, 100, {0.05, 0.5}, r1);
-    const auto fb = sram::corruptWords(b, map, 100, {0.05, 0.5}, r2);
+    const auto fa = backend.applyFaultMapDequant(
+        a, codec, oa.data(), map, {100, 256 * 16, 0}, {0.05, 0.5}, r1);
+    const auto fb = backend.applyFaultMapDequant(
+        b, codec, ob.data(), map, {100, 256 * 16, 0}, {0.05, 0.5}, r2);
+    EXPECT_GT(fa, 0u);
     EXPECT_EQ(fa, fb);
     EXPECT_EQ(a, b);
+    EXPECT_EQ(oa, ob);
 }
 
 /** DANA ratio is layout-invariant: ~0.75 for any layer sizes that are

@@ -318,11 +318,15 @@ TEST(FaultWalkRngPosition, RegionImageAndWindowMatchReference)
         std::vector<std::int16_t> w0(words.begin(),
                                      words.begin() + short_words);
         std::vector<std::int16_t> w1 = w0;
+        std::vector<float> o0(short_words), o1(short_words);
         Rng r0(47), r1(47);
         const FaultWindow win{0, 5003, 4990};
-        EXPECT_EQ(ref.applyFaultMap(w0, map, win, {fail, 0.5}, r0),
-                  vec->applyFaultMap(w1, map, win, {fail, 0.5}, r1));
+        EXPECT_EQ(ref.applyFaultMapDequant(w0, codec, o0.data(), map, win,
+                                           {fail, 0.5}, r0),
+                  vec->applyFaultMapDequant(w1, codec, o1.data(), map, win,
+                                            {fail, 0.5}, r1));
         EXPECT_EQ(w0, w1);
+        EXPECT_TRUE(bitsEqual(o0, o1));
         EXPECT_EQ(r0.next(), r1.next()) << "window fail=" << fail;
     }
 }

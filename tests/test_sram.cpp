@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the SRAM substrate: failure-rate model, vulnerability /
- * fault maps (including the paper's inclusivity property), macro,
- * bank and banked memory, with fault statistics checked against the
+ * fault maps (including the paper's inclusivity property), bank and
+ * banked memory, with fault statistics checked against the
  * analytic failure probabilities.
  */
 
@@ -12,12 +12,12 @@
 #include <cmath>
 
 #include "circuit/booster.hpp"
+#include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "sram/banked_memory.hpp"
 #include "sram/failure_model.hpp"
 #include "sram/fault_map.hpp"
 #include "sram/sram_bank.hpp"
-#include "sram/sram_macro.hpp"
 
 namespace vboost::sram {
 namespace {
@@ -303,117 +303,6 @@ TEST(ClusteredMap, InclusivityAcrossVoltages)
     }
 }
 
-TEST(CorruptWords, FlipRateMatchesFailTimesFlipProb)
-{
-    VulnerabilityMap map(3, 1);
-    Rng rng(5);
-    std::vector<std::int16_t> words(20000, 0x5555);
-    const double fail = 0.05, flip = 0.5;
-    const auto flips =
-        corruptWords(words, map, 0, {fail, flip}, rng);
-    const double expected = 20000.0 * 16 * fail * flip;
-    EXPECT_NEAR(static_cast<double>(flips), expected, expected * 0.1);
-}
-
-TEST(CorruptWords, NoOpAtZeroProbability)
-{
-    VulnerabilityMap map(3, 1);
-    Rng rng(5);
-    std::vector<std::int16_t> words(100, 0x1234);
-    EXPECT_EQ(corruptWords(words, map, 0, {0.0, 0.5}, rng), 0u);
-    EXPECT_EQ(corruptWords(words, map, 0, {0.5, 0.0}, rng), 0u);
-    for (auto w : words)
-        EXPECT_EQ(w, 0x1234);
-}
-
-TEST(CorruptWords, RejectsBadProbabilities)
-{
-    VulnerabilityMap map(3, 1);
-    Rng rng(5);
-    std::vector<std::int16_t> words(4, 0);
-    EXPECT_THROW(corruptWords(words, map, 0, {1.5, 0.5}, rng),
-                 FatalError);
-    EXPECT_THROW(corruptWords(words, map, 0, {0.5, -0.1}, rng),
-                 FatalError);
-}
-
-TEST(CorruptWords64, FlipsTrackFaultyCells)
-{
-    VulnerabilityMap map(17, 4);
-    Rng rng(6);
-    std::vector<std::uint64_t> words(2000, 0);
-    const auto flips = corruptWords64(words, map, 0, {0.02, 1.0}, rng);
-    // With flip prob 1, every faulty cell flips: count set bits.
-    std::uint64_t set = 0;
-    for (auto w : words)
-        set += static_cast<std::uint64_t>(std::popcount(w));
-    EXPECT_EQ(set, flips);
-    EXPECT_EQ(flips, map.countFaulty(2000 * 64, 0.02));
-}
-
-// ---------------------------------------------------------------- macro
-
-TEST(SramMacro, WritePeekRoundTrip)
-{
-    SramMacro macro(0);
-    macro.write(0, 0xdeadbeefcafef00dull);
-    macro.write(511, 42);
-    EXPECT_EQ(macro.peek(0), 0xdeadbeefcafef00dull);
-    EXPECT_EQ(macro.peek(511), 42u);
-    EXPECT_THROW(macro.write(512, 0), FatalError);
-    EXPECT_THROW(macro.peek(512), FatalError);
-}
-
-TEST(SramMacro, FaultFreeReadIsExact)
-{
-    SramMacro macro(0);
-    macro.write(7, 0x123456789abcdef0ull);
-    VulnerabilityMap map(1, 0);
-    Rng rng(1);
-    EXPECT_EQ(macro.read(7, map, {0.0, 0.5}, rng),
-              0x123456789abcdef0ull);
-}
-
-TEST(SramMacro, FaultyReadFlipsOnlyFaultyCells)
-{
-    SramMacro macro(0);
-    macro.write(3, 0);
-    VulnerabilityMap map(1, 0);
-    Rng rng(1);
-    const std::uint64_t got = macro.read(3, map, {0.3, 1.0}, rng);
-    for (std::uint32_t b = 0; b < 64; ++b) {
-        const bool flipped = (got >> b) & 1;
-        EXPECT_EQ(flipped, map.isFaulty(macro.cellIndex(3, b), 0.3));
-    }
-}
-
-TEST(SramMacro, ReadIsNonDeterministicWithHalfFlipProb)
-{
-    // Paper Sec. 5.1: "When the faulty bitcell is read, the output is
-    // non-deterministic". Two reads of the same word should differ
-    // with a strong fault density.
-    SramMacro macro(0);
-    macro.write(0, 0);
-    VulnerabilityMap map(1, 0);
-    Rng rng(1);
-    int distinct = 0;
-    std::uint64_t prev = macro.read(0, map, {0.5, 0.5}, rng);
-    for (int i = 0; i < 20; ++i) {
-        const std::uint64_t cur = macro.read(0, map, {0.5, 0.5}, rng);
-        distinct += cur != prev;
-        prev = cur;
-    }
-    EXPECT_GT(distinct, 0);
-}
-
-TEST(SramMacro, CellIndexRespectsBase)
-{
-    SramMacro macro(1000);
-    EXPECT_EQ(macro.cellIndex(0, 0), 1000u);
-    EXPECT_EQ(macro.cellIndex(1, 3), 1000u + 64 + 3);
-    EXPECT_THROW(macro.cellIndex(0, 64), FatalError);
-}
-
 // ----------------------------------------------------------------- bank
 
 class SramBankTest : public ::testing::Test
@@ -487,11 +376,97 @@ TEST_F(SramBankTest, HighVoltageReadsAreClean)
 
 TEST_F(SramBankTest, SpansTwoMacros)
 {
-    bank_.write(SramMacro::kWords, 123, 0.6_V); // first word of macro 2
-    EXPECT_EQ(bank_.peek(SramMacro::kWords), 123u);
+    bank_.write(SramBank::kMacroWords, 123, 0.6_V); // first word of macro 2
+    EXPECT_EQ(bank_.peek(SramBank::kMacroWords), 123u);
     EXPECT_THROW(bank_.peek(SramBank::kWords), FatalError);
     // Macro cells are disjoint.
-    EXPECT_EQ(bank_.cellIndex(SramMacro::kWords), SramMacro::kBits);
+    EXPECT_EQ(bank_.cellIndex(SramBank::kMacroWords),
+              std::uint64_t{SramBank::kMacroWords} * SramBank::kWordBits);
+}
+
+TEST_F(SramBankTest, WritePeekRoundTrip)
+{
+    bank_.write(0, 0xdeadbeefcafef00dull, 0.6_V);
+    bank_.write(SramBank::kWords - 1, 42, 0.6_V);
+    EXPECT_EQ(bank_.peek(0), 0xdeadbeefcafef00dull);
+    EXPECT_EQ(bank_.peek(SramBank::kWords - 1), 42u);
+    EXPECT_THROW(bank_.write(SramBank::kWords, 0, 0.6_V), FatalError);
+    EXPECT_THROW(bank_.peek(SramBank::kWords), FatalError);
+}
+
+TEST_F(SramBankTest, FaultFreeReadIsExact)
+{
+    // Faulty cells that never flip (flip probability 0) read exactly,
+    // even deep in the failure region.
+    bank_.setFlipProb(0.0);
+    bank_.write(7, 0x123456789abcdef0ull, 0.34_V);
+    ASSERT_GT(bank_.failProbAt(0.34_V), 0.05);
+    EXPECT_EQ(bank_.read(7, 0.34_V, map_, rng_), 0x123456789abcdef0ull);
+}
+
+TEST_F(SramBankTest, FaultyReadFlipsOnlyFaultyCells)
+{
+    bank_.setFlipProb(1.0);
+    const double fail = bank_.failProbAt(0.34_V);
+    ASSERT_GT(fail, 0.05);
+    // One word in each macro.
+    for (std::uint32_t addr : {3u, SramBank::kMacroWords + 3}) {
+        bank_.write(addr, 0, 0.34_V);
+        const std::uint64_t got = bank_.read(addr, 0.34_V, map_, rng_);
+        for (std::uint32_t b = 0; b < SramBank::kWordBits; ++b) {
+            const bool flipped = (got >> b) & 1;
+            EXPECT_EQ(flipped, map_.isFaulty(bank_.cellIndex(addr) + b, fail))
+                << "addr " << addr << " bit " << b;
+        }
+    }
+}
+
+TEST_F(SramBankTest, ReadIsNonDeterministicWithHalfFlipProb)
+{
+    // Paper Sec. 5.1: "When the faulty bitcell is read, the output is
+    // non-deterministic". Two reads of the same word should differ
+    // with a strong fault density.
+    bank_.write(0, 0, 0.34_V);
+    ASSERT_GT(bank_.failProbAt(0.34_V), 0.05);
+    int distinct = 0;
+    std::uint64_t prev = bank_.read(0, 0.34_V, map_, rng_);
+    for (int i = 0; i < 20; ++i) {
+        const std::uint64_t cur = bank_.read(0, 0.34_V, map_, rng_);
+        distinct += cur != prev;
+        prev = cur;
+    }
+    EXPECT_GT(distinct, 0);
+}
+
+TEST_F(SramBankTest, CellIndexRespectsBase)
+{
+    const SramBank bank(2, circuit::BoosterDesign::standardConfig(), tech,
+                        FailureRateModel{}, 16);
+    EXPECT_EQ(bank.cellIndex(0), 2 * SramBank::kBits);
+    EXPECT_EQ(bank.cellIndex(1), 2 * SramBank::kBits + 64);
+    EXPECT_EQ(bank.cellIndex(SramBank::kWords - 1),
+              3 * SramBank::kBits - 64);
+    EXPECT_THROW(bank.cellIndex(SramBank::kWords), FatalError);
+}
+
+TEST(CorruptWords64, FlipsTrackFaultyCells)
+{
+    // With flip prob 1 a read flips every faulty cell of its word, so
+    // the flips over a whole bank count its faulty cells.
+    SramBank bank(0, circuit::BoosterDesign::standardConfig(), tech,
+                  FailureRateModel{}, 1);
+    bank.setFlipProb(1.0);
+    const VulnerabilityMap map(17, 4);
+    Rng rng(6);
+    const Volt vdd{0.40};
+    std::uint64_t set = 0;
+    for (std::uint32_t a = 0; a < SramBank::kWords; ++a) {
+        bank.write(a, 0, vdd);
+        set += static_cast<std::uint64_t>(
+            std::popcount(bank.read(a, vdd, map, rng)));
+    }
+    EXPECT_GT(set, 0u);
+    EXPECT_EQ(set, map.countFaulty(SramBank::kBits, bank.failProbAt(vdd)));
 }
 
 TEST_F(SramBankTest, FlipProbValidation)
@@ -647,6 +622,70 @@ TEST_P(BankErrorRateSweep, ErrorRateTracksBoostedVoltage)
 
 INSTANTIATE_TEST_SUITE_P(Levels, BankErrorRateSweep,
                          ::testing::Values(0, 1, 2, 3));
+
+// ------------------------------------------------------- read goldens
+
+/** Three faulty reads of every word of bank 3 at a low supply, under
+ *  flip probability p: the read values, then the next RNG draw. */
+std::uint64_t
+bankReadDigest(const VulnerabilityMap &map, double p, int level)
+{
+    SramBank bank(3, circuit::BoosterDesign::standardConfig(), tech,
+                  FailureRateModel{}, 4);
+    bank.setBoostLevel(level);
+    bank.setFlipProb(p);
+    const Volt vdd{0.38};
+    for (std::uint32_t a = 0; a < SramBank::kWords; ++a)
+        bank.write(a, a * 0x9e3779b97f4a7c15ull, vdd);
+    Rng rng(31);
+    std::uint64_t h = fnv::kTruncatedBasis;
+    for (int pass = 0; pass < 3; ++pass) {
+        for (std::uint32_t a = 0; a < SramBank::kWords; ++a)
+            fnv::mixU64(h, bank.read(a, vdd, map, rng));
+    }
+    fnv::mixU64(h, rng.next());
+    return h;
+}
+
+/** Flat reads and 16-bit element reads across a 3-bank memory whose
+ *  banks sit at different boost levels. */
+std::uint64_t
+memoryReadDigest(const VulnerabilityMap &map)
+{
+    BankedMemory mem("inputs", 3, circuit::BoosterDesign::standardConfig(),
+                     tech, FailureRateModel{}, 5 * SramBank::kBits);
+    mem.setBoostLevel(0, 0);
+    mem.setBoostLevel(1, 1);
+    mem.setBoostLevel(2, 3);
+    const Volt vdd{0.40};
+    for (std::uint32_t a = 0; a < mem.words(); ++a)
+        mem.write(a, ~static_cast<std::uint64_t>(a) * 0x2545f4914f6cdd1dull,
+                  vdd);
+    Rng rng(32);
+    std::uint64_t h = fnv::kTruncatedBasis;
+    for (std::uint32_t a = 0; a < mem.words(); ++a)
+        fnv::mixU64(h, mem.read(a, vdd, map, rng));
+    for (const std::int16_t w : mem.readWords16(1021, 4000, vdd, map, rng))
+        fnv::mixU64(h, static_cast<std::uint16_t>(w));
+    fnv::mixU64(h, rng.next());
+    return h;
+}
+
+TEST(SramBankGolden, FaultyReadFlipStreams)
+{
+    // Recorded with the per-macro word storage; the flip stream of a
+    // read (values and RNG draws) must not depend on how a bank stores
+    // its words.
+    const VulnerabilityMap iid(41, 2);
+    const VulnerabilityMap clustered(41, 2, MapModel::Clustered,
+                                     ClusterParams{});
+    EXPECT_EQ(bankReadDigest(iid, 0.5, 0), 0x3327c38103923c1ull);
+    EXPECT_EQ(bankReadDigest(iid, 0.25, 2), 0xafd19a635abc0ef1ull);
+    EXPECT_EQ(bankReadDigest(clustered, 0.5, 0), 0xdaceda99da031a62ull);
+    EXPECT_EQ(bankReadDigest(iid, 0.0, 0), 0xa4e70cdec7babfbdull);
+    EXPECT_EQ(memoryReadDigest(iid), 0xb340b275647ce5aeull);
+    EXPECT_EQ(memoryReadDigest(clustered), 0x59960db1fa6cfb91ull);
+}
 
 } // namespace
 } // namespace vboost::sram

@@ -1,12 +1,15 @@
 /**
  * @file
- * Golden digests of fault-injection weight staging. Every corruption
+ * Golden digests of fault-injection staging. Every weight corruption
  * entry point of fi — all-weights, single-layer, per-layer rates and
  * SECDED-protected — is run on a small network through a 5000-cell
  * weight region, so the staged bits wrap the region about 3.4 times,
  * under an i.i.d. and a clustered map. The digests were recorded with
  * per-window packing and per-group ECC queries; staging from packed
- * region images must reproduce every flipped bit and RNG draw.
+ * region images must reproduce every flipped bit and RNG draw. Input
+ * corruption and the window kernel (applyFaultMapDequant) are pinned
+ * the same way, with digests recorded while both still walked their
+ * own per-call window packings.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +17,10 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "dnn/backend/backend.hpp"
 #include "dnn/layers.hpp"
@@ -156,6 +161,143 @@ checkBackend()
                   0x4fbad9064b9046d0ull, 0x79721eec2251d297ull,
                   0xa7d7db159822934ull},
                  "clustered");
+}
+
+/** FNV-1a of a float buffer's bits, then the extra words. */
+std::uint64_t
+digestFloats(const float *v, std::size_t n,
+             std::initializer_list<std::uint64_t> extra)
+{
+    std::uint64_t h = kFnvOffset;
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t bits;
+        std::memcpy(&bits, v + i, sizeof bits);
+        h = fnvWord(h, bits);
+    }
+    for (std::uint64_t w : extra)
+        h = fnvWord(h, w);
+    return h;
+}
+
+/**
+ * corruptInputs over batches of 1, 3 and 7 images through a
+ * 2000-cell input region: images of 100 values (1600 bits, inside the
+ * region) and of 300 (4800 bits, wrapping it 2.4 times), each batch
+ * at (fail, flip) = (0.04, 0.5), (0, 0.5) and (0.04, 0). One digest
+ * per batch size folds the three rates' outputs and RNG positions.
+ */
+std::vector<std::uint64_t>
+inputDigests(const sram::VulnerabilityMap &map, int per_image)
+{
+    MemoryLayout layout;
+    layout.inputRegionBits = 2000;
+    std::vector<std::uint64_t> out;
+    for (int batch : {1, 3, 7}) {
+        Rng fill(static_cast<std::uint64_t>(100 * batch + per_image));
+        const dnn::Tensor images =
+            dnn::Tensor::randn({batch, per_image}, fill, 1.0);
+        std::uint64_t h = kFnvOffset;
+        for (const auto &[fail, flip] :
+             {std::pair{0.04, 0.5}, std::pair{0.0, 0.5},
+              std::pair{0.04, 0.0}}) {
+            Rng rng(17);
+            const dnn::Tensor x =
+                corruptInputs(images, map, fail, flip, layout, rng);
+            h = fnvWord(h, digestFloats(x.data(), x.numel(), {rng.next()}));
+        }
+        out.push_back(h);
+    }
+    return out;
+}
+
+/** applyFaultMapDequant over a window of 250 words (4000 visits)
+ *  starting at region bit 2770 of a 1000-cell region at cell 300, so
+ *  the walk starts past one period and wraps four times; digests at
+ *  fail 0.05 and 0 (flip 0.5). */
+std::vector<std::uint64_t>
+windowDigests(const sram::VulnerabilityMap &map)
+{
+    const dnn::Backend &backend = dnn::activeBackend();
+    const FixedPointCodec codec(11);
+    std::vector<std::uint64_t> out;
+    for (double fail : {0.05, 0.0}) {
+        Rng fill(91);
+        std::vector<std::int16_t> words(250);
+        for (auto &w : words)
+            w = static_cast<std::int16_t>(fill.uniformInt(65536) - 32768);
+        std::vector<float> decoded(words.size());
+        Rng rng(92);
+        const auto flips = backend.applyFaultMapDequant(
+            words, codec, decoded.data(), map, {300, 1000, 2770},
+            {fail, 0.5}, rng);
+        std::uint64_t h = digestFloats(decoded.data(), decoded.size(),
+                                       {flips, rng.next()});
+        for (std::int16_t w : words)
+            h = fnvWord(h, static_cast<std::uint16_t>(w));
+        out.push_back(h);
+    }
+    return out;
+}
+
+const sram::VulnerabilityMap &
+iidMap()
+{
+    static const sram::VulnerabilityMap map(21, 3);
+    return map;
+}
+
+const sram::VulnerabilityMap &
+clusteredMap()
+{
+    static const sram::VulnerabilityMap map(21, 3, sram::MapModel::Clustered,
+                                            sram::ClusterParams{});
+    return map;
+}
+
+TEST(StagingGolden, CorruptInputsDigests)
+{
+    for (const auto name : dnn::availableBackends()) {
+        SCOPED_TRACE(std::string(name));
+        ASSERT_TRUE(dnn::setActiveBackend(name));
+        EXPECT_EQ(inputDigests(iidMap(), 100),
+                  (std::vector<std::uint64_t>{
+                      0xb20f5e13a44df9d9ull,
+                      0xdcec3bd8e57563aaull,
+                      0x1c4af010d49bdc5bull}));
+        EXPECT_EQ(inputDigests(iidMap(), 300),
+                  (std::vector<std::uint64_t>{
+                      0x8eef4b83a20143full,
+                      0x1e28e5d717486043ull,
+                      0x470a260cb01567e7ull}));
+        EXPECT_EQ(inputDigests(clusteredMap(), 100),
+                  (std::vector<std::uint64_t>{
+                      0x60525f9f7d434909ull,
+                      0xd91e986a7dff59b9ull,
+                      0xef7c88b53120237dull}));
+        EXPECT_EQ(inputDigests(clusteredMap(), 300),
+                  (std::vector<std::uint64_t>{
+                      0xff2c777d812401d8ull,
+                      0x33f000d98a28f520ull,
+                      0x4947051eb020f868ull}));
+    }
+    dnn::setActiveBackend("auto");
+}
+
+TEST(StagingGolden, WrappedWindowDequantDigests)
+{
+    for (const auto name : dnn::availableBackends()) {
+        SCOPED_TRACE(std::string(name));
+        ASSERT_TRUE(dnn::setActiveBackend(name));
+        EXPECT_EQ(windowDigests(iidMap()),
+                  (std::vector<std::uint64_t>{
+                      0xf5985bbc5e11fc20ull,
+                      0x44934295985ce7d2ull}));
+        EXPECT_EQ(windowDigests(clusteredMap()),
+                  (std::vector<std::uint64_t>{
+                      0xe927085dd7e802f3ull,
+                      0x44934295985ce7d2ull}));
+    }
+    dnn::setActiveBackend("auto");
 }
 
 TEST(StagingGolden, WrappedRegionDigests)
