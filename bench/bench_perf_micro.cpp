@@ -2,7 +2,8 @@
  * @file
  * Perf-trajectory harness (DESIGN.md §12): per-kernel ns/op for both
  * compute backends, one MNIST FC training epoch and one served batch
- * per backend, plus the fig14 AlexNet end-to-end measurement phase,
+ * per backend, the served batch's resilient staging alone, plus the
+ * fig14 AlexNet end-to-end measurement phase,
  * emitted as schema-versioned JSON (--json, schema
  * "vboost-bench-perf/1") with the host it ran on (CPU model, ISA tier,
  * compiler, build type). tools/bench_compare checks a run against the
@@ -307,6 +308,47 @@ serveBatchSuite(const std::vector<const dnn::Backend *> &backends,
     dnn::setActiveBackend("auto");
 }
 
+/**
+ * stage_groups: the resilient staging layer of serve_batch alone —
+ * ResilientMemory::stageGroups over the MNIST FC staging image at
+ * 0.44 V, layer by layer in the 512-group chunks
+ * fi::corruptNetworkResilient uses, on a closed-loop memory reset per
+ * op as a serving slot resets it. Backend-independent.
+ */
+void
+stageGroupsSuite(const bench::BenchOptions &opts, std::vector<PerfEntry> &out)
+{
+    constexpr std::size_t kChunk = 512;
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    const sram::VulnerabilityMap map(1, 0);
+    Rng init(3);
+    dnn::Network net = dnn::buildMnistFc(init);
+    const fi::StagedWeights image = fi::stageWeights(net);
+    std::vector<std::uint64_t> read(kChunk);
+    sram::BankedMemory mem("weight_mem", 16, ctx.design, ctx.tech, failure);
+    resilience::ResilientMemory rmem(
+        mem, ctx, resilience::ResiliencePolicy::closedLoop());
+    const double ns = minNsPerOp(3, opts.smoke ? 5 : 50, [&] {
+        mem.resetCounters();
+        rmem.resetRuntimeState();
+        rmem.reseed(Rng(17));
+        for (const fi::StagedWeights::Layer &layer : image.layers) {
+            const std::size_t layer_groups = (layer.words + 3) / 4;
+            for (std::size_t g0 = 0; g0 < layer_groups; g0 += kChunk) {
+                const std::size_t first = layer.firstGroup + g0;
+                rmem.stageGroups(first, image.groups.data() + first,
+                                 image.checks.data() + first,
+                                 std::min(kChunk, layer_groups - g0),
+                                 Volt(0.44), map, read.data());
+                g_sink = g_sink + read[0];
+            }
+        }
+    });
+    out.push_back({"stage_groups", "scalar", "soft", ns,
+                   static_cast<std::uint64_t>(image.groups.size())});
+}
+
 /** Where the numbers were measured: bench_compare flags a baseline
  *  recorded on a different host. */
 struct HostInfo
@@ -392,6 +434,7 @@ main(int argc, char **argv)
         microSuite(*b, opts, entries);
     trainEpochSuite(backends, opts, entries);
     serveBatchSuite(backends, opts, entries);
+    stageGroupsSuite(opts, entries);
 
     // fig14 end-to-end measurement phase: train/load once (untimed),
     // then run the full Monte-Carlo sweep per backend. Repeats

@@ -1,5 +1,6 @@
 #include "bench_util.hpp"
 
+#include <atomic>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -7,6 +8,8 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "common/fnv.hpp"
 #include "common/logging.hpp"
@@ -337,18 +340,24 @@ storeCachedModel(const ModelRecipe &recipe, const std::string &path,
     std::ostringstream image;
     dnn::saveParameters(net, image);
     const std::string payload = image.str();
-    // Write aside and rename, so a reader never sees half a file.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        out << kCacheMagic << ' ' << hex(fnv1a(recipe.keyText())) << ' '
-            << hex(fnv1a(payload)) << ' ' << payload.size() << '\n';
-        out.write(payload.data(),
-                  static_cast<std::streamsize>(payload.size()));
-        if (!out)
-            fatal("cannot write model cache entry ", tmp);
+    // Write aside and rename, so a reader never sees half a file. The
+    // temp name is unique per call: processes and threads training the
+    // same model into one cache each rename their own complete file.
+    static std::atomic<std::uint64_t> serial{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(serial++);
+    std::ofstream out(tmp, std::ios::binary);
+    out << kCacheMagic << ' ' << hex(fnv1a(recipe.keyText())) << ' '
+        << hex(fnv1a(payload)) << ' ' << payload.size() << '\n';
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    out.close();
+    std::error_code ec;
+    if (out)
+        std::filesystem::rename(tmp, path, ec);
+    if (!out || ec) {
+        std::filesystem::remove(tmp, ec);
+        fatal("cannot write model cache entry ", path);
     }
-    std::filesystem::rename(tmp, path);
 }
 
 dnn::Network

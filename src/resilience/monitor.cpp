@@ -33,6 +33,25 @@ BankErrorMonitor::recordAccess(int bank, bool error)
     return false;
 }
 
+bool
+BankErrorMonitor::recordCleanAccesses(int bank, std::uint64_t n)
+{
+    if (bank < 0 || bank >= static_cast<int>(ewma_.size()))
+        panic("BankErrorMonitor: bank ", bank, " out of range");
+    accesses_ += n;
+    double &e = ewma_[static_cast<std::size_t>(bank)];
+    // recordAccess adds 0.0 to the decayed EWMA, which is exact here:
+    // the EWMA is never negative, so the product is +0 or positive.
+    for (std::uint64_t i = 0; i < n && e != 0.0; ++i)
+        e = (1.0 - alpha_) * e;
+    if (e > threshold_) {
+        e = 0.0;
+        ++raises_;
+        return true;
+    }
+    return false;
+}
+
 double
 BankErrorMonitor::rate(int bank) const
 {

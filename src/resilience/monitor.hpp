@@ -35,6 +35,17 @@ class BankErrorMonitor
      */
     bool recordAccess(int bank, bool error);
 
+    /**
+     * Record n error-free accesses of a bank: the EWMA and the access
+     * count end exactly as n recordAccess(bank, false) calls leave them
+     * when none of those raises. None does: every recordAccess leaves
+     * the EWMA at or below the threshold, and an error-free access only
+     * shrinks it. The decay stops early once the EWMA reaches 0. The
+     * threshold is still checked after the decay, with recordAccess's
+     * reset and return value.
+     */
+    bool recordCleanAccesses(int bank, std::uint64_t n);
+
     /** Current EWMA error rate of a bank. */
     double rate(int bank) const;
 

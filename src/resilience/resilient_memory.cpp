@@ -1,6 +1,8 @@
 #include "resilience/resilient_memory.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "common/logging.hpp"
 #include "sram/packed_fault_map.hpp"
@@ -22,6 +24,21 @@ constexpr std::uint64_t kSpareRegionBase = 1ull << 39;
 
 /** Codeword bits one spare row occupies (64 data + 8 check). */
 constexpr std::uint64_t kSpareRowBits = 72;
+
+/** First word in [from, to) whose bit is set in `faulty`, or `to`. */
+std::uint32_t
+firstFlagged(const std::array<std::uint64_t, sram::SramBank::kWords / 64>
+                 &faulty,
+             std::uint32_t from, std::uint32_t to)
+{
+    for (std::uint32_t w = from; w < to; w = (w / 64 + 1) * 64) {
+        const std::uint64_t bits = faulty[w / 64] >> (w % 64);
+        if (bits != 0)
+            return std::min(
+                to, w + static_cast<std::uint32_t>(std::countr_zero(bits)));
+    }
+    return to;
+}
 
 } // namespace
 
@@ -246,50 +263,66 @@ ResilientMemory::stageGroups(std::uint64_t cursor,
     constexpr std::uint32_t kBankWords = sram::SramBank::kWords;
     const std::uint32_t words = mem_.words();
     const bool closed = policy_.mode == AccessPolicyMode::ClosedLoop;
-    // Hoisted state of the bank the walk is in; run_bank = -1 means
-    // "look it up again before the next codeword".
+    // Hoisted state of the bank the walk is in, valid while the bank's
+    // BIC and standing levels are the ones it was looked up at: the
+    // run holds value copies, which memo clears and mask-table
+    // evictions leave intact, and the call's vdd and map are fixed.
     int run_bank = -1;
-    bool hoisted = false;
+    int run_bic = -1;
+    int run_standing = -1;
     sram::SramBank::AccessRun run;
     auto addr = static_cast<std::uint32_t>(cursor % words);
-    for (std::size_t k = 0; k < n;
-         ++k, addr = addr + 1 < words ? addr + 1 : 0) {
+    std::size_t k = 0;
+    while (k < n) {
         const int bank = static_cast<int>(addr / kBankWords);
         const std::uint32_t local = addr % kBankWords;
-        if (bank != run_bank) {
+        const int bic = mem_.boostLevel(bank);
+        const int standing = standing_[static_cast<std::size_t>(bank)];
+        // The write is charged at the BIC level and the first read
+        // attempt at the standing level: one memo entry serves both
+        // only while they agree.
+        const bool hoisted = bic == standing;
+        if (hoisted &&
+            (bank != run_bank || bic != run_bic || standing != run_standing)) {
             run_bank = bank;
-            // The write is charged at the BIC level and the first read
-            // attempt at the standing level: one memo entry serves
-            // both only while they agree.
-            hoisted = mem_.boostLevel(bank) ==
-                      standing_[static_cast<std::size_t>(bank)];
-            if (hoisted)
-                run = mem_.accessRun(bank, vdd, map, parityBase_);
+            run_bic = bic;
+            run_standing = standing;
+            run = mem_.accessRun(bank, vdd, map, parityBase_);
         }
-        const bool clean =
-            hoisted && ((run.faulty[local / 64] >> (local % 64)) & 1u) == 0 &&
-            spares_.find(addr) < 0;
-        if (!clean) {
+        // The clean span from addr: words with a clear bitmap bit and
+        // no spare, up to the bank end (the memory wraps at one too)
+        // or the last codeword.
+        std::uint32_t span = 0;
+        if (hoisted) {
+            const auto limit = static_cast<std::uint32_t>(
+                std::min<std::size_t>(n - k, kBankWords - local));
+            span = firstFlagged(run.faulty, local, local + limit) - local;
+            for (int slot = 0; slot < spares_.used(); ++slot) {
+                const std::uint32_t spared = spares_.row(slot).addr;
+                if (spared >= addr && spared - addr < span)
+                    span = spared - addr;
+            }
+        }
+        if (span == 0) {
             writeEncoded(addr, groups[k], checks[k], vdd);
             out[k] = readWord(addr, vdd, map).data;
-            // A raise, an escalated attempt or a new mask table may
-            // have moved a level, evicted a table or cleared the memo.
-            run_bank = -1;
+            ++k;
+            addr = addr + 1 < words ? addr + 1 : 0;
             continue;
         }
-        // What writeEncoded + readWord do for a clean codeword: a
+        // What writeEncoded + readWord do for each clean codeword: a
         // single attempt at the standing level decodes clean, with no
         // stream split and no draw.
-        mem_.bank(bank).writeReadClean(local, groups[k], run);
-        check_[addr] = checks[k];
-        ++accessCounter_;
-        ++stats_.reads;
-        ++stats_.cleanReads;
-        if (closed && monitor_.recordAccess(bank, false)) {
+        mem_.bank(bank).stageClean(local, groups + k, span, run);
+        std::copy(checks + k, checks + k + span, check_.begin() + addr);
+        std::copy(groups + k, groups + k + span, out + k);
+        accessCounter_ += span;
+        stats_.reads += span;
+        stats_.cleanReads += span;
+        if (closed && monitor_.recordCleanAccesses(bank, span))
             raiseStandingLevel(bank, vdd, map);
-            run_bank = -1;
-        }
-        out[k] = groups[k];
+        k += span;
+        addr = addr + span < words ? addr + span : 0;
     }
 }
 

@@ -139,10 +139,11 @@ class ResilientMemory
      * (cursor + k) mod words(), read back through the pipeline, and
      * the read data lands in out[k]. Bitwise the same as
      * writeEncoded() then readWord() per codeword, in order: every
-     * counter, energy sum, EWMA, spare and flip stream. A codeword
-     * whose row has no spare and whose cells are all fault-free at
-     * its bank's standing level skips the per-access lookups
-     * (DESIGN.md §8, "Bulk staging pass").
+     * counter, energy sum, EWMA, spare and flip stream. The walk
+     * stages clean spans in bulk: runs of codewords in one bank whose
+     * rows have no spare and whose cells are all fault-free at the
+     * bank's standing level. Every other codeword goes through
+     * writeEncoded() + readWord() (DESIGN.md §8, "Bulk staging pass").
      */
     void stageGroups(std::uint64_t cursor, const std::uint64_t *groups,
                      const std::uint8_t *checks, std::size_t n, Volt vdd,

@@ -129,15 +129,37 @@ SramBank::accessRun(Volt vdd, const VulnerabilityMap &map,
 }
 
 void
-SramBank::writeReadClean(std::uint32_t addr, std::uint64_t data,
-                         const AccessRun &run)
+SramBank::stageClean(std::uint32_t addr, const std::uint64_t *data,
+                     std::uint32_t n, const AccessRun &run)
 {
-    checkAddr(addr);
-    words_[addr] = data;
-    chargeAccess(run.point);
-    ++counters_.writes;
-    chargeAccess(run.point);
-    ++counters_.reads;
+    if (n > kWords || addr > kWords - n)
+        fatal("SramBank: span [", addr, ",", addr + n, ") out of range [0,",
+              kWords, ")");
+    std::copy(data, data + n, words_.begin() + addr);
+    // A write then a read per word, each one chargeAccess(run.point):
+    // two adds per word to each sum. The sums are independent chains,
+    // so the boost chain rides in the access chain's loop.
+    const OperatingPoint &p = run.point;
+    double access = counters_.accessEnergy.value();
+    if (p.level > 0) {
+        double boost = counters_.boostEnergy.value();
+        for (std::uint32_t i = 0; i < n; ++i) {
+            access += p.accessEnergy.value();
+            boost += p.boostEnergy.value();
+            access += p.accessEnergy.value();
+            boost += p.boostEnergy.value();
+        }
+        counters_.boostEnergy = Joule(boost);
+        counters_.boostEvents += 2ull * n;
+    } else {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            access += p.accessEnergy.value();
+            access += p.accessEnergy.value();
+        }
+    }
+    counters_.accessEnergy = Joule(access);
+    counters_.writes += n;
+    counters_.reads += n;
 }
 
 void

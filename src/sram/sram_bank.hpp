@@ -154,14 +154,15 @@ class SramBank
                         std::uint64_t check_base);
 
     /**
-     * write(addr, data, vdd) followed by readRaw(addr, vdd, ...) of a
-     * word without faulty cells, both charged at run.point (which must
-     * be current: same vdd, the bank still at run.point.level). The
-     * same counter updates in the same order, without the per-access
-     * lookups.
+     * For each i < n in order, write(addr + i, data[i], vdd) followed
+     * by readRaw(addr + i, vdd, ...) of a word without faulty cells,
+     * every access charged at run.point (which must be current: same
+     * vdd, the bank still at run.point.level). The counters end with
+     * the same values and the Joule sums with the same adds in the
+     * same order, without the per-access lookups.
      */
-    void writeReadClean(std::uint32_t addr, std::uint64_t data,
-                        const AccessRun &run);
+    void stageClean(std::uint32_t addr, const std::uint64_t *data,
+                    std::uint32_t n, const AccessRun &run);
 
     /** Fault-free debug read (no energy, no faults). */
     std::uint64_t peek(std::uint32_t addr) const;
@@ -206,7 +207,8 @@ class SramBank
     /** Fatal unless addr < kWords. */
     static void checkAddr(std::uint32_t addr);
     /** Charge one access at memo entry p (p.level is the current
-     *  level): every write and read goes through here. */
+     *  level): write() and readRaw() go through here; stageClean()
+     *  adds the same values for a span of accesses. */
     void chargeAccess(const OperatingPoint &p);
     const OperatingPoint &operatingPoint(Volt vdd, int level);
     const WordFaultMasks &masks(const VulnerabilityMap &map,

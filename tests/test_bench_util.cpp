@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -97,6 +100,44 @@ TEST(BenchModelCache, DamagedOrForeignEntriesAreRejected)
     EXPECT_FALSE(
         loadCachedModel(recipe, path + ".missing", loaded));
     std::filesystem::remove(path);
+}
+
+TEST(BenchModelCache, ConcurrentStoresOfOneEntryAllLand)
+{
+    // Two benches training the same model into one cache store the
+    // same entry at once; each store writes its own temp file, so
+    // every rename finds its source and none is left behind.
+    const ModelRecipe recipe = mnistFcRecipe(BenchOptions{});
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        "vboost_bench_concurrent_cache";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "mnist_fc.bin").string();
+    Rng rng(4);
+    dnn::Network net = dnn::buildMnistFc(rng);
+    std::atomic<int> stored{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 2; ++t)
+        writers.emplace_back([&] {
+            dnn::Network own = net.clone();
+            for (int i = 0; i < 10; ++i) {
+                storeCachedModel(recipe, path, own);
+                ++stored;
+            }
+        });
+    for (std::thread &w : writers)
+        w.join();
+    EXPECT_EQ(stored.load(), 20);
+
+    dnn::Network loaded = dnn::buildMnistFc(rng);
+    ASSERT_TRUE(loadCachedModel(recipe, path, loaded));
+    EXPECT_EQ((*loaded.params()[0].value)[0], (*net.params()[0].value)[0]);
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+                  std::string::npos)
+            << entry.path();
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -177,7 +177,8 @@ TEST(ResilientStagingGolden, DigestsMatchThePerBitReadPath)
 
 /** Everything observable about a wrapper and its memory, doubles as
  *  bits: the snapshot (spare digest included), every bank counter,
- *  standing level and EWMA rate, and the monitor's totals. */
+ *  standing level and EWMA rate, the monitor's totals and every stored
+ *  word. */
 std::vector<std::uint64_t>
 stateOf(const resilience::ResilientMemory &rmem)
 {
@@ -201,6 +202,8 @@ stateOf(const resilience::ResilientMemory &rmem)
               bits(rmem.monitor().rate(b))})
             v.push_back(x);
     }
+    for (std::uint32_t a = 0; a < mem.words(); ++a)
+        v.push_back(mem.peek(a));
     return v;
 }
 
@@ -259,6 +262,13 @@ class StagingPair
     }
 
     resilience::ResilienceStats stats() const { return word_.snapshot(); }
+
+    double ewmaRate(int bank) const { return word_.monitor().rate(bank); }
+
+    const resilience::SpareRowTable &spares() const
+    {
+        return word_.spares();
+    }
 
   private:
     core::SimContext ctx_ = core::SimContext::standard();
@@ -348,6 +358,71 @@ TEST(StageGroups, MatchesWhenMaskTablesAreEvicted)
                        0.49, 0.40, 0.41, 0.45}) {
         pair.stage(cursor, 1100, vdd, map, 512, seed++);
         cursor += 1100;
+    }
+}
+
+TEST(StageGroups, MatchesWhenASpanEndsBeforeABankOffItsStandingLevel)
+{
+    // At 0.50 V bank 0's tail is one clean span up to the bank end;
+    // bank 1's BIC was moved off its standing level, so its first
+    // codeword takes the per-word path, which restores the BIC, and
+    // the rest of the bank is looked up again.
+    StagingPair pair(3, resilience::ResiliencePolicy::closedLoop());
+    const sram::VulnerabilityMap map(16, 0);
+    pair.setBoostLevel(1, 2);
+    pair.stage(700, 1500, 0.50, map, 2048, 8);
+    pair.setBoostLevel(2, 1);
+    pair.stage(1500, 1000, 0.50, map, 300, 9);
+    EXPECT_GT(pair.stats().cleanReads, 0u);
+}
+
+TEST(StageGroups, MatchesWhenCleanSpansDecayABoostedBanksEwma)
+{
+    // A standing level of 1 charges boost energy on every access, and
+    // at 0.36 V the faulty codewords keep each bank's EWMA above 0, so
+    // clean spans start with an EWMA to decay and a boost chain to add.
+    auto policy = resilience::ResiliencePolicy::closedLoop();
+    policy.startLevel = 1;
+    policy.raiseThreshold = 1.0;
+    StagingPair pair(2, policy);
+    const sram::VulnerabilityMap map(17, 0);
+    pair.stage(0, 4096, 0.36, map, 512, 10);
+    const resilience::ResilienceStats s = pair.stats();
+    EXPECT_GT(s.cleanReads, 0u);
+    EXPECT_GT(s.reads - s.cleanReads, 0u);
+    EXPECT_GT(pair.ewmaRate(0) + pair.ewmaRate(1), 0.0);
+}
+
+TEST(StageGroups, MatchesWithASparedRowInsideACleanSpan)
+{
+    // Quarantine rows at 0.40 V, then stage at 0.50 V, where the rows
+    // around the spared ones read clean: each spared row sits inside a
+    // clean span and must still be read from its spare, in every
+    // chunking.
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{37},
+                              std::size_t{2048}}) {
+        auto policy = resilience::ResiliencePolicy::closedLoop(
+            0, resilience::EscalationPolicy::Hold, 2);
+        policy.raiseThreshold = 1.0;
+        StagingPair pair(2, policy);
+        const sram::VulnerabilityMap map(12, 0);
+        pair.stage(5, 2 * 2048, 0.40, map, 700, 11);
+        const resilience::SpareRowTable &spares = pair.spares();
+        ASSERT_EQ(spares.used(), 2);
+        const std::uint32_t first =
+            std::min(spares.row(0).addr, spares.row(1).addr);
+        const std::uint32_t last =
+            std::max(spares.row(0).addr, spares.row(1).addr);
+        const resilience::ResilienceStats before = pair.stats();
+        pair.stage(first + 2 * 2048 - 3, last - first + 7, 0.50, map, chunk,
+                   12);
+        const resilience::ResilienceStats after = pair.stats();
+        EXPECT_EQ(after.spareReads - before.spareReads, 2u)
+            << "chunk " << chunk;
+        EXPECT_EQ(after.reads - before.reads,
+                  after.cleanReads - before.cleanReads)
+            << "chunk " << chunk;
+        pair.stage(5, 2048, 0.50, map, chunk, 13);
     }
 }
 
