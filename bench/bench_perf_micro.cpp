@@ -2,8 +2,9 @@
  * @file
  * Perf-trajectory harness (DESIGN.md §12): per-kernel ns/op for both
  * compute backends, one MNIST FC training epoch and one served batch
- * per backend, the served batch's resilient staging alone, plus the
- * fig14 AlexNet end-to-end measurement phase,
+ * per backend, the served batch's resilient staging alone, one warm
+ * serving-cluster window, plus the fig14 AlexNet end-to-end
+ * measurement phase,
  * emitted as schema-versioned JSON (--json, schema
  * "vboost-bench-perf/1") with the host it ran on (CPU model, ISA tier,
  * compiler, build type). tools/bench_compare checks a run against the
@@ -36,7 +37,9 @@
 #include <cpuid.h>
 #endif
 
+#include "accel/dataflow.hpp"
 #include "bench_util.hpp"
+#include "cluster/cluster.hpp"
 #include "common/fixed_point.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -52,6 +55,8 @@
 #include "fi/injector.hpp"
 #include "json_writer.hpp"
 #include "resilience/resilient_memory.hpp"
+#include "serve/planner.hpp"
+#include "serve/trace.hpp"
 #include "sram/banked_memory.hpp"
 #include "sram/fault_map.hpp"
 
@@ -263,10 +268,10 @@ trainEpochSuite(const std::vector<const dnn::Backend *> &backends,
  * serve_batch: one served batch of the MNIST FC per backend, as a
  * serve::InferenceServer slot executes it: restart the closed-loop
  * weight memory's runtime state, stage the weights through it at
- * 0.44 V with the run's staging image (fi::corruptNetworkResilient),
- * then predict a batch of 3. The memory's fault masks carry over
- * between batches, as in a slot. Predictions must be bitwise-equal
- * across backends.
+ * 0.44 V with the kept staging image and the slot's undo record
+ * (fi::corruptNetworkResilient), then predict a batch of 3. The
+ * memory's fault masks and the record carry over between batches, as
+ * in a slot. Predictions must be bitwise-equal across backends.
  */
 void
 serveBatchSuite(const std::vector<const dnn::Backend *> &backends,
@@ -284,6 +289,7 @@ serveBatchSuite(const std::vector<const dnn::Backend *> &backends,
     sram::BankedMemory mem("weight_mem", 16, ctx.design, ctx.tech, failure);
     resilience::ResilientMemory rmem(
         mem, ctx, resilience::ResiliencePolicy::closedLoop());
+    fi::StagingUndo undo;
     std::vector<int> first;
     for (const dnn::Backend *b : backends) {
         if (!dnn::setActiveBackend(b->name()))
@@ -294,7 +300,8 @@ serveBatchSuite(const std::vector<const dnn::Backend *> &backends,
             rmem.resetRuntimeState();
             rmem.reseed(Rng(17));
             g_sink = g_sink + fi::corruptNetworkResilient(
-                                  scratch, net, image, rmem, Volt(0.44), map);
+                                  scratch, net, image, rmem, Volt(0.44), map,
+                                  &undo);
             predictions = scratch.predict(batch.images);
         });
         if (first.empty())
@@ -311,21 +318,20 @@ serveBatchSuite(const std::vector<const dnn::Backend *> &backends,
 /**
  * stage_groups: the resilient staging layer of serve_batch alone —
  * ResilientMemory::stageGroups over the MNIST FC staging image at
- * 0.44 V, layer by layer in the 512-group chunks
- * fi::corruptNetworkResilient uses, on a closed-loop memory reset per
- * op as a serving slot resets it. Backend-independent.
+ * 0.44 V, one call and one slow-codeword report per layer as
+ * fi::corruptNetworkResilient stages them, on a closed-loop memory
+ * reset per op as a serving slot resets it. Backend-independent.
  */
 void
 stageGroupsSuite(const bench::BenchOptions &opts, std::vector<PerfEntry> &out)
 {
-    constexpr std::size_t kChunk = 512;
     const auto ctx = core::SimContext::standard();
     const sram::FailureRateModel failure(ctx.failure);
     const sram::VulnerabilityMap map(1, 0);
     Rng init(3);
     dnn::Network net = dnn::buildMnistFc(init);
     const fi::StagedWeights image = fi::stageWeights(net);
-    std::vector<std::uint64_t> read(kChunk);
+    std::vector<resilience::SlowRead> slow;
     sram::BankedMemory mem("weight_mem", 16, ctx.design, ctx.tech, failure);
     resilience::ResilientMemory rmem(
         mem, ctx, resilience::ResiliencePolicy::closedLoop());
@@ -334,19 +340,95 @@ stageGroupsSuite(const bench::BenchOptions &opts, std::vector<PerfEntry> &out)
         rmem.resetRuntimeState();
         rmem.reseed(Rng(17));
         for (const fi::StagedWeights::Layer &layer : image.layers) {
-            const std::size_t layer_groups = (layer.words + 3) / 4;
-            for (std::size_t g0 = 0; g0 < layer_groups; g0 += kChunk) {
-                const std::size_t first = layer.firstGroup + g0;
-                rmem.stageGroups(first, image.groups.data() + first,
-                                 image.checks.data() + first,
-                                 std::min(kChunk, layer_groups - g0),
-                                 Volt(0.44), map, read.data());
-                g_sink = g_sink + read[0];
-            }
+            const std::size_t first = layer.firstGroup;
+            rmem.stageGroups(first, image.groups.data() + first,
+                             image.checks.data() + first,
+                             (layer.words + 3) / 4, Volt(0.44), map, slow);
+            g_sink = g_sink + slow.size();
         }
     });
     out.push_back({"stage_groups", "scalar", "soft", ns,
                    static_cast<std::uint64_t>(image.groups.size())});
+}
+
+/**
+ * cluster_window: one warm routing window of serve_cluster's shape —
+ * a 4-shard, 3-replica cluster::ServingCluster serving 64 requests of
+ * a 24-tenant Zipf trace on the untrained MNIST FC, planned with a
+ * fixed accuracy function, node 0 lost at the timed window. Each op
+ * builds a fresh cluster and serves one window untimed (staging image,
+ * packed fault masks) before the timed one, so every op does the same
+ * work. Runs on the default backend; the fingerprint must repeat.
+ */
+void
+clusterWindowSuite(const bench::BenchOptions &opts,
+                   std::vector<PerfEntry> &out)
+{
+    constexpr int kWindow = 64;
+    const auto ctx = core::SimContext::standard();
+    Rng init(3);
+    dnn::Network net = dnn::buildMnistFc(init);
+    const dnn::Dataset pool = dnn::makeSyntheticMnist(256, 19);
+    const auto per_inference = accel::totalActivity(
+        accel::DanaFcModel().networkActivity({784, 256, 256, 256, 32}));
+    serve::InferenceFootprint footprint;
+    footprint.weightAccesses = per_inference.weightAccesses;
+    footprint.inputAccesses = per_inference.inputAccesses;
+    footprint.psumAccesses = per_inference.psumAccesses;
+    footprint.computeOps = per_inference.macs;
+    constexpr double kFaultFree = 0.9;
+    const serve::OperatingPointPlanner planner(
+        ctx, 16,
+        [](Volt vddv) {
+            return kFaultFree *
+                   std::clamp((vddv.value() - 0.30) / 0.28, 0.0, 1.0);
+        },
+        kFaultFree, footprint);
+
+    serve::TraceConfig trace_cfg;
+    trace_cfg.requestsPerTick = 40000.0 / 1e6;
+    trace_cfg.numRequests = 2 * kWindow;
+    trace_cfg.tenants = serve::scaledTenantMix(24).tenants;
+    trace_cfg.samplePoolSize = pool.size();
+    const auto trace = serve::generatePoissonTrace(trace_cfg);
+    const std::vector<serve::InferenceRequest> warm(
+        trace.begin(), trace.begin() + kWindow);
+    const std::vector<serve::InferenceRequest> timed(
+        trace.begin() + kWindow, trace.end());
+
+    cluster::ClusterConfig cfg;
+    cfg.shards = 4;
+    cfg.replicas = 3;
+    cfg.epochRequests = kWindow;
+    cfg.shardQueueCapacity = kWindow / 4;
+    cfg.node.numThreads = opts.threads;
+    cfg.node.queueCapacity = kWindow;
+    cfg.node.batcher.maxWaitTicks = 4000;
+    cfg.failover.downEpochs = 1;
+    cfg.lossEvents = {{1, 0}};
+
+    double best = std::numeric_limits<double>::infinity();
+    std::uint64_t fingerprint = 0;
+    for (int r = 0; r < (opts.smoke ? 2 : 10); ++r) {
+        cluster::ServingCluster cl(ctx, net, pool, per_inference, planner,
+                                   cfg);
+        cl.run(warm);
+        const auto t0 = Clock::now();
+        const cluster::ClusterResult result = cl.run(timed);
+        const auto t1 = Clock::now();
+        best = std::min(
+            best, static_cast<double>(
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          t1 - t0)
+                          .count()));
+        if (r == 0)
+            fingerprint = result.stats.fingerprint();
+        else if (result.stats.fingerprint() != fingerprint)
+            fatal("perf harness: cluster window fingerprint changed "
+                  "between repeats — nondeterminism");
+    }
+    out.push_back({"cluster_window", "auto", "soft", best,
+                   static_cast<std::uint64_t>(kWindow)});
 }
 
 /** Where the numbers were measured: bench_compare flags a baseline
@@ -435,6 +517,7 @@ main(int argc, char **argv)
     trainEpochSuite(backends, opts, entries);
     serveBatchSuite(backends, opts, entries);
     stageGroupsSuite(opts, entries);
+    clusterWindowSuite(opts, entries);
 
     // fig14 end-to-end measurement phase: train/load once (untimed),
     // then run the full Monte-Carlo sweep per backend. Repeats

@@ -146,6 +146,9 @@ ServingCluster::ServingCluster(const core::SimContext &ctx,
 {
     cfg_.validate();
     nodes_.reserve(static_cast<std::size_t>(cfg_.shards));
+    // Every node serves `net` and nodes run one at a time: one staging
+    // image serves them all.
+    const auto staging = std::make_shared<fi::StagedWeightsCache>();
     for (int i = 0; i < cfg_.shards; ++i) {
         const std::string name = nodeName(i);
         ring_.addNode(name);
@@ -157,7 +160,7 @@ ServingCluster::ServingCluster(const core::SimContext &ctx,
         Node node;
         node.server = std::make_unique<serve::InferenceServer>(
             ctx, net, pool, per_inference,
-            serve::OperatingPointPlanner(planner), node_cfg);
+            serve::OperatingPointPlanner(planner), node_cfg, staging);
         nodes_.push_back(std::move(node));
     }
 }

@@ -195,7 +195,8 @@ struct ClusterResult
 
 /**
  * The cluster front end. Owns the ring, the health monitor and the N
- * node servers; borrows the trained network and sample pool (shared by
+ * node servers, which share one staging image of the network's
+ * weights; borrows the trained network and sample pool (shared by
  * every node, both must outlive the cluster).
  */
 class ServingCluster

@@ -1,8 +1,9 @@
 #include "fi/injector.hpp"
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <bit>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <utility>
@@ -69,6 +70,10 @@ stageWeightLayers(dnn::Network &dst, dnn::Network &src,
     }
     return flipped;
 }
+
+/** The last serial stageWeights() handed out. */
+// vblint: allow(VB004, process-wide image identity counter; atomic and never feeds model results)
+std::atomic<std::uint64_t> g_lastStagingSerial{0};
 
 /** Cells a split region-image pack gives each part at least. */
 constexpr std::size_t kMinPackCellsPerPart = std::size_t{1} << 18;
@@ -295,14 +300,48 @@ stageWeights(dnn::Network &src)
             image.checks.push_back(sram::SecdedCodec::encode(group));
         }
     }
+    image.serial = ++g_lastStagingSerial;
     return image;
+}
+
+bool
+StagedWeightsCache::current(dnn::Network &src) const
+{
+    if (builds_ == 0)
+        return false;
+    const auto weights = src.weightParams();
+    if (weights.size() != snapshot_.size())
+        return false;
+    for (std::size_t l = 0; l < weights.size(); ++l) {
+        const dnn::Tensor &w = *weights[l].value;
+        const dnn::Tensor &kept = snapshot_[l];
+        if (w.shape() != kept.shape())
+            return false;
+        if (w.numel() != 0 &&
+            std::memcmp(w.data(), kept.data(), w.numel() * sizeof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
+const StagedWeights &
+StagedWeightsCache::update(dnn::Network &src)
+{
+    if (current(src))
+        return image_;
+    snapshot_.clear();
+    image_ = stageWeights(src);
+    for (const auto &p : src.weightParams())
+        snapshot_.push_back(*p.value);
+    ++builds_;
+    return image_;
 }
 
 std::uint64_t
 corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
                         const StagedWeights &image,
                         resilience::ResilientMemory &rmem, Volt vdd,
-                        const sram::VulnerabilityMap &map)
+                        const sram::VulnerabilityMap &map, StagingUndo *undo)
 {
     // Every weight tensor is overwritten below: copy only the rest.
     dst.copyParamsFrom(src, false);
@@ -310,38 +349,60 @@ corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
     if (image.layers.size() != dst_weights.size())
         fatal("corruptNetworkResilient: network structure mismatch");
 
-    // Read-back buffer: layers stage in chunks of this many groups.
-    constexpr std::size_t kChunk = 512;
-    std::array<std::uint64_t, kChunk> read{};
+    // Return dst's weights to the clean tensors: restore the groups
+    // the last staging of this image fixed up, else copy them whole.
+    if (undo && undo->image != 0 && undo->image == image.serial) {
+        std::size_t l = 0;
+        for (const std::size_t i : undo->groups) {
+            while (i >= image.layers[l].firstGroup +
+                            (image.layers[l].words + 3) / 4)
+                ++l;
+            const StagedWeights::Layer &layer = image.layers[l];
+            const std::size_t e = 4 * (i - layer.firstGroup);
+            std::copy_n(layer.clean.data() + e,
+                        std::min<std::size_t>(4, layer.words - e),
+                        dst_weights[l].value->data() + e);
+        }
+    } else {
+        for (std::size_t l = 0; l < image.layers.size(); ++l)
+            *dst_weights[l].value = image.layers[l].clean;
+    }
+    if (undo) {
+        undo->image = 0; // not valid again until this staging completes
+        undo->groups.clear();
+    }
+
+    // Only the codewords stageGroups reports can read back other than
+    // as staged.
+    std::vector<resilience::SlowRead> slow;
     std::uint64_t residual = 0;
     std::uint64_t group_cursor = 0; // 64-bit words staged so far
     for (std::size_t l = 0; l < image.layers.size(); ++l) {
         const StagedWeights::Layer &layer = image.layers[l];
-        dnn::Tensor &out = *dst_weights[l].value;
-        out = layer.clean;
-        const std::size_t words = layer.words;
-        const std::size_t groups = (words + 3) / 4;
-        for (std::size_t g0 = 0; g0 < groups; g0 += kChunk) {
-            const std::size_t n = std::min(kChunk, groups - g0);
-            const std::size_t first = layer.firstGroup + g0;
-            rmem.stageGroups(group_cursor, image.groups.data() + first,
-                             image.checks.data() + first, n, vdd, map,
-                             read.data());
-            group_cursor += n;
-            for (std::size_t j = 0; j < n; ++j) {
-                const std::uint64_t group = image.groups[first + j];
-                if (read[j] == group)
-                    continue;
-                residual += static_cast<std::uint64_t>(
-                    std::popcount(group ^ read[j]));
-                const std::size_t g = g0 + j;
-                for (std::size_t k = 0; k < 4 && 4 * g + k < words; ++k)
-                    out[4 * g + k] = layer.codec.decode(
-                        static_cast<std::int16_t>(
-                            static_cast<std::uint16_t>(read[j] >> (16 * k))));
-            }
+        float *out = dst_weights[l].value->data();
+        const std::size_t first = layer.firstGroup;
+        const std::size_t groups = (layer.words + 3) / 4;
+        rmem.stageGroups(group_cursor, image.groups.data() + first,
+                         image.checks.data() + first, groups, vdd, map,
+                         slow);
+        group_cursor += groups;
+        for (const resilience::SlowRead &r : slow) {
+            const std::uint64_t group = image.groups[first + r.index];
+            if (r.data == group)
+                continue;
+            residual +=
+                static_cast<std::uint64_t>(std::popcount(group ^ r.data));
+            for (std::size_t k = 0; k < 4 && 4 * r.index + k < layer.words;
+                 ++k)
+                out[4 * r.index + k] = layer.codec.decode(
+                    static_cast<std::int16_t>(
+                        static_cast<std::uint16_t>(r.data >> (16 * k))));
+            if (undo)
+                undo->groups.push_back(first + r.index);
         }
     }
+    if (undo)
+        undo->image = image.serial;
     return residual;
 }
 

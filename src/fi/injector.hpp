@@ -199,7 +199,8 @@ std::uint64_t corruptNetworkEcc(dnn::Network &dst, dnn::Network &src,
  * (the tail group zero-padded, like a real padded row) with the
  * group's SECDED check byte, plus the clean dequantized tensor of each
  * layer. It depends only on the weights, so one image serves every
- * staging of the same weights (a serving run, a Monte-Carlo point).
+ * staging of the same weights (a Monte-Carlo point, every run of a
+ * serving cluster while its weights hold; see StagedWeightsCache).
  */
 struct StagedWeights
 {
@@ -220,14 +221,61 @@ struct StagedWeights
     std::vector<std::uint64_t> groups;
     /** sram::SecdedCodec::encode of each group. */
     std::vector<std::uint8_t> checks;
+    /** Which build this is: stageWeights() gives every image it builds
+     *  a new nonzero serial, so a StagingUndo recorded against one
+     *  image never applies to a rebuilt one. */
+    std::uint64_t serial = 0;
 };
 
 /** Build the staging image of `src`'s current weights. */
 StagedWeights stageWeights(dnn::Network &src);
 
 /**
+ * A network's staging image kept across calls (DESIGN.md §8,
+ * "Staging-image lifetime"). The key is the weights themselves: a copy
+ * of every weight tensor (shape and bits) taken at the last build,
+ * compared with memcmp on each update(). Biases are not in the image.
+ * Not thread-safe: update on one thread, then hand the image to
+ * readers; servers sharing a cache must not run concurrently.
+ */
+class StagedWeightsCache
+{
+  public:
+    /** The staging image of `src`'s current weights: the kept one when
+     *  every weight tensor equals the snapshot, else a new build. */
+    const StagedWeights &update(dnn::Network &src);
+
+    /** Times update() has built the image (diagnostics and tests). */
+    std::uint64_t builds() const { return builds_; }
+
+  private:
+    /** Whether the kept image was built from `src`'s current weights. */
+    bool current(dnn::Network &src) const;
+
+    StagedWeights image_;
+    /** The weight tensors image_ was built from. */
+    std::vector<dnn::Tensor> snapshot_;
+    std::uint64_t builds_ = 0;
+};
+
+/**
+ * What a staging left in its destination network: the groups whose
+ * weight elements differ from the image's clean tensors. A serving
+ * slot keeps one next to its network, so the next staging restores
+ * just those elements instead of copying every clean tensor.
+ */
+struct StagingUndo
+{
+    /** StagedWeights::serial of the image staged last (0: none, and
+     *  the next staging copies every clean tensor). */
+    std::uint64_t image = 0;
+    /** Indices into StagedWeights::groups, ascending. */
+    std::vector<std::size_t> groups;
+};
+
+/**
  * Closed-loop variant of corruptNetworkEcc: the weight image is staged
- * word by word through a ResilientMemory — write, then read back
+ * through a ResilientMemory — each codeword written, then read back
  * through the full resilient pipeline (ECC decode, bounded retry with
  * boost escalation, standing-level raises, row sparing) at supply
  * `vdd`. The decoded data feeds inference; retry / escalation /
@@ -236,8 +284,15 @@ StagedWeights stageWeights(dnn::Network &src);
  * mirroring the staged execution of the other injectors.
  *
  * `image` must be stageWeights(src) for src's current weights: `dst`
- * receives src's parameters with each weight tensor replaced by the
- * image's clean tensor, re-dequantized only where a read-back differs.
+ * receives src's biases and, for each weight tensor, the image's clean
+ * tensor, re-dequantized only at the codewords
+ * ResilientMemory::stageGroups reports whose read-back differs.
+ *
+ * With `undo`, dst's weights must be as the staging that filled `undo`
+ * left them: when it was against this image, only its groups are
+ * restored from the clean tensors instead of copying them whole. The
+ * call then records its own fix-ups in `undo`. Either way dst ends
+ * bitwise the same.
  *
  * @return residual flipped bits (after correction and retries) —
  *         the corruption that actually reaches inference.
@@ -246,7 +301,8 @@ std::uint64_t corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
                                       const StagedWeights &image,
                                       resilience::ResilientMemory &rmem,
                                       Volt vdd,
-                                      const sram::VulnerabilityMap &map);
+                                      const sram::VulnerabilityMap &map,
+                                      StagingUndo *undo = nullptr);
 
 /** corruptNetworkResilient with a staging image built for this call. */
 std::uint64_t corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,

@@ -258,8 +258,9 @@ ResilientMemory::stageGroups(std::uint64_t cursor,
                              const std::uint64_t *groups,
                              const std::uint8_t *checks, std::size_t n,
                              Volt vdd, const sram::VulnerabilityMap &map,
-                             std::uint64_t *out)
+                             std::vector<SlowRead> &slow)
 {
+    slow.clear();
     constexpr std::uint32_t kBankWords = sram::SramBank::kWords;
     const std::uint32_t words = mem_.words();
     const bool closed = policy_.mode == AccessPolicyMode::ClosedLoop;
@@ -305,17 +306,16 @@ ResilientMemory::stageGroups(std::uint64_t cursor,
         }
         if (span == 0) {
             writeEncoded(addr, groups[k], checks[k], vdd);
-            out[k] = readWord(addr, vdd, map).data;
+            slow.push_back({k, readWord(addr, vdd, map).data});
             ++k;
             addr = addr + 1 < words ? addr + 1 : 0;
             continue;
         }
         // What writeEncoded + readWord do for each clean codeword: a
         // single attempt at the standing level decodes clean, with no
-        // stream split and no draw.
+        // stream split and no draw, and reads back the staged group.
         mem_.bank(bank).stageClean(local, groups + k, span, run);
         std::copy(checks + k, checks + k + span, check_.begin() + addr);
-        std::copy(groups + k, groups + k + span, out + k);
         accessCounter_ += span;
         stats_.reads += span;
         stats_.cleanReads += span;

@@ -97,6 +97,16 @@ struct ReadOutcome
     bool gaveUp = false;
 };
 
+/** A codeword ResilientMemory::stageGroups sent through the per-word
+ *  pipeline, and the data its read returned. */
+struct SlowRead
+{
+    /** Position of the codeword in the call's run (k of groups[k]). */
+    std::size_t index = 0;
+    /** ReadOutcome::data of the codeword's readWord(). */
+    std::uint64_t data = 0;
+};
+
 /** ECC-protected, self-escalating, row-sparing memory wrapper. */
 class ResilientMemory
 {
@@ -136,18 +146,21 @@ class ResilientMemory
      * Stage a run of codewords and read them back: codeword k (data
      * groups[k], check byte checks[k], which must be
      * sram::SecdedCodec::encode(groups[k])) is written to address
-     * (cursor + k) mod words(), read back through the pipeline, and
-     * the read data lands in out[k]. Bitwise the same as
-     * writeEncoded() then readWord() per codeword, in order: every
-     * counter, energy sum, EWMA, spare and flip stream. The walk
-     * stages clean spans in bulk: runs of codewords in one bank whose
-     * rows have no spare and whose cells are all fault-free at the
-     * bank's standing level. Every other codeword goes through
-     * writeEncoded() + readWord() (DESIGN.md §8, "Bulk staging pass").
+     * (cursor + k) mod words() and read back through the pipeline.
+     * Bitwise the same as writeEncoded() then readWord() per codeword,
+     * in order: every counter, energy sum, EWMA, spare and flip stream.
+     * The walk stages clean spans in bulk: runs of codewords in one
+     * bank whose rows have no spare and whose cells are all fault-free
+     * at the bank's standing level; such a codeword reads back exactly
+     * as staged. Every other codeword goes through writeEncoded() +
+     * readWord(), and `slow` is overwritten with one entry per such
+     * codeword, in ascending index order (DESIGN.md §8, "Bulk staging
+     * pass").
      */
     void stageGroups(std::uint64_t cursor, const std::uint64_t *groups,
                      const std::uint8_t *checks, std::size_t n, Volt vdd,
-                     const sram::VulnerabilityMap &map, std::uint64_t *out);
+                     const sram::VulnerabilityMap &map,
+                     std::vector<SlowRead> &slow);
 
     /** Stage a buffer of int16 values (4 per word), as the accelerator
      *  writes a weight tile. Partial edge words read-modify-write. */

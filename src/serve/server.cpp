@@ -87,7 +87,8 @@ InferenceServer::InferenceServer(const core::SimContext &ctx,
                                  const dnn::Dataset &pool,
                                  accel::LayerActivity per_inference,
                                  OperatingPointPlanner planner,
-                                 ServerConfig cfg)
+                                 ServerConfig cfg,
+                                 std::shared_ptr<fi::StagedWeightsCache> staging)
     : ctx_(ctx),
       net_(net),
       pool_(pool),
@@ -96,7 +97,9 @@ InferenceServer::InferenceServer(const core::SimContext &ctx,
       cfg_(std::move(cfg)),
       perf_(ctx_, cfg_.chip.weightBanks, cfg_.perf),
       failure_(ctx_.failure),
-      deviceMap_(cfg_.seed, 0)
+      deviceMap_(cfg_.seed, 0),
+      staging_(staging ? std::move(staging)
+                       : std::make_shared<fi::StagedWeightsCache>())
 {
     cfg_.validate();
     if (pool_.size() == 0)
@@ -211,8 +214,9 @@ InferenceServer::executeBatch(const FormedBatch &batch, BatchRecord &rec,
     // identical regardless of which thread/slot executes the batch.
     const Rng base(cfg_.seed);
     rmem.reseed(base.split(1'000'000 + 2 * batch.seq));
-    rec.residualFlips = fi::corruptNetworkResilient(
-        *scratch.net, net_, image, rmem, rec.plan.vdd, deviceMap_);
+    rec.residualFlips =
+        fi::corruptNetworkResilient(*scratch.net, net_, image, rmem,
+                                    rec.plan.vdd, deviceMap_, &scratch.undo);
 
     std::vector<std::size_t> samples;
     samples.reserve(batch.requests.size());
@@ -427,8 +431,9 @@ InferenceServer::run(const std::vector<InferenceRequest> &trace)
     const unsigned num_threads = ThreadPool::resolveThreads(cfg_.numThreads);
     if (scratch_.size() < num_threads)
         scratch_.resize(num_threads);
-    // Every batch of the run stages the same weights.
-    const fi::StagedWeights image = fi::stageWeights(net_);
+    // Every batch stages the same weights; the image is rebuilt only
+    // when they changed since it was built.
+    const fi::StagedWeights &image = staging_->update(net_);
 
     // Epoch execution: plans freeze serially, batches run in parallel,
     // feedback applies serially in batch order — the planner never

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -192,7 +193,9 @@ struct ServeResult
 /**
  * The serving runtime. Owns the planner and per-worker scratch chips;
  * borrows the trained network and the sample pool (both must outlive
- * the server).
+ * the server). The weights' staging image is kept across run() calls
+ * and rebuilt only when the weights change; a cluster's nodes share
+ * one.
  */
 class InferenceServer
 {
@@ -204,11 +207,16 @@ class InferenceServer
      * @param per_inference dataflow activity of one inference.
      * @param planner SLO -> operating point mapper (moved in).
      * @param cfg runtime configuration.
+     * @param staging staging image shared with other servers of `net`
+     *        that never run concurrently with this one (a cluster's
+     *        nodes); nullptr: the server keeps its own.
      */
     InferenceServer(const core::SimContext &ctx, dnn::Network &net,
                     const dnn::Dataset &pool,
                     accel::LayerActivity per_inference,
-                    OperatingPointPlanner planner, ServerConfig cfg = {});
+                    OperatingPointPlanner planner, ServerConfig cfg = {},
+                    std::shared_ptr<fi::StagedWeightsCache> staging =
+                        nullptr);
 
     /**
      * Replay a request trace (arrival ticks must be nondecreasing,
@@ -248,15 +256,18 @@ class InferenceServer
                              obs::Labels labels = {});
 
   private:
-    /** Per-execution-slot scratch state: chip, network clone and the
-     *  resilient wrapper of the chip's weight memory. The wrapper is
-     *  reset per batch, so the banks keep their packed fault masks
-     *  across batches. */
+    /** Per-execution-slot scratch state: chip, network clone, the
+     *  resilient wrapper of the chip's weight memory and the undo
+     *  record of the network's last staging. The wrapper is reset per
+     *  batch, so the banks keep their packed fault masks across
+     *  batches; the record lets the next staging restore only the
+     *  weights the last one fixed up. */
     struct WorkerScratch
     {
         std::unique_ptr<accel::DanteChip> chip;
         std::unique_ptr<dnn::Network> net;
         std::unique_ptr<resilience::ResilientMemory> rmem;
+        fi::StagingUndo undo;
     };
 
     /** Serial formation pass: queue admission + batching. */
@@ -265,7 +276,7 @@ class InferenceServer
                 std::vector<RequestOutcome> &outcomes);
 
     /** Execute one batch on a worker slot's scratch state, staging
-     *  the run's weight image. */
+     *  the weights' image. */
     void executeBatch(const FormedBatch &batch, BatchRecord &rec,
                       const fi::StagedWeights &image,
                       WorkerScratch &scratch);
@@ -296,6 +307,8 @@ class InferenceServer
     /** The device's fault map (const, shared across workers). */
     sram::VulnerabilityMap deviceMap_;
 
+    /** Staging image of net_'s weights (possibly shared). */
+    std::shared_ptr<fi::StagedWeightsCache> staging_;
     std::vector<WorkerScratch> scratch_;
 
     /** Tick each virtual worker slot frees up at; persists across

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <map>
 #include <set>
 #include <string>
@@ -394,6 +396,47 @@ TEST_F(ClusterTest, OutcomesAreBitwiseIdenticalAtAnyThreadCount)
     EXPECT_EQ(r1.stats.fingerprint(), r8.stats.fingerprint());
     // The loss event actually produced transitions to gate on.
     EXPECT_GE(r1.stats.transitions, 1u);
+}
+
+TEST_F(ClusterTest, SharedStagingImageFollowsTheWeights)
+{
+    // The nodes share one staging image, kept across run() calls.
+    // Flip one weight bit before the second run and flip it back
+    // before the third. Routing, health, plans, backlog and resilience
+    // counters never depend on the weight values (only predictions
+    // do), so a fresh cluster replaying the first k runs on one set of
+    // weights reaches the same state and builds its image once: its
+    // k-th run is what the kept cluster must serve on those weights,
+    // and differs from a replay on the other weights.
+    const auto trace = makeTrace(48);
+    const auto cfg = smallConfig(2);
+    auto kept = makeCluster(cfg);
+    float &w = (*net_.weightParams()[0].value)[0];
+    const float original = w;
+    const float flipped =
+        std::bit_cast<float>(std::bit_cast<std::uint32_t>(w) ^ (1u << 30));
+    const std::array<float, 3> runs{original, flipped, original};
+    const auto replay = [&](std::size_t k, float value) {
+        w = value;
+        auto fresh = makeCluster(cfg);
+        for (std::size_t i = 0; i < k; ++i)
+            fresh.run(trace);
+        return fresh.run(trace);
+    };
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        const ClusterResult other =
+            replay(k, runs[k] == original ? flipped : original);
+        const ClusterResult want = replay(k, runs[k]);
+        const ClusterResult got = kept.run(trace);
+
+        EXPECT_EQ(got.routes, want.routes);
+        EXPECT_EQ(got.outcomes, want.outcomes);
+        EXPECT_EQ(got.transitions, want.transitions);
+        EXPECT_EQ(got.stats, want.stats);
+        EXPECT_EQ(got.stats.fingerprint(), want.stats.fingerprint());
+        EXPECT_EQ(other.routes, want.routes);
+        EXPECT_NE(other.outcomes, want.outcomes);
+    }
 }
 
 TEST_F(ClusterTest, RoutingHonorsHealthCapacityAndReplicaGroups)

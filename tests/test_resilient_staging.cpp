@@ -15,7 +15,8 @@
  * that is deterministic but different fails here.
  *
  * Also here: the bulk staging pass against the per-word pipeline,
- * staging-image reuse, per-bank check-cell flip probabilities, the
+ * staging-image reuse, the kept image's key, a serving slot's undo
+ * record, per-bank check-cell flip probabilities, the
  * masked-flip routine against the per-cell loop, and the mask-table
  * key against per-cell queries.
  */
@@ -26,10 +27,12 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/context.hpp"
+#include "dnn/layers.hpp"
 #include "dnn/zoo.hpp"
 #include "fi/injector.hpp"
 #include "resilience/resilient_memory.hpp"
@@ -224,7 +227,9 @@ class StagingPair
 
     /** Stage n random codewords from `cursor` on both sides, the bulk
      *  side in calls of `chunk` codewords; require equal read-backs and
-     *  equal state. */
+     *  equal state. The bulk side's read-backs are the groups with its
+     *  reported slow codewords put in; the report must ascend and name
+     *  exactly the codewords that take the per-word path. */
     void
     stage(std::uint64_t cursor, std::size_t n, double vdd,
           const sram::VulnerabilityMap &map, std::size_t chunk,
@@ -237,18 +242,33 @@ class StagingPair
             groups[k] = gen.next();
             checks[k] = sram::SecdedCodec::encode(groups[k]);
         }
-        std::vector<std::uint64_t> got(n), want(n);
-        for (std::size_t k = 0; k < n; k += chunk)
+        std::vector<std::uint64_t> got = groups;
+        std::vector<std::size_t> reported;
+        std::vector<resilience::SlowRead> slow;
+        for (std::size_t k = 0; k < n; k += chunk) {
+            const std::size_t len = std::min(chunk, n - k);
             bulk_.stageGroups(cursor + k, groups.data() + k,
-                              checks.data() + k, std::min(chunk, n - k),
-                              Volt(vdd), map, got.data() + k);
+                              checks.data() + k, len, Volt(vdd), map, slow);
+            for (const resilience::SlowRead &r : slow) {
+                ASSERT_LT(r.index, len);
+                ASSERT_TRUE(reported.empty() || k + r.index > reported.back())
+                    << "report not ascending at " << k + r.index;
+                reported.push_back(k + r.index);
+                got[k + r.index] = r.data;
+            }
+        }
         const std::uint32_t words = wordMem_.words();
+        std::vector<std::uint64_t> want(n);
+        std::vector<std::size_t> per_word;
         for (std::size_t k = 0; k < n; ++k) {
             const auto addr = static_cast<std::uint32_t>((cursor + k) % words);
+            if (takesPerWordPath(addr, vdd, map))
+                per_word.push_back(k);
             word_.writeEncoded(addr, groups[k], checks[k], Volt(vdd));
             want[k] = word_.readWord(addr, Volt(vdd), map).data;
         }
         ASSERT_EQ(got, want) << "vdd " << vdd << " cursor " << cursor;
+        ASSERT_EQ(reported, per_word) << "vdd " << vdd << " cursor " << cursor;
         ASSERT_EQ(stateOf(bulk_), stateOf(word_))
             << "vdd " << vdd << " cursor " << cursor;
     }
@@ -271,6 +291,27 @@ class StagingPair
     }
 
   private:
+    /** Whether the codeword about to be staged at `addr` needs the
+     *  per-word path, read off the word side's state (equal to the
+     *  bulk side's): its bank's BIC level is off the standing level,
+     *  its row holds a spare, or one of its data or check cells is
+     *  faulty at the standing level. */
+    bool
+    takesPerWordPath(std::uint32_t addr, double vdd,
+                     const sram::VulnerabilityMap &map)
+    {
+        // Where ResilientMemory lays out its check cells.
+        constexpr std::uint64_t kCheckRegion = 1ull << 38;
+        const int bank = wordMem_.bankOf(addr);
+        if (wordMem_.boostLevel(bank) != word_.standingLevel(bank) ||
+            word_.spares().find(addr) >= 0)
+            return true;
+        const sram::SramBank::AccessRun run = wordMem_.accessRun(
+            bank, Volt(vdd), map, kCheckRegion + wordMem_.cellBase());
+        const std::uint32_t local = addr % sram::SramBank::kWords;
+        return (run.faulty[local / 64] >> (local % 64)) & 1u;
+    }
+
     core::SimContext ctx_ = core::SimContext::standard();
     sram::FailureRateModel failure_;
     sram::BankedMemory bulkMem_, wordMem_;
@@ -491,6 +532,212 @@ TEST(ResilientStaging, OneImageServesEveryStaging)
         digests[static_cast<std::size_t>(reuse)] = f.h;
     }
     EXPECT_EQ(digests[0], digests[1]);
+}
+
+/** Require every weight tensor of `got` bitwise equal to `want`'s. */
+void
+expectSameWeights(dnn::Network &got, dnn::Network &want, int batch)
+{
+    auto got_weights = got.weightParams();
+    auto want_weights = want.weightParams();
+    ASSERT_EQ(got_weights.size(), want_weights.size());
+    for (std::size_t l = 0; l < got_weights.size(); ++l) {
+        const dnn::Tensor &g = *got_weights[l].value;
+        const dnn::Tensor &w = *want_weights[l].value;
+        ASSERT_EQ(g.shape(), w.shape());
+        for (std::size_t j = 0; j < w.numel(); ++j)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(g[j]),
+                      std::bit_cast<std::uint32_t>(w[j]))
+                << "batch " << batch << " layer " << l << " [" << j << "]";
+    }
+}
+
+TEST(ResilientStaging, UndoRecordStagesWhatAFullCopyStages)
+{
+    // One serving slot stages 24 batches in a row, restoring only what
+    // its undo record names; each batch is also staged into a fresh
+    // network with the full clean copy, on a twin memory. vdd cycles
+    // 0.44, 0.36, 0.50 V and the start level 0..2, so batches with many
+    // residual flips are followed by ones with none.
+    Rng rng(20);
+    dnn::Network src = dnn::buildMnistFc(rng);
+    const StagedWeights image = stageWeights(src);
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    const sram::VulnerabilityMap map(18, 0);
+    sram::BankedMemory slot_mem("weight_mem", 16, ctx.design, ctx.tech,
+                                failure);
+    sram::BankedMemory fresh_mem("weight_mem", 16, ctx.design, ctx.tech,
+                                 failure);
+    resilience::ResilientMemory slot_rmem(
+        slot_mem, ctx, resilience::ResiliencePolicy::closedLoop());
+    resilience::ResilientMemory fresh_rmem(
+        fresh_mem, ctx, resilience::ResiliencePolicy::closedLoop());
+    dnn::Network slot = src.clone();
+    StagingUndo undo;
+    std::uint64_t previous = 0;
+    bool none_after_many = false;
+    for (int b = 0; b < 24; ++b) {
+        const double vdd = std::array{0.44, 0.36, 0.50}[b % 3];
+        const int level = b / 3 % 3;
+        for (resilience::ResilientMemory *rmem : {&slot_rmem, &fresh_rmem}) {
+            rmem->memory().resetCounters();
+            rmem->resetRuntimeState(level);
+            rmem->reseed(Rng(22).split(static_cast<std::uint64_t>(b)));
+        }
+        dnn::Network fresh = src.clone();
+        const std::uint64_t got = corruptNetworkResilient(
+            slot, src, image, slot_rmem, Volt(vdd), map, &undo);
+        const std::uint64_t want = corruptNetworkResilient(
+            fresh, src, image, fresh_rmem, Volt(vdd), map);
+        ASSERT_EQ(got, want) << "batch " << b;
+        expectSameWeights(slot, fresh, b);
+        if (HasFatalFailure())
+            return;
+        EXPECT_EQ(undo.image, image.serial);
+        if (got == 0 && previous >= 100)
+            none_after_many = true;
+        previous = got;
+    }
+    EXPECT_TRUE(none_after_many);
+}
+
+TEST(ResilientStaging, UndoRecordOfAnotherImageFallsBackToAFullCopy)
+{
+    // An empty record, then one made against another build of the
+    // image (even of the same weights), does not apply: the staging
+    // copies every clean tensor.
+    Rng rng(21);
+    dnn::Network src = dnn::buildMnistFc(rng);
+    const StagedWeights first = stageWeights(src);
+    const StagedWeights second = stageWeights(src);
+    EXPECT_NE(first.serial, 0u);
+    EXPECT_NE(first.serial, second.serial);
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    const sram::VulnerabilityMap map(18, 0);
+    sram::BankedMemory mem("weight_mem", 16, ctx.design, ctx.tech, failure);
+    resilience::ResilientMemory rmem(
+        mem, ctx, resilience::ResiliencePolicy::closedLoop());
+    dnn::Network slot = src.clone();
+    dnn::Network fresh = src.clone();
+    StagingUndo undo;
+    for (const StagedWeights *image : {&first, &second}) {
+        // A stale weight in a group the record does not name must not
+        // survive.
+        std::size_t stale = 0;
+        while (std::find(undo.groups.begin(), undo.groups.end(), stale) !=
+               undo.groups.end())
+            ++stale;
+        (*slot.weightParams()[0].value)[4 * stale] += 1.0f;
+        mem.resetCounters();
+        rmem.resetRuntimeState();
+        rmem.reseed(Rng(23));
+        const std::uint64_t got = corruptNetworkResilient(
+            slot, src, *image, rmem, Volt(0.40), map, &undo);
+        mem.resetCounters();
+        rmem.resetRuntimeState();
+        rmem.reseed(Rng(23));
+        EXPECT_EQ(got, corruptNetworkResilient(fresh, src, *image, rmem,
+                                               Volt(0.40), map));
+        expectSameWeights(slot, fresh, 0);
+        EXPECT_EQ(undo.image, image->serial);
+        EXPECT_FALSE(undo.groups.empty());
+    }
+}
+
+TEST(ResilientStaging, UndoRecordRestoresEveryLayersEdgeGroups)
+{
+    // Layers of 35, 15 and 6 weights end in partly padded groups. A
+    // record naming each layer's first and last group, over weights
+    // that differ from the clean tensors exactly there, stages what a
+    // full copy stages.
+    Rng rng(24);
+    dnn::Network src;
+    src.addLayer<dnn::Dense>(7, 5, rng, "fc1");
+    src.addLayer<dnn::Dense>(5, 3, rng, "fc2");
+    src.addLayer<dnn::Dense>(3, 2, rng, "fc3");
+    const StagedWeights image = stageWeights(src);
+    dnn::Network slot = src.clone();
+    dnn::Network fresh = src.clone();
+    StagingUndo undo;
+    undo.image = image.serial;
+    auto slot_weights = slot.weightParams();
+    for (std::size_t l = 0; l < image.layers.size(); ++l) {
+        const StagedWeights::Layer &layer = image.layers[l];
+        dnn::Tensor &w = *slot_weights[l].value;
+        w = layer.clean;
+        const std::size_t last = layer.firstGroup + (layer.words - 1) / 4;
+        for (const std::size_t g : {layer.firstGroup, last}) {
+            undo.groups.push_back(g);
+            for (std::size_t e = 4 * (g - layer.firstGroup);
+                 e < std::min(layer.words, 4 * (g - layer.firstGroup) + 4);
+                 ++e)
+                w[e] = 100.0f;
+        }
+    }
+    const auto ctx = core::SimContext::standard();
+    const sram::FailureRateModel failure(ctx.failure);
+    const sram::VulnerabilityMap map(18, 0);
+    std::array<std::uint64_t, 2> flips{};
+    for (int full = 0; full < 2; ++full) {
+        sram::BankedMemory mem("weight_mem", 1, ctx.design, ctx.tech,
+                               failure);
+        resilience::ResilientMemory rmem(
+            mem, ctx, resilience::ResiliencePolicy::closedLoop());
+        rmem.reseed(Rng(25));
+        flips[static_cast<std::size_t>(full)] =
+            full ? corruptNetworkResilient(fresh, src, image, rmem,
+                                           Volt(0.50), map)
+                 : corruptNetworkResilient(slot, src, image, rmem,
+                                           Volt(0.50), map, &undo);
+    }
+    EXPECT_EQ(flips[0], flips[1]);
+    expectSameWeights(slot, fresh, 0);
+}
+
+TEST(StagedWeightsCache, RebuildsOnlyWhenAWeightChanges)
+{
+    // The key is every weight tensor's shape and bits: the same
+    // weights keep the image, one flipped bit rebuilds it, and
+    // flipping it back rebuilds it again, bitwise as a fresh build.
+    Rng rng(22);
+    dnn::Network src = dnn::buildMnistFc(rng);
+    StagedWeightsCache cache;
+    const std::uint64_t first = cache.update(src).serial;
+    EXPECT_EQ(cache.update(src).serial, first);
+    EXPECT_EQ(cache.builds(), 1u);
+
+    float &w = (*src.weightParams()[1].value)[7];
+    const float original = w;
+    w = std::bit_cast<float>(std::bit_cast<std::uint32_t>(w) ^ 1u);
+    const StagedWeights &changed = cache.update(src);
+    EXPECT_EQ(cache.builds(), 2u);
+    EXPECT_NE(changed.serial, first);
+    EXPECT_EQ(changed.groups, stageWeights(src).groups);
+
+    w = original;
+    const StagedWeights &restored = cache.update(src);
+    EXPECT_EQ(cache.builds(), 3u);
+    const StagedWeights fresh = stageWeights(src);
+    EXPECT_EQ(restored.groups, fresh.groups);
+    EXPECT_EQ(restored.checks, fresh.checks);
+    ASSERT_EQ(restored.layers.size(), fresh.layers.size());
+    for (std::size_t l = 0; l < fresh.layers.size(); ++l)
+        EXPECT_EQ(0, std::memcmp(restored.layers[l].clean.data(),
+                                 fresh.layers[l].clean.data(),
+                                 fresh.layers[l].clean.numel() *
+                                     sizeof(float)));
+
+    // Biases are not in the image: changing one keeps it.
+    for (auto &p : src.params()) {
+        if (!p.isWeight) {
+            (*p.value)[0] += 1.0f;
+            break;
+        }
+    }
+    cache.update(src);
+    EXPECT_EQ(cache.builds(), 3u);
 }
 
 TEST(ResilientStaging, CheckCellsFlipWithTheirOwnBanksProbability)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -640,6 +641,46 @@ TEST_F(ServeTest, ResultsAreBitwiseIdenticalAtAnyWorkerCount)
                          r8.batches[i].modeledEnergy.value());
         EXPECT_EQ(r1.batches[i].resilience.retries,
                   r8.batches[i].resilience.retries);
+    }
+}
+
+TEST_F(ServeTest, KeptStagingImageFollowsTheWeights)
+{
+    // The server keeps its staging image (and each slot its undo
+    // record) across run() calls. Flip one weight bit between runs,
+    // then flip it back: every run must equal a fresh server's run on
+    // the same weights and trace from the same planner state and idle
+    // slots, and the flipped bit must change what a fresh server
+    // serves, so a stale image could not pass.
+    const auto trace = makeTrace(24, 0.002);
+    auto cfg = smallConfig();
+    cfg.numThreads = 2;
+    auto server = makeServer(cfg);
+    float &w = (*net_.weightParams()[0].value)[0];
+    const float original = w;
+    const float flipped =
+        std::bit_cast<float>(std::bit_cast<std::uint32_t>(w) ^ (1u << 30));
+    for (const float value : {original, flipped, original}) {
+        const OperatingPointPlanner planner = server.planner();
+        w = value == original ? flipped : original;
+        const ServeResult other =
+            InferenceServer(ctx_, net_, pool_, act_, planner, cfg).run(trace);
+        w = value;
+        const ServeResult want =
+            InferenceServer(ctx_, net_, pool_, act_, planner, cfg).run(trace);
+        server.resetWorkerBacklog();
+        const ServeResult got = server.run(trace);
+
+        EXPECT_EQ(got.outcomes, want.outcomes);
+        EXPECT_EQ(got.stats, want.stats);
+        EXPECT_EQ(got.stats.fingerprint(), want.stats.fingerprint());
+        ASSERT_EQ(got.batches.size(), want.batches.size());
+        for (std::size_t i = 0; i < got.batches.size(); ++i) {
+            EXPECT_EQ(got.batches[i].predictions, want.batches[i].predictions);
+            EXPECT_EQ(got.batches[i].residualFlips,
+                      want.batches[i].residualFlips);
+        }
+        EXPECT_NE(want.outcomes, other.outcomes);
     }
 }
 
