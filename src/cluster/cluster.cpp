@@ -6,6 +6,7 @@
 #include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 
 namespace vboost::cluster {
 
@@ -142,13 +143,15 @@ ServingCluster::ServingCluster(const core::SimContext &ctx,
                                ClusterConfig cfg)
     : cfg_(std::move(cfg)),
       ring_(cfg_.ring),
-      health_(cfg_.shards, cfg_.failover)
+      health_(cfg_.shards, cfg_.failover),
+      net_(net),
+      staging_(std::make_shared<fi::StagedWeightsCache>())
 {
     cfg_.validate();
     nodes_.reserve(static_cast<std::size_t>(cfg_.shards));
-    // Every node serves `net` and nodes run one at a time: one staging
-    // image serves them all.
-    const auto staging = std::make_shared<fi::StagedWeightsCache>();
+    // Every node serves `net`, and run() executes the nodes' feedback
+    // regions together, one batch per slot at a time: one staging
+    // image and one pool of slot networks serve them all.
     for (int i = 0; i < cfg_.shards; ++i) {
         const std::string name = nodeName(i);
         ring_.addNode(name);
@@ -160,7 +163,7 @@ ServingCluster::ServingCluster(const core::SimContext &ctx,
         Node node;
         node.server = std::make_unique<serve::InferenceServer>(
             ctx, net, pool, per_inference,
-            serve::OperatingPointPlanner(planner), node_cfg, staging);
+            serve::OperatingPointPlanner(planner), node_cfg, staging_);
         nodes_.push_back(std::move(node));
     }
 }
@@ -262,6 +265,8 @@ ServingCluster::run(const std::vector<serve::InferenceRequest> &trace)
     const auto num_nodes = nodes_.size();
 
     std::vector<NodeStats> node_stats(num_nodes);
+    // Every epoch stages the same weights: one image for the whole run.
+    const fi::StagedWeights &image = staging_->update(net_);
     /** epoch id -> arrival tick of its first request (trace markers). */
     std::map<std::uint64_t, serve::Tick> epoch_start_ticks;
 
@@ -330,14 +335,44 @@ ServingCluster::run(const std::vector<serve::InferenceRequest> &trace)
             }
         }
 
-        // Node pipelines execute in index order; each run is §7-clean
-        // internally, so the epoch outcome is thread-count invariant.
+        // The nodes' pipelines run merged: each feedback region of
+        // every served node is planned in node order, their batches
+        // run in one parallel region, and feedback applies in node
+        // order. Every node keeps its own planner, device and clocks,
+        // so each one's outcome is what running it alone would give.
+        std::vector<serve::InferenceServer *> served;
         for (std::size_t n = 0; n < num_nodes; ++n) {
-            const bool served = !subtraces[n].empty();
+            if (subtraces[n].empty())
+                continue;
+            nodes_[n].server->begin(subtraces[n], image);
+            served.push_back(nodes_[n].server.get());
+        }
+        // first[k]: the merged index of served node k's first batch.
+        std::vector<std::size_t> first(served.size() + 1, 0);
+        for (;;) {
+            for (std::size_t k = 0; k < served.size(); ++k)
+                first[k + 1] = first[k] + served[k]->planRegion();
+            const std::size_t batches = first.back();
+            if (batches == 0)
+                break;
+            parallelFor(batches, cfg_.node.numThreads,
+                        // vblint: allow(VB009, batch i writes only its node's record; slot state is slot-exclusive)
+                        [&](std::size_t i, unsigned slot) {
+                            const auto k = static_cast<std::size_t>(
+                                std::upper_bound(first.begin(), first.end(),
+                                                 i) -
+                                first.begin() - 1);
+                            served[k]->executeBatch(i - first[k], slot);
+                        });
+            for (serve::InferenceServer *server : served)
+                server->applyFeedback();
+        }
+
+        for (std::size_t n = 0; n < num_nodes; ++n) {
+            const bool was_served = !subtraces[n].empty();
             double error_rate = 0.0;
-            if (served) {
-                const serve::ServeResult r =
-                    nodes_[n].server->run(subtraces[n]);
+            if (was_served) {
+                const serve::ServeResult r = nodes_[n].server->finish();
                 std::uint64_t reads = 0;
                 std::uint64_t clean = 0;
                 for (const serve::BatchRecord &b : r.batches) {
@@ -357,7 +392,7 @@ ServingCluster::run(const std::vector<serve::InferenceRequest> &trace)
                     result.outcomes[id_to_index.at(out.id)] = out;
             }
             health_.observeEpoch(epoch, static_cast<int>(n), error_rate,
-                                 served);
+                                 was_served);
         }
 
         // A node that went Down this epoch restarts: its virtual

@@ -16,12 +16,12 @@
  *
  * Execution follows the §7 determinism contract end to end: routing
  * decisions, failover transitions and all accounting happen on serial
- * paths in trace/epoch/node-index order; only each node's batch
- * execution fans out on threads (already §7-clean inside
- * InferenceServer). Outcomes, the cluster fingerprint, the job-order-
- * merged metrics registry and the merged Chrome trace are bitwise
- * identical at any thread count — gated by the cluster_determinism
- * ctest.
+ * paths in trace/epoch/node-index order; only batch execution fans
+ * out on threads, one parallel region per feedback region of all
+ * nodes (each node's steps are §7-clean inside InferenceServer).
+ * Outcomes, the cluster fingerprint, the job-order-merged metrics
+ * registry and the merged Chrome trace are bitwise identical at any
+ * thread count — gated by the cluster_determinism ctest.
  */
 
 #ifndef VBOOST_CLUSTER_CLUSTER_HPP
@@ -196,8 +196,9 @@ struct ClusterResult
 /**
  * The cluster front end. Owns the ring, the health monitor and the N
  * node servers, which share one staging image of the network's
- * weights; borrows the trained network and sample pool (shared by
- * every node, both must outlive the cluster).
+ * weights and one pool of slot networks; borrows the trained network
+ * and sample pool (shared by every node, both must outlive the
+ * cluster).
  */
 class ServingCluster
 {
@@ -271,6 +272,9 @@ class ServingCluster
     ClusterConfig cfg_;
     HashRing ring_;
     NodeHealthMonitor health_;
+    dnn::Network &net_;
+    /** Staging image and slot networks every node stages through. */
+    std::shared_ptr<fi::StagedWeightsCache> staging_;
     std::vector<Node> nodes_;
     /** node name -> index (ring keys are names). */
     std::map<std::string, int> nodeIndex_;

@@ -337,6 +337,30 @@ StagedWeightsCache::update(dnn::Network &src)
     return image_;
 }
 
+void
+StagedWeightsCache::reserveSlots(std::size_t n)
+{
+    if (slots_.size() < n)
+        slots_.resize(n);
+}
+
+StagingSlot &
+StagedWeightsCache::slot(std::size_t s, const dnn::Network &src)
+{
+    StagingSlot &slot = slots_.at(s);
+    if (!slot.net)
+        slot.net = std::make_unique<dnn::Network>(src.clone());
+    return slot;
+}
+
+std::size_t
+StagedWeightsCache::slotNetworks() const
+{
+    return static_cast<std::size_t>(
+        std::count_if(slots_.begin(), slots_.end(),
+                      [](const StagingSlot &s) { return s.net != nullptr; }));
+}
+
 std::uint64_t
 corruptNetworkResilient(dnn::Network &dst, dnn::Network &src,
                         const StagedWeights &image,

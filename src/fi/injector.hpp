@@ -18,6 +18,7 @@
 #define VBOOST_FI_INJECTOR_HPP
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -231,34 +232,6 @@ struct StagedWeights
 StagedWeights stageWeights(dnn::Network &src);
 
 /**
- * A network's staging image kept across calls (DESIGN.md §8,
- * "Staging-image lifetime"). The key is the weights themselves: a copy
- * of every weight tensor (shape and bits) taken at the last build,
- * compared with memcmp on each update(). Biases are not in the image.
- * Not thread-safe: update on one thread, then hand the image to
- * readers; servers sharing a cache must not run concurrently.
- */
-class StagedWeightsCache
-{
-  public:
-    /** The staging image of `src`'s current weights: the kept one when
-     *  every weight tensor equals the snapshot, else a new build. */
-    const StagedWeights &update(dnn::Network &src);
-
-    /** Times update() has built the image (diagnostics and tests). */
-    std::uint64_t builds() const { return builds_; }
-
-  private:
-    /** Whether the kept image was built from `src`'s current weights. */
-    bool current(dnn::Network &src) const;
-
-    StagedWeights image_;
-    /** The weight tensors image_ was built from. */
-    std::vector<dnn::Tensor> snapshot_;
-    std::uint64_t builds_ = 0;
-};
-
-/**
  * What a staging left in its destination network: the groups whose
  * weight elements differ from the image's clean tensors. A serving
  * slot keeps one next to its network, so the next staging restores
@@ -271,6 +244,57 @@ struct StagingUndo
     std::uint64_t image = 0;
     /** Indices into StagedWeights::groups, ascending. */
     std::vector<std::size_t> groups;
+};
+
+/** One execution slot's staging target: a clone of the served network
+ *  and the undo record of its last staging. */
+struct StagingSlot
+{
+    std::unique_ptr<dnn::Network> net;
+    StagingUndo undo;
+};
+
+/**
+ * A network's staging image kept across calls, and the pool of
+ * execution slots that stage it (DESIGN.md §8, "Staging-image
+ * lifetime"). The key of the image is the weights themselves: a copy
+ * of every weight tensor (shape and bits) taken at the last build,
+ * compared with memcmp on each update(). Biases are not in the image.
+ * update() and reserveSlots() are serial: call them on one thread,
+ * then hand the image to readers. Each slot serves one thread at a
+ * time; which server's batch it stages next does not matter, because
+ * its undo record is keyed by the image.
+ */
+class StagedWeightsCache
+{
+  public:
+    /** The staging image of `src`'s current weights: the kept one when
+     *  every weight tensor equals the snapshot, else a new build. */
+    const StagedWeights &update(dnn::Network &src);
+
+    /** Times update() has built the image (diagnostics and tests). */
+    std::uint64_t builds() const { return builds_; }
+
+    /** Make slots [0, n) addressable (serial, before a parallel
+     *  region). */
+    void reserveSlots(std::size_t n);
+
+    /** Slot `s` (< reserveSlots), its network cloned from `src` on
+     *  first use. */
+    StagingSlot &slot(std::size_t s, const dnn::Network &src);
+
+    /** Slot networks cloned so far (diagnostics and tests). */
+    std::size_t slotNetworks() const;
+
+  private:
+    /** Whether the kept image was built from `src`'s current weights. */
+    bool current(dnn::Network &src) const;
+
+    StagedWeights image_;
+    /** The weight tensors image_ was built from. */
+    std::vector<dnn::Tensor> snapshot_;
+    std::uint64_t builds_ = 0;
+    std::vector<StagingSlot> slots_;
 };
 
 /**

@@ -52,7 +52,27 @@ predictTiming(const timing::TimingErrorModel &model,
     return t;
 }
 
+/** The default policy, built once and copied: destroying a moved-from
+ *  PlannerConfig{} temporary draws a false -Wmaybe-uninitialized for
+ *  its vectors from GCC 12 at -O3. */
+const PlannerConfig &
+defaultPlannerConfig()
+{
+    static const PlannerConfig cfg;
+    return cfg;
+}
+
 } // namespace
+
+OperatingPointPlanner::OperatingPointPlanner(
+    const core::SimContext &ctx, int num_banks,
+    core::TradeoffExplorer::AccuracyFn accuracy, double fault_free_accuracy,
+    InferenceFootprint footprint)
+    : OperatingPointPlanner(ctx, num_banks, std::move(accuracy),
+                            fault_free_accuracy, footprint,
+                            defaultPlannerConfig())
+{
+}
 
 OperatingPointPlanner::OperatingPointPlanner(
     const core::SimContext &ctx, int num_banks,

@@ -163,8 +163,13 @@ class OperatingPointPlanner
     OperatingPointPlanner(const core::SimContext &ctx, int num_banks,
                           core::TradeoffExplorer::AccuracyFn accuracy,
                           double fault_free_accuracy,
-                          InferenceFootprint footprint,
-                          PlannerConfig cfg = {});
+                          InferenceFootprint footprint, PlannerConfig cfg);
+
+    /** The planner with the default PlannerConfig. */
+    OperatingPointPlanner(const core::SimContext &ctx, int num_banks,
+                          core::TradeoffExplorer::AccuracyFn accuracy,
+                          double fault_free_accuracy,
+                          InferenceFootprint footprint);
 
     /**
      * The plan a batch of (tenant, slo) executes under right now. The

@@ -190,15 +190,21 @@ InferenceServer::formBatches(const std::vector<InferenceRequest> &trace,
 }
 
 void
-InferenceServer::executeBatch(const FormedBatch &batch, BatchRecord &rec,
-                              const fi::StagedWeights &image,
-                              WorkerScratch &scratch)
+InferenceServer::executeBatch(std::size_t i, unsigned slot)
 {
+    PendingRun &p = pending();
+    const std::size_t k = p.regionBegin + i;
+    if (k >= p.regionEnd)
+        panic("InferenceServer::executeBatch: batch ", i,
+              " outside the planned region of ",
+              p.regionEnd - p.regionBegin);
+    const FormedBatch &batch = p.formed[k];
+    BatchRecord &rec = p.result.batches[k];
+    WorkerScratch &scratch = scratch_.at(slot);
+    fi::StagingSlot &staged = staging_->slot(slot, net_);
     if (!scratch.chip)
         scratch.chip = std::make_unique<accel::DanteChip>(
             cfg_.chip, ctx_.tech, ctx_.failure);
-    if (!scratch.net)
-        scratch.net = std::make_unique<dnn::Network>(net_.clone());
     if (!scratch.rmem)
         scratch.rmem = std::make_unique<resilience::ResilientMemory>(
             scratch.chip->weightMemory(), ctx_, cfg_.policy);
@@ -212,11 +218,13 @@ InferenceServer::executeBatch(const FormedBatch &batch, BatchRecord &rec,
 
     // Counter-split streams keyed by the batch sequence number (§7):
     // identical regardless of which thread/slot executes the batch.
+    // The slot network may have staged another server's batch last:
+    // its undo record, keyed by the image, restores it all the same.
     const Rng base(cfg_.seed);
     rmem.reseed(base.split(1'000'000 + 2 * batch.seq));
-    rec.residualFlips =
-        fi::corruptNetworkResilient(*scratch.net, net_, image, rmem,
-                                    rec.plan.vdd, deviceMap_, &scratch.undo);
+    rec.residualFlips = fi::corruptNetworkResilient(
+        *staged.net, net_, *p.image, rmem, rec.plan.vdd, deviceMap_,
+        &staged.undo);
 
     std::vector<std::size_t> samples;
     samples.reserve(batch.requests.size());
@@ -229,7 +237,7 @@ InferenceServer::executeBatch(const FormedBatch &batch, BatchRecord &rec,
         inputs.images, deviceMap_, failure_.rate(rec.plan.vddvInputs),
         cfg_.inputFlipProb, cfg_.layout, input_rng);
 
-    rec.predictions = scratch.net->predict(x);
+    rec.predictions = staged.net->predict(x);
     rec.correct.resize(rec.predictions.size());
     for (std::size_t j = 0; j < rec.predictions.size(); ++j)
         rec.correct[j] = rec.predictions[j] == inputs.labels[j];
@@ -387,12 +395,39 @@ InferenceServer::aggregate(const std::vector<RequestOutcome> &outcomes,
     return stats;
 }
 
+InferenceServer::PendingRun &
+InferenceServer::pending()
+{
+    if (!pending_)
+        panic("InferenceServer: no run in progress (begin() first)");
+    return *pending_;
+}
+
 ServeResult
 InferenceServer::run(const std::vector<InferenceRequest> &trace)
 {
+    // Every batch stages the same weights; the image is rebuilt only
+    // when they changed since it was built.
+    begin(trace, staging_->update(net_));
+    while (const std::size_t n = planRegion()) {
+        parallelFor(n, cfg_.numThreads,
+                    // vblint: allow(VB009, batch i writes only its own record; slot state is slot-exclusive)
+                    [&](std::size_t i, unsigned slot) {
+                        executeBatch(i, slot);
+                    });
+        applyFeedback();
+    }
+    return finish();
+}
+
+void
+InferenceServer::begin(const std::vector<InferenceRequest> &trace,
+                       const fi::StagedWeights &image)
+{
     // Audited for VB002: this table is keyed-lookup only (emplace +
-    // .at below) and is never iterated, so hash order cannot leak into
-    // outcomes; unordered stays for O(1) lookups on the hot join path.
+    // .at in finish()) and is never iterated, so hash order cannot
+    // leak into outcomes; unordered stays for O(1) lookups on the hot
+    // join path.
     std::unordered_map<std::uint64_t, std::size_t> id_to_index;
     id_to_index.reserve(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -407,9 +442,11 @@ InferenceServer::run(const std::vector<InferenceRequest> &trace)
                   trace[i].id);
     }
 
-    ServeResult result;
-    result.outcomes.resize(trace.size());
-    std::vector<FormedBatch> formed;
+    pending_ = std::make_unique<PendingRun>();
+    PendingRun &p = *pending_;
+    p.idToIndex = std::move(id_to_index);
+    p.image = &image;
+    p.result.outcomes.resize(trace.size());
     {
         // Phase timers run on the work-unit clock (requests, batches,
         // records): deterministic attribution, not wall time.
@@ -418,68 +455,75 @@ InferenceServer::run(const std::vector<InferenceRequest> &trace)
             form_timer.emplace(obs_->metrics, "serve.phase.form",
                                workClock_, withBase({}));
         }
-        formed = formBatches(trace, result.outcomes);
+        p.formed = formBatches(trace, p.result.outcomes);
         workClock_.advance(trace.size());
     }
-    for (std::size_t k = 0; k < formed.size(); ++k) {
-        if (formed[k].seq != k)
-            panic("InferenceServer::run: batch sequence ", formed[k].seq,
+    for (std::size_t k = 0; k < p.formed.size(); ++k) {
+        if (p.formed[k].seq != k)
+            panic("InferenceServer::run: batch sequence ", p.formed[k].seq,
                   " out of order at position ", k);
     }
+    p.result.batches.resize(p.formed.size());
 
-    std::vector<BatchRecord> records(formed.size());
     const unsigned num_threads = ThreadPool::resolveThreads(cfg_.numThreads);
     if (scratch_.size() < num_threads)
         scratch_.resize(num_threads);
-    // Every batch stages the same weights; the image is rebuilt only
-    // when they changed since it was built.
-    const fi::StagedWeights &image = staging_->update(net_);
+    staging_->reserveSlots(num_threads);
+    if (obs_) {
+        p.execTimer.emplace(obs_->metrics, "serve.phase.execute",
+                            workClock_, withBase({}));
+    }
+}
 
+std::size_t
+InferenceServer::planRegion()
+{
     // Epoch execution: plans freeze serially, batches run in parallel,
     // feedback applies serially in batch order — the planner never
     // observes a scheduling-dependent interleaving.
-    {
-        std::optional<obs::ScopeTimer> exec_timer;
-        if (obs_) {
-            exec_timer.emplace(obs_->metrics, "serve.phase.execute",
-                               workClock_, withBase({}));
-        }
-        const auto interval =
-            static_cast<std::size_t>(cfg_.feedbackInterval);
-        for (std::size_t begin = 0; begin < formed.size();
-             begin += interval) {
-            const std::size_t end =
-                std::min(begin + interval, formed.size());
-            for (std::size_t k = begin; k < end; ++k) {
-                records[k].seq = formed[k].seq;
-                records[k].tenant = formed[k].tenant;
-                records[k].slo = formed[k].slo;
-                records[k].size = formed[k].requests.size();
-                records[k].formedTick = formed[k].formedTick;
-                records[k].plan =
-                    planner_.planFor(formed[k].tenant, formed[k].slo);
-            }
-            parallelFor(end - begin, cfg_.numThreads,
-                        // vblint: allow(VB009, batch i writes only records[begin+i]; scratch is slot-exclusive)
-                        [&](std::size_t i, unsigned slot) {
-                            executeBatch(formed[begin + i],
-                                         records[begin + i], image,
-                                         scratch_[slot]);
-                        });
-            for (std::size_t k = begin; k < end; ++k)
-                planner_.observeErrorRate(records[k].tenant,
-                                          records[k].errorRate);
-            workClock_.advance(end - begin);
-        }
+    PendingRun &p = pending();
+    p.regionBegin = p.regionEnd;
+    const auto interval = static_cast<std::size_t>(cfg_.feedbackInterval);
+    p.regionEnd = std::min(p.regionBegin + interval, p.formed.size());
+    for (std::size_t k = p.regionBegin; k < p.regionEnd; ++k) {
+        const FormedBatch &batch = p.formed[k];
+        BatchRecord &rec = p.result.batches[k];
+        rec.seq = batch.seq;
+        rec.tenant = batch.tenant;
+        rec.slo = batch.slo;
+        rec.size = batch.requests.size();
+        rec.formedTick = batch.formedTick;
+        rec.plan = planner_.planFor(batch.tenant, batch.slo);
     }
+    return p.regionEnd - p.regionBegin;
+}
 
-    assignSlots(records);
+void
+InferenceServer::applyFeedback()
+{
+    PendingRun &p = pending();
+    for (std::size_t k = p.regionBegin; k < p.regionEnd; ++k)
+        planner_.observeErrorRate(p.result.batches[k].tenant,
+                                  p.result.batches[k].errorRate);
+    workClock_.advance(p.regionEnd - p.regionBegin);
+}
 
-    for (const BatchRecord &rec : records) {
-        const FormedBatch &batch = formed[rec.seq];
+ServeResult
+InferenceServer::finish()
+{
+    PendingRun &p = pending();
+    if (p.regionEnd != p.formed.size())
+        panic("InferenceServer::finish: ", p.formed.size() - p.regionEnd,
+              " batches never ran");
+    p.execTimer.reset();
+    ServeResult result = std::move(p.result);
+    assignSlots(result.batches);
+
+    for (const BatchRecord &rec : result.batches) {
+        const FormedBatch &batch = p.formed[rec.seq];
         for (std::size_t j = 0; j < batch.requests.size(); ++j) {
             RequestOutcome &out =
-                result.outcomes[id_to_index.at(batch.requests[j].id)];
+                result.outcomes[p.idToIndex.at(batch.requests[j].id)];
             out.batchSeq = rec.seq;
             out.predictedClass = rec.predictions[j];
             out.correct = rec.correct[j];
@@ -490,6 +534,7 @@ InferenceServer::run(const std::vector<InferenceRequest> &trace)
                            static_cast<double>(rec.size);
         }
     }
+    pending_.reset();
 
     {
         std::optional<obs::ScopeTimer> agg_timer;
@@ -497,7 +542,6 @@ InferenceServer::run(const std::vector<InferenceRequest> &trace)
             agg_timer.emplace(obs_->metrics, "serve.phase.aggregate",
                               workClock_, withBase({}));
         }
-        result.batches = std::move(records);
         result.stats = aggregate(result.outcomes, result.batches);
         workClock_.advance(result.batches.size());
     }

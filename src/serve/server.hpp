@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "accel/dante.hpp"
@@ -33,6 +35,7 @@
 #include "dnn/network.hpp"
 #include "fi/injector.hpp"
 #include "obs/observability.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "resilience/policy.hpp"
 #include "resilience/resilient_memory.hpp"
@@ -193,9 +196,16 @@ struct ServeResult
 /**
  * The serving runtime. Owns the planner and per-worker scratch chips;
  * borrows the trained network and the sample pool (both must outlive
- * the server). The weights' staging image is kept across run() calls
- * and rebuilt only when the weights change; a cluster's nodes share
- * one.
+ * the server). The weights' staging image and the slot networks that
+ * stage it live in a fi::StagedWeightsCache kept across run() calls;
+ * the image is rebuilt only when the weights change. A cluster's nodes
+ * share one cache.
+ *
+ * run() is a sequence of steps that a caller serving several servers
+ * together (the cluster tier) can interleave: begin(), then per
+ * feedback region planRegion(), executeBatch() of each of its batches
+ * (in parallel, one slot per participant) and applyFeedback(), until
+ * planRegion() returns 0, then finish().
  */
 class InferenceServer
 {
@@ -207,9 +217,10 @@ class InferenceServer
      * @param per_inference dataflow activity of one inference.
      * @param planner SLO -> operating point mapper (moved in).
      * @param cfg runtime configuration.
-     * @param staging staging image shared with other servers of `net`
-     *        that never run concurrently with this one (a cluster's
-     *        nodes); nullptr: the server keeps its own.
+     * @param staging staging image and slot networks shared with other
+     *        servers of `net` that never execute batches on a slot at
+     *        the same time as this one (a cluster's nodes); nullptr:
+     *        the server keeps its own.
      */
     InferenceServer(const core::SimContext &ctx, dnn::Network &net,
                     const dnn::Dataset &pool,
@@ -228,8 +239,41 @@ class InferenceServer
      */
     ServeResult run(const std::vector<InferenceRequest> &trace);
 
+    /**
+     * First step of run(): validate `trace` (same preconditions), form
+     * its batches and start a run that stages `image`, which must be
+     * the staging image of the served network's current weights.
+     * Makes room for cfg.numThreads execution slots.
+     */
+    void begin(const std::vector<InferenceRequest> &trace,
+               const fi::StagedWeights &image);
+
+    /**
+     * Freeze the plans of the next feedback region (up to
+     * feedbackInterval batches, serially in batch order).
+     * @return the region's batch count; 0 once every batch ran.
+     */
+    std::size_t planRegion();
+
+    /**
+     * Execute batch `i` (< planRegion()) of the planned region on
+     * execution slot `slot` (< the resolved cfg.numThreads). Distinct
+     * batches of a region may run concurrently on distinct slots.
+     */
+    void executeBatch(std::size_t i, unsigned slot);
+
+    /** Feed the region's error rates back to the planner, serially in
+     *  batch order (after every batch of the region executed). */
+    void applyFeedback();
+
+    /** Last step of run(): assign virtual worker slots, aggregate and
+     *  publish the run's observability. */
+    ServeResult finish();
+
     const ServerConfig &config() const { return cfg_; }
     OperatingPointPlanner &planner() { return planner_; }
+    /** The staging image and slot pool this server stages through. */
+    const fi::StagedWeightsCache &staging() const { return *staging_; }
 
     /**
      * Clear the virtual worker slots' carried backlog. Slot
@@ -256,30 +300,37 @@ class InferenceServer
                              obs::Labels labels = {});
 
   private:
-    /** Per-execution-slot scratch state: chip, network clone, the
-     *  resilient wrapper of the chip's weight memory and the undo
-     *  record of the network's last staging. The wrapper is reset per
-     *  batch, so the banks keep their packed fault masks across
-     *  batches; the record lets the next staging restore only the
-     *  weights the last one fixed up. */
+    /** Per-execution-slot device state: the chip and the resilient
+     *  wrapper of its weight memory. The wrapper is reset per batch,
+     *  so the banks keep their packed fault masks (keyed by this
+     *  server's device map) across batches. */
     struct WorkerScratch
     {
         std::unique_ptr<accel::DanteChip> chip;
-        std::unique_ptr<dnn::Network> net;
         std::unique_ptr<resilience::ResilientMemory> rmem;
-        fi::StagingUndo undo;
     };
+
+    /** A run between begin() and finish(). */
+    struct PendingRun
+    {
+        ServeResult result;
+        std::vector<FormedBatch> formed;
+        /** Request id -> trace index (keyed lookup only). */
+        std::unordered_map<std::uint64_t, std::size_t> idToIndex;
+        const fi::StagedWeights *image = nullptr;
+        /** Batches [regionBegin, regionEnd) form the planned region. */
+        std::size_t regionBegin = 0;
+        std::size_t regionEnd = 0;
+        std::optional<obs::ScopeTimer> execTimer;
+    };
+
+    /** The pending run; panics between runs. */
+    PendingRun &pending();
 
     /** Serial formation pass: queue admission + batching. */
     std::vector<FormedBatch>
     formBatches(const std::vector<InferenceRequest> &trace,
                 std::vector<RequestOutcome> &outcomes);
-
-    /** Execute one batch on a worker slot's scratch state, staging
-     *  the weights' image. */
-    void executeBatch(const FormedBatch &batch, BatchRecord &rec,
-                      const fi::StagedWeights &image,
-                      WorkerScratch &scratch);
 
     /** FCFS assignment of batches onto virtual worker slots
      *  (continues from the slots' carried backlog). */
@@ -307,9 +358,12 @@ class InferenceServer
     /** The device's fault map (const, shared across workers). */
     sram::VulnerabilityMap deviceMap_;
 
-    /** Staging image of net_'s weights (possibly shared). */
+    /** Staging image of net_'s weights and the slot networks that
+     *  stage it (possibly shared). */
     std::shared_ptr<fi::StagedWeightsCache> staging_;
     std::vector<WorkerScratch> scratch_;
+    /** Held by pointer: the timer inside cannot move, the server can. */
+    std::unique_ptr<PendingRun> pending_;
 
     /** Tick each virtual worker slot frees up at; persists across
      *  run() calls (cleared by resetWorkerBacklog()). */

@@ -14,8 +14,10 @@
 #include <array>
 #include <bit>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -27,6 +29,8 @@
 #include "dnn/dataset.hpp"
 #include "dnn/layers.hpp"
 #include "dnn/network.hpp"
+#include "fi/injector.hpp"
+#include "resilience/policy.hpp"
 #include "serve/planner.hpp"
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
@@ -326,7 +330,8 @@ class ClusterTest : public ::testing::Test
         act_.psumAccesses = 64;
     }
 
-    serve::OperatingPointPlanner makePlanner() const
+    serve::OperatingPointPlanner
+    makePlanner(serve::PlannerConfig pcfg = serve::PlannerConfig()) const
     {
         serve::InferenceFootprint fp;
         fp.weightAccesses = act_.weightAccesses;
@@ -334,7 +339,7 @@ class ClusterTest : public ::testing::Test
         fp.psumAccesses = act_.psumAccesses;
         fp.computeOps = act_.macs;
         return serve::OperatingPointPlanner(ctx_, 16, &stubAccuracy,
-                                            kFaultFree, fp);
+                                            kFaultFree, fp, std::move(pcfg));
     }
 
     ClusterConfig smallConfig(int threads) const
@@ -436,6 +441,150 @@ TEST_F(ClusterTest, SharedStagingImageFollowsTheWeights)
         EXPECT_EQ(got.stats.fingerprint(), want.stats.fingerprint());
         EXPECT_EQ(other.routes, want.routes);
         EXPECT_NE(other.outcomes, want.outcomes);
+    }
+}
+
+TEST_F(ClusterTest, MergedRegionsServeWhatNodesRunOneAtATimeServe)
+{
+    // run() executes the feedback regions of every node together over
+    // one pool of slot networks. Replay the schedule of serving each
+    // node alone: every epoch, each node's InferenceServer::run on the
+    // requests the cluster routed to it, in node order, feeding a
+    // health monitor in node order and restarting a node that goes
+    // Down. Every outcome, node total, failover transition and
+    // planner state must match bit for bit. In the open-loop case at
+    // 0.44 V batches leave fix-ups in the slot networks, which the
+    // next batch, of whichever node, must undo.
+    const auto trace = makeTrace(48);
+    for (const auto &[threads, open_loop] :
+         {std::pair{1, false}, std::pair{3, false}, std::pair{1, true},
+          std::pair{3, true}}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads, "
+                                        << (open_loop ? "open" : "closed")
+                                        << " loop");
+        ClusterConfig cfg = smallConfig(threads);
+        serve::PlannerConfig pcfg;
+        if (open_loop) {
+            cfg.node.policy = resilience::ResiliencePolicy::openLoop();
+            pcfg.vddGrid = {Volt(0.44)};
+            pcfg.accuracyFraction = {0.1, 0.1, 0.1};
+        }
+        const serve::OperatingPointPlanner planner = makePlanner(pcfg);
+        ServingCluster cl(ctx_, net_, pool_, act_, planner, cfg);
+        const ClusterResult got = cl.run(trace);
+
+        std::vector<std::unique_ptr<serve::InferenceServer>> alone;
+        for (int i = 0; i < cfg.shards; ++i) {
+            serve::ServerConfig node_cfg = cfg.node;
+            node_cfg.seed = cfg.node.seed + static_cast<std::uint64_t>(i);
+            alone.push_back(std::make_unique<serve::InferenceServer>(
+                ctx_, net_, pool_, act_, planner, node_cfg));
+        }
+        std::uint64_t flips = 0;
+        NodeHealthMonitor health(cfg.shards, cfg.failover);
+        std::map<std::uint64_t, std::size_t> index;
+        for (std::size_t i = 0; i < trace.size(); ++i)
+            index.emplace(trace[i].id, i);
+        std::vector<serve::RequestOutcome> outcomes = got.outcomes;
+        std::vector<serve::TenantStats> totals(
+            static_cast<std::size_t>(cfg.shards));
+        const auto per_epoch = static_cast<std::size_t>(cfg.epochRequests);
+        for (std::size_t begin = 0; begin < trace.size();
+             begin += per_epoch) {
+            const std::uint64_t epoch = begin / per_epoch;
+            for (const NodeLossEvent &ev : cfg.lossEvents) {
+                if (ev.epoch == epoch)
+                    health.injectLoss(epoch, ev.node);
+            }
+            std::vector<std::vector<serve::InferenceRequest>> sub(
+                static_cast<std::size_t>(cfg.shards));
+            for (std::size_t i = begin;
+                 i < std::min(begin + per_epoch, trace.size()); ++i) {
+                if (got.routes[i].node >= 0)
+                    sub[static_cast<std::size_t>(got.routes[i].node)]
+                        .push_back(trace[i]);
+            }
+            const std::size_t logged = health.transitions().size();
+            for (std::size_t n = 0; n < sub.size(); ++n) {
+                double error_rate = 0.0;
+                if (!sub[n].empty()) {
+                    const serve::ServeResult r = alone[n]->run(sub[n]);
+                    std::uint64_t reads = 0;
+                    std::uint64_t clean = 0;
+                    for (const serve::BatchRecord &b : r.batches) {
+                        reads += b.resilience.reads;
+                        clean += b.resilience.cleanReads;
+                        flips += b.residualFlips;
+                    }
+                    if (reads > 0)
+                        error_rate = static_cast<double>(reads - clean) /
+                                     static_cast<double>(reads);
+                    for (const serve::RequestOutcome &out : r.outcomes)
+                        outcomes[index.at(out.id)] = out;
+                    totals[n].admitted += r.stats.total.admitted;
+                    totals[n].correct += r.stats.total.correct;
+                    totals[n].retries += r.stats.total.retries;
+                    totals[n].energyPj += r.stats.total.energyPj;
+                    totals[n].latencyTicksSum +=
+                        r.stats.total.latencyTicksSum;
+                }
+                health.observeEpoch(epoch, static_cast<int>(n), error_rate,
+                                    !sub[n].empty());
+            }
+            for (std::size_t t = logged; t < health.transitions().size();
+                 ++t) {
+                const NodeTransition &tr = health.transitions()[t];
+                if (tr.to == NodeState::Down)
+                    alone[static_cast<std::size_t>(tr.node)]
+                        ->resetWorkerBacklog();
+            }
+        }
+
+        EXPECT_EQ(got.outcomes, outcomes);
+        EXPECT_EQ(got.transitions, health.transitions());
+        EXPECT_GE(got.stats.transitions, 1u);
+        if (open_loop) {
+            EXPECT_GT(flips, 0u);
+        }
+        std::set<std::string> tenants;
+        for (const serve::InferenceRequest &req : trace)
+            tenants.insert(req.tenant);
+        for (std::size_t n = 0; n < alone.size(); ++n) {
+            const serve::TenantStats &node = got.stats.perNode[n].serve;
+            EXPECT_EQ(node.admitted, totals[n].admitted);
+            EXPECT_EQ(node.correct, totals[n].correct);
+            EXPECT_EQ(node.retries, totals[n].retries);
+            EXPECT_EQ(node.energyPj, totals[n].energyPj);
+            EXPECT_EQ(node.latencyTicksSum, totals[n].latencyTicksSum);
+            EXPECT_EQ(got.stats.perNode[n].finalEwma,
+                      health.ewma(static_cast<int>(n)));
+            for (const std::string &t : tenants) {
+                EXPECT_EQ(cl.node(static_cast<int>(n)).planner().tenantEwma(t),
+                          alone[n]->planner().tenantEwma(t));
+                EXPECT_EQ(cl.node(static_cast<int>(n)).planner().tenantStep(t),
+                          alone[n]->planner().tenantStep(t));
+            }
+        }
+    }
+}
+
+TEST_F(ClusterTest, NodesShareOneSlotNetworkPerThread)
+{
+    // One staging image and one pool of slot networks serve every
+    // node: never more networks than execution threads, and one image
+    // build however many runs and nodes stage it.
+    const auto trace = makeTrace(48);
+    for (const int threads : {1, 3}) {
+        SCOPED_TRACE(threads);
+        auto cl = makeCluster(smallConfig(threads));
+        cl.run(trace);
+        cl.run(trace);
+        const fi::StagedWeightsCache &pool = cl.node(0).staging();
+        for (int i = 1; i < cl.config().shards; ++i)
+            EXPECT_EQ(&cl.node(i).staging(), &pool);
+        EXPECT_GE(pool.slotNetworks(), 1u);
+        EXPECT_LE(pool.slotNetworks(), static_cast<std::size_t>(threads));
+        EXPECT_EQ(pool.builds(), 1u);
     }
 }
 

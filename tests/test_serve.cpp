@@ -15,9 +15,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -28,6 +30,7 @@
 #include "dnn/dataset.hpp"
 #include "dnn/layers.hpp"
 #include "dnn/network.hpp"
+#include "fi/injector.hpp"
 #include "serve/batcher.hpp"
 #include "serve/planner.hpp"
 #include "serve/queue.hpp"
@@ -513,25 +516,25 @@ TEST_F(JointPlannerTest, ValidatesJointConfig)
     fp.computeOps = 1000;
 
     // A worst-case-clocked policy has no underscaled candidates.
-    PlannerConfig cfg;
-    cfg.vLogicGrid = {Volt(0.34)};
-    cfg.replayPolicy = timing::ReplayPolicy::worstCase();
+    PlannerConfig worst_case;
+    worst_case.vLogicGrid = {Volt(0.34)};
+    worst_case.replayPolicy = timing::ReplayPolicy::worstCase();
     EXPECT_THROW(OperatingPointPlanner(ctx_, 16, &stubAccuracy,
-                                       kFaultFree, fp, cfg),
+                                       kFaultFree, fp, worst_case),
                  FatalError);
 
     // The rail grid must be sorted ascending.
-    cfg = PlannerConfig{};
-    cfg.vLogicGrid = {Volt(0.36), Volt(0.34)};
+    PlannerConfig descending;
+    descending.vLogicGrid = {Volt(0.36), Volt(0.34)};
     EXPECT_THROW(OperatingPointPlanner(ctx_, 16, &stubAccuracy,
-                                       kFaultFree, fp, cfg),
+                                       kFaultFree, fp, descending),
                  FatalError);
 
-    cfg = PlannerConfig{};
-    cfg.vLogicGrid = {Volt(0.34)};
-    cfg.datapathClock = Hertz(0.0);
+    PlannerConfig no_clock;
+    no_clock.vLogicGrid = {Volt(0.34)};
+    no_clock.datapathClock = Hertz(0.0);
     EXPECT_THROW(OperatingPointPlanner(ctx_, 16, &stubAccuracy,
-                                       kFaultFree, fp, cfg),
+                                       kFaultFree, fp, no_clock),
                  FatalError);
 }
 
@@ -682,6 +685,63 @@ TEST_F(ServeTest, KeptStagingImageFollowsTheWeights)
         }
         EXPECT_NE(want.outcomes, other.outcomes);
     }
+}
+
+TEST_F(ServeTest, ServersSharingASlotPoolServeWhatOwnPoolsServe)
+{
+    // Two devices serve through one staging cache, so a slot network
+    // stages the other device's batches in between; its undo record
+    // must return it to the clean weights all the same. Each run must
+    // equal the same device's run on a pool of its own.
+    // Open loop at 0.44 V: batches leave residual flips, so a slot
+    // network left with stale fix-ups serves other predictions.
+    const auto trace = makeTrace(24, 0.002);
+    auto cfg = smallConfig();
+    cfg.numThreads = 2;
+    cfg.policy = resilience::ResiliencePolicy::openLoop();
+    auto cfg_b = cfg;
+    cfg_b.seed = cfg.seed + 1;
+    PlannerConfig pcfg;
+    pcfg.vddGrid = {Volt(0.44)};
+    pcfg.accuracyFraction = {0.1, 0.1, 0.1};
+    InferenceFootprint fp;
+    fp.weightAccesses = act_.weightAccesses;
+    fp.inputAccesses = act_.inputAccesses;
+    fp.psumAccesses = act_.psumAccesses;
+    fp.computeOps = act_.macs;
+    const OperatingPointPlanner planner(ctx_, 16, &stubAccuracy, kFaultFree,
+                                        fp, pcfg);
+    const auto shared = std::make_shared<fi::StagedWeightsCache>();
+    InferenceServer a(ctx_, net_, pool_, act_, planner, cfg, shared);
+    InferenceServer b(ctx_, net_, pool_, act_, planner, cfg_b, shared);
+    InferenceServer own_a(ctx_, net_, pool_, act_, planner, cfg);
+    InferenceServer own_b(ctx_, net_, pool_, act_, planner, cfg_b);
+    std::uint64_t flips = 0;
+    for (int round = 0; round < 2; ++round) {
+        for (auto [server, alone] : {std::pair{&a, &own_a},
+                                     std::pair{&b, &own_b}}) {
+            const ServeResult got = server->run(trace);
+            const ServeResult want = alone->run(trace);
+            EXPECT_EQ(got.outcomes, want.outcomes);
+            EXPECT_EQ(got.stats, want.stats);
+            ASSERT_EQ(got.batches.size(), want.batches.size());
+            for (std::size_t i = 0; i < got.batches.size(); ++i) {
+                EXPECT_EQ(got.batches[i].predictions,
+                          want.batches[i].predictions);
+                EXPECT_EQ(got.batches[i].residualFlips,
+                          want.batches[i].residualFlips);
+                flips += got.batches[i].residualFlips;
+            }
+        }
+    }
+    // Fix-ups happened, so a wrong restore could show.
+    EXPECT_GT(flips, 0u);
+    EXPECT_EQ(&a.staging(), shared.get());
+    EXPECT_EQ(&b.staging(), shared.get());
+    EXPECT_GE(shared->slotNetworks(), 1u);
+    EXPECT_LE(shared->slotNetworks(), 2u);
+    EXPECT_EQ(shared->builds(), 1u);
+    EXPECT_LE(own_a.staging().slotNetworks(), 2u);
 }
 
 TEST_F(ServeTest, AccountingIsConsistent)
