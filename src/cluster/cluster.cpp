@@ -1,60 +1,12 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 
 namespace vboost::cluster {
-
-namespace {
-
-void
-hashTenantTotals(std::uint64_t &h, const serve::TenantStats &t)
-{
-    fnv::mixU64(h, t.requests);
-    fnv::mixU64(h, t.admitted);
-    fnv::mixU64(h, t.shedQueueFull);
-    fnv::mixU64(h, t.shedTenantQuota);
-    fnv::mixU64(h, t.batches);
-    fnv::mixU64(h, t.inferences);
-    fnv::mixU64(h, t.correct);
-    fnv::mixU64(h, t.retries);
-    fnv::mixU64(h, t.escalations);
-    fnv::mixU64(h, t.quarantines);
-    fnv::mixU64(h, t.uncorrected);
-    fnv::mixDouble(h, t.energyPj);
-    fnv::mixU64(h, t.queueWaitTicksSum);
-    fnv::mixU64(h, t.latencyTicksSum);
-    fnv::mixU64(h, t.maxLatencyTicks);
-}
-
-/** Sum `from` into `into` (serial, node-index order: §7). */
-void
-accumulate(serve::TenantStats &into, const serve::TenantStats &from)
-{
-    into.requests += from.requests;
-    into.admitted += from.admitted;
-    into.shedQueueFull += from.shedQueueFull;
-    into.shedTenantQuota += from.shedTenantQuota;
-    into.batches += from.batches;
-    into.inferences += from.inferences;
-    into.correct += from.correct;
-    into.retries += from.retries;
-    into.escalations += from.escalations;
-    into.quarantines += from.quarantines;
-    into.uncorrected += from.uncorrected;
-    into.energyPj += from.energyPj;
-    into.queueWaitTicksSum += from.queueWaitTicksSum;
-    into.latencyTicksSum += from.latencyTicksSum;
-    into.maxLatencyTicks =
-        std::max(into.maxLatencyTicks, from.maxLatencyTicks);
-}
-
-} // namespace
 
 const char *
 toString(RouteStatus status)
@@ -107,14 +59,14 @@ ClusterStats::fingerprint() const
     fnv::mixU64(h, routedFailover);
     fnv::mixU64(h, shedCluster);
     fnv::mixU64(h, transitions);
-    hashTenantTotals(h, total);
+    total.hashCounters(h);
     fnv::mixU64(h, perNode.size());
     for (const NodeStats &n : perNode) {
         fnv::mixU64(h, n.primaryRequests);
         fnv::mixU64(h, n.spillRequests);
         fnv::mixU64(h, n.failoverRequests);
         fnv::mixU64(h, n.epochsServed);
-        hashTenantTotals(h, n.serve);
+        n.serve.hashCounters(h);
         fnv::mixU64(h, n.lastCompletionTick);
         fnv::mixU64(h, static_cast<std::uint64_t>(n.finalState));
         fnv::mixDouble(h, n.finalEwma);
@@ -144,8 +96,7 @@ ServingCluster::ServingCluster(const core::SimContext &ctx,
     : cfg_(std::move(cfg)),
       ring_(cfg_.ring),
       health_(cfg_.shards, cfg_.failover),
-      net_(net),
-      staging_(std::make_shared<fi::StagedWeightsCache>())
+      net_(net)
 {
     cfg_.validate();
     nodes_.reserve(static_cast<std::size_t>(cfg_.shards));
@@ -163,7 +114,7 @@ ServingCluster::ServingCluster(const core::SimContext &ctx,
         Node node;
         node.server = std::make_unique<serve::InferenceServer>(
             ctx, net, pool, per_inference,
-            serve::OperatingPointPlanner(planner), node_cfg, staging_);
+            serve::OperatingPointPlanner(planner), node_cfg);
         nodes_.push_back(std::move(node));
     }
 }
@@ -174,20 +125,24 @@ ServingCluster::attachObservability(obs::Observability *o,
 {
     obs_ = o;
     obsLabels_ = std::move(labels);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (!obs_) {
-            nodes_[i].obsv.reset();
-            nodes_[i].server->attachObservability(nullptr);
-            continue;
+    for (std::size_t n = 0; n < nodes_.size(); ++n) {
+        if (obs_) {
+            freshNodeSink(n);
+        } else {
+            nodes_[n].obsv.reset();
+            nodes_[n].server->attachObservability(nullptr);
         }
-        obs::Labels node_labels = obsLabels_;
-        node_labels["node"] = nodeName(static_cast<int>(i));
-        nodes_[i].obsv = std::make_unique<obs::Observability>();
-        nodes_[i].obsv->trace.setProcessName(
-            i, nodeName(static_cast<int>(i)));
-        nodes_[i].server->attachObservability(nodes_[i].obsv.get(), i,
-                                              node_labels);
     }
+}
+
+void
+ServingCluster::freshNodeSink(std::size_t n)
+{
+    const std::string name = nodeName(static_cast<int>(n));
+    nodes_[n].obsv = std::make_unique<obs::Observability>();
+    nodes_[n].obsv->trace.setProcessName(n, name);
+    nodes_[n].server->attachObservability(
+        nodes_[n].obsv.get(), n, obs::withBase({{"node", name}}, obsLabels_));
 }
 
 RouteRecord
@@ -244,18 +199,7 @@ ServingCluster::routeOne(const serve::InferenceRequest &req,
 ClusterResult
 ServingCluster::run(const std::vector<serve::InferenceRequest> &trace)
 {
-    // Audited for VB002: keyed lookup only (emplace + .at), never
-    // iterated, so hash order cannot leak into outcomes.
-    std::unordered_map<std::uint64_t, std::size_t> id_to_index;
-    id_to_index.reserve(trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        if (i > 0 && trace[i].arrivalTick < trace[i - 1].arrivalTick)
-            fatal("ServingCluster::run: arrival ticks must be "
-                  "nondecreasing (trace index ", i, ")");
-        if (!id_to_index.emplace(trace[i].id, i).second)
-            fatal("ServingCluster::run: duplicate request id ",
-                  trace[i].id);
-    }
+    const auto id_to_index = serve::indexTrace(trace, "ServingCluster::run");
 
     ClusterResult result;
     result.routes.resize(trace.size());
@@ -266,7 +210,7 @@ ServingCluster::run(const std::vector<serve::InferenceRequest> &trace)
 
     std::vector<NodeStats> node_stats(num_nodes);
     // Every epoch stages the same weights: one image for the whole run.
-    const fi::StagedWeights &image = staging_->update(net_);
+    staging_.update(net_);
     /** epoch id -> arrival tick of its first request (trace markers). */
     std::map<std::uint64_t, serve::Tick> epoch_start_ticks;
 
@@ -341,38 +285,22 @@ ServingCluster::run(const std::vector<serve::InferenceRequest> &trace)
         // order. Every node keeps its own planner, device and clocks,
         // so each one's outcome is what running it alone would give.
         std::vector<serve::InferenceServer *> served;
+        std::vector<const std::vector<serve::InferenceRequest> *> traces;
         for (std::size_t n = 0; n < num_nodes; ++n) {
             if (subtraces[n].empty())
                 continue;
-            nodes_[n].server->begin(subtraces[n], image);
             served.push_back(nodes_[n].server.get());
+            traces.push_back(&subtraces[n]);
         }
-        // first[k]: the merged index of served node k's first batch.
-        std::vector<std::size_t> first(served.size() + 1, 0);
-        for (;;) {
-            for (std::size_t k = 0; k < served.size(); ++k)
-                first[k + 1] = first[k] + served[k]->planRegion();
-            const std::size_t batches = first.back();
-            if (batches == 0)
-                break;
-            parallelFor(batches, cfg_.node.numThreads,
-                        // vblint: allow(VB009, batch i writes only its node's record; slot state is slot-exclusive)
-                        [&](std::size_t i, unsigned slot) {
-                            const auto k = static_cast<std::size_t>(
-                                std::upper_bound(first.begin(), first.end(),
-                                                 i) -
-                                first.begin() - 1);
-                            served[k]->executeBatch(i - first[k], slot);
-                        });
-            for (serve::InferenceServer *server : served)
-                server->applyFeedback();
-        }
+        const std::vector<serve::ServeResult> results =
+            serve::InferenceServer::serveTogether(served, traces, staging_,
+                                                  cfg_.node.numThreads);
 
-        for (std::size_t n = 0; n < num_nodes; ++n) {
+        for (std::size_t n = 0, k = 0; n < num_nodes; ++n) {
             const bool was_served = !subtraces[n].empty();
             double error_rate = 0.0;
             if (was_served) {
-                const serve::ServeResult r = nodes_[n].server->finish();
+                const serve::ServeResult &r = results[k++];
                 std::uint64_t reads = 0;
                 std::uint64_t clean = 0;
                 for (const serve::BatchRecord &b : r.batches) {
@@ -386,7 +314,7 @@ ServingCluster::run(const std::vector<serve::InferenceRequest> &trace)
                     reads ? static_cast<double>(reads - clean) /
                                 static_cast<double>(reads)
                           : 0.0;
-                accumulate(node_stats[n].serve, r.stats.total);
+                node_stats[n].serve.addCounters(r.stats.total);
                 ++node_stats[n].epochsServed;
                 for (const serve::RequestOutcome &out : r.outcomes)
                     result.outcomes[id_to_index.at(out.id)] = out;
@@ -465,7 +393,7 @@ ServingCluster::aggregate(const ClusterResult &result,
         health_.transitions().size() - transitions_before;
 
     for (const NodeStats &n : stats.perNode) {
-        accumulate(stats.total, n.serve);
+        stats.total.addCounters(n.serve);
         stats.makespanTicks =
             std::max(stats.makespanTicks, n.lastCompletionTick);
     }
@@ -518,14 +446,14 @@ ServingCluster::publishObservability(const ClusterResult &result)
          {"primary", "spilled", "failed_over", "shed_cluster"}) {
         // Touch all four series so the registry shape (and hence the
         // fingerprint surface) is load-independent.
-        obs::Labels labels = obsLabels_;
-        labels["status"] = status;
-        reg.counter("cluster.routed", labels);
+        reg.counter("cluster.routed",
+                    obs::withBase({{"status", status}}, obsLabels_));
     }
     for (const RouteRecord &rec : result.routes) {
-        obs::Labels labels = obsLabels_;
-        labels["status"] = toString(rec.status);
-        reg.counter("cluster.routed", labels).add(1);
+        reg.counter("cluster.routed",
+                    obs::withBase({{"status", toString(rec.status)}},
+                                  obsLabels_))
+            .add(1);
         if (rec.status == RouteStatus::ShedCluster) {
             obs_->trace.instant(admission_pid, 0, "shed.cluster",
                                 result.outcomes[&rec - result.routes.data()]
@@ -533,21 +461,23 @@ ServingCluster::publishObservability(const ClusterResult &result)
         }
     }
     for (const NodeTransition &tr : result.transitions) {
-        obs::Labels labels = obsLabels_;
-        labels["to"] = toString(tr.to);
-        labels["cause"] = toString(tr.cause);
-        reg.counter("cluster.failover.transitions", labels).add(1);
+        reg.counter("cluster.failover.transitions",
+                    obs::withBase({{"to", toString(tr.to)},
+                                   {"cause", toString(tr.cause)}},
+                                  obsLabels_))
+            .add(1);
     }
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        obs::Labels labels = obsLabels_;
-        labels["node"] = nodeName(static_cast<int>(n));
+        const obs::Labels labels =
+            obs::withBase({{"node", nodeName(static_cast<int>(n))}},
+                          obsLabels_);
         reg.gauge("cluster.node.ewma", labels)
             .set(health_.ewma(static_cast<int>(n)));
         reg.gauge("cluster.node.state", labels)
             .set(static_cast<double>(
                 static_cast<int>(health_.state(static_cast<int>(n)))));
     }
-    obs::Labels base = obsLabels_;
+    const obs::Labels &base = obsLabels_;
     reg.gauge("cluster.latency.p50_ticks", base)
         .set(result.stats.p50LatencyTicks);
     reg.gauge("cluster.latency.p95_ticks", base)
@@ -563,15 +493,8 @@ ServingCluster::publishObservability(const ClusterResult &result)
             continue;
         reg.merge(nodes_[n].obsv->metrics);
         obs_->trace.merge(nodes_[n].obsv->trace);
-        // Reset the node sink so the next run() merges only its own
-        // delta; re-attach to refresh the server's pointer.
-        obs::Labels node_labels = obsLabels_;
-        node_labels["node"] = nodeName(static_cast<int>(n));
-        nodes_[n].obsv = std::make_unique<obs::Observability>();
-        nodes_[n].obsv->trace.setProcessName(
-            n, nodeName(static_cast<int>(n)));
-        nodes_[n].server->attachObservability(nodes_[n].obsv.get(), n,
-                                              node_labels);
+        // The next run() merges only its own delta.
+        freshNodeSink(n);
     }
 }
 

@@ -17,8 +17,10 @@
  * Execution follows the §7 determinism contract end to end: routing
  * decisions, failover transitions and all accounting happen on serial
  * paths in trace/epoch/node-index order; only batch execution fans
- * out on threads, one parallel region per feedback region of all
- * nodes (each node's steps are §7-clean inside InferenceServer).
+ * out on threads: each routing epoch's node subtraces go through
+ * serve::InferenceServer::serveTogether, one parallel region per
+ * feedback region of all served nodes, staged through the cluster's
+ * one staging cache.
  * Outcomes, the cluster fingerprint, the job-order-merged metrics
  * registry and the merged Chrome trace are bitwise identical at any
  * thread count — gated by the cluster_determinism ctest.
@@ -194,11 +196,11 @@ struct ClusterResult
 };
 
 /**
- * The cluster front end. Owns the ring, the health monitor and the N
- * node servers, which share one staging image of the network's
- * weights and one pool of slot networks; borrows the trained network
- * and sample pool (shared by every node, both must outlive the
- * cluster).
+ * The cluster front end. Owns the ring, the health monitor, the N
+ * node servers and the staging cache (one image of the network's
+ * weights and one pool of slot networks) every node stages through;
+ * borrows the trained network and sample pool (shared by every node,
+ * both must outlive the cluster).
  */
 class ServingCluster
 {
@@ -243,6 +245,9 @@ class ServingCluster
     const HashRing &ring() const { return ring_; }
     const NodeHealthMonitor &health() const { return health_; }
 
+    /** The staging image and slot pool every node stages through. */
+    const fi::StagedWeightsCache &staging() const { return staging_; }
+
     /** Node server access (tests / lifecycle inspection). */
     serve::InferenceServer &node(int i) { return *nodes_.at(
         static_cast<std::size_t>(i)).server; }
@@ -269,12 +274,15 @@ class ServingCluster
     /** Publish cluster-tier metrics + merge node sinks (serial). */
     void publishObservability(const ClusterResult &result);
 
+    /** Attach node n to a new, empty node sink. */
+    void freshNodeSink(std::size_t n);
+
     ClusterConfig cfg_;
     HashRing ring_;
     NodeHealthMonitor health_;
     dnn::Network &net_;
     /** Staging image and slot networks every node stages through. */
-    std::shared_ptr<fi::StagedWeightsCache> staging_;
+    fi::StagedWeightsCache staging_;
     std::vector<Node> nodes_;
     /** node name -> index (ring keys are names). */
     std::map<std::string, int> nodeIndex_;

@@ -12,11 +12,27 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dnn/tensor.hpp"
 
 namespace vboost::dnn {
+
+/**
+ * A parameter's gradient buffer. A copy starts empty: a cloned layer
+ * (a serving slot or Monte-Carlo scratch network) never reads its
+ * gradients, and zeroGrads() sizes an empty buffer before a training
+ * step accumulates into it.
+ */
+class GradTensor : public Tensor
+{
+  public:
+    GradTensor() = default;
+    explicit GradTensor(Tensor t) : Tensor(std::move(t)) {}
+    GradTensor(const GradTensor &) : Tensor() {}
+    GradTensor &operator=(const GradTensor &) = delete;
+};
 
 /** A named reference to one parameter tensor and its gradient. */
 struct ParamRef
@@ -66,15 +82,16 @@ class Layer
     virtual std::vector<ParamRef> params() { return {}; }
 
     /**
-     * Deep copy of this layer, parameters included. The fault-injection
-     * engine clones one scratch network per worker thread from it.
+     * Deep copy of this layer, parameters included; its gradient
+     * buffers start empty (GradTensor). The fault-injection engine
+     * clones one scratch network per worker thread from it.
      */
     virtual std::unique_ptr<Layer> clone() const = 0;
 
     /** Layer name for diagnostics and injection targeting. */
     virtual std::string name() const = 0;
 
-    /** Zero all parameter gradients. */
+    /** Zero all parameter gradients, sizing empty ones. */
     void zeroGrads();
 };
 

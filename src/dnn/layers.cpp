@@ -16,7 +16,7 @@ void
 Layer::zeroGrads()
 {
     for (auto &p : params())
-        p.grad->fill(0.0f);
+        *p.grad = Tensor::zeros(p.value->shape());
 }
 
 // ---------------------------------------------------------------- Dense
@@ -54,6 +54,8 @@ Dense::backwardParams(const Tensor &grad_out)
 {
     if (cachedInput_.numel() == 0)
         panic("Dense ", name_, ": backward without cached forward");
+    if (wGrad_.numel() != w_.numel())
+        panic("Dense ", name_, ": backward before zeroGrads()");
     const int batch = grad_out.dim(0);
     // dW += x^T g, split by row tiles of dW ; db += sum_rows g.
     gemmTransASplit(activeBackend(), gemmParts(in_, batch, out_),
@@ -181,6 +183,8 @@ Conv2d::backwardParams(const Tensor &grad_out)
 {
     if (cachedInput_.numel() == 0)
         panic("Conv2d ", name_, ": backward without cached forward");
+    if (wGrad_.numel() != w_.numel())
+        panic("Conv2d ", name_, ": backward before zeroGrads()");
     const Tensor &x = cachedInput_;
     const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
     const int patch = inCh_ * k_ * k_;

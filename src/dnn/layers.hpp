@@ -46,7 +46,7 @@ class Dense : public Layer
     int in_, out_;
     std::string name_;
     Tensor w_, b_;
-    Tensor wGrad_, bGrad_;
+    GradTensor wGrad_, bGrad_;
     Tensor cachedInput_;
 };
 
@@ -90,7 +90,7 @@ class Conv2d : public Layer
     std::string name_;
     Tensor w_;  // [outCh, inCh*k*k]
     Tensor b_;  // [outCh]
-    Tensor wGrad_, bGrad_;
+    GradTensor wGrad_, bGrad_;
     Tensor cachedInput_;
 };
 

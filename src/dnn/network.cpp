@@ -68,10 +68,13 @@ void
 Network::zeroGrads()
 {
     // One split region over every gradient (a no-op split outside
-    // training, DESIGN.md §12).
+    // training, DESIGN.md §12). A clone's gradients start empty.
     std::vector<Tensor *> grads;
-    for (auto &p : params())
+    for (auto &p : params()) {
+        if (p.grad->shape() != p.value->shape())
+            *p.grad = Tensor::zeros(p.value->shape());
         grads.push_back(p.grad);
+    }
     zeroSplit(grads);
 }
 

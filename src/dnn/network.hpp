@@ -56,7 +56,8 @@ class Network
      *  in layer order: index k is "weight layer k". */
     std::vector<ParamRef> weightParams();
 
-    /** Zero every parameter gradient. */
+    /** Zero every parameter gradient, sizing the empty ones a clone
+     *  starts with. Call it before the first backward pass. */
     void zeroGrads();
 
     /** Predicted class (argmax over logits) per batch row. */
@@ -77,7 +78,8 @@ class Network
     void copyParamsFrom(Network &other, bool weights = true);
 
     /**
-     * Structurally identical deep copy (layers, parameters, caches).
+     * Structurally identical deep copy (layers, parameters, caches;
+     * the gradient buffers start empty, see zeroGrads()).
      * The Monte-Carlo engine clones one scratch network per worker
      * thread so corrupted evaluations never share mutable state.
      */

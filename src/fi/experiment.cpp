@@ -135,15 +135,6 @@ FaultInjectionRunner::attachObservability(obs::Observability *o,
     obsLabels_ = std::move(labels);
 }
 
-obs::Labels
-FaultInjectionRunner::withBase(obs::Labels extra) const
-{
-    // insert() keeps existing keys, so the explicit labels win over
-    // the attached base labels.
-    extra.insert(obsLabels_.begin(), obsLabels_.end());
-    return extra;
-}
-
 void
 FaultInjectionRunner::recordTrials(const std::string &kind,
                                    const std::vector<MapResult> &results)
@@ -151,7 +142,8 @@ FaultInjectionRunner::recordTrials(const std::string &kind,
     if (!obs_)
         return;
     obs::MetricsRegistry &reg = obs_->metrics;
-    const obs::Labels kind_labels = withBase({{"kind", kind}});
+    const obs::Labels kind_labels =
+        obs::withBase({{"kind", kind}}, obsLabels_);
     obs::Counter trials = reg.counter("fi.trials", kind_labels);
     obs::Counter flips = reg.counter("fi.bit_flips", kind_labels);
     obs::Histogram accuracy = reg.histogram(
@@ -230,7 +222,7 @@ struct FaultInjectionRunner::ResilientStep
         r.res = rmem.snapshot();
         r.resEnergy = rmem.totalAccessEnergy();
         if (runner.obs_)
-            rmem.exportMetrics(r.metrics, runner.withBase({}));
+            rmem.exportMetrics(r.metrics, runner.obsLabels_);
     }
 
     /** Map-order SRAM counters and per-map means (the caller fills
@@ -291,7 +283,7 @@ struct FaultInjectionRunner::TimingStep
         // reached inference (one flipped bit each).
         r.bitFlips += r.tim.corrupted;
         if (runner.obs_)
-            dp.exportMetrics(r.metrics, runner.withBase({}));
+            dp.exportMetrics(r.metrics, runner.obsLabels_);
     }
 
     /** Map-order datapath counters, per-map means and the operating
@@ -340,7 +332,7 @@ FaultInjectionRunner::trials(
     std::optional<obs::ScopeTimer> timer;
     if (obs_) {
         timer.emplace(obs_->metrics, "fi.run", trialClock_,
-                      withBase({{"kind", kind}}));
+                      obs::withBase({{"kind", kind}}, obsLabels_));
     }
     const unsigned threads =
         ThreadPool::resolveThreads(cfg_.numThreads);

@@ -315,9 +315,6 @@ class FaultInjectionRunner
     /** Construct fault map m under cfg_.mapModel (§7 counter seeds). */
     sram::VulnerabilityMap makeMap(std::uint64_t m) const;
 
-    /** Merge the attached base labels under `extra` (extra wins). */
-    obs::Labels withBase(obs::Labels extra) const;
-
     /** Publish per-trial counters, accuracy histogram and spans for
      *  one experiment (serial, map order). */
     void recordTrials(const std::string &kind,

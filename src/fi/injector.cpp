@@ -337,6 +337,14 @@ StagedWeightsCache::update(dnn::Network &src)
     return image_;
 }
 
+const StagedWeights &
+StagedWeightsCache::image() const
+{
+    if (builds_ == 0)
+        panic("StagedWeightsCache::image: no image before update()");
+    return image_;
+}
+
 void
 StagedWeightsCache::reserveSlots(std::size_t n)
 {

@@ -272,6 +272,10 @@ class StagedWeightsCache
      *  every weight tensor equals the snapshot, else a new build. */
     const StagedWeights &update(dnn::Network &src);
 
+    /** The image the last update() returned (panics before the
+     *  first). */
+    const StagedWeights &image() const;
+
     /** Times update() has built the image (diagnostics and tests). */
     std::uint64_t builds() const { return builds_; }
 

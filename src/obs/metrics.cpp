@@ -32,6 +32,14 @@ validName(const std::string &name)
 
 } // namespace
 
+Labels
+withBase(Labels labels, const Labels &base)
+{
+    // insert() keeps existing keys, so the explicit labels win.
+    labels.insert(base.begin(), base.end());
+    return labels;
+}
+
 const char *
 toString(MetricKind kind)
 {

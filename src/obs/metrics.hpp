@@ -44,6 +44,10 @@ namespace vboost::obs {
 /** Ordered label set attached to a metric instance. */
 using Labels = std::map<std::string, std::string>;
 
+/** `labels` plus every label of `base` they do not set: a sink's
+ *  attached base labels under a metric's own (which win). */
+Labels withBase(Labels labels, const Labels &base);
+
 /** The four metric families of the registry. */
 enum class MetricKind
 {

@@ -13,6 +13,7 @@
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/scope.hpp"
+#include "serve/trace.hpp"
 
 namespace vboost::serve {
 
@@ -29,21 +30,7 @@ hashString(std::uint64_t &h, const std::string &s)
 void
 hashTenant(std::uint64_t &h, const TenantStats &t)
 {
-    fnv::mixU64(h, t.requests);
-    fnv::mixU64(h, t.admitted);
-    fnv::mixU64(h, t.shedQueueFull);
-    fnv::mixU64(h, t.shedTenantQuota);
-    fnv::mixU64(h, t.batches);
-    fnv::mixU64(h, t.inferences);
-    fnv::mixU64(h, t.correct);
-    fnv::mixU64(h, t.retries);
-    fnv::mixU64(h, t.escalations);
-    fnv::mixU64(h, t.quarantines);
-    fnv::mixU64(h, t.uncorrected);
-    fnv::mixDouble(h, t.energyPj);
-    fnv::mixU64(h, t.queueWaitTicksSum);
-    fnv::mixU64(h, t.latencyTicksSum);
-    fnv::mixU64(h, t.maxLatencyTicks);
+    t.hashCounters(h);
     fnv::mixU64(h, static_cast<std::uint64_t>(t.finalVddStep));
 }
 
@@ -63,6 +50,46 @@ ServerConfig::validate() const
     if (ticksPerSecond <= 0.0)
         fatal("ServerConfig: ticksPerSecond must be > 0");
     policy.validate(chip.boostLevels);
+}
+
+void
+TenantStats::hashCounters(std::uint64_t &h) const
+{
+    fnv::mixU64(h, requests);
+    fnv::mixU64(h, admitted);
+    fnv::mixU64(h, shedQueueFull);
+    fnv::mixU64(h, shedTenantQuota);
+    fnv::mixU64(h, batches);
+    fnv::mixU64(h, inferences);
+    fnv::mixU64(h, correct);
+    fnv::mixU64(h, retries);
+    fnv::mixU64(h, escalations);
+    fnv::mixU64(h, quarantines);
+    fnv::mixU64(h, uncorrected);
+    fnv::mixDouble(h, energyPj);
+    fnv::mixU64(h, queueWaitTicksSum);
+    fnv::mixU64(h, latencyTicksSum);
+    fnv::mixU64(h, maxLatencyTicks);
+}
+
+void
+TenantStats::addCounters(const TenantStats &other)
+{
+    requests += other.requests;
+    admitted += other.admitted;
+    shedQueueFull += other.shedQueueFull;
+    shedTenantQuota += other.shedTenantQuota;
+    batches += other.batches;
+    inferences += other.inferences;
+    correct += other.correct;
+    retries += other.retries;
+    escalations += other.escalations;
+    quarantines += other.quarantines;
+    uncorrected += other.uncorrected;
+    energyPj += other.energyPj;
+    queueWaitTicksSum += other.queueWaitTicksSum;
+    latencyTicksSum += other.latencyTicksSum;
+    maxLatencyTicks = std::max(maxLatencyTicks, other.maxLatencyTicks);
 }
 
 std::uint64_t
@@ -87,8 +114,7 @@ InferenceServer::InferenceServer(const core::SimContext &ctx,
                                  const dnn::Dataset &pool,
                                  accel::LayerActivity per_inference,
                                  OperatingPointPlanner planner,
-                                 ServerConfig cfg,
-                                 std::shared_ptr<fi::StagedWeightsCache> staging)
+                                 ServerConfig cfg)
     : ctx_(ctx),
       net_(net),
       pool_(pool),
@@ -97,9 +123,7 @@ InferenceServer::InferenceServer(const core::SimContext &ctx,
       cfg_(std::move(cfg)),
       perf_(ctx_, cfg_.chip.weightBanks, cfg_.perf),
       failure_(ctx_.failure),
-      deviceMap_(cfg_.seed, 0),
-      staging_(staging ? std::move(staging)
-                       : std::make_shared<fi::StagedWeightsCache>())
+      deviceMap_(cfg_.seed, 0)
 {
     cfg_.validate();
     if (pool_.size() == 0)
@@ -125,15 +149,6 @@ InferenceServer::attachObservability(obs::Observability *o,
     obsLabels_ = std::move(labels);
 }
 
-obs::Labels
-InferenceServer::withBase(obs::Labels extra) const
-{
-    // insert() keeps existing keys, so the explicit labels win over
-    // the attached base labels.
-    extra.insert(obsLabels_.begin(), obsLabels_.end());
-    return extra;
-}
-
 std::vector<FormedBatch>
 InferenceServer::formBatches(const std::vector<InferenceRequest> &trace,
                              std::vector<RequestOutcome> &outcomes)
@@ -152,7 +167,7 @@ InferenceServer::formBatches(const std::vector<InferenceRequest> &trace,
             "serve.queue.depth",
             obs::linearBounds(0.0, cap,
                               std::min(17, static_cast<int>(cap) + 1)),
-            withBase({}));
+            obsLabels_);
     }
 
     auto closeInto = [&](std::vector<FormedBatch> &&batches) {
@@ -189,19 +204,28 @@ InferenceServer::formBatches(const std::vector<InferenceRequest> &trace,
     return formed;
 }
 
-void
-InferenceServer::executeBatch(std::size_t i, unsigned slot)
+/** One serveTogether() run of one server. */
+struct InferenceServer::Run
 {
-    PendingRun &p = pending();
-    const std::size_t k = p.regionBegin + i;
-    if (k >= p.regionEnd)
-        panic("InferenceServer::executeBatch: batch ", i,
-              " outside the planned region of ",
-              p.regionEnd - p.regionBegin);
-    const FormedBatch &batch = p.formed[k];
-    BatchRecord &rec = p.result.batches[k];
+    ServeResult result;
+    std::vector<FormedBatch> formed;
+    /** Request id -> trace index (keyed lookup only). */
+    std::unordered_map<std::uint64_t, std::size_t> idToIndex;
+    /** Batches [regionBegin, regionEnd) form the planned region. */
+    std::size_t regionBegin = 0;
+    std::size_t regionEnd = 0;
+    std::optional<obs::ScopeTimer> execTimer;
+};
+
+void
+InferenceServer::executeBatch(Run &run, std::size_t i,
+                              fi::StagedWeightsCache &staging, unsigned slot)
+{
+    const std::size_t k = run.regionBegin + i;
+    const FormedBatch &batch = run.formed[k];
+    BatchRecord &rec = run.result.batches[k];
     WorkerScratch &scratch = scratch_.at(slot);
-    fi::StagingSlot &staged = staging_->slot(slot, net_);
+    fi::StagingSlot &staged = staging.slot(slot, net_);
     if (!scratch.chip)
         scratch.chip = std::make_unique<accel::DanteChip>(
             cfg_.chip, ctx_.tech, ctx_.failure);
@@ -223,7 +247,7 @@ InferenceServer::executeBatch(std::size_t i, unsigned slot)
     const Rng base(cfg_.seed);
     rmem.reseed(base.split(1'000'000 + 2 * batch.seq));
     rec.residualFlips = fi::corruptNetworkResilient(
-        *staged.net, net_, *p.image, rmem, rec.plan.vdd, deviceMap_,
+        *staged.net, net_, staging.image(), rmem, rec.plan.vdd, deviceMap_,
         &staged.undo);
 
     std::vector<std::size_t> samples;
@@ -327,54 +351,39 @@ InferenceServer::aggregate(const std::vector<RequestOutcome> &outcomes,
     TenantStats &tot = stats.total;
     std::vector<double> latencies;
 
+    // Each request and batch counts once for its tenant and once for
+    // the total, in trace and batch order.
     for (const RequestOutcome &out : outcomes) {
-        TenantStats &tenant = stats.perTenant[out.tenant];
-        ++tenant.requests;
-        ++tot.requests;
-        if (!out.admitted) {
-            if (out.shedReason == ShedReason::QueueFull) {
-                ++tenant.shedQueueFull;
-                ++tot.shedQueueFull;
-            } else {
-                ++tenant.shedTenantQuota;
-                ++tot.shedTenantQuota;
+        for (TenantStats *t : {&stats.perTenant[out.tenant], &tot}) {
+            ++t->requests;
+            if (!out.admitted) {
+                ++(out.shedReason == ShedReason::QueueFull
+                       ? t->shedQueueFull
+                       : t->shedTenantQuota);
+                continue;
             }
-            continue;
+            ++t->admitted;
+            t->correct += out.correct ? 1 : 0;
+            t->queueWaitTicksSum += out.queueWaitTicks();
+            t->latencyTicksSum += out.latencyTicks();
+            t->maxLatencyTicks =
+                std::max(t->maxLatencyTicks, out.latencyTicks());
         }
-        ++tenant.admitted;
-        ++tot.admitted;
-        if (out.correct) {
-            ++tenant.correct;
-            ++tot.correct;
-        }
-        const Tick wait = out.queueWaitTicks();
-        const Tick latency = out.latencyTicks();
-        tenant.queueWaitTicksSum += wait;
-        tot.queueWaitTicksSum += wait;
-        tenant.latencyTicksSum += latency;
-        tot.latencyTicksSum += latency;
-        tenant.maxLatencyTicks = std::max(tenant.maxLatencyTicks, latency);
-        tot.maxLatencyTicks = std::max(tot.maxLatencyTicks, latency);
-        latencies.push_back(static_cast<double>(latency));
+        if (out.admitted)
+            latencies.push_back(static_cast<double>(out.latencyTicks()));
     }
 
     for (const BatchRecord &rec : records) {
-        TenantStats &tenant = stats.perTenant[rec.tenant];
-        ++tenant.batches;
-        ++tot.batches;
-        tenant.inferences += rec.size;
-        tot.inferences += rec.size;
-        tenant.retries += rec.resilience.retries;
-        tot.retries += rec.resilience.retries;
-        tenant.escalations += rec.resilience.escalations;
-        tot.escalations += rec.resilience.escalations;
-        tenant.quarantines += rec.resilience.quarantines;
-        tot.quarantines += rec.resilience.quarantines;
-        tenant.uncorrected += rec.resilience.uncorrected;
-        tot.uncorrected += rec.resilience.uncorrected;
         const double pj = rec.modeledEnergy.value() * 1e12;
-        tenant.energyPj += pj;
-        tot.energyPj += pj;
+        for (TenantStats *t : {&stats.perTenant[rec.tenant], &tot}) {
+            ++t->batches;
+            t->inferences += rec.size;
+            t->retries += rec.resilience.retries;
+            t->escalations += rec.resilience.escalations;
+            t->quarantines += rec.resilience.quarantines;
+            t->uncorrected += rec.resilience.uncorrected;
+            t->energyPj += pj;
+        }
     }
 
     for (auto &[name, tenant] : stats.perTenant)
@@ -395,99 +404,112 @@ InferenceServer::aggregate(const std::vector<RequestOutcome> &outcomes,
     return stats;
 }
 
-InferenceServer::PendingRun &
-InferenceServer::pending()
-{
-    if (!pending_)
-        panic("InferenceServer: no run in progress (begin() first)");
-    return *pending_;
-}
-
 ServeResult
 InferenceServer::run(const std::vector<InferenceRequest> &trace)
 {
     // Every batch stages the same weights; the image is rebuilt only
     // when they changed since it was built.
-    begin(trace, staging_->update(net_));
-    while (const std::size_t n = planRegion()) {
-        parallelFor(n, cfg_.numThreads,
-                    // vblint: allow(VB009, batch i writes only its own record; slot state is slot-exclusive)
-                    [&](std::size_t i, unsigned slot) {
-                        executeBatch(i, slot);
-                    });
-        applyFeedback();
+    staging_.update(net_);
+    return std::move(
+        serveTogether({this}, {&trace}, staging_, cfg_.numThreads).front());
+}
+
+std::vector<ServeResult>
+InferenceServer::serveTogether(
+    const std::vector<InferenceServer *> &servers,
+    const std::vector<const std::vector<InferenceRequest> *> &traces,
+    fi::StagedWeightsCache &staging, int num_threads)
+{
+    if (traces.size() != servers.size())
+        panic("InferenceServer::serveTogether: ", traces.size(),
+              " traces for ", servers.size(), " servers");
+    const unsigned threads = ThreadPool::resolveThreads(num_threads);
+    staging.reserveSlots(threads);
+    std::vector<Run> runs(servers.size());
+    for (std::size_t k = 0; k < servers.size(); ++k) {
+        if (&servers[k]->net_ != &servers.front()->net_)
+            panic("InferenceServer::serveTogether: server ", k,
+                  " serves another network");
+        servers[k]->begin(runs[k], *traces[k], threads);
     }
-    return finish();
+
+    // Epoch execution: plans freeze serially, batches run in parallel,
+    // feedback applies serially in server and batch order — no planner
+    // observes a scheduling-dependent interleaving.
+    // first[k]: the region-wide index of server k's first batch.
+    std::vector<std::size_t> first(servers.size() + 1, 0);
+    for (;;) {
+        for (std::size_t k = 0; k < servers.size(); ++k)
+            first[k + 1] = first[k] + servers[k]->planRegion(runs[k]);
+        if (first.back() == 0)
+            break;
+        parallelFor(first.back(), num_threads,
+                    // vblint: allow(VB009, batch i writes only its server's record; slot state is slot-exclusive)
+                    [&](std::size_t i, unsigned slot) {
+                        const auto k = static_cast<std::size_t>(
+                            std::upper_bound(first.begin(), first.end(), i) -
+                            first.begin() - 1);
+                        servers[k]->executeBatch(runs[k], i - first[k],
+                                                 staging, slot);
+                    });
+        for (std::size_t k = 0; k < servers.size(); ++k)
+            servers[k]->applyFeedback(runs[k]);
+    }
+
+    std::vector<ServeResult> results;
+    results.reserve(servers.size());
+    for (std::size_t k = 0; k < servers.size(); ++k)
+        results.push_back(servers[k]->finish(runs[k]));
+    return results;
 }
 
 void
-InferenceServer::begin(const std::vector<InferenceRequest> &trace,
-                       const fi::StagedWeights &image)
+InferenceServer::begin(Run &run, const std::vector<InferenceRequest> &trace,
+                       unsigned num_threads)
 {
-    // Audited for VB002: this table is keyed-lookup only (emplace +
-    // .at in finish()) and is never iterated, so hash order cannot
-    // leak into outcomes; unordered stays for O(1) lookups on the hot
-    // join path.
-    std::unordered_map<std::uint64_t, std::size_t> id_to_index;
-    id_to_index.reserve(trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        if (i > 0 && trace[i].arrivalTick < trace[i - 1].arrivalTick)
-            fatal("InferenceServer::run: arrival ticks must be "
-                  "nondecreasing (trace index ", i, ")");
-        if (trace[i].sample >= pool_.size())
-            fatal("InferenceServer::run: sample index ", trace[i].sample,
+    run.idToIndex = indexTrace(trace, "InferenceServer::run");
+    for (const InferenceRequest &req : trace) {
+        if (req.sample >= pool_.size())
+            fatal("InferenceServer::run: sample index ", req.sample,
                   " outside the pool of ", pool_.size());
-        if (!id_to_index.emplace(trace[i].id, i).second)
-            fatal("InferenceServer::run: duplicate request id ",
-                  trace[i].id);
     }
 
-    pending_ = std::make_unique<PendingRun>();
-    PendingRun &p = *pending_;
-    p.idToIndex = std::move(id_to_index);
-    p.image = &image;
-    p.result.outcomes.resize(trace.size());
+    run.result.outcomes.resize(trace.size());
     {
         // Phase timers run on the work-unit clock (requests, batches,
         // records): deterministic attribution, not wall time.
         std::optional<obs::ScopeTimer> form_timer;
         if (obs_) {
             form_timer.emplace(obs_->metrics, "serve.phase.form",
-                               workClock_, withBase({}));
+                               workClock_, obsLabels_);
         }
-        p.formed = formBatches(trace, p.result.outcomes);
+        run.formed = formBatches(trace, run.result.outcomes);
         workClock_.advance(trace.size());
     }
-    for (std::size_t k = 0; k < p.formed.size(); ++k) {
-        if (p.formed[k].seq != k)
-            panic("InferenceServer::run: batch sequence ", p.formed[k].seq,
-                  " out of order at position ", k);
+    for (std::size_t k = 0; k < run.formed.size(); ++k) {
+        if (run.formed[k].seq != k)
+            panic("InferenceServer::run: batch sequence ",
+                  run.formed[k].seq, " out of order at position ", k);
     }
-    p.result.batches.resize(p.formed.size());
+    run.result.batches.resize(run.formed.size());
 
-    const unsigned num_threads = ThreadPool::resolveThreads(cfg_.numThreads);
     if (scratch_.size() < num_threads)
         scratch_.resize(num_threads);
-    staging_->reserveSlots(num_threads);
     if (obs_) {
-        p.execTimer.emplace(obs_->metrics, "serve.phase.execute",
-                            workClock_, withBase({}));
+        run.execTimer.emplace(obs_->metrics, "serve.phase.execute",
+                              workClock_, obsLabels_);
     }
 }
 
 std::size_t
-InferenceServer::planRegion()
+InferenceServer::planRegion(Run &run)
 {
-    // Epoch execution: plans freeze serially, batches run in parallel,
-    // feedback applies serially in batch order — the planner never
-    // observes a scheduling-dependent interleaving.
-    PendingRun &p = pending();
-    p.regionBegin = p.regionEnd;
+    run.regionBegin = run.regionEnd;
     const auto interval = static_cast<std::size_t>(cfg_.feedbackInterval);
-    p.regionEnd = std::min(p.regionBegin + interval, p.formed.size());
-    for (std::size_t k = p.regionBegin; k < p.regionEnd; ++k) {
-        const FormedBatch &batch = p.formed[k];
-        BatchRecord &rec = p.result.batches[k];
+    run.regionEnd = std::min(run.regionBegin + interval, run.formed.size());
+    for (std::size_t k = run.regionBegin; k < run.regionEnd; ++k) {
+        const FormedBatch &batch = run.formed[k];
+        BatchRecord &rec = run.result.batches[k];
         rec.seq = batch.seq;
         rec.tenant = batch.tenant;
         rec.slo = batch.slo;
@@ -495,35 +517,30 @@ InferenceServer::planRegion()
         rec.formedTick = batch.formedTick;
         rec.plan = planner_.planFor(batch.tenant, batch.slo);
     }
-    return p.regionEnd - p.regionBegin;
+    return run.regionEnd - run.regionBegin;
 }
 
 void
-InferenceServer::applyFeedback()
+InferenceServer::applyFeedback(Run &run)
 {
-    PendingRun &p = pending();
-    for (std::size_t k = p.regionBegin; k < p.regionEnd; ++k)
-        planner_.observeErrorRate(p.result.batches[k].tenant,
-                                  p.result.batches[k].errorRate);
-    workClock_.advance(p.regionEnd - p.regionBegin);
+    for (std::size_t k = run.regionBegin; k < run.regionEnd; ++k)
+        planner_.observeErrorRate(run.result.batches[k].tenant,
+                                  run.result.batches[k].errorRate);
+    workClock_.advance(run.regionEnd - run.regionBegin);
 }
 
 ServeResult
-InferenceServer::finish()
+InferenceServer::finish(Run &run)
 {
-    PendingRun &p = pending();
-    if (p.regionEnd != p.formed.size())
-        panic("InferenceServer::finish: ", p.formed.size() - p.regionEnd,
-              " batches never ran");
-    p.execTimer.reset();
-    ServeResult result = std::move(p.result);
+    run.execTimer.reset();
+    ServeResult result = std::move(run.result);
     assignSlots(result.batches);
 
     for (const BatchRecord &rec : result.batches) {
-        const FormedBatch &batch = p.formed[rec.seq];
+        const FormedBatch &batch = run.formed[rec.seq];
         for (std::size_t j = 0; j < batch.requests.size(); ++j) {
             RequestOutcome &out =
-                result.outcomes[p.idToIndex.at(batch.requests[j].id)];
+                result.outcomes[run.idToIndex.at(batch.requests[j].id)];
             out.batchSeq = rec.seq;
             out.predictedClass = rec.predictions[j];
             out.correct = rec.correct[j];
@@ -534,13 +551,12 @@ InferenceServer::finish()
                            static_cast<double>(rec.size);
         }
     }
-    pending_.reset();
 
     {
         std::optional<obs::ScopeTimer> agg_timer;
         if (obs_) {
             agg_timer.emplace(obs_->metrics, "serve.phase.aggregate",
-                              workClock_, withBase({}));
+                              workClock_, obsLabels_);
         }
         result.stats = aggregate(result.outcomes, result.batches);
         workClock_.advance(result.batches.size());
@@ -556,7 +572,7 @@ InferenceServer::publishObservability(const ServeResult &result)
         return;
     obs::MetricsRegistry &reg = obs_->metrics;
     obs::Tracer &tracer = obs_->trace;
-    const obs::Labels base = withBase({});
+    const obs::Labels &base = obsLabels_;
 
     // Trace rows: one per virtual worker slot plus an admission row
     // for shed markers.
@@ -571,9 +587,11 @@ InferenceServer::publishObservability(const ServeResult &result)
     obs::Counter requests = reg.counter("serve.requests", base);
     obs::Counter admitted = reg.counter("serve.admitted", base);
     obs::Counter shed_queue_full =
-        reg.counter("serve.shed", withBase({{"reason", "queue_full"}}));
+        reg.counter("serve.shed",
+                    obs::withBase({{"reason", "queue_full"}}, base));
     obs::Counter shed_tenant_quota =
-        reg.counter("serve.shed", withBase({{"reason", "tenant_quota"}}));
+        reg.counter("serve.shed",
+                    obs::withBase({{"reason", "tenant_quota"}}, base));
 
     // Latency buckets: 16 us to ~134 s in powers of two, shared by the
     // end-to-end latency and the queue-wait component.
@@ -582,8 +600,8 @@ InferenceServer::publishObservability(const ServeResult &result)
     std::vector<obs::Histogram> latency_hists;
     std::vector<obs::Histogram> wait_hists;
     for (int s = 0; s < kNumSloClasses; ++s) {
-        const obs::Labels slo_labels =
-            withBase({{"slo", toString(static_cast<SloClass>(s))}});
+        const obs::Labels slo_labels = obs::withBase(
+            {{"slo", toString(static_cast<SloClass>(s))}}, base);
         latency_hists.push_back(reg.histogram("serve.latency.ticks",
                                               latency_bounds, slo_labels));
         wait_hists.push_back(reg.histogram("serve.queue.wait_ticks",
@@ -637,7 +655,8 @@ InferenceServer::publishObservability(const ServeResult &result)
     for (int s = 0; s < kNumSloClasses; ++s) {
         slo_energy[static_cast<std::size_t>(s)].emplace(
             reg, "serve.energy_j",
-            withBase({{"slo", toString(static_cast<SloClass>(s))}}));
+            obs::withBase({{"slo", toString(static_cast<SloClass>(s))}},
+                          base));
     }
 
     for (const BatchRecord &rec : result.batches) {

@@ -13,7 +13,9 @@
  * per-batch counter-split RNG streams, and timing comes from a
  * deterministic FCFS post-pass over virtual worker slots — so
  * outcomes, stats and the stats fingerprint are bitwise identical at
- * any thread count.
+ * any thread count. One region driver, InferenceServer::serveTogether,
+ * runs these steps for one server (run()) or for a cluster's nodes at
+ * once; the staging cache it stages through belongs to its caller.
  */
 
 #ifndef VBOOST_SERVE_SERVER_HPP
@@ -22,9 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/dante.hpp"
@@ -35,7 +35,6 @@
 #include "dnn/network.hpp"
 #include "fi/injector.hpp"
 #include "obs/observability.hpp"
-#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "resilience/policy.hpp"
 #include "resilience/resilient_memory.hpp"
@@ -156,6 +155,14 @@ struct TenantStats
     /** Planner ladder step the tenant ended the run on. */
     int finalVddStep = 0;
 
+    /** Fold every counter (each field but finalVddStep) into the
+     *  FNV-1a digest `h`, in declaration order. */
+    void hashCounters(std::uint64_t &h) const;
+
+    /** Add `other`'s counters to these (maxLatencyTicks takes the
+     *  larger; finalVddStep is left as it is). */
+    void addCounters(const TenantStats &other);
+
     friend bool operator==(const TenantStats &,
                            const TenantStats &) = default;
 };
@@ -194,18 +201,16 @@ struct ServeResult
 };
 
 /**
- * The serving runtime. Owns the planner and per-worker scratch chips;
- * borrows the trained network and the sample pool (both must outlive
- * the server). The weights' staging image and the slot networks that
- * stage it live in a fi::StagedWeightsCache kept across run() calls;
- * the image is rebuilt only when the weights change. A cluster's nodes
- * share one cache.
+ * The serving runtime. Owns the planner, the per-worker scratch chips
+ * and the staging image of the served network's weights with the slot
+ * networks that stage it (a fi::StagedWeightsCache kept across run()
+ * calls; the image is rebuilt only when the weights change). Borrows
+ * the trained network and the sample pool (both must outlive the
+ * server).
  *
- * run() is a sequence of steps that a caller serving several servers
- * together (the cluster tier) can interleave: begin(), then per
- * feedback region planRegion(), executeBatch() of each of its batches
- * (in parallel, one slot per participant) and applyFeedback(), until
- * planRegion() returns 0, then finish().
+ * All serving goes through serveTogether(), one region driver: run()
+ * serves one trace on this server through its own cache; a cluster
+ * serves its nodes' subtraces together through the cluster's cache.
  */
 class InferenceServer
 {
@@ -217,17 +222,11 @@ class InferenceServer
      * @param per_inference dataflow activity of one inference.
      * @param planner SLO -> operating point mapper (moved in).
      * @param cfg runtime configuration.
-     * @param staging staging image and slot networks shared with other
-     *        servers of `net` that never execute batches on a slot at
-     *        the same time as this one (a cluster's nodes); nullptr:
-     *        the server keeps its own.
      */
     InferenceServer(const core::SimContext &ctx, dnn::Network &net,
                     const dnn::Dataset &pool,
                     accel::LayerActivity per_inference,
-                    OperatingPointPlanner planner, ServerConfig cfg = {},
-                    std::shared_ptr<fi::StagedWeightsCache> staging =
-                        nullptr);
+                    OperatingPointPlanner planner, ServerConfig cfg = {});
 
     /**
      * Replay a request trace (arrival ticks must be nondecreasing,
@@ -240,40 +239,29 @@ class InferenceServer
     ServeResult run(const std::vector<InferenceRequest> &trace);
 
     /**
-     * First step of run(): validate `trace` (same preconditions), form
-     * its batches and start a run that stages `image`, which must be
-     * the staging image of the served network's current weights.
-     * Makes room for cfg.numThreads execution slots.
+     * Serve `*traces[k]` on `servers[k]` for every k, together: begin
+     * every run, then per feedback region plan each server's region in
+     * server order, execute all their batches in one parallel region
+     * of `num_threads` participants (0 = all hardware threads), and
+     * feed the error rates back in server order; finally finish each
+     * run in server order. Each server keeps its own planner, device
+     * and clocks, so its result is what serving it alone would give
+     * (bitwise, at any thread count). Every server must serve the same
+     * network, and `staging` must hold the image of its current
+     * weights (StagedWeightsCache::update()); the batches stage
+     * through `staging`'s slot networks.
+     * @return one result per server, in server order.
      */
-    void begin(const std::vector<InferenceRequest> &trace,
-               const fi::StagedWeights &image);
-
-    /**
-     * Freeze the plans of the next feedback region (up to
-     * feedbackInterval batches, serially in batch order).
-     * @return the region's batch count; 0 once every batch ran.
-     */
-    std::size_t planRegion();
-
-    /**
-     * Execute batch `i` (< planRegion()) of the planned region on
-     * execution slot `slot` (< the resolved cfg.numThreads). Distinct
-     * batches of a region may run concurrently on distinct slots.
-     */
-    void executeBatch(std::size_t i, unsigned slot);
-
-    /** Feed the region's error rates back to the planner, serially in
-     *  batch order (after every batch of the region executed). */
-    void applyFeedback();
-
-    /** Last step of run(): assign virtual worker slots, aggregate and
-     *  publish the run's observability. */
-    ServeResult finish();
+    static std::vector<ServeResult>
+    serveTogether(const std::vector<InferenceServer *> &servers,
+                  const std::vector<const std::vector<InferenceRequest> *>
+                      &traces,
+                  fi::StagedWeightsCache &staging, int num_threads);
 
     const ServerConfig &config() const { return cfg_; }
     OperatingPointPlanner &planner() { return planner_; }
-    /** The staging image and slot pool this server stages through. */
-    const fi::StagedWeightsCache &staging() const { return *staging_; }
+    /** The staging image and slot pool run() stages through. */
+    const fi::StagedWeightsCache &staging() const { return staging_; }
 
     /**
      * Clear the virtual worker slots' carried backlog. Slot
@@ -310,22 +298,33 @@ class InferenceServer
         std::unique_ptr<resilience::ResilientMemory> rmem;
     };
 
-    /** A run between begin() and finish(). */
-    struct PendingRun
-    {
-        ServeResult result;
-        std::vector<FormedBatch> formed;
-        /** Request id -> trace index (keyed lookup only). */
-        std::unordered_map<std::uint64_t, std::size_t> idToIndex;
-        const fi::StagedWeights *image = nullptr;
-        /** Batches [regionBegin, regionEnd) form the planned region. */
-        std::size_t regionBegin = 0;
-        std::size_t regionEnd = 0;
-        std::optional<obs::ScopeTimer> execTimer;
-    };
+    /** One serveTogether() run's state (defined in server.cpp). */
+    struct Run;
 
-    /** The pending run; panics between runs. */
-    PendingRun &pending();
+    /** Validate `trace`, form its batches and start `run`; makes room
+     *  for `num_threads` execution slots. */
+    void begin(Run &run, const std::vector<InferenceRequest> &trace,
+               unsigned num_threads);
+
+    /** Freeze the plans of the next feedback region (up to
+     *  feedbackInterval batches, serially in batch order).
+     *  @return the region's batch count; 0 once every batch ran. */
+    std::size_t planRegion(Run &run);
+
+    /** Execute batch `i` of the planned region on execution slot
+     *  `slot`, staging `staging`'s image into its slot network.
+     *  Distinct batches of a region may run concurrently on distinct
+     *  slots. */
+    void executeBatch(Run &run, std::size_t i,
+                      fi::StagedWeightsCache &staging, unsigned slot);
+
+    /** Feed the region's error rates back to the planner, serially in
+     *  batch order. */
+    void applyFeedback(Run &run);
+
+    /** Assign virtual worker slots, join outcomes, aggregate and
+     *  publish the run's observability. */
+    ServeResult finish(Run &run);
 
     /** Serial formation pass: queue admission + batching. */
     std::vector<FormedBatch>
@@ -339,9 +338,6 @@ class InferenceServer
     /** Aggregate outcomes + batches into a ServerStats snapshot. */
     ServerStats aggregate(const std::vector<RequestOutcome> &outcomes,
                           const std::vector<BatchRecord> &records);
-
-    /** Merge the attached base labels under `extra` (extra wins). */
-    obs::Labels withBase(obs::Labels extra) const;
 
     /** Publish one run's metrics and spans (serial, §11). */
     void publishObservability(const ServeResult &result);
@@ -359,11 +355,9 @@ class InferenceServer
     sram::VulnerabilityMap deviceMap_;
 
     /** Staging image of net_'s weights and the slot networks that
-     *  stage it (possibly shared). */
-    std::shared_ptr<fi::StagedWeightsCache> staging_;
+     *  stage it, for run(). */
+    fi::StagedWeightsCache staging_;
     std::vector<WorkerScratch> scratch_;
-    /** Held by pointer: the timer inside cannot move, the server can. */
-    std::unique_ptr<PendingRun> pending_;
 
     /** Tick each virtual worker slot frees up at; persists across
      *  run() calls (cleared by resetWorkerBacklog()). */

@@ -64,6 +64,24 @@ generatePoissonTrace(const TraceConfig &cfg)
     return trace;
 }
 
+std::unordered_map<std::uint64_t, std::size_t>
+indexTrace(const std::vector<InferenceRequest> &trace, const char *caller)
+{
+    // Audited for VB002: the map is keyed-lookup only (emplace + .at)
+    // and never iterated, so hash order cannot leak into outcomes;
+    // unordered stays for O(1) lookups on the outcome join.
+    std::unordered_map<std::uint64_t, std::size_t> id_to_index;
+    id_to_index.reserve(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (i > 0 && trace[i].arrivalTick < trace[i - 1].arrivalTick)
+            fatal(caller, ": arrival ticks must be nondecreasing (trace "
+                  "index ", i, ")");
+        if (!id_to_index.emplace(trace[i].id, i).second)
+            fatal(caller, ": duplicate request id ", trace[i].id);
+    }
+    return id_to_index;
+}
+
 std::vector<TenantMix>
 standardServeMixes()
 {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -49,6 +50,14 @@ struct TraceConfig
  * nondecreasing; request ids are the trace positions.
  */
 std::vector<InferenceRequest> generatePoissonTrace(const TraceConfig &cfg);
+
+/**
+ * Check the trace preconditions both serving tiers share (arrival
+ * ticks nondecreasing, request ids unique) and map each request id to
+ * its trace index. Throws FatalError naming `caller` otherwise.
+ */
+std::unordered_map<std::uint64_t, std::size_t>
+indexTrace(const std::vector<InferenceRequest> &trace, const char *caller);
 
 /** A named traffic mix (the unit the serving benches sweep over). */
 struct TenantMix

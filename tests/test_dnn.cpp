@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -83,6 +84,54 @@ TEST(Network, CopyParamsRequiresMatchingStructure)
         for (std::size_t e = 0; e < pa[i].value->numel(); ++e)
             EXPECT_EQ((*pa[i].value)[e], (*pb[i].value)[e]);
     EXPECT_THROW(c.copyParamsFrom(a), FatalError);
+}
+
+TEST(Network, CloneStartsWithoutGradients)
+{
+    // A clone serves inference: it copies the parameters but not the
+    // gradient buffers. zeroGrads() sizes them, and a backward pass
+    // before that panics instead of writing through an empty buffer.
+    Rng rng(5);
+    Network net;
+    net.addLayer<Conv2d>(1, 2, 3, 1, rng, "conv");
+    net.addLayer<Relu>("relu");
+    net.addLayer<Flatten>("flat");
+    net.addLayer<Dense>(2 * 4 * 4, 3, rng, "fc");
+    const Tensor x = Tensor::randn({2, 1, 4, 4}, rng, 1.0);
+    const Tensor g = Tensor::randn({2, 3}, rng, 1.0);
+    net.zeroGrads();
+    net.forward(x, /*train=*/true);
+    net.backward(g);
+
+    Network copy = net.clone();
+    const auto want = net.params();
+    const auto got = copy.params();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].grad->numel(), 0u) << got[i].name;
+        EXPECT_EQ(got[i].value->shape(), want[i].value->shape());
+        EXPECT_EQ(std::memcmp(got[i].value->data(), want[i].value->data(),
+                              want[i].value->numel() * sizeof(float)),
+                  0)
+            << got[i].name;
+    }
+    copy.forward(x, /*train=*/true);
+    EXPECT_THROW(copy.backward(g), PanicError);
+    const auto conv = net.layer(0).clone();
+    conv->forward(x, /*train=*/true);
+    EXPECT_THROW(conv->backward(Tensor({2, 2, 4, 4})), PanicError);
+
+    copy.zeroGrads();
+    net.zeroGrads();
+    copy.backward(g);
+    net.backward(g);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].grad->shape(), want[i].grad->shape());
+        EXPECT_EQ(std::memcmp(got[i].grad->data(), want[i].grad->data(),
+                              want[i].grad->numel() * sizeof(float)),
+                  0)
+            << got[i].name;
+    }
 }
 
 TEST(Network, EmptyForwardIsFatal)
