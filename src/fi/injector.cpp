@@ -98,11 +98,7 @@ WeightRegionImage::keyOf(dnn::Network &src,
                          const sram::VulnerabilityMap &map, double fail_prob,
                          const MemoryLayout &layout)
 {
-    return {map.streamKey(),
-            map.model(),
-            map.cluster(),
-            fail_prob,
-            layout.weightRegionBits,
+    return {map.key(), fail_prob, layout.weightRegionBits,
             std::min(stagedWeightBits(src), layout.weightRegionBits)};
 }
 

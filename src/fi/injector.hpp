@@ -112,9 +112,7 @@ class WeightRegionImage
   private:
     struct Key
     {
-        std::uint64_t streamKey = 0;
-        sram::MapModel model = sram::MapModel::Iid;
-        sram::ClusterParams cluster;
+        sram::MapKey map;
         double failProb = 0.0;
         std::uint64_t regionBits = 0;
         std::uint64_t cells = 0;

@@ -1,7 +1,6 @@
 #include "resilience/resilient_memory.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "common/logging.hpp"
@@ -25,14 +24,16 @@ constexpr std::uint64_t kSpareRegionBase = 1ull << 39;
 /** Codeword bits one spare row occupies (64 data + 8 check). */
 constexpr std::uint64_t kSpareRowBits = 72;
 
-/** First word in [from, to) whose bit is set in `faulty`, or `to`. */
+/** First word in [from, to) with a faulty cell at point p, or `to`. */
 std::uint32_t
-firstFlagged(const std::array<std::uint64_t, sram::SramBank::kWords / 64>
-                 &faulty,
-             std::uint32_t from, std::uint32_t to)
+firstFlagged(const sram::SramBank::OperatingPoint &p, std::uint32_t from,
+             std::uint32_t to)
 {
+    if (!p.masks)
+        return to;
+    const std::vector<std::uint64_t> &flagged = p.masks->flagged();
     for (std::uint32_t w = from; w < to; w = (w / 64 + 1) * 64) {
-        const std::uint64_t bits = faulty[w / 64] >> (w % 64);
+        const std::uint64_t bits = flagged[w / 64] >> (w % 64);
         if (bits != 0)
             return std::min(
                 to, w + static_cast<std::uint32_t>(std::countr_zero(bits)));
@@ -68,9 +69,8 @@ ResilienceStats::merge(const ResilienceStats &other)
 ResilientMemory::ResilientMemory(sram::BankedMemory &mem,
                                  const core::SimContext &ctx,
                                  ResiliencePolicy policy)
-    : mem_(mem), policy_(policy),
-      supply_(ctx.tech, ctx.design, mem.banks()), failure_(ctx.failure),
-      latency_(ctx.tech), canary_(ctx, mem.banks()),
+    : mem_(mem), policy_(policy), latency_(ctx.tech),
+      canary_(ctx, mem.banks()),
       maxLevel_(mem.bank(0).levels()), check_(mem.words(), 0),
       standing_(static_cast<std::size_t>(mem.banks()), policy.startLevel),
       parityBase_(kParityRegionBase + mem.cellBase()),
@@ -137,29 +137,27 @@ ResilientMemory::attemptRead(std::uint32_t addr, int spare_slot, int level,
         mask = r.mask;
         flip = r.flipProb;
     } else {
-        // Spare row: same bank conditions, fresh cells in the spare
-        // region (64 data cells, then 8 check cells).
-        const Volt vddv = supply_.boostedVoltage(vdd, level);
-        const double fail = failure_.rate(vddv);
+        // Spare row: the bank's operating point at the attempt's
+        // level, fresh cells in the spare region (64 data cells, then
+        // 8 check cells). Its boost energy is zero at level 0.
+        const sram::SramBank::OperatingPoint &p =
+            mem_.bank(bank).operatingPoint(vdd, level);
         const SpareRow &row =
             spares_.row(spare_slot); // image is golden; faults manifest here
         data = row.data;
         check = row.check;
         flip = mem_.bank(bank).flipProb();
-        if (fail > 0.0) {
+        if (p.failProb > 0.0) {
             const sram::PackedFaultMap cells(
                 map,
                 spareBase_ +
                     static_cast<std::uint64_t>(spare_slot) * kSpareRowBits,
-                kSpareRowBits, fail);
+                kSpareRowBits, p.failProb);
             mask.data = cells.words()[0];
             mask.check = static_cast<std::uint8_t>(cells.mask(64, 8));
         }
-        stats_.spareEnergy +=
-            supply_.energyModel().sramAccessEnergy(vddv, mem_.banks());
-        if (level > 0)
-            stats_.spareEnergy +=
-                supply_.booster().boostEventEnergy(vdd, level);
+        stats_.spareEnergy += p.accessEnergy;
+        stats_.spareEnergy += p.boostEnergy;
     }
     // A codeword without faulty cells reads back as stored, and the
     // stored check byte encodes the stored data, so it decodes clean:
@@ -205,15 +203,13 @@ ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
             ++stats_.retries;
             if (level > standing_[static_cast<std::size_t>(bank)])
                 ++stats_.escalations;
-            const Volt vddv = supply_.boostedVoltage(vdd, level);
             // Retry accounting accumulates in attempt order, which is
             // fixed per access by the counter-derived RNG streams (§7).
-            stats_.retryEnergy +=
-                supply_.energyModel().sramAccessEnergy(vddv, mem_.banks());
-            if (level > 0)
-                stats_.retryEnergy +=
-                    supply_.booster().boostEventEnergy(vdd, level);
-            stats_.retryLatency += latency_.accessTime(vddv, vdd);
+            const sram::SramBank::OperatingPoint &p =
+                mem_.bank(bank).operatingPoint(vdd, level);
+            stats_.retryEnergy += p.accessEnergy;
+            stats_.retryEnergy += p.boostEnergy;
+            stats_.retryLatency += latency_.accessTime(p.vddv, vdd);
         }
         if (dec.outcome != sram::EccOutcome::DetectedUncorrectable ||
             attempt >= budget)
@@ -264,14 +260,14 @@ ResilientMemory::stageGroups(std::uint64_t cursor,
     constexpr std::uint32_t kBankWords = sram::SramBank::kWords;
     const std::uint32_t words = mem_.words();
     const bool closed = policy_.mode == AccessPolicyMode::ClosedLoop;
-    // Hoisted state of the bank the walk is in, valid while the bank's
-    // BIC and standing levels are the ones it was looked up at: the
-    // run holds value copies, which memo clears and mask-table
-    // evictions leave intact, and the call's vdd and map are fixed.
+    // Hoisted operating point of the bank the walk is in, valid while
+    // the bank's BIC and standing levels are the ones it was looked up
+    // at: a copy, whose shared masks a memo clear leaves readable, and
+    // the call's vdd and map are fixed.
     int run_bank = -1;
     int run_bic = -1;
     int run_standing = -1;
-    sram::SramBank::AccessRun run;
+    sram::SramBank::OperatingPoint run;
     auto addr = static_cast<std::uint32_t>(cursor % words);
     std::size_t k = 0;
     while (k < n) {
@@ -288,7 +284,7 @@ ResilientMemory::stageGroups(std::uint64_t cursor,
             run_bank = bank;
             run_bic = bic;
             run_standing = standing;
-            run = mem_.accessRun(bank, vdd, map, parityBase_);
+            run = mem_.accessPoint(bank, vdd, map, parityBase_);
         }
         // The clean span from addr: words with a clear bitmap bit and
         // no spare, up to the bank end (the memory wraps at one too)
@@ -297,7 +293,7 @@ ResilientMemory::stageGroups(std::uint64_t cursor,
         if (hoisted) {
             const auto limit = static_cast<std::uint32_t>(
                 std::min<std::size_t>(n - k, kBankWords - local));
-            span = firstFlagged(run.faulty, local, local + limit) - local;
+            span = firstFlagged(run, local, local + limit) - local;
             for (int slot = 0; slot < spares_.used(); ++slot) {
                 const std::uint32_t spared = spares_.row(slot).addr;
                 if (spared >= addr && spared - addr < span)

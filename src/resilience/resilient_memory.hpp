@@ -30,7 +30,6 @@
 #include "circuit/latency.hpp"
 #include "core/canary.hpp"
 #include "core/context.hpp"
-#include "energy/supply_config.hpp"
 #include "obs/metrics.hpp"
 #include "resilience/monitor.hpp"
 #include "resilience/policy.hpp"
@@ -114,9 +113,10 @@ class ResilientMemory
     /**
      * @param mem underlying banked memory (must outlive the wrapper;
      *        its current boost levels are overwritten with
-     *        policy.startLevel).
-     * @param ctx study configuration (tech + failure + booster design,
-     *        shared with the canary controller).
+     *        policy.startLevel). Retries and spare reads are charged
+     *        at its banks' operating points.
+     * @param ctx study configuration the memory was built from (tech
+     *        for retry latency; the canary controller's setup).
      * @param policy reaction policy (validated against mem's levels).
      */
     ResilientMemory(sram::BankedMemory &mem, const core::SimContext &ctx,
@@ -179,13 +179,15 @@ class ResilientMemory
     ResilienceStats snapshot() const;
 
     /** Reset counters, monitors, spares and standing levels (fresh
-     *  Monte-Carlo map over the same memory). */
+     *  Monte-Carlo map over the same memory). The banks' operating
+     *  points stay; a read under another map repacks their masks. */
     void resetRuntimeState();
 
     /** resetRuntimeState with a new standing start level (validated
      *  like the policy's): a serving slot reuses one wrapper across
-     *  batches planned at different levels, keeping the banks' packed
-     *  fault masks. */
+     *  batches planned at different levels. The banks' operating
+     *  points, masks included, are pure functions of (vdd, level) and
+     *  the map, so they carry over. */
     void resetRuntimeState(int start_level);
 
     /** The wrapped memory (bank counters hold the access energy). */
@@ -230,8 +232,6 @@ class ResilientMemory
 
     sram::BankedMemory &mem_;
     ResiliencePolicy policy_;
-    energy::SupplyConfigurator supply_;
-    sram::FailureRateModel failure_;
     circuit::LatencyModel latency_;
     core::CanaryController canary_;
     int maxLevel_;

@@ -234,8 +234,9 @@ InferenceServer::executeBatch(Run &run, std::size_t i,
             scratch.chip->weightMemory(), ctx_, cfg_.policy);
     // Per-batch energy and resilience state must not depend on which
     // batches this slot ran before: the bank counters and the
-    // wrapper's runtime state restart every time (the packed fault
-    // masks, pure functions of the device map, carry over).
+    // wrapper's runtime state restart every time. The banks' operating
+    // points carry over: their costs and packed masks are pure
+    // functions of (vdd, level) and the device map.
     scratch.chip->resetCounters();
     resilience::ResilientMemory &rmem = *scratch.rmem;
     rmem.resetRuntimeState(rec.plan.weightLevel);

@@ -91,12 +91,12 @@ BankedMemory::readRaw(std::uint32_t addr, Volt vdd,
         addr % SramBank::kWords, vdd, map, bankCheckBase(b, check_region));
 }
 
-SramBank::AccessRun
-BankedMemory::accessRun(int bank, Volt vdd, const VulnerabilityMap &map,
-                        std::uint64_t check_region)
+const SramBank::OperatingPoint &
+BankedMemory::accessPoint(int bank, Volt vdd, const VulnerabilityMap &map,
+                          std::uint64_t check_region)
 {
-    return this->bank(bank).accessRun(vdd, map,
-                                      bankCheckBase(bank, check_region));
+    return this->bank(bank).accessPoint(vdd, map,
+                                        bankCheckBase(bank, check_region));
 }
 
 std::uint64_t

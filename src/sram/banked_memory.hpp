@@ -79,12 +79,12 @@ class BankedMemory
                               std::uint64_t check_region);
 
     /**
-     * SramBank::accessRun of bank `bank`, its check cells addressed as
-     * readRaw() addresses them (word a's at check_region + 8a).
+     * SramBank::accessPoint of bank `bank`, its check cells addressed
+     * as readRaw() addresses them (word a's at check_region + 8a).
      */
-    SramBank::AccessRun accessRun(int bank, Volt vdd,
-                                  const VulnerabilityMap &map,
-                                  std::uint64_t check_region);
+    const SramBank::OperatingPoint &
+    accessPoint(int bank, Volt vdd, const VulnerabilityMap &map,
+                std::uint64_t check_region);
 
     /** Fault-free debug read. */
     std::uint64_t peek(std::uint32_t addr) const;

@@ -67,6 +67,18 @@ struct ClusterParams
                            const ClusterParams &) = default;
 };
 
+/** Everything that decides which cells of a map are faulty at a fail
+ *  probability: maps with equal keys fail the same cells at every
+ *  probability, so anything packed from one serves the other. */
+struct MapKey
+{
+    std::uint64_t streamKey = 0;
+    MapModel model = MapModel::Iid;
+    ClusterParams cluster;
+
+    friend bool operator==(const MapKey &, const MapKey &) = default;
+};
+
 /**
  * Deterministic per-cell vulnerability for one Monte-Carlo fault map.
  * Cheap to copy; all methods are const and thread-safe.
@@ -136,6 +148,10 @@ class VulnerabilityMap
     /** Internal hash stream key; lets PackedFaultMap reproduce the
      *  exact per-cell draws without going through isFaulty(). */
     std::uint64_t streamKey() const { return streamKey_; }
+
+    /** The map's identity. Iid maps keep default-constructed cluster
+     *  params, so the field never splits two iid maps. */
+    MapKey key() const { return {streamKey_, model_, cluster_}; }
 
   private:
     /** Counter-based hash of the cell id to a uniform in [0,1). */

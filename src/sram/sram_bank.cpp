@@ -66,25 +66,54 @@ SramBank::checkAddr(std::uint32_t addr)
         fatal("SramBank: address ", addr, " out of range [0,", kWords, ")");
 }
 
-const SramBank::OperatingPoint &
-SramBank::operatingPoint(Volt vdd, int level)
+SramBank::OperatingPoint &
+SramBank::memoEntry(Volt vdd, int level)
 {
-    for (const OperatingPoint &p : points_) {
+    for (OperatingPoint &p : points_) {
         if (p.vdd == vdd.value() && p.level == level)
             return p;
     }
     if (points_.size() == kMaxOperatingPoints)
         points_.clear();
-    const Volt vddv = booster_.boostedVoltage(vdd, level);
     OperatingPoint p;
     p.vdd = vdd.value();
     p.level = level;
-    p.accessEnergy = energy_.sramAccessEnergy(vddv, numBanksInMemory_);
+    p.vddv = booster_.boostedVoltage(vdd, level);
+    p.accessEnergy = energy_.sramAccessEnergy(p.vddv, numBanksInMemory_);
     if (level > 0)
         p.boostEnergy = booster_.boostEventEnergy(vdd, level);
-    p.failProb = failure_.rate(vddv);
+    p.failProb = failure_.rate(p.vddv);
     points_.push_back(p);
     return points_.back();
+}
+
+const SramBank::OperatingPoint &
+SramBank::accessPoint(Volt vdd, const VulnerabilityMap &map,
+                      std::uint64_t check_base)
+{
+    OperatingPoint &p = memoEntry(vdd, bic_.enabledLevel());
+    if (p.failProb <= 0.0)
+        return p;
+    if (check_base != masksCheckBase_ || !(map.key() == masksMap_)) {
+        for (OperatingPoint &q : points_)
+            q.masks.reset();
+        masksMap_ = map.key();
+        masksCheckBase_ = check_base;
+    }
+    if (p.masks)
+        return p;
+    // Points of one fail probability (another vdd boosted to the same
+    // Vddv) fail the same cells.
+    for (const OperatingPoint &q : points_) {
+        if (q.masks && q.failProb == p.failProb) {
+            p.masks = q.masks;
+            return p;
+        }
+    }
+    p.masks = std::make_shared<const WordFaultMasks>(
+        map, cellIndex(0), check_base, kWords, p.failProb);
+    ++maskPacks_;
+    return p;
 }
 
 void
@@ -97,49 +126,17 @@ SramBank::chargeAccess(const OperatingPoint &p)
     }
 }
 
-const WordFaultMasks &
-SramBank::masks(const VulnerabilityMap &map, double fail_prob,
-                std::uint64_t check_base)
-{
-    const FaultMaskKey key = FaultMaskKey::of(map, fail_prob);
-    for (auto it = maskTables_.rbegin(); it != maskTables_.rend(); ++it) {
-        if (it->checkBase == check_base && it->key == key)
-            return it->masks;
-    }
-    if (maskTables_.size() == kMaxMaskTables)
-        maskTables_.erase(maskTables_.begin());
-    maskTables_.push_back(
-        {key, check_base,
-         WordFaultMasks(map, cellIndex(0), check_base, kWords, fail_prob)});
-    return maskTables_.back().masks;
-}
-
-SramBank::AccessRun
-SramBank::accessRun(Volt vdd, const VulnerabilityMap &map,
-                    std::uint64_t check_base)
-{
-    AccessRun run;
-    run.point = operatingPoint(vdd, bic_.enabledLevel());
-    if (run.point.failProb > 0.0) {
-        const std::vector<std::uint64_t> &flagged =
-            masks(map, run.point.failProb, check_base).flagged();
-        std::copy(flagged.begin(), flagged.end(), run.faulty.begin());
-    }
-    return run;
-}
-
 void
 SramBank::stageClean(std::uint32_t addr, const std::uint64_t *data,
-                     std::uint32_t n, const AccessRun &run)
+                     std::uint32_t n, const OperatingPoint &p)
 {
     if (n > kWords || addr > kWords - n)
         fatal("SramBank: span [", addr, ",", addr + n, ") out of range [0,",
               kWords, ")");
     std::copy(data, data + n, words_.begin() + addr);
-    // A write then a read per word, each one chargeAccess(run.point):
-    // two adds per word to each sum. The sums are independent chains,
-    // so the boost chain rides in the access chain's loop.
-    const OperatingPoint &p = run.point;
+    // A write then a read per word, each one chargeAccess(p): two adds
+    // per word to each sum. The sums are independent chains, so the
+    // boost chain rides in the access chain's loop.
     double access = counters_.accessEnergy.value();
     if (p.level > 0) {
         double boost = counters_.boostEnergy.value();
@@ -167,7 +164,7 @@ SramBank::write(std::uint32_t addr, std::uint64_t data, Volt vdd)
 {
     checkAddr(addr);
     words_[addr] = data;
-    chargeAccess(operatingPoint(vdd, bic_.enabledLevel()));
+    chargeAccess(memoEntry(vdd, bic_.enabledLevel()));
     ++counters_.writes;
 }
 
@@ -188,14 +185,14 @@ SramBank::readRaw(std::uint32_t addr, Volt vdd, const VulnerabilityMap &map,
                   std::uint64_t check_base)
 {
     checkAddr(addr);
-    const OperatingPoint &p = operatingPoint(vdd, bic_.enabledLevel());
+    const OperatingPoint &p = accessPoint(vdd, map, check_base);
     chargeAccess(p);
     ++counters_.reads;
     RawRead r;
     r.data = words_[addr];
     r.flipProb = flipProb_;
-    if (p.failProb > 0.0)
-        r.mask = masks(map, p.failProb, check_base).at(addr);
+    if (p.masks)
+        r.mask = p.masks->at(addr);
     return r;
 }
 

@@ -13,8 +13,8 @@
 #ifndef VBOOST_SRAM_SRAM_BANK_HPP
 #define VBOOST_SRAM_SRAM_BANK_HPP
 
-#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "circuit/bic.hpp"
@@ -114,55 +114,67 @@ class SramBank
      * level, exactly as read() does, and return the stored word with
      * the fault mask of its cells at that level's fail probability.
      * Word a's check cells are check_base + 8a (kNoCheckCells: none).
-     * The masks of all words are packed on the first read of each
-     * (map, fail probability, check_base) and kept for later reads.
+     * The masks come from accessPoint().
      */
     RawRead readRaw(std::uint32_t addr, Volt vdd,
                     const VulnerabilityMap &map,
                     std::uint64_t check_base =
                         WordFaultMasks::kNoCheckCells);
 
-    /** What an access at (vdd, level) costs and risks; pure functions
-     *  of the pair, computed once per pair. */
+    /** What an access at (vdd, level) costs and risks, and which cells
+     *  fail there: computed once per pair, the masks once per map. */
     struct OperatingPoint
     {
         double vdd = 0.0;
         int level = 0;
+        /** Boosted array voltage Vddv(vdd, level). */
+        Volt vddv{0.0};
         Joule accessEnergy{0.0};
         Joule boostEnergy{0.0};
+        /** F(vddv). */
         double failProb = 0.0;
-    };
-
-    /** What a run of accesses at one (vdd, level) needs, looked up
-     *  once: plain copies, which later memo or mask-table evictions
-     *  leave intact. */
-    struct AccessRun
-    {
-        /** The memo entry of the run's (vdd, level). */
-        OperatingPoint point;
-        /** Bit w % 64 of element w / 64: word w has a faulty data or
-         *  check cell at point.failProb. */
-        std::array<std::uint64_t, kWords / 64> faulty{};
+        /** The masks of all words at failProb for the map and check
+         *  base the bank's tables are packed for; null until the
+         *  point's first faulty access. Immutable, so a copy of the
+         *  point keeps reading them after the memo drops them. */
+        std::shared_ptr<const WordFaultMasks> masks;
     };
 
     /**
-     * The AccessRun of accesses at chip supply vdd and the current
-     * boost level, with word a's check cells at check_base + 8a as in
-     * readRaw(). Packs the mask table if readRaw() would.
+     * The memo entry of an access at chip supply vdd and boost level
+     * `level`: costs, Vddv and failProb; masks only if an access
+     * already packed them. Valid until the bank's next call.
      */
-    AccessRun accessRun(Volt vdd, const VulnerabilityMap &map,
-                        std::uint64_t check_base);
+    const OperatingPoint &
+    operatingPoint(Volt vdd, int level)
+    {
+        return memoEntry(vdd, level);
+    }
+
+    /**
+     * The memo entry of an access at chip supply vdd and the current
+     * boost level, with its masks packed for `map` and word a's check
+     * cells at check_base + 8a if failProb > 0. The bank keeps one map
+     * and check base at a time: a call with another drops every
+     * point's masks first. Valid until the bank's next call.
+     */
+    const OperatingPoint &accessPoint(Volt vdd, const VulnerabilityMap &map,
+                                      std::uint64_t check_base);
 
     /**
      * For each i < n in order, write(addr + i, data[i], vdd) followed
      * by readRaw(addr + i, vdd, ...) of a word without faulty cells,
-     * every access charged at run.point (which must be current: same
-     * vdd, the bank still at run.point.level). The counters end with
-     * the same values and the Joule sums with the same adds in the
-     * same order, without the per-access lookups.
+     * every access charged at p (which must be current: same vdd, the
+     * bank still at p.level). The counters end with the same values
+     * and the Joule sums with the same adds in the same order, without
+     * the per-access lookups.
      */
     void stageClean(std::uint32_t addr, const std::uint64_t *data,
-                    std::uint32_t n, const AccessRun &run);
+                    std::uint32_t n, const OperatingPoint &p);
+
+    /** Times the bank has packed a mask table (diagnostics and
+     *  tests). */
+    std::uint64_t maskPacks() const { return maskPacks_; }
 
     /** Fault-free debug read (no energy, no faults). */
     std::uint64_t peek(std::uint32_t addr) const;
@@ -190,19 +202,9 @@ class SramBank
     void setFlipProb(double p);
 
   private:
-    /** One packed mask table and what it was packed for. */
-    struct MaskTable
-    {
-        FaultMaskKey key;
-        std::uint64_t checkBase;
-        WordFaultMasks masks;
-    };
-
-    /** Memo bounds: a serving chip sees a handful of (vdd, level)
-     *  pairs and maps; a Monte-Carlo sweep cycling through many maps
-     *  evicts the oldest table. */
+    /** Memo bound: a serving chip sees a handful of (vdd, level)
+     *  pairs; a sweep past it starts the memo over. */
     static constexpr std::size_t kMaxOperatingPoints = 64;
-    static constexpr std::size_t kMaxMaskTables = 8;
 
     /** Fatal unless addr < kWords. */
     static void checkAddr(std::uint32_t addr);
@@ -210,9 +212,7 @@ class SramBank
      *  level): write() and readRaw() go through here; stageClean()
      *  adds the same values for a span of accesses. */
     void chargeAccess(const OperatingPoint &p);
-    const OperatingPoint &operatingPoint(Volt vdd, int level);
-    const WordFaultMasks &masks(const VulnerabilityMap &map,
-                                double fail_prob, std::uint64_t check_base);
+    OperatingPoint &memoEntry(Volt vdd, int level);
 
     int bankId_;
     circuit::BoosterBank booster_;
@@ -224,7 +224,10 @@ class SramBank
     std::vector<std::uint64_t> words_;
     BankCounters counters_;
     std::vector<OperatingPoint> points_;
-    std::vector<MaskTable> maskTables_;
+    /** Map and check base of every point's masks. */
+    MapKey masksMap_;
+    std::uint64_t masksCheckBase_ = WordFaultMasks::kNoCheckCells;
+    std::uint64_t maskPacks_ = 0;
 };
 
 } // namespace vboost::sram

@@ -15,19 +15,6 @@ flipMasked(std::uint64_t &data, std::uint8_t &check, WordMask mask,
     return static_cast<int>(flips);
 }
 
-FaultMaskKey
-FaultMaskKey::of(const VulnerabilityMap &map, double fail_prob)
-{
-    FaultMaskKey k;
-    k.streamKey = map.streamKey();
-    k.model = map.model();
-    // Iid maps keep default-constructed cluster params, so the field
-    // compares equal across them and never splits an iid entry.
-    k.cluster = map.cluster();
-    k.failProb = fail_prob;
-    return k;
-}
-
 WordFaultMasks::WordFaultMasks(const VulnerabilityMap &map,
                                std::uint64_t data_base,
                                std::uint64_t check_base,
@@ -52,7 +39,7 @@ WordFaultMasks::WordFaultMasks(const VulnerabilityMap &map,
         dataMasks_.push_back(m.data);
         checkMasks_.push_back(m.check);
     }
-    // A bank keeps its tables for the life of the chip.
+    // A bank keeps its tables while its map stays the same.
     dataMasks_.shrink_to_fit();
     checkMasks_.shrink_to_fit();
     std::uint32_t before = 0;

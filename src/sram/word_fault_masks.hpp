@@ -74,21 +74,6 @@ drawFlips(std::uint64_t faults, double flip_prob, Rng &rng,
 int flipMasked(std::uint64_t &data, std::uint8_t &check, WordMask mask,
                double flip_prob, Rng &rng);
 
-/** Everything that decides which cells of a map are faulty at a fail
- *  probability: a mask table is valid exactly for its key. */
-struct FaultMaskKey
-{
-    std::uint64_t streamKey = 0;
-    MapModel model = MapModel::Iid;
-    ClusterParams cluster;
-    double failProb = 0.0;
-
-    static FaultMaskKey of(const VulnerabilityMap &map, double fail_prob);
-
-    friend bool operator==(const FaultMaskKey &,
-                           const FaultMaskKey &) = default;
-};
-
 /**
  * Sparse fault masks of `words` consecutive codewords. Word w's data
  * cells are data_base + 64w .. +63 and its check cells check_base + 8w

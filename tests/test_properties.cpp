@@ -129,8 +129,9 @@ TEST_P(OperatingPointSweep, MinimalLevelReachingIsMinimal)
     if (!chosen)
         return;
     EXPECT_GE(explorer.boostedVoltage(vdd, *chosen), target);
-    if (*chosen > 0)
+    if (*chosen > 0) {
         EXPECT_LT(explorer.boostedVoltage(vdd, *chosen - 1), target);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,6 +12,7 @@
 
 #include "testenv.hpp"
 
+#include "circuit/latency.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/context.hpp"
@@ -19,6 +20,7 @@
 #include "dnn/layers.hpp"
 #include "dnn/quantize.hpp"
 #include "dnn/trainer.hpp"
+#include "energy/supply_config.hpp"
 #include "fi/experiment.hpp"
 #include "obs/observability.hpp"
 #include "resilience/monitor.hpp"
@@ -283,6 +285,68 @@ TEST_F(ResilientMemoryTest, QuarantineMovesRowsToSpares)
     // A write to a spared row keeps the spare image coherent.
     rmem.writeWord(spared, 0xfeedull, vdd);
     EXPECT_EQ(rmem.spares().row(0).data, 0xfeedull);
+}
+
+TEST_F(ResilientMemoryTest, RetriesAndSparesCostWhatTheSupplyModelSays)
+{
+    // Retries and spare reads are charged at the bank's operating
+    // point; every charge must equal the supply model's Eq. (3) terms
+    // at the attempt's level, added in attempt order: access energy,
+    // then boost energy at level > 0, and the access time at Vddv.
+    const Volt vdd{0.40};
+    const sram::VulnerabilityMap map(29, 0);
+    const energy::SupplyConfigurator supply(ctx_.tech, ctx_.design,
+                                            mem_.banks());
+    const circuit::LatencyModel latency(ctx_.tech);
+    const int max_level = mem_.bank(0).levels();
+    auto add_attempt = [&](double &energy, double &time, int level) {
+        const Volt vddv = supply.boostedVoltage(vdd, level);
+        energy += supply.energyModel().sramAccessEnergy(vddv, mem_.banks())
+                      .value();
+        if (level > 0)
+            energy += supply.booster().boostEventEnergy(vdd, level).value();
+        time += latency.accessTime(vddv, vdd).value();
+    };
+
+    // Retries from level 0 up, no raises, no spares.
+    auto retrying = ResiliencePolicy::closedLoop(3, EscalationPolicy::StepUp,
+                                                 0);
+    retrying.raiseThreshold = 1.0;
+    auto rmem = wrap(retrying);
+    Rng data_rng(6);
+    double energy = 0.0;
+    double time = 0.0;
+    for (std::uint32_t addr = 0; addr < 512; ++addr) {
+        rmem.writeWord(addr, data_rng.next(), vdd);
+        const ReadOutcome out = rmem.readWord(addr, vdd, map);
+        for (int a = 1; a < out.attempts; ++a)
+            add_attempt(energy, time,
+                        retrying.attemptLevel(0, a, max_level));
+    }
+    ResilienceStats s = rmem.snapshot();
+    ASSERT_EQ(s.standingRaises, 0u);
+    ASSERT_GT(s.escalations, 0u);
+    EXPECT_EQ(s.retryEnergy.value(), energy);
+    EXPECT_EQ(s.retryLatency.value(), time);
+
+    // Spare reads at a boosted standing level, one attempt each.
+    auto sparing = ResiliencePolicy::closedLoop(0, EscalationPolicy::Hold, 2);
+    sparing.startLevel = 1;
+    sparing.quarantineThreshold = 1;
+    sparing.raiseThreshold = 1.0;
+    auto spared = wrap(sparing);
+    for (std::uint32_t addr = 0; addr < 128; ++addr)
+        spared.writeWord(addr, data_rng.next(), vdd);
+    for (int pass = 0; pass < 3; ++pass)
+        for (std::uint32_t addr = 0; addr < 128; ++addr)
+            spared.readWord(addr, vdd, map);
+    s = spared.snapshot();
+    ASSERT_GT(s.spareReads, 0u);
+    energy = 0.0;
+    time = 0.0; // spare reads add no retry latency
+    for (std::uint64_t i = 0; i < s.spareReads; ++i)
+        add_attempt(energy, time, 1);
+    EXPECT_EQ(s.spareEnergy.value(), energy);
 }
 
 TEST_F(ResilientMemoryTest, ClusteredMapsDriveSecdedDoubleBitFailures)

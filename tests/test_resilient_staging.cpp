@@ -17,8 +17,8 @@
  * Also here: the bulk staging pass against the per-word pipeline,
  * staging-image reuse, the kept image's key, a serving slot's undo
  * record, per-bank check-cell flip probabilities, the
- * masked-flip routine against the per-cell loop, and the mask-table
- * key against per-cell queries.
+ * masked-flip routine against the per-cell loop, a bank's masks
+ * against per-cell queries, and when a bank packs them.
  */
 
 #include <gtest/gtest.h>
@@ -283,6 +283,9 @@ class StagingPair
 
     resilience::ResilienceStats stats() const { return word_.snapshot(); }
 
+    /** Mask tables the bulk side's bank 0 has packed. */
+    std::uint64_t maskPacks() const { return bulkMem_.bank(0).maskPacks(); }
+
     double ewmaRate(int bank) const { return word_.monitor().rate(bank); }
 
     const resilience::SpareRowTable &spares() const
@@ -306,10 +309,9 @@ class StagingPair
         if (wordMem_.boostLevel(bank) != word_.standingLevel(bank) ||
             word_.spares().find(addr) >= 0)
             return true;
-        const sram::SramBank::AccessRun run = wordMem_.accessRun(
+        const sram::SramBank::OperatingPoint &p = wordMem_.accessPoint(
             bank, Volt(vdd), map, kCheckRegion + wordMem_.cellBase());
-        const std::uint32_t local = addr % sram::SramBank::kWords;
-        return (run.faulty[local / 64] >> (local % 64)) & 1u;
+        return p.masks && !p.masks->at(addr % sram::SramBank::kWords).empty();
     }
 
     core::SimContext ctx_ = core::SimContext::standard();
@@ -387,9 +389,9 @@ TEST(StageGroups, MatchesAcrossWrapsOddLengthsAndMovedLevels)
 
 TEST(StageGroups, MatchesWhenMaskTablesAreEvicted)
 {
-    // Ten distinct supplies give ten fail probabilities per level, more
-    // than a bank keeps tables for; the first supplies then come back
-    // and must be repacked.
+    // Ten distinct supplies give ten operating points per level, each
+    // with its own mask table; the first supplies then come back and
+    // must find theirs.
     StagingPair pair(2, resilience::ResiliencePolicy::closedLoop(
                             3, resilience::EscalationPolicy::MaxOut));
     const sram::VulnerabilityMap map(14, 0);
@@ -400,6 +402,28 @@ TEST(StageGroups, MatchesWhenMaskTablesAreEvicted)
         pair.stage(cursor, 1100, vdd, map, 512, seed++);
         cursor += 1100;
     }
+}
+
+TEST(StageGroups, MatchesWhenTheMemoClearsMidCall)
+{
+    // One codeword at each of 63 near-fault-free supplies fills the
+    // bank's memo to one below its bound; at 0.40 V the standing point
+    // fills it, so the first escalated retry starts it over while the
+    // walk still reads the faulty words off its hoisted copy of the
+    // point.
+    StagingPair pair(1, resilience::ResiliencePolicy::closedLoop(
+                            3, resilience::EscalationPolicy::MaxOut));
+    const sram::VulnerabilityMap map(18, 0);
+    for (int i = 0; i < 63; ++i)
+        pair.stage(static_cast<std::uint64_t>(i), 1, 0.60 + 0.005 * i, map, 1,
+                   100 + static_cast<std::uint64_t>(i));
+    EXPECT_EQ(pair.maskPacks(), 63u);
+    pair.stage(0, 1024, 0.40, map, 1024, 200);
+    EXPECT_GT(pair.stats().escalations, 0u);
+    // The memo started over: the first supply's table is packed again.
+    const std::uint64_t packs = pair.maskPacks();
+    pair.stage(0, 1, 0.60, map, 1, 300);
+    EXPECT_EQ(pair.maskPacks(), packs + 1);
 }
 
 TEST(StageGroups, MatchesWhenASpanEndsBeforeABankOffItsStandingLevel)
@@ -830,9 +854,9 @@ TEST(WordFaultMasks, FlipMaskedDrawsLikeThePerCellLoop)
 TEST(WordFaultMasks, BankMasksMatchPerCellQueriesForEveryMapKey)
 {
     // One bank reads under maps that share a seed but differ in model,
-    // cluster params or fail probability. A mask table keyed on too
-    // little would hand one map's faults to another; every read must
-    // match the per-cell isFaulty truth instead.
+    // cluster params or fail probability. Masks kept for too little of
+    // the map's identity would hand one map's faults to another; every
+    // read must match the per-cell isFaulty truth instead.
     const auto ctx = core::SimContext::standard();
     const FailureRateModel failure(ctx.failure);
     SramBank bank(3, ctx.design, ctx.tech, failure, 4);
@@ -844,13 +868,9 @@ TEST(WordFaultMasks, BankMasksMatchPerCellQueriesForEveryMapKey)
     const VulnerabilityMap clustered_rows(5, 0, MapModel::Clustered, rows);
     const std::uint64_t check_base = 1ull << 38;
 
-    const double p042 = failure.rate(Volt(0.42));
-    EXPECT_NE(FaultMaskKey::of(iid, p042), FaultMaskKey::of(clustered, p042));
-    EXPECT_NE(FaultMaskKey::of(clustered, p042),
-              FaultMaskKey::of(clustered_rows, p042));
-    EXPECT_NE(FaultMaskKey::of(iid, p042), FaultMaskKey::of(iid, 2 * p042));
-    EXPECT_EQ(FaultMaskKey::of(iid, p042),
-              FaultMaskKey::of(VulnerabilityMap(5, 0), p042));
+    EXPECT_NE(iid.key(), clustered.key());
+    EXPECT_NE(clustered.key(), clustered_rows.key());
+    EXPECT_EQ(iid.key(), VulnerabilityMap(5, 0).key());
 
     struct Step
     {
@@ -898,6 +918,87 @@ TEST(WordFaultMasks, BankMasksMatchPerCellQueriesForEveryMapKey)
         }
     }
     EXPECT_GT(iid_vs_clustered, 0u);
+}
+
+TEST(WordFaultMasks, BankPacksOncePerMapFailProbabilityAndCheckBase)
+{
+    // A bank cycled through ten supplies and back packs one table per
+    // (map, fail probability, check base) and reads the same masks
+    // from it every time. A map of another seed, model or cluster
+    // params, or another check base, packs anew; a map equal to the
+    // last one in all but its object does not, nor does a supply at
+    // the fail probability of one already packed.
+    const auto ctx = core::SimContext::standard();
+    const FailureRateModel failure(ctx.failure);
+    SramBank bank(1, ctx.design, ctx.tech, failure, 2);
+    const VulnerabilityMap iid(7, 0);
+    const VulnerabilityMap other_seed(8, 0);
+    const VulnerabilityMap clustered(7, 0, MapModel::Clustered,
+                                     ClusterParams{});
+    ClusterParams rows;
+    rows.rowDefectProb = 0.1;
+    const VulnerabilityMap clustered_rows(7, 0, MapModel::Clustered, rows);
+    const std::uint64_t check_base = 1ull << 38;
+    const std::vector<double> vdds{0.40, 0.41, 0.42, 0.43, 0.44,
+                                   0.45, 0.46, 0.47, 0.48, 0.49};
+    for (double vdd : vdds)
+        ASSERT_GT(bank.failProbAt(Volt(vdd)), 0.0) << vdd;
+
+    auto cycle = [&](const VulnerabilityMap &map, std::uint64_t base) {
+        std::vector<WordMask> masks;
+        for (double vdd : vdds) {
+            for (std::uint32_t w = 0; w < SramBank::kWords; ++w)
+                masks.push_back(bank.readRaw(w, Volt(vdd), map, base).mask);
+        }
+        return masks;
+    };
+    auto same = [](const std::vector<WordMask> &a,
+                   const std::vector<WordMask> &b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                          [](WordMask x, WordMask y) {
+                              return x.data == y.data && x.check == y.check;
+                          });
+    };
+
+    const std::vector<WordMask> first = cycle(iid, check_base);
+    EXPECT_EQ(bank.maskPacks(), vdds.size());
+    for (int pass = 0; pass < 2; ++pass)
+        EXPECT_TRUE(same(cycle(iid, check_base), first)) << pass;
+    EXPECT_TRUE(same(cycle(VulnerabilityMap(7, 0), check_base), first));
+    EXPECT_EQ(bank.maskPacks(), vdds.size());
+
+    std::uint64_t packs = bank.maskPacks();
+    const std::vector<std::pair<const VulnerabilityMap *, std::uint64_t>>
+        others{{&iid, WordFaultMasks::kNoCheckCells},
+               {&iid, check_base + 8 * SramBank::kWords},
+               {&other_seed, check_base},
+               {&clustered, check_base},
+               {&clustered_rows, check_base},
+               {&iid, check_base}};
+    for (const auto &[map, base] : others) {
+        const std::vector<WordMask> masks = cycle(*map, base);
+        EXPECT_EQ(bank.maskPacks(), packs + vdds.size());
+        packs = bank.maskPacks();
+        EXPECT_TRUE(same(cycle(*map, base), masks));
+        EXPECT_EQ(bank.maskPacks(), packs);
+    }
+    EXPECT_TRUE(same(cycle(iid, check_base), first));
+
+    // A boost level moves every supply to another fail probability.
+    bank.setBoostLevel(1);
+    cycle(iid, check_base);
+    EXPECT_EQ(bank.maskPacks(), packs + vdds.size());
+
+    // Below about 0.39 V the rate saturates: two supplies, one table.
+    bank.setBoostLevel(0);
+    packs = bank.maskPacks();
+    ASSERT_EQ(bank.failProbAt(Volt(0.34)), bank.failProbAt(Volt(0.36)));
+    for (std::uint32_t w = 0; w < SramBank::kWords; ++w) {
+        const WordMask a = bank.readRaw(w, Volt(0.34), iid, check_base).mask;
+        const WordMask b = bank.readRaw(w, Volt(0.36), iid, check_base).mask;
+        ASSERT_TRUE(a.data == b.data && a.check == b.check) << w;
+    }
+    EXPECT_EQ(bank.maskPacks(), packs + 1);
 }
 
 } // namespace
