@@ -62,6 +62,7 @@ main()
     std::cout << "die  chosen-level  Vddv(V)  array-BER  accuracy\n";
 
     double energy_adaptive = 0.0, energy_static = 0.0;
+    auto scratch = net.clone(); // receives each die's staged weights
     for (std::uint64_t die = 0; die < 6; ++die) {
         const sram::VulnerabilityMap map(500 + die, 0);
         const auto level = controller.chooseLevel(vdd, map);
@@ -73,9 +74,9 @@ main()
         accel::DanteChip chip(accel::DanteConfig::fromTable1(), ctx.tech,
                               ctx.failure);
         Rng read_rng(die + 1);
-        const auto logits = chip.runFcInference(
-            net, test_set.images, vdd, {*level, *level}, *level, map,
-            read_rng);
+        const auto logits = chip.runInference(
+            net, scratch, test_set.images, vdd, {*level, *level}, *level,
+            map, read_rng);
         std::size_t correct = 0;
         for (int i = 0; i < logits.dim(0); ++i) {
             int best = 0;

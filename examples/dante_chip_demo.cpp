@@ -65,12 +65,13 @@ main()
               << " MHz\n\n";
     std::cout << "level  Vddv(V)  accuracy  dyn energy (uJ)  "
                  "boost events  set_boost_config\n";
+    auto scratch = net.clone(); // receives each run's staged weights
     for (int level = 0; level <= 4; ++level) {
         chip.resetCounters();
         const sram::VulnerabilityMap map(42, 0);
         Rng read_rng(level + 1);
-        const auto logits = chip.runFcInference(
-            net, test_set.images, vdd, {level, level}, level, map,
+        const auto logits = chip.runInference(
+            net, scratch, test_set.images, vdd, {level, level}, level, map,
             read_rng);
 
         std::size_t correct = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "dnn/backend/backend.hpp"
 #include "dnn/layers.hpp"
 #include "dnn/quantize.hpp"
 
@@ -99,74 +98,6 @@ stageThroughMemory(sram::BankedMemory &mem,
 }
 
 } // namespace
-
-dnn::Tensor
-DanteChip::runFcInference(dnn::Network &net, const dnn::Tensor &x,
-                          Volt vdd,
-                          const std::vector<int> &layer_boost_levels,
-                          int input_boost_level,
-                          const sram::VulnerabilityMap &map, Rng &rng)
-{
-    // Collect the Dense layers; other layer types (ReLU) are PE-side.
-    std::vector<dnn::Dense *> dense;
-    for (std::size_t i = 0; i < net.size(); ++i) {
-        if (auto *d = dynamic_cast<dnn::Dense *>(&net.layer(i)))
-            dense.push_back(d);
-    }
-    if (dense.empty())
-        fatal("DanteChip::runFcInference: network has no Dense layers");
-    if (layer_boost_levels.size() != dense.size())
-        fatal("DanteChip::runFcInference: expected ", dense.size(),
-              " boost levels, got ", layer_boost_levels.size());
-
-    setInputBoostLevel(input_boost_level);
-
-    // Inputs and intermediate activations round-trip the input memory.
-    auto roundtrip_acts = [&](const dnn::Tensor &acts) {
-        auto q = dnn::quantize(acts);
-        q.words = stageThroughMemory(inputMem_, q.words, vdd, map, rng);
-        return dnn::dequantize(q);
-    };
-
-    dnn::Tensor a = roundtrip_acts(x);
-    const int batch = x.dim(0);
-
-    for (std::size_t l = 0; l < dense.size(); ++l) {
-        dnn::Dense &layer = *dense[l];
-        // Per-layer uniform boost for all weight banks (paper Sec. 4:
-        // "memory accesses within the same layer are boosted
-        // uniformly").
-        setWeightBoostLevel(layer_boost_levels[l]);
-
-        auto qw = dnn::quantize(layer.weight());
-        qw.words = stageThroughMemory(weightMem_, qw.words, vdd, map, rng);
-        const dnn::Tensor w = dnn::dequantize(qw);
-
-        const int in = layer.inFeatures(), out = layer.outFeatures();
-        dnn::Tensor y({batch, out});
-        dnn::referenceBackend().gemm(a.data(), w.data(), y.data(), batch,
-                                     in, out, /*accumulate=*/false);
-        for (int i = 0; i < batch; ++i)
-            for (int j = 0; j < out; ++j)
-                y.at(i, j) += layer.bias()[static_cast<std::size_t>(j)];
-
-        const auto macs = static_cast<std::uint64_t>(batch) *
-                          static_cast<std::uint64_t>(in) *
-                          static_cast<std::uint64_t>(out);
-        counters_.macOps += macs;
-        counters_.peEnergy += energy_.peOpEnergy(vdd) *
-                              static_cast<double>(macs);
-
-        if (l + 1 < dense.size()) {
-            for (std::size_t e = 0; e < y.numel(); ++e)
-                y[e] = std::max(y[e], 0.0f);
-            counters_.activations += y.numel();
-            y = roundtrip_acts(y);
-        }
-        a = y;
-    }
-    return a;
-}
 
 dnn::Tensor
 DanteChip::runInference(dnn::Network &net, dnn::Network &scratch,

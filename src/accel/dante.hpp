@@ -5,9 +5,8 @@
  * 4 KB macros — a 128 KB weight memory (16 banks) and a 16 KB input
  * memory (2 banks) — each bank with its own booster column and Boost
  * Input Control block. The accelerator programs per-bank boost levels
- * with a set_boost_config instruction and runs fully connected
- * inference by staging each layer's int16 weights through the faulty
- * weight memory.
+ * with a set_boost_config instruction and runs inference by staging
+ * each layer's int16 weights through the faulty weight memory.
  */
 
 #ifndef VBOOST_ACCEL_DANTE_HPP
@@ -75,7 +74,7 @@ struct ChipCounters
 
 /**
  * Behavioural + energy model of the Dante chip. Owns the two boosted
- * banked memories and a PE-array energy account; runs FC inference
+ * banked memories and a PE-array energy account; runs inference
  * end-to-end through the faulty SRAM read path.
  */
 class DanteChip
@@ -105,40 +104,18 @@ class DanteChip
     void setInputBoostLevel(int level);
 
     /**
-     * Run one batch of FC inference through the chip: every Dense
-     * layer's weights are quantized to int16, staged tile-by-tile
-     * through the (faulty) weight memory at the layer's boost level,
-     * and the batch's activations round-trip the input memory between
-     * layers. ReLU is applied between hidden layers as in the float
-     * network.
-     *
-     * @param net trained float network (read-only; a corrupted copy of
-     *        each layer's weights is used for compute).
-     * @param x input batch [B, features].
-     * @param vdd chip supply voltage.
-     * @param layer_boost_levels boost level per Dense layer (must match
-     *        the number of Dense layers in `net`).
-     * @param input_boost_level boost level for the input memory.
-     * @param map vulnerability map (Monte-Carlo instance).
-     * @param rng per-read flip randomness.
-     * @return logits [B, classes] computed with corrupted operands.
-     */
-    dnn::Tensor runFcInference(dnn::Network &net, const dnn::Tensor &x,
-                               Volt vdd,
-                               const std::vector<int> &layer_boost_levels,
-                               int input_boost_level,
-                               const sram::VulnerabilityMap &map, Rng &rng);
-
-    /**
-     * Generic inference through the chip: works for any layer stack
-     * (Dense, Conv2d, MaxPool2d, Relu, Flatten). Every weight tensor
-     * is staged tile-by-tile through the faulty weight memory at its
-     * layer's boost level; activations round-trip the input memory
-     * between trainable layers; stateless layers execute in the PEs.
+     * Run one batch of inference through the chip: works for any
+     * layer stack (Dense, Conv2d, MaxPool2d, Relu, Flatten). Every
+     * weight tensor is quantized to int16 and staged tile-by-tile
+     * through the faulty weight memory at its layer's boost level
+     * (paper Sec. 4: accesses within a layer are boosted uniformly);
+     * the input batch and the activations between trainable layers
+     * round-trip the input memory; stateless layers and biases stay
+     * in the PEs.
      *
      * @param net trained float network (read-only).
      * @param scratch structurally identical network that receives the
-     *        corrupted weights (build with the same zoo function).
+     *        corrupted weights (e.g. net.clone()).
      * @param x input batch (shape per the network's first layer).
      * @param vdd chip supply voltage.
      * @param weight_levels boost level per *weight layer* (Dense or

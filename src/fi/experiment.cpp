@@ -391,8 +391,9 @@ FaultInjectionRunner::reduce(std::span<const MapResult> results,
 void
 FaultInjectionRunner::stageFaultFree(dnn::Network &scratch)
 {
-    // At fail_prob 0 corruptNetwork copies the float weights verbatim
-    // and draws nothing, so neither the map nor the stream matters.
+    // At fail_prob 0 corruptNetwork only round-trips the weights
+    // through int16 and draws nothing, so neither the map nor the
+    // stream matters.
     Rng rng(cfg_.seed);
     corruptNetwork(scratch, net_, makeMap(0), /*fail_prob=*/0.0,
                    InjectionSpec::allWeights(), cfg_.layout, rng);

@@ -169,8 +169,8 @@ class FaultInjectionRunner
                          ExperimentConfig cfg = {});
 
     /** Fault-free accuracy (the ceiling): the network as a zero-rate
-     *  run stages it, i.e. its float weights copied verbatim, with no
-     *  int16 round trip (see corruptNetwork). */
+     *  run stages it, i.e. every weight through the int16 round trip
+     *  with no faults (see corruptNetwork). */
     double baselineAccuracy();
 
     /** Monte-Carlo accuracy at one bit failure probability. */
@@ -206,13 +206,12 @@ class FaultInjectionRunner
 
     /**
      * Monte-Carlo accuracy with *timing* faults only (DESIGN.md §13):
-     * weights stage as a zero-rate run does (the float weights copied
-     * verbatim; the SRAM is clean), but every layer-output element is
-     * one op on a timing-speculative datapath at `inj.vLogic`. Ops
-     * whose replay budget exhausts commit a corrupted output (one
-     * deterministic bit flip in the element's int16 representation).
-     * The datapath evolves serially within a map (monitors, ladder),
-     * fresh per map.
+     * weights stage as a zero-rate run does (the int16 round trip; the
+     * SRAM is clean), but every layer-output element is one op on a
+     * timing-speculative datapath at `inj.vLogic`. Ops whose replay
+     * budget exhausts commit a corrupted output (one deterministic bit
+     * flip in the element's int16 representation). The datapath
+     * evolves serially within a map (monitors, ladder), fresh per map.
      */
     TimingAccuracyPoint runTiming(const core::SimContext &ctx,
                                   const TimingInjection &inj);
@@ -301,7 +300,8 @@ class FaultInjectionRunner
                                            const std::vector<double> &rates,
                                            const InjectionSpec &spec);
 
-    /** Stage net_ into `scratch` as a zero-rate run does. */
+    /** Stage net_ into `scratch` as a zero-rate run does: every
+     *  weight through the int16 round trip, no faults. */
     void stageFaultFree(dnn::Network &scratch);
 
     /** Map-order (deterministic) reduction of per-map results. */

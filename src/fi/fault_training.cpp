@@ -42,11 +42,14 @@ class FreshMapStep : public dnn::NetworkStep
     void
     beforeBatch(int epoch, std::uint64_t batch) override
     {
+        // Warm-up epochs are plain float SGD: the weights unstaged.
+        if (epoch < cfg_.warmupEpochs) {
+            scratch_.copyParamsFrom(net_);
+            return;
+        }
         const sram::VulnerabilityMap map(cfg_.seed, batch);
         Rng flip_rng = Rng(cfg_.seed).split(batch);
-        const double fail_prob =
-            epoch < cfg_.warmupEpochs ? 0.0 : cfg_.failProb;
-        corruptNetwork(scratch_, net_, map, fail_prob, spec_,
+        corruptNetwork(scratch_, net_, map, cfg_.failProb, spec_,
                        cfg_.layout, flip_rng);
     }
 

@@ -30,8 +30,9 @@ struct FaultTrainConfig
     double failProb = 5e-3;
     /** Per-read flip probability of a faulty cell. */
     double flipProb = 0.5;
-    /** Clean (fault-free) epochs before injection starts; the model
-     *  learns the task first, then hardens. */
+    /** Clean epochs before injection starts; the model learns the
+     *  task first, then hardens. Warm-up trains the float weights
+     *  unstaged (no int16 round trip). */
     int warmupEpochs = 1;
     /** Element-wise gradient clamp (0 = off). Bit flips in high bits
      *  produce outlier activations whose gradients would otherwise

@@ -147,9 +147,8 @@ corruptNetwork(dnn::Network &dst, dnn::Network &src,
                const InjectionSpec &spec, const MemoryLayout &layout,
                Rng &rng, const WeightRegionImage &image)
 {
-    // Staging overwrites every weight tensor: copy only the rest then.
-    const bool staging = spec.injectWeights && fail_prob > 0.0;
-    dst.copyParamsFrom(src, /*weights=*/!staging);
+    // Staging overwrites every weight tensor: copy only the rest.
+    dst.copyParamsFrom(src, /*weights=*/false);
 
     const std::size_t layers = src.weightParams().size();
     if (layers != dst.weightParams().size())
@@ -158,20 +157,20 @@ corruptNetwork(dnn::Network &dst, dnn::Network &src,
         fatal("corruptNetwork: layer index ", spec.onlyLayer,
               " out of range (", layers, " weight layers)");
 
-    if (!staging)
-        return 0;
-
-    // All layers round-trip quantization (the accelerator computes on
-    // int16 storage either way); only targeted layers get faults. A
-    // single targeted layer packs just its own window.
+    // Every layer round-trips quantization at every rate (the
+    // accelerator computes on int16 storage); only targeted layers at
+    // fail_prob > 0 get faults. A single targeted layer packs just its
+    // own window.
+    const bool faulty = spec.injectWeights && fail_prob > 0.0;
     const sram::PackedFaultMap *packed =
-        spec.onlyLayer < 0 ? &image.packed(src, map, fail_prob, layout)
-                           : nullptr;
+        faulty && spec.onlyLayer < 0
+            ? &image.packed(src, map, fail_prob, layout)
+            : nullptr;
     return stageWeightLayers(
         dst, src, map, layout, spec.flipProb, rng,
         [&](std::size_t l) {
-            return spec.onlyLayer < 0 ||
-                           spec.onlyLayer == static_cast<int>(l)
+            return faulty && (spec.onlyLayer < 0 ||
+                              spec.onlyLayer == static_cast<int>(l))
                        ? fail_prob
                        : 0.0;
         },

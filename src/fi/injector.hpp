@@ -129,14 +129,13 @@ class WeightRegionImage
 /**
  * Produce a corrupted copy of `src`'s parameters in `dst` (both must
  * be structurally identical; build `dst` with the same zoo function).
- * Biases are copied verbatim. When weights are injected at
- * fail_prob > 0, every weight layer takes the int16 round trip
- * (non-targeted layers fault-free), so the injected faults are the
- * only difference from a fault-free int16 image. At fail_prob <= 0,
- * or without weight injection, the float weights are copied verbatim:
- * no round trip, unlike the per-layer, ECC and resilient variants,
- * which round-trip every weight layer at any rate. All-weights
- * injection packs one WeightRegionImage for the call.
+ * Biases are copied verbatim. Every weight layer takes the int16
+ * round trip at every rate and for every spec, like the per-layer,
+ * ECC and resilient variants; faults are drawn only on targeted
+ * layers at fail_prob > 0, so they are the only difference from the
+ * fault-free int16 image (and at fail_prob <= 0, or without weight
+ * injection, `rng` is not drawn from). All-weights injection at
+ * fail_prob > 0 packs one WeightRegionImage for the call.
  *
  * @return number of bit flips applied.
  */
@@ -148,9 +147,10 @@ std::uint64_t corruptNetwork(dnn::Network &dst, dnn::Network &src,
 /**
  * corruptNetwork reading the faults from `image`, which must be
  * current (WeightRegionImage::update) for the same src, map,
- * fail_prob and layout when all weights are injected; fatal
- * otherwise. A single-layer spec packs that layer's window instead
- * and ignores the image. Const on the image, so many threads may
+ * fail_prob and layout when all weights are injected at
+ * fail_prob > 0; fatal otherwise. A single-layer spec packs that
+ * layer's window instead, and a zero rate stages without faults;
+ * both ignore the image. Const on the image, so many threads may
  * share one.
  */
 std::uint64_t corruptNetwork(dnn::Network &dst, dnn::Network &src,

@@ -198,13 +198,16 @@ class TransformStep : public dnn::BatchStep
     void
     beforeBatch(int epoch, std::uint64_t batch) override
     {
-        const sram::VulnerabilityMap map(cfg_.seed, batch);
-        Rng flip_rng = Rng(cfg_.seed).split(batch);
-        const double fail_prob =
-            epoch < cfg_.warmupEpochs ? 0.0 : cfg_.failProb;
-        stats_.bitFlips += fi::corruptNetwork(scratch_, base_, map,
-                                              fail_prob, spec_,
-                                              cfg_.layout, flip_rng);
+        if (epoch < cfg_.warmupEpochs) {
+            // Warm-up epochs run the float base weights unstaged.
+            scratch_.copyParamsFrom(base_);
+        } else {
+            const sram::VulnerabilityMap map(cfg_.seed, batch);
+            Rng flip_rng = Rng(cfg_.seed).split(batch);
+            stats_.bitFlips += fi::corruptNetwork(
+                scratch_, base_, map, cfg_.failProb, spec_, cfg_.layout,
+                flip_rng);
+        }
         ++stats_.batches;
     }
 

@@ -114,7 +114,8 @@ struct TransformTrainConfig
     /** Per-read flip probability of a faulty cell. */
     double flipProb = 0.5;
     /** Clean epochs before injection starts (the transform first
-     *  learns to be harmless, then learns to protect). */
+     *  learns to be harmless, then learns to protect). Warm-up runs
+     *  the float base weights unstaged (no int16 round trip). */
     int warmupEpochs = 0;
     /** Element-wise gradient clamp on transform gradients (0 = off). */
     double gradClip = 0.5;

@@ -58,13 +58,12 @@ MapAwareTrainer::attachObservability(obs::Observability *o,
 
 namespace {
 
-/** Curriculum rate for an epoch (before refresh gating). */
+/** Curriculum rate for an epoch after warm-up (before refresh
+ *  gating). */
 double
 curriculumProb(const MapAwareConfig &cfg, int epoch)
 {
     const int k = epoch - cfg.train.warmupEpochs;
-    if (k < 0)
-        return 0.0;
     if (cfg.curriculumEpochs <= 0 || k >= cfg.curriculumEpochs)
         return cfg.train.failProb;
     // Geometric ramp: startScale * failProb at k = 0, failProb once
@@ -90,36 +89,37 @@ class ChipMapStep : public dnn::NetworkStep
     void
     beforeBatch(int epoch, std::uint64_t batch) override
     {
+        ++stats_.batches;
+        if (epoch < cfg_.train.warmupEpochs) {
+            // Warm-up epochs are plain float SGD: the weights unstaged
+            // (injectedProb_ is still 0 then).
+            scratch_.copyParamsFrom(net_);
+            return;
+        }
         // The injected rate is frozen at its last profiled value and
         // only re-snapped to the curriculum at refresh points: training
         // between refreshes runs against a stale profile, like the
         // hardware flow.
-        const bool injecting = epoch >= cfg_.train.warmupEpochs;
-        if (injecting) {
-            const bool due = !profiled_ ||
-                             (cfg_.refreshInterval > 0 &&
-                              sinceRefresh_ >= cfg_.refreshInterval);
-            if (due) {
-                injectedProb_ = curriculumProb(cfg_, epoch);
-                profiled_ = true;
-                sinceRefresh_ = 0;
-                ++stats_.mapRefreshes;
-            } else {
-                ++sinceRefresh_;
-            }
+        const bool due = !profiled_ || (cfg_.refreshInterval > 0 &&
+                                        sinceRefresh_ >= cfg_.refreshInterval);
+        if (due) {
+            injectedProb_ = curriculumProb(cfg_, epoch);
+            profiled_ = true;
+            sinceRefresh_ = 0;
+            ++stats_.mapRefreshes;
+        } else {
+            ++sinceRefresh_;
         }
-        const double fail_prob = injecting ? injectedProb_ : 0.0;
 
         // The chip map is FROZEN; only the per-read flip stream is
         // counter-derived per batch, and the packed region image is
         // kept until a refresh or the curriculum changes the rate.
         Rng flip_rng = Rng(cfg_.train.seed).split(batch);
-        image_.update(net_, map_, fail_prob, cfg_.train.layout);
+        image_.update(net_, map_, injectedProb_, cfg_.train.layout);
         stats_.bitFlips +=
-            fi::corruptNetwork(scratch_, net_, map_, fail_prob, spec_,
+            fi::corruptNetwork(scratch_, net_, map_, injectedProb_, spec_,
                                cfg_.train.layout, flip_rng, image_);
-        stats_.finalInjectedProb = fail_prob;
-        ++stats_.batches;
+        stats_.finalInjectedProb = injectedProb_;
     }
 
   private:

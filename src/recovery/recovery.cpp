@@ -117,15 +117,13 @@ ChipEvaluator::ensureScratch(unsigned count)
 double
 ChipEvaluator::baselineAccuracy()
 {
-    // A zero-rate staging (the float weights, copied verbatim): the
-    // chip's error-free ceiling (the iso-accuracy reference of the
-    // recovery frontier).
+    // A zero-rate staging (the int16 round trip, no draws): the chip's
+    // error-free ceiling (the iso-accuracy reference of the recovery
+    // frontier).
     ensureScratch(1);
-    auto spec = fi::InjectionSpec::allWeights();
-    spec.flipProb = cfg_.flipProb;
     Rng rng(cfg_.flipSeed);
-    corruptNetwork(*scratch_[0], net_, map_, /*fail_prob=*/0.0, spec,
-                   cfg_.layout, rng);
+    corruptNetwork(*scratch_[0], net_, map_, /*fail_prob=*/0.0,
+                   fi::InjectionSpec::allWeights(), cfg_.layout, rng);
     return dnn::SgdTrainer::evaluate(*scratch_[0], evalSet_, 0);
 }
 

@@ -148,7 +148,8 @@ class ChipEvaluator
                   sram::VulnerabilityMap map, ChipEvalConfig cfg = {});
 
     /** Fault-free accuracy (the ceiling): the network as a zero-rate
-     *  corruptNetwork stages it, i.e. its float weights verbatim. */
+     *  corruptNetwork stages it, i.e. every weight through the int16
+     *  round trip with no faults. */
     double baselineAccuracy();
 
     /** Monte-Carlo accuracy at one bit failure probability, weights

@@ -2,7 +2,7 @@
  * @file
  * Tests for the dataflow activity models (Table-3 ratios) and the
  * Dante chip model (Table-1 configuration, set_boost_config ISA,
- * end-to-end FC inference through the faulty memories).
+ * end-to-end inference of the MNIST FC through the faulty memories).
  */
 
 #include <gtest/gtest.h>
@@ -160,9 +160,10 @@ TEST_F(DanteTest, CleanInferenceMatchesFloatModel)
     const auto ds = dnn::makeSyntheticMnist(4, 3);
     sram::VulnerabilityMap map(1, 0);
     Rng rd(9);
+    auto scratch = net.clone();
     // Boosted well above the error floor: only quantization noise.
-    const auto logits = chip_.runFcInference(net, ds.images, 0.5_V,
-                                             {4, 4, 4, 4}, 4, map, rd);
+    const auto logits = chip_.runInference(net, scratch, ds.images, 0.5_V,
+                                           {4, 4, 4, 4}, 4, map, rd);
     auto ref = net.forward(ds.images);
     ASSERT_EQ(logits.shape(), ref.shape());
     for (std::size_t i = 0; i < logits.numel(); ++i)
@@ -176,8 +177,9 @@ TEST_F(DanteTest, LowVoltageUnboostedCorruptsInference)
     const auto ds = dnn::makeSyntheticMnist(4, 3);
     sram::VulnerabilityMap map(1, 0);
     Rng rd(9);
-    const auto bad = chip_.runFcInference(net, ds.images, 0.40_V,
-                                          {0, 0, 0, 0}, 0, map, rd);
+    auto scratch = net.clone();
+    const auto bad = chip_.runInference(net, scratch, ds.images, 0.40_V,
+                                        {0, 0, 0, 0}, 0, map, rd);
     const auto ref = net.forward(ds.images);
     double maxdiff = 0;
     for (std::size_t i = 0; i < bad.numel(); ++i)
@@ -193,7 +195,9 @@ TEST_F(DanteTest, CountersAccumulateActivity)
     const auto ds = dnn::makeSyntheticMnist(2, 3);
     sram::VulnerabilityMap map(1, 0);
     Rng rd(9);
-    chip_.runFcInference(net, ds.images, 0.5_V, {2, 2, 2, 2}, 1, map, rd);
+    auto scratch = net.clone();
+    chip_.runInference(net, scratch, ds.images, 0.5_V, {2, 2, 2, 2}, 1, map,
+                       rd);
     // 2 images x 339,968 MACs.
     EXPECT_EQ(chip_.counters().macOps, 2u * 339968u);
     const auto w = chip_.weightMemory().totalCounters();
@@ -214,8 +218,9 @@ TEST_F(DanteTest, BoostLevelCountMustMatchLayers)
     const auto ds = dnn::makeSyntheticMnist(1, 3);
     sram::VulnerabilityMap map(1, 0);
     Rng rd(9);
-    EXPECT_THROW(chip_.runFcInference(net, ds.images, 0.5_V, {4, 4}, 4,
-                                      map, rd),
+    auto scratch = net.clone();
+    EXPECT_THROW(chip_.runInference(net, scratch, ds.images, 0.5_V, {4, 4},
+                                    4, map, rd),
                  FatalError);
 }
 
@@ -242,14 +247,15 @@ TEST_P(DanteBoostSweep, BoostingReducesLogitCorruption)
     auto net = dnn::buildMnistFc(rng);
     const auto ds = dnn::makeSyntheticMnist(4, 3);
     const auto ref = net.forward(ds.images);
+    auto scratch = net.clone();
 
     auto corruption = [&](int level) {
         sram::VulnerabilityMap map(1, 0);
         Rng rd(9);
         chip.resetCounters();
-        const auto out = chip.runFcInference(
-            net, ds.images, vdd, std::vector<int>(4, level), level, map,
-            rd);
+        const auto out = chip.runInference(
+            net, scratch, ds.images, vdd, std::vector<int>(4, level), level,
+            map, rd);
         double sum = 0;
         for (std::size_t i = 0; i < out.numel(); ++i)
             sum += std::fabs(static_cast<double>(out[i] - ref[i]));

@@ -112,36 +112,5 @@ TEST_F(GenericChipTest, ValidatesLevelCount)
                  FatalError);
 }
 
-TEST_F(GenericChipTest, AgreesWithFcPathOnDenseNetworks)
-{
-    // The generic path and the legacy FC path must produce identical
-    // logits on a Dense-only network under the same map and rng seed.
-    Rng rng_a(5), rng_b(5);
-    auto fc = [&](std::uint64_t s) {
-        Rng r(s);
-        dnn::Network n;
-        n.addLayer<dnn::Dense>(32, 16, r, "fc1");
-        n.addLayer<dnn::Relu>("relu");
-        n.addLayer<dnn::Dense>(16, 4, r, "fc2");
-        return n;
-    };
-    auto net = fc(3);
-    auto scratch = fc(4);
-    dnn::Tensor x({2, 32});
-    Rng xr(6);
-    for (std::size_t i = 0; i < x.numel(); ++i)
-        x[i] = static_cast<float>(xr.uniform());
-
-    DanteChip chip_a(DanteConfig::fromTable1(), ctx_.tech, ctx_.failure);
-    DanteChip chip_b(DanteConfig::fromTable1(), ctx_.tech, ctx_.failure);
-    const auto a = chip_a.runInference(net, scratch, x, 0.42_V,
-                                       {2, 2}, 2, map_, rng_a);
-    const auto b = chip_b.runFcInference(net, x, 0.42_V, {2, 2}, 2,
-                                         map_, rng_b);
-    ASSERT_EQ(a.shape(), b.shape());
-    for (std::size_t i = 0; i < a.numel(); ++i)
-        EXPECT_FLOAT_EQ(a[i], b[i]) << i;
-}
-
 } // namespace
 } // namespace vboost::accel

@@ -8,14 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hpp"
+#include "core/context.hpp"
 #include "dnn/dataset.hpp"
 #include "dnn/layers.hpp"
 #include "dnn/quantize.hpp"
 #include "dnn/trainer.hpp"
 #include "fi/accuracy_curve.hpp"
 #include "fi/experiment.hpp"
+#include "recovery/recovery.hpp"
 
 namespace vboost::fi {
 namespace {
@@ -51,6 +54,35 @@ blobs(int n, std::uint64_t seed)
                 static_cast<float>(rng.normal(center, 0.15));
         }
     }
+    return ds;
+}
+
+/**
+ * One feature, two classes, zero biases. The float weights favour
+ * class 1 by a quarter of an int16 step (2^-15 at this range); the
+ * round trip rounds both to 0.5, and the argmax tie goes to class 0.
+ * So a class-1 sample with feature 1 is right on the float network
+ * and wrong on the int16 one.
+ */
+dnn::Network
+roundTripSensitiveNet()
+{
+    Rng rng(1);
+    dnn::Network net;
+    auto &fc = net.addLayer<dnn::Dense>(1, 2, rng, "fc");
+    fc.weight()[0] = 0.5f - 0x1.0p-17f;
+    fc.weight()[1] = 0.5f;
+    return net;
+}
+
+/** n samples of feature 1 labelled class 1. */
+dnn::Dataset
+classOneSamples(int n)
+{
+    dnn::Dataset ds;
+    ds.images = dnn::Tensor({n, 1});
+    ds.images.fill(1.0f);
+    ds.labels.assign(static_cast<std::size_t>(n), 1);
     return ds;
 }
 
@@ -96,29 +128,97 @@ TEST_F(FiTest, TrainedModelIsAccurate)
     EXPECT_GT(dnn::SgdTrainer::evaluate(*net_, *test_, 0), 0.95);
 }
 
-TEST_F(FiTest, CorruptNetworkZeroProbCopiesFloatWeights)
+TEST_F(FiTest, CorruptNetworkZeroProbStagesTheInt16RoundTrip)
 {
-    auto scratch = smallNet(2);
-    sram::VulnerabilityMap map(3, 0);
-    Rng rng(4);
-    const auto flips = corruptNetwork(scratch, *net_, map, 0.0,
-                                      InjectionSpec::allWeights(),
-                                      MemoryLayout{}, rng);
-    EXPECT_EQ(flips, 0u);
-    // At fail probability 0 nothing is staged: dst gets src's float
-    // weights bit for bit, with no int16 round trip.
-    const auto src_weights = net_->weightParams();
-    const auto dst_weights = scratch.weightParams();
-    ASSERT_EQ(src_weights.size(), dst_weights.size());
-    for (std::size_t l = 0; l < src_weights.size(); ++l) {
-        const dnn::Tensor &a = *src_weights[l].value;
-        const dnn::Tensor &b = *dst_weights[l].value;
-        ASSERT_EQ(a.numel(), b.numel());
-        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)),
-                  0)
-            << "layer " << l;
+    // One rule at every rate and for every spec: each weight layer
+    // takes the int16 round trip, biases are copied verbatim, and a
+    // zero rate draws no fault and consumes no randomness.
+    const sram::VulnerabilityMap map(3, 0);
+    const WeightRegionImage no_image; // a zero rate never reads it
+    for (const InjectionSpec &spec :
+         {InjectionSpec::allWeights(), InjectionSpec::singleLayer(1),
+          InjectionSpec::inputsOnly()}) {
+        for (const bool with_image : {false, true}) {
+            auto scratch = smallNet(2);
+            Rng rng(4);
+            const auto flips =
+                with_image
+                    ? corruptNetwork(scratch, *net_, map, 0.0, spec,
+                                     MemoryLayout{}, rng, no_image)
+                    : corruptNetwork(scratch, *net_, map, 0.0, spec,
+                                     MemoryLayout{}, rng);
+            EXPECT_EQ(flips, 0u);
+            Rng twin(4);
+            EXPECT_EQ(rng.next(), twin.next()) << "rng was drawn from";
+
+            const auto src = net_->params();
+            const auto dst = scratch.params();
+            ASSERT_EQ(src.size(), dst.size());
+            for (std::size_t p = 0; p < src.size(); ++p) {
+                const dnn::Tensor want =
+                    src[p].isWeight ? dnn::quantizeRoundTrip(*src[p].value)
+                                    : *src[p].value;
+                const dnn::Tensor &got = *dst[p].value;
+                ASSERT_EQ(want.numel(), got.numel());
+                EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                                      want.numel() * sizeof(float)),
+                          0)
+                    << src[p].name << " (with image: " << with_image
+                    << ")";
+            }
+        }
     }
-    EXPECT_GT(dnn::SgdTrainer::evaluate(scratch, *test_, 0), 0.95);
+}
+
+TEST_F(FiTest, BaselineAccuracyIsTheInt16RoundTrip)
+{
+    // The fault-free ceiling every faulty point is compared against
+    // (the runner's, the accuracy curve's and the recovery frontier's
+    // iso-accuracy reference) is the network the accelerator computes
+    // on: int16 weights. On the crafted net the float and int16
+    // accuracies differ, so the pins cannot hold by accident.
+    auto crafted = roundTripSensitiveNet();
+    const dnn::Dataset ones = classOneSamples(8);
+    const std::pair<dnn::Network *, const dnn::Dataset *> cases[] = {
+        {net_, test_}, {&crafted, &ones}};
+    for (const auto &[net, set] : cases) {
+        auto staged = net->clone();
+        for (const auto &p : staged.weightParams())
+            *p.value = dnn::quantizeRoundTrip(*p.value);
+        const double want = dnn::SgdTrainer::evaluate(staged, *set, 0);
+        if (net == &crafted) {
+            ASSERT_EQ(dnn::SgdTrainer::evaluate(crafted, ones, 0), 1.0);
+            ASSERT_EQ(want, 0.0);
+        }
+
+        ExperimentConfig cfg;
+        cfg.numMaps = 2;
+        FaultInjectionRunner runner(*net, *set, cfg);
+        EXPECT_EQ(runner.baselineAccuracy(), want);
+        EXPECT_EQ(AccuracyCurve::sample(runner, InjectionSpec::allWeights(),
+                                        1e-4, 1e-3, 2)
+                      .faultFree(),
+                  want);
+        recovery::ChipEvaluator eval(*net, *set,
+                                     sram::VulnerabilityMap(57, 0));
+        EXPECT_EQ(eval.baselineAccuracy(), want);
+    }
+}
+
+TEST_F(FiTest, FaultFreeTimingRunReproducesTheBaseline)
+{
+    // At a logic rail with no committed timing fault, runTiming's
+    // layer-by-layer forward must reproduce SgdTrainer::evaluate on
+    // the same staging bit for bit.
+    ExperimentConfig cfg;
+    cfg.numMaps = 2;
+    FaultInjectionRunner runner(*net_, *test_, cfg);
+    TimingInjection inj;
+    inj.vLogic = Volt(0.8);
+    const auto t = runner.runTiming(core::SimContext::standard(), inj);
+    ASSERT_EQ(t.stats.corrupted, 0u);
+    EXPECT_GT(t.stats.ops, 0u);
+    EXPECT_EQ(t.point.meanAccuracy, runner.baselineAccuracy());
 }
 
 TEST_F(FiTest, WeightRegionImageRepacksOnlyWhenKeyChanges)

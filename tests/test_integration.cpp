@@ -65,8 +65,9 @@ class EndToEnd : public ::testing::Test
     {
         const sram::VulnerabilityMap map(77, map_index);
         Rng rng(map_index + 1);
-        const auto logits = chip.runFcInference(
-            *net_, test_->images, vdd, {level, level},
+        auto scratch = net_->clone();
+        const auto logits = chip.runInference(
+            *net_, scratch, test_->images, vdd, {level, level},
             input_level < 0 ? level : input_level, map, rng);
         std::size_t correct = 0;
         for (int i = 0; i < logits.dim(0); ++i) {

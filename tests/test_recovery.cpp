@@ -442,6 +442,54 @@ TEST(RecoveryDeterminism, TrainersAreBitwiseReproducible)
               Golden(0x7bfdfbfc787a9d4full, 0x7be2404fcd191343ull));
 }
 
+TEST(TrainerWarmup, TrainsTheFloatWeightsUnstaged)
+{
+    // Warm-up epochs are plain float SGD: no int16 round trip. A run
+    // that is all warm-up must train what SGD straight through the
+    // net trains, and the transform trainer's scratch must end as the
+    // float base itself.
+    auto train = dnn::makeSyntheticMnist(200, 37);
+    fi::FaultTrainConfig fcfg;
+    fcfg.base.epochs = 2;
+    fcfg.warmupEpochs = 2;
+
+    auto plain = makeSmallNet(1);
+    dnn::NetworkStep step(plain, plain);
+    Rng prng(7);
+    dnn::runSgd(fcfg.base, step, train, prng, fcfg.gradClip,
+                fcfg.weightClip);
+    const auto want = weightsDigest(plain);
+
+    auto fat_net = makeSmallNet(1);
+    auto fat_scratch = fat_net.clone();
+    Rng frng(7);
+    fi::FaultAwareTrainer(fcfg).train(fat_net, fat_scratch, train, frng);
+    EXPECT_EQ(weightsDigest(fat_net), want);
+
+    MapAwareConfig mcfg;
+    mcfg.train = fcfg;
+    auto mat_net = makeSmallNet(1);
+    auto mat_scratch = mat_net.clone();
+    Rng mrng(7);
+    const auto mstats =
+        MapAwareTrainer(mcfg).train(mat_net, mat_scratch, train, mrng);
+    EXPECT_EQ(weightsDigest(mat_net), want);
+    EXPECT_EQ(mstats.mapRefreshes, 0u);
+    EXPECT_EQ(mstats.bitFlips, 0u);
+
+    TransformTrainConfig tcfg;
+    tcfg.base.epochs = 1;
+    tcfg.warmupEpochs = 1;
+    TransformConfig tfc;
+    tfc.hiddenDim = 8;
+    InputTransform tf(tfc);
+    auto base = makeSmallNet(1);
+    auto scratch = makeSmallNet(2);
+    Rng trng(7);
+    TransformTrainer(tcfg).train(tf, base, scratch, train, trng);
+    EXPECT_EQ(weightsDigest(scratch), weightsDigest(base));
+}
+
 TEST(RecoveryDeterminism, EvaluatorIsThreadCountInvariant)
 {
     auto test = dnn::makeSyntheticMnist(300, 35);
