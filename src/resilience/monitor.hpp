@@ -12,12 +12,26 @@
 #ifndef VBOOST_RESILIENCE_MONITOR_HPP
 #define VBOOST_RESILIENCE_MONITOR_HPP
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 namespace vboost::resilience {
 
-/** EWMA error-rate tracker with a raise trigger, one slot per bank. */
+/**
+ * EWMA error-rate tracker with a raise trigger, one slot per bank.
+ *
+ * Every result is bitwise the one of an eager EWMA that applies
+ * `e = (1 - alpha) * e + (error ? alpha : 0)` per access, but the
+ * decay chain is paid lazily: a bank keeps its exact EWMA as of its
+ * last settle, a bounded log of the error accesses since then (the
+ * clean decays before each), and a rigorous upper bound of the current
+ * EWMA. An error access replays the log exactly only when the bound
+ * could cross the threshold (DESIGN.md §8, "Monitor").
+ *
+ * Like the ResilientMemory that owns it, a monitor is driven by one
+ * thread at a time. rate() replays into a local and changes nothing.
+ */
 class BankErrorMonitor
 {
   public:
@@ -37,14 +51,12 @@ class BankErrorMonitor
 
     /**
      * Record n error-free accesses of a bank: the EWMA and the access
-     * count end exactly as n recordAccess(bank, false) calls leave them
-     * when none of those raises. None does: every recordAccess leaves
-     * the EWMA at or below the threshold, and an error-free access only
-     * shrinks it. The decay stops early once the EWMA reaches 0. The
-     * threshold is still checked after the decay, with recordAccess's
-     * reset and return value.
+     * count end exactly as n recordAccess(bank, false) calls leave them.
+     * None of those raises: every recordAccess leaves the EWMA at or
+     * below the threshold, and an error-free access only shrinks it.
+     * Costs a few multiplies of the bound, whatever n.
      */
-    bool recordCleanAccesses(int bank, std::uint64_t n);
+    void recordCleanAccesses(int bank, std::uint64_t n);
 
     /** Current EWMA error rate of a bank. */
     double rate(int bank) const;
@@ -59,9 +71,42 @@ class BankErrorMonitor
     void reset();
 
   private:
+    /** Error accesses a bank logs between settles; one more settles. */
+    static constexpr std::size_t kMaxLog = 128;
+
+    struct Bank
+    {
+        /** Exact EWMA as of the last settle. */
+        double settled = 0.0;
+        /** Upper bound of the current EWMA; equal to it while the
+         *  bank is exact (empty log, no pending decays). */
+        double hi = 0.0;
+        /** Clean decays since the last logged error access. */
+        std::uint64_t pending = 0;
+        /** Clean decays before each error access since the settle. */
+        std::vector<std::uint16_t> log;
+
+        bool exact() const { return pending == 0 && log.empty(); }
+    };
+
+    /** bank as an index into banks_; panics when out of range. */
+    std::size_t index(int bank) const;
+    /** e after n exact decays (stops once a decay leaves e as is). */
+    double decay(double e, std::uint64_t n) const;
+    /** The bank's exact current EWMA, replayed from its log. */
+    double replay(const Bank &b) const;
+    /** An upper bound of n decays of any EWMA at or below hi. */
+    double decayBound(double hi, std::uint64_t n) const;
+
     double alpha_;
     double threshold_;
-    std::vector<double> ewma_;
+    /** The decay factor 1 - alpha. */
+    double keep_;
+    /** keepPow_[i] >= keep'^(2^i), keep' = keep rounded up by one ulp
+     *  (keep' >= keep * (1 + 2^-53), the most a rounded product can
+     *  exceed its exact value by above the subnormals). */
+    std::array<double, 64> keepPow_{};
+    std::vector<Bank> banks_;
     std::uint64_t raises_ = 0;
     std::uint64_t accesses_ = 0;
 };

@@ -159,6 +159,14 @@ ResilientMemory::attemptRead(std::uint32_t addr, int spare_slot, int level,
         stats_.spareEnergy += p.accessEnergy;
         stats_.spareEnergy += p.boostEnergy;
     }
+    return decodeMasked(data, check, mask, flip, stream);
+}
+
+sram::EccDecodeResult
+ResilientMemory::decodeMasked(std::uint64_t data, std::uint8_t check,
+                              const sram::WordMask &mask, double flip,
+                              std::uint64_t stream) const
+{
     // A codeword without faulty cells reads back as stored, and the
     // stored check byte encodes the stored data, so it decodes clean:
     // no stream, no draw, no decode.
@@ -173,8 +181,16 @@ ReadOutcome
 ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
                           const sram::VulnerabilityMap &map)
 {
+    return finishRead(addr, vdd, map, nullptr);
+}
+
+ReadOutcome
+ResilientMemory::finishRead(std::uint32_t addr, Volt vdd,
+                            const sram::VulnerabilityMap &map,
+                            const sram::SramBank::RawRead *first)
+{
     const int bank = mem_.bankOf(addr);
-    const int slot = spares_.find(addr);
+    const int slot = first ? -1 : spares_.find(addr);
     const std::uint64_t access = accessCounter_++;
     ++stats_.reads;
     if (slot >= 0)
@@ -193,9 +209,13 @@ ResilientMemory::readWord(std::uint32_t addr, Volt vdd,
                                  attempt, maxLevel_);
         // Per-access counter-based stream: independent of thread
         // scheduling and of how much randomness other reads consumed.
-        dec = attemptRead(addr, slot, level, vdd, map,
-                          access * ResiliencePolicy::kMaxAttempts +
-                              static_cast<std::uint64_t>(attempt));
+        const std::uint64_t stream =
+            access * ResiliencePolicy::kMaxAttempts +
+            static_cast<std::uint64_t>(attempt);
+        dec = attempt == 0 && first
+                  ? decodeMasked(first->data, check_[addr], first->mask,
+                                 first->flipProb, stream)
+                  : attemptRead(addr, slot, level, vdd, map, stream);
         out.level = level;
         if (attempt == 0) {
             first_error = dec.outcome != sram::EccOutcome::Clean;
@@ -301,8 +321,18 @@ ResilientMemory::stageGroups(std::uint64_t cursor,
             }
         }
         if (span == 0) {
-            writeEncoded(addr, groups[k], checks[k], vdd);
-            slow.push_back({k, readWord(addr, vdd, map).data});
+            if (hoisted && spares_.find(addr) < 0) {
+                // A faulty codeword at the standing level: its write
+                // and its first read attempt are charged at the
+                // hoisted point, whose table holds the read's mask.
+                const sram::SramBank::RawRead raw =
+                    mem_.bank(bank).writeReadRaw(local, groups[k], run);
+                check_[addr] = checks[k];
+                slow.push_back({k, finishRead(addr, vdd, map, &raw).data});
+            } else {
+                writeEncoded(addr, groups[k], checks[k], vdd);
+                slow.push_back({k, readWord(addr, vdd, map).data});
+            }
             ++k;
             addr = addr + 1 < words ? addr + 1 : 0;
             continue;
@@ -315,8 +345,8 @@ ResilientMemory::stageGroups(std::uint64_t cursor,
         accessCounter_ += span;
         stats_.reads += span;
         stats_.cleanReads += span;
-        if (closed && monitor_.recordCleanAccesses(bank, span))
-            raiseStandingLevel(bank, vdd, map);
+        if (closed)
+            monitor_.recordCleanAccesses(bank, span);
         k += span;
         addr = addr + span < words ? addr + span : 0;
     }

@@ -153,9 +153,11 @@ class ResilientMemory
      * bank whose rows have no spare and whose cells are all fault-free
      * at the bank's standing level; such a codeword reads back exactly
      * as staged. Every other codeword goes through writeEncoded() +
-     * readWord(), and `slow` is overwritten with one entry per such
-     * codeword, in ascending index order (DESIGN.md §8, "Bulk staging
-     * pass").
+     * readWord(), its write and first read attempt charged at the
+     * walk's hoisted operating point when its row is unspared and its
+     * bank at its standing level, and `slow` is overwritten with one
+     * entry per such codeword, in ascending index order (DESIGN.md §8,
+     * "Bulk staging pass").
      */
     void stageGroups(std::uint64_t cursor, const std::uint64_t *groups,
                      const std::uint8_t *checks, std::size_t n, Volt vdd,
@@ -222,6 +224,21 @@ class ResilientMemory
                                       int level, Volt vdd,
                                       const sram::VulnerabilityMap &map,
                                       std::uint64_t stream);
+
+    /** Manifest a read's faults on a codeword: draw its flips from
+     *  base_.split(stream) and decode it, or return it clean without a
+     *  draw if the mask is empty. */
+    sram::EccDecodeResult decodeMasked(std::uint64_t data,
+                                       std::uint8_t check,
+                                       const sram::WordMask &mask,
+                                       double flip,
+                                       std::uint64_t stream) const;
+
+    /** readWord(); with `first`, attempt 0 is that primary-row read,
+     *  already charged at the standing level of an unspared row. */
+    ReadOutcome finishRead(std::uint32_t addr, Volt vdd,
+                           const sram::VulnerabilityMap &map,
+                           const sram::SramBank::RawRead *first);
 
     /** Raise a bank's standing level (canary-floored). */
     void raiseStandingLevel(int bank, Volt vdd,

@@ -166,11 +166,22 @@ class SramBank
      * by readRaw(addr + i, vdd, ...) of a word without faulty cells,
      * every access charged at p (which must be current: same vdd, the
      * bank still at p.level). The counters end with the same values
-     * and the Joule sums with the same adds in the same order, without
-     * the per-access lookups.
+     * and the Joule sums with the same bits, without the per-access
+     * lookups: each sum's 2n adds of one value take repeatedAdd()'s
+     * closed form.
      */
     void stageClean(std::uint32_t addr, const std::uint64_t *data,
                     std::uint32_t n, const OperatingPoint &p);
+
+    /**
+     * write(addr, data, vdd) followed by readRaw(addr, vdd, ...), both
+     * charged at p, which must be current as for stageClean() and
+     * carry the masks readRaw() would take (p is a copy of the
+     * accessPoint() entry of the same vdd, map and check base): the
+     * same charges in the same order, the mask from p.masks.
+     */
+    RawRead writeReadRaw(std::uint32_t addr, std::uint64_t data,
+                         const OperatingPoint &p);
 
     /** Times the bank has packed a mask table (diagnostics and
      *  tests). */
@@ -212,6 +223,8 @@ class SramBank
      *  level): write() and readRaw() go through here; stageClean()
      *  adds the same values for a span of accesses. */
     void chargeAccess(const OperatingPoint &p);
+    /** The read half of readRaw() at point p, addr already checked. */
+    RawRead readAt(std::uint32_t addr, const OperatingPoint &p);
     OperatingPoint &memoEntry(Volt vdd, int level);
 
     int bankId_;

@@ -1,15 +1,20 @@
 /**
  * @file
- * Tests for logging, units, stats, tables and the fixed-point codec.
+ * Tests for logging, units, stats, tables, the fixed-point codec and
+ * the repeated-add closed form.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/fixed_point.hpp"
 #include "common/logging.hpp"
+#include "common/repeated_add.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -312,6 +317,102 @@ TEST(FixedPoint, SignBitFlipIsLargePerturbation)
     const std::int16_t half = codec.encode(0.5f);
     const float flipped = codec.decode(FixedPointCodec::flipBit(half, 15));
     EXPECT_NEAR(flipped, -0.5f, 0.001f);
+}
+
+// -------------------------------------------------------- repeated add
+
+/** The definition repeatedAdd() must match: n sequential adds. */
+double
+sequentialAdds(double x, double a, std::uint64_t n)
+{
+    for (std::uint64_t i = 0; i < n; ++i)
+        x += a;
+    return x;
+}
+
+/** ulp of a positive normal x. */
+double
+ulpOf(double x)
+{
+    return std::nextafter(x, std::numeric_limits<double>::infinity()) - x;
+}
+
+TEST(RepeatedAdd, MatchesSequentialAdds)
+{
+    Rng rng(20190216);
+    int failures = 0;
+    for (int i = 0; i < 120000 && failures < 5; ++i) {
+        // x over ~200 binades, normal and positive unless a case says.
+        double x = std::ldexp(1.0 + rng.uniform(),
+                              static_cast<int>(rng.uniformInt(200)) - 100);
+        double u = ulpOf(x);
+        double a = 0.0;
+        std::uint64_t n = rng.uniformInt(600);
+        switch (i % 8) {
+          case 0: // a random 1 to 2^-60 times x's binade
+            a = std::ldexp(1.0 + rng.uniform(),
+                           std::ilogb(x) - 1 -
+                               static_cast<int>(rng.uniformInt(60)));
+            break;
+          case 1: // a tie: (j + 1/2) ulps
+            a = (static_cast<double>(rng.uniformInt(1u << 20)) + 0.5) * u;
+            break;
+          case 2: // at most half an ulp: x moves at most once
+            a = rng.uniformInt(4) == 0 ? 0.5 * u : 0.5 * u * rng.uniform();
+            break;
+          case 3: // a binade crossing: x near the top, a few ulps a step
+            x = std::ldexp(1.0, std::ilogb(x) + 1) -
+                static_cast<double>(1 + rng.uniformInt(2000)) * u;
+            a = (static_cast<double>(rng.uniformInt(50)) + rng.uniform()) * u;
+            break;
+          case 4: // an odd number of ulps: a tie in the next binade
+            x = std::ldexp(1.0, std::ilogb(x) + 1) -
+                static_cast<double>(1 + rng.uniformInt(500)) * u;
+            a = static_cast<double>(2 * rng.uniformInt(20) + 1) * u;
+            n = 100 + rng.uniformInt(2000);
+            break;
+          case 5: // x zero or subnormal, a from subnormal to normal
+            x = rng.uniformInt(3) == 0
+                    ? 0.0
+                    : std::bit_cast<double>(rng.next() >> 12);
+            a = rng.uniformInt(2) == 0
+                    ? std::bit_cast<double>(rng.next() >>
+                                            (12 + rng.uniformInt(40)))
+                    : std::ldexp(1.0 + rng.uniform(),
+                                 -1022 + static_cast<int>(rng.uniformInt(8)));
+            break;
+          case 6: // a at or above x's binade
+            a = x * (0.5 + 4.0 * rng.uniform());
+            break;
+          default: // a negative, or x negative
+            a = std::ldexp(1.0 + rng.uniform(), std::ilogb(x) - 8);
+            if (rng.uniformInt(2) == 0)
+                a = -a;
+            else
+                x = -x;
+            break;
+        }
+        const double want = sequentialAdds(x, a, n);
+        const double got = repeatedAdd(x, a, n);
+        if (std::bit_cast<std::uint64_t>(got) !=
+            std::bit_cast<std::uint64_t>(want)) {
+            ++failures;
+            ADD_FAILURE() << std::hexfloat << "x=" << x << " a=" << a
+                          << " n=" << n << ": " << got << " != " << want;
+        }
+    }
+}
+
+TEST(RepeatedAdd, LongRunsInClosedForm)
+{
+    // Exact adds: 2^20 steps of 2^-40 from 1.
+    EXPECT_EQ(repeatedAdd(1.0, 0x1p-40, 1ull << 20), 1.0 + 0x1p-20);
+    // Below half an ulp, x never moves, however long the run.
+    EXPECT_EQ(repeatedAdd(1.0, 0x1p-60, 1ull << 62), 1.0);
+    // Crossings: 1 + 8 * 0.25 = 3.
+    EXPECT_EQ(repeatedAdd(1.0, 0.25, 8), 3.0);
+    EXPECT_EQ(repeatedAdd(5.0, 1.0, 0), 5.0);
+    EXPECT_EQ(repeatedAdd(0.0, 0.5, 6), 3.0);
 }
 
 } // namespace

@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+#include <vector>
+
 #include "testenv.hpp"
 
 #include "circuit/latency.hpp"
@@ -111,6 +116,113 @@ TEST(BankErrorMonitor, CleanAccessesDecayTheRate)
     const double after_error = mon.rate(0);
     mon.recordAccess(0, false);
     EXPECT_LT(mon.rate(0), after_error);
+}
+
+/** The EWMA monitor by definition: one decay, and one threshold check,
+ *  per access, paid as it comes. */
+class EagerMonitor
+{
+  public:
+    EagerMonitor(int num_banks, double alpha, double raise_threshold)
+        : alpha_(alpha), threshold_(raise_threshold),
+          ewma_(static_cast<std::size_t>(num_banks), 0.0)
+    {
+    }
+
+    bool recordAccess(int bank, bool error)
+    {
+        ++accesses_;
+        double &e = ewma_[static_cast<std::size_t>(bank)];
+        e = (1.0 - alpha_) * e + (error ? alpha_ : 0.0);
+        if (e > threshold_) {
+            e = 0.0;
+            ++raises_;
+            return true;
+        }
+        return false;
+    }
+
+    double rate(int bank) const
+    {
+        return ewma_[static_cast<std::size_t>(bank)];
+    }
+    std::uint64_t raises() const { return raises_; }
+    std::uint64_t accesses() const { return accesses_; }
+
+    void reset()
+    {
+        std::fill(ewma_.begin(), ewma_.end(), 0.0);
+        raises_ = 0;
+        accesses_ = 0;
+    }
+
+  private:
+    double alpha_;
+    double threshold_;
+    std::vector<double> ewma_;
+    std::uint64_t raises_ = 0;
+    std::uint64_t accesses_ = 0;
+};
+
+TEST(BankErrorMonitor, LazyDecayMatchesEagerReference)
+{
+    // `read` has its rates read at random points, `blind` only at the
+    // end: a read must change no later result.
+    constexpr int kBanks = 3;
+    const double error_probs[] = {0.0, 0.01, 0.1, 0.3, 0.7};
+    const std::pair<double, double> configs[] = {
+        {0.05, 0.35}, {0.5, 0.6}, {1.0, 0.5}, {0.05, 1e-3}, {0.0005, 1e-3}};
+    std::uint64_t seed = 1;
+    for (const auto &[alpha, threshold] : configs) {
+        SCOPED_TRACE(::testing::Message()
+                     << "alpha " << alpha << " threshold " << threshold);
+        EagerMonitor eager(kBanks, alpha, threshold);
+        BankErrorMonitor read(kBanks, alpha, threshold);
+        BankErrorMonitor blind(kBanks, alpha, threshold);
+        Rng rng(seed++);
+        double error_prob = 0.1;
+        for (int op = 0; op < 20000; ++op) {
+            if (rng.uniformInt(400) == 0)
+                error_prob = error_probs[rng.uniformInt(5)];
+            const auto bank = static_cast<int>(rng.uniformInt(kBanks));
+            const std::uint64_t kind = rng.uniformInt(1000);
+            if (kind < 600) {
+                const bool error = rng.bernoulli(error_prob);
+                const bool raised = eager.recordAccess(bank, error);
+                ASSERT_EQ(read.recordAccess(bank, error), raised) << op;
+                ASSERT_EQ(blind.recordAccess(bank, error), raised) << op;
+            } else if (kind < 900) {
+                // Mostly short spans; a few runs long enough to decay
+                // through the subnormals to exactly 0 (alpha >= 0.5).
+                const std::uint64_t n =
+                    kind < 898 ? rng.uniformInt(64)
+                               : 20001 + rng.uniformInt(50000);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    ASSERT_FALSE(eager.recordAccess(bank, false));
+                read.recordCleanAccesses(bank, n);
+                blind.recordCleanAccesses(bank, n);
+            } else if (kind < 998) {
+                const auto b = static_cast<int>(rng.uniformInt(kBanks));
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(read.rate(b)),
+                          std::bit_cast<std::uint64_t>(eager.rate(b)))
+                    << op;
+            } else {
+                eager.reset();
+                read.reset();
+                blind.reset();
+            }
+            ASSERT_EQ(read.raises(), eager.raises());
+            ASSERT_EQ(blind.raises(), eager.raises());
+            ASSERT_EQ(read.accesses(), eager.accesses());
+            ASSERT_EQ(blind.accesses(), eager.accesses());
+        }
+        for (int b = 0; b < kBanks; ++b) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(read.rate(b)),
+                      std::bit_cast<std::uint64_t>(eager.rate(b)));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(blind.rate(b)),
+                      std::bit_cast<std::uint64_t>(eager.rate(b)));
+        }
+    }
 }
 
 TEST(BankErrorMonitor, RejectsBadConfig)

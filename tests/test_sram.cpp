@@ -486,6 +486,95 @@ TEST_F(SramBankTest, LeakageEvaluatedAtUnboostedSupply)
     EXPECT_DOUBLE_EQ(bank_.leakagePower(0.4_V).value(), l0);
 }
 
+TEST_F(SramBankTest, StageCleanMatchesPerWordAccesses)
+{
+    // Twin banks: one stages spans in bulk, the other writes then reads
+    // each word; every counter and stored word must match bit for bit.
+    const auto expect_same = [](const SramBank &bulk, const SramBank &word) {
+        const BankCounters &b = bulk.counters();
+        const BankCounters &w = word.counters();
+        EXPECT_EQ(b.reads, w.reads);
+        EXPECT_EQ(b.writes, w.writes);
+        EXPECT_EQ(b.boostEvents, w.boostEvents);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(b.accessEnergy.value()),
+                  std::bit_cast<std::uint64_t>(w.accessEnergy.value()));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(b.boostEnergy.value()),
+                  std::bit_cast<std::uint64_t>(w.boostEnergy.value()));
+        for (std::uint32_t a = 0; a < SramBank::kWords; ++a)
+            ASSERT_EQ(bulk.peek(a), word.peek(a)) << "word " << a;
+    };
+    const Volt vdd = 0.45_V;
+    for (const int level : {0, bank_.levels()}) {
+        for (const bool large : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "level " << level << (large ? " large" : ""));
+            SramBank bulk(3, circuit::BoosterDesign::standardConfig(), tech,
+                          FailureRateModel{}, 16);
+            SramBank word(3, circuit::BoosterDesign::standardConfig(), tech,
+                          FailureRateModel{}, 16);
+            bulk.setBoostLevel(level);
+            word.setBoostLevel(level);
+            if (large) {
+                // Counters far above one access's energy.
+                for (std::uint32_t i = 0; i < 300000; ++i) {
+                    bulk.write(i % SramBank::kWords, i, vdd);
+                    word.write(i % SramBank::kWords, i, vdd);
+                }
+            }
+            Rng rng(static_cast<std::uint64_t>(level) * 2 + large);
+            std::vector<std::uint32_t> spans = {0, 1, 7, 8, 9,
+                                                SramBank::kWords};
+            for (int i = 0; i < 40; ++i)
+                spans.push_back(static_cast<std::uint32_t>(
+                    rng.uniformInt(SramBank::kWords + 1)));
+            std::vector<std::uint64_t> data(SramBank::kWords);
+            for (const std::uint32_t n : spans) {
+                const auto addr = static_cast<std::uint32_t>(
+                    rng.uniformInt(SramBank::kWords - n + 1));
+                for (std::uint64_t &d : data)
+                    d = rng.next();
+                const SramBank::OperatingPoint p = bulk.accessPoint(
+                    vdd, map_, WordFaultMasks::kNoCheckCells);
+                bulk.stageClean(addr, data.data(), n, p);
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    word.write(addr + i, data[i], vdd);
+                    word.readRaw(addr + i, vdd, map_);
+                }
+                expect_same(bulk, word);
+            }
+        }
+    }
+}
+
+TEST_F(SramBankTest, WriteReadRawMatchesWriteThenReadRaw)
+{
+    const Volt vdd = 0.40_V;
+    SramBank twin(0, circuit::BoosterDesign::standardConfig(), tech,
+                  FailureRateModel{}, 16);
+    for (const int level : {0, 2}) {
+        bank_.setBoostLevel(level);
+        twin.setBoostLevel(level);
+        for (std::uint32_t a = 0; a < SramBank::kWords; a += 37) {
+            const SramBank::OperatingPoint p =
+                bank_.accessPoint(vdd, map_, WordFaultMasks::kNoCheckCells);
+            const SramBank::RawRead got = bank_.writeReadRaw(a, a * 3, p);
+            twin.write(a, a * 3, vdd);
+            const SramBank::RawRead want = twin.readRaw(a, vdd, map_);
+            EXPECT_EQ(got.data, want.data);
+            EXPECT_EQ(got.mask.data, want.mask.data);
+            EXPECT_EQ(got.mask.check, want.mask.check);
+            EXPECT_EQ(got.flipProb, want.flipProb);
+        }
+        EXPECT_EQ(bank_.counters().reads, twin.counters().reads);
+        EXPECT_EQ(bank_.counters().writes, twin.counters().writes);
+        EXPECT_EQ(bank_.counters().boostEvents, twin.counters().boostEvents);
+        EXPECT_EQ(bank_.counters().accessEnergy.value(),
+                  twin.counters().accessEnergy.value());
+        EXPECT_EQ(bank_.counters().boostEnergy.value(),
+                  twin.counters().boostEnergy.value());
+    }
+}
+
 // -------------------------------------------------------- banked memory
 
 class BankedMemoryTest : public ::testing::Test
