@@ -30,9 +30,9 @@ using DequantFn = void (*)(std::span<const std::int16_t> words,
                            const FixedPointCodec &codec, float *out);
 
 /** Backend::applyRegionImageDequant, decoding through `dequant` (the
- *  fault walk of fault_walk.cpp, a generic translation unit). Inside
- *  a training split the walk and the decode split by group ranges;
- *  only the draws stay serial. */
+ *  fault walk of fault_walk.cpp, a generic translation unit): the walk
+ *  visits the image's faulty cells only, then every word is decoded
+ *  once. */
 std::uint64_t stageRegionImage(std::span<std::int16_t> words,
                                const FixedPointCodec &codec, float *out,
                                const sram::PackedFaultMap &region,

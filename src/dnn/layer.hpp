@@ -22,8 +22,7 @@ namespace vboost::dnn {
 /**
  * A parameter's gradient buffer. A copy starts empty: a cloned layer
  * (a serving slot or Monte-Carlo scratch network) never reads its
- * gradients, and zeroGrads() sizes an empty buffer before a training
- * step accumulates into it.
+ * gradients, and its first backward pass sizes the buffer.
  */
 class GradTensor : public Tensor
 {
@@ -32,6 +31,16 @@ class GradTensor : public Tensor
     explicit GradTensor(Tensor t) : Tensor(std::move(t)) {}
     GradTensor(const GradTensor &) : Tensor() {}
     GradTensor &operator=(const GradTensor &) = delete;
+
+    /** Shape an empty buffer like `value` (contents unspecified; a
+     *  backward pass then writes every element) and return its data. */
+    float *
+    sizedLike(const Tensor &value)
+    {
+        if (shape() != value.shape())
+            Tensor::operator=(Tensor::uninitialized(value.shape()));
+        return data();
+    }
 };
 
 /** A named reference to one parameter tensor and its gradient. */
@@ -39,7 +48,7 @@ struct ParamRef
 {
     /** Parameter value (owned by the layer). */
     Tensor *value = nullptr;
-    /** Accumulated gradient (owned by the layer). */
+    /** Gradient of the last backward pass (owned by the layer). */
     Tensor *grad = nullptr;
     /** Diagnostic name like "fc1.weight". */
     std::string name;
@@ -62,14 +71,15 @@ class Layer
     virtual Tensor forward(const Tensor &x, bool train) = 0;
 
     /**
-     * Backward pass: consume dL/d(output), accumulate parameter
-     * gradients, return dL/d(input). Only valid after forward(train).
+     * Backward pass: consume dL/d(output), write this batch's
+     * parameter gradients (no zeroing needed before it), return
+     * dL/d(input). Only valid after forward(train).
      */
     virtual Tensor backward(const Tensor &grad_out) = 0;
 
     /**
-     * backward() for a caller that never reads dL/d(input): accumulate
-     * the parameter gradients only (bit-identical to backward()'s).
+     * backward() for a caller that never reads dL/d(input): write the
+     * parameter gradients only (bit-identical to backward()'s).
      * The default runs backward() and drops its result.
      */
     virtual void
@@ -90,9 +100,6 @@ class Layer
 
     /** Layer name for diagnostics and injection targeting. */
     virtual std::string name() const = 0;
-
-    /** Zero all parameter gradients, sizing empty ones. */
-    void zeroGrads();
 };
 
 } // namespace vboost::dnn

@@ -12,13 +12,6 @@
 
 namespace vboost::dnn {
 
-void
-Layer::zeroGrads()
-{
-    for (auto &p : params())
-        *p.grad = Tensor::zeros(p.value->shape());
-}
-
 // ---------------------------------------------------------------- Dense
 
 Dense::Dense(int in, int out, Rng &rng, std::string layer_name)
@@ -54,16 +47,21 @@ Dense::backwardParams(const Tensor &grad_out)
 {
     if (cachedInput_.numel() == 0)
         panic("Dense ", name_, ": backward without cached forward");
-    if (wGrad_.numel() != w_.numel())
-        panic("Dense ", name_, ": backward before zeroGrads()");
     const int batch = grad_out.dim(0);
-    // dW += x^T g, split by row tiles of dW ; db += sum_rows g.
+    // dW = x^T g, split by row tiles of dW (each part zeroes its own
+    // tile); db = sum_rows g, seeded at +0.0 and added in row order.
     gemmTransASplit(activeBackend(), gemmParts(in_, batch, out_),
-                    cachedInput_.data(), grad_out.data(), wGrad_.data(), in_,
-                    batch, out_, /*accumulate=*/true);
-    for (int i = 0; i < batch; ++i)
+                    cachedInput_.data(), grad_out.data(),
+                    wGrad_.sizedLike(w_), in_, batch, out_,
+                    /*accumulate=*/false);
+    float *const db = bGrad_.sizedLike(b_);
+    std::fill(db, db + out_, 0.0f);
+    for (int i = 0; i < batch; ++i) {
+        const float *row =
+            grad_out.data() + static_cast<std::size_t>(i) * out_;
         for (int j = 0; j < out_; ++j)
-            bGrad_[static_cast<std::size_t>(j)] += grad_out.at(i, j);
+            db[j] += row[j];
+    }
 }
 
 Tensor
@@ -183,8 +181,6 @@ Conv2d::backwardParams(const Tensor &grad_out)
 {
     if (cachedInput_.numel() == 0)
         panic("Conv2d ", name_, ": backward without cached forward");
-    if (wGrad_.numel() != w_.numel())
-        panic("Conv2d ", name_, ": backward before zeroGrads()");
     const Tensor &x = cachedInput_;
     const int batch = x.dim(0), h = x.dim(2), w = x.dim(3);
     const int patch = inCh_ * k_ * k_;
@@ -194,24 +190,29 @@ Conv2d::backwardParams(const Tensor &grad_out)
     const Backend &backend = activeBackend();
     const unsigned parts =
         gemmParts(outCh_, static_cast<int>(spatial), patch);
+    float *const dw = wGrad_.sizedLike(w_);
+    float *const db = bGrad_.sizedLike(b_);
     std::vector<float> cols;
     std::vector<std::vector<float>> scratch;
+    // The first image writes dW and db, later ones add to them. Each
+    // image's sums are dot products seeded at +0.0, which are never
+    // -0.0, so writing one gives the bits of adding it to +0.0.
     for (int n = 0; n < batch; ++n) {
         const float *g = grad_out.data() +
             static_cast<std::size_t>(n) * outCh_ * spatial;
-        // dW += g [outCh, spatial] * cols^T [spatial, patch], split by
-        // column panels of dW.
+        // dW (+)= g [outCh, spatial] * cols^T [spatial, patch], split
+        // by column panels of dW.
         im2col(x, n, cols, h, w);
-        gemmTransBSplit(backend, parts, g, cols.data(), wGrad_.data(),
-                        outCh_, static_cast<int>(spatial), patch,
-                        /*accumulate=*/true, scratch);
-        // db += row sums of g.
+        gemmTransBSplit(backend, parts, g, cols.data(), dw, outCh_,
+                        static_cast<int>(spatial), patch,
+                        /*accumulate=*/n > 0, scratch);
+        // db (+)= row sums of g.
         for (int oc = 0; oc < outCh_; ++oc) {
             const float *chan = g + static_cast<std::size_t>(oc) * spatial;
             float acc = 0.0f;
             for (std::size_t i = 0; i < spatial; ++i)
                 acc += chan[i];
-            bGrad_[static_cast<std::size_t>(oc)] += acc;
+            db[oc] = n > 0 ? db[oc] + acc : acc;
         }
     }
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hpp"
-#include "dnn/split.hpp"
 
 namespace vboost::dnn {
 
@@ -67,15 +66,8 @@ Network::weightParams()
 void
 Network::zeroGrads()
 {
-    // One split region over every gradient (a no-op split outside
-    // training, DESIGN.md §12). A clone's gradients start empty.
-    std::vector<Tensor *> grads;
-    for (auto &p : params()) {
-        if (p.grad->shape() != p.value->shape())
-            *p.grad = Tensor::zeros(p.value->shape());
-        grads.push_back(p.grad);
-    }
-    zeroSplit(grads);
+    for (auto &p : params())
+        *p.grad = Tensor::zeros(p.value->shape());
 }
 
 std::vector<int>

@@ -43,7 +43,7 @@ class Network
 
     /**
      * Backward pass for a caller that never reads dL/d(input), such
-     * as training: the first layer with parameters accumulates its
+     * as training: the first layer with parameters writes its
      * parameter gradients only, and the layers before it are skipped.
      * Parameter gradients are bit-identical to backward()'s.
      */
@@ -56,8 +56,9 @@ class Network
      *  in layer order: index k is "weight layer k". */
     std::vector<ParamRef> weightParams();
 
-    /** Zero every parameter gradient, sizing the empty ones a clone
-     *  starts with. Call it before the first backward pass. */
+    /** Set every parameter gradient to zeros of its value's shape.
+     *  A backward pass needs no zeroing: it writes its gradients and
+     *  sizes the empty buffers a clone starts with. */
     void zeroGrads();
 
     /** Predicted class (argmax over logits) per batch row. */
@@ -79,7 +80,7 @@ class Network
 
     /**
      * Structurally identical deep copy (layers, parameters, caches;
-     * the gradient buffers start empty, see zeroGrads()).
+     * the gradient buffers start empty, see GradTensor).
      * The Monte-Carlo engine clones one scratch network per worker
      * thread so corrupted evaluations never share mutable state.
      */

@@ -1,7 +1,6 @@
 #include "dnn/split.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/thread_pool.hpp"
 
@@ -158,34 +157,6 @@ gemmTransBSplit(const Backend &backend, unsigned parts, const float *a,
                         a, b + j0 * static_cast<std::size_t>(k), c + j0, m,
                         k, static_cast<int>(j1 - j0), n, accumulate,
                         scratch[p]);
-                });
-}
-
-void
-zeroSplit(const std::vector<Tensor *> &tensors)
-{
-    std::size_t total = 0;
-    for (const Tensor *t : tensors)
-        total += t->numel();
-    // A part zeroes at least 64K floats (256 KiB): below that the pool
-    // round trip costs more than the memset it saves.
-    const unsigned parts = splitParts(total, std::size_t{1} << 16);
-    // Part p zeroes only its element range of the concatenation.
-    parallelFor(parts, static_cast<int>(parts),
-                [&tensors, parts, total](std::size_t p, unsigned) {
-                    const auto [begin, end] =
-                        partRange(total, parts, static_cast<unsigned>(p));
-                    std::size_t base = 0;
-                    for (Tensor *t : tensors) {
-                        const std::size_t lo =
-                            std::clamp(begin, base, base + t->numel());
-                        const std::size_t hi =
-                            std::clamp(end, base, base + t->numel());
-                        if (lo < hi)
-                            std::memset(t->data() + (lo - base), 0,
-                                        sizeof(float) * (hi - lo));
-                        base += t->numel();
-                    }
                 });
 }
 

@@ -3,11 +3,10 @@
  * Split training (DESIGN.md §12): one SGD batch's ops run on several
  * cores by splitting each op's OUTPUT into disjoint contiguous parts —
  * column panels of a forward GEMM's C (with its bias), row tiles of
- * dW, column panels of dX, element ranges of a ReLU, gradient
- * zero-fill, quantization or update, packed-word ranges of a
- * fault-map pack, group ranges of a fault walk. Every output cell is still computed by
- * exactly one participant with its own ascending-k chain, so results
- * are bitwise independent of the participant count.
+ * dW, column panels of dX, element ranges of a ReLU, quantization or
+ * update, packed-word ranges of a fault-map pack. Every output cell is
+ * still computed by exactly one participant with its own ascending-k
+ * chain, so results are bitwise independent of the participant count.
  *
  * dnn::runSgd installs a SplitScope with TrainConfig::numThreads for
  * the length of a run; the ops it calls on that thread read the count
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "dnn/backend/backend.hpp"
-#include "dnn/tensor.hpp"
 
 namespace vboost::dnn {
 
@@ -92,10 +90,6 @@ void gemmTransBSplit(const Backend &backend, unsigned parts, const float *a,
                      const float *b, float *c, int m, int k, int n,
                      bool accumulate,
                      std::vector<std::vector<float>> &scratch);
-
-/** Set every element of `tensors` to +0.0, split by element ranges of
- *  their concatenation. */
-void zeroSplit(const std::vector<Tensor *> &tensors);
 
 } // namespace vboost::dnn
 

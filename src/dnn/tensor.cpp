@@ -128,17 +128,27 @@ maxAbs(const float *x, std::size_t n)
 {
     // max is exact and NaN elements are ignored (std::max keeps m), so
     // any lane or range split gives the serial fold's result:
-    // MAXPS(|v|, m) returns its second operand when |v| is NaN.
+    // MAXPS(|v|, m) returns its second operand when |v| is NaN. Four
+    // independent accumulators keep the fold off MAXPS's latency.
     float m = 0.0f;
     std::size_t i = 0;
 #if defined(__SSE2__)
     const __m128 abs_mask =
         _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-    __m128 m4 = _mm_setzero_ps();
+    const auto fold = [abs_mask, x](std::size_t at, __m128 acc) {
+        return _mm_max_ps(_mm_and_ps(_mm_loadu_ps(x + at), abs_mask), acc);
+    };
+    __m128 m0 = _mm_setzero_ps(), m1 = m0, m2 = m0, m3 = m0;
+    for (; i + 16 <= n; i += 16) {
+        m0 = fold(i, m0);
+        m1 = fold(i + 4, m1);
+        m2 = fold(i + 8, m2);
+        m3 = fold(i + 12, m3);
+    }
     for (; i + 4 <= n; i += 4)
-        m4 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(x + i), abs_mask), m4);
+        m0 = fold(i, m0);
     alignas(16) float lanes[4];
-    _mm_store_ps(lanes, m4);
+    _mm_store_ps(lanes, _mm_max_ps(_mm_max_ps(m0, m1), _mm_max_ps(m2, m3)));
     for (float v : lanes)
         m = std::max(m, v);
 #endif

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <numeric>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "dnn/split.hpp"
@@ -48,6 +52,52 @@ updateSpans(const std::vector<ParamRef> &targets,
 
 } // namespace
 
+void
+momentumUpdate(float *value, float *velocity, const float *grad,
+               std::size_t n, double momentum, double lr, float grad_clip,
+               float weight_clip)
+{
+    std::size_t e = 0;
+#if defined(__SSE2__)
+    // MAXPS and MINPS return their second operand when either is NaN,
+    // so min(hi, max(lo, x)) is std::clamp(x, lo, hi) for every x.
+    const auto clamp = [](__m128 x, float limit) {
+        return _mm_min_ps(_mm_set1_ps(limit),
+                          _mm_max_ps(_mm_set1_ps(-limit), x));
+    };
+    const __m128d mom = _mm_set1_pd(momentum);
+    const __m128d rate = _mm_set1_pd(lr);
+    // float(momentum * v - lr * g) for two lanes, in double.
+    const auto step = [mom, rate](__m128 v, __m128 g) {
+        return _mm_cvtpd_ps(
+            _mm_sub_pd(_mm_mul_pd(mom, _mm_cvtps_pd(v)),
+                       _mm_mul_pd(rate, _mm_cvtps_pd(g))));
+    };
+    for (; e + 4 <= n; e += 4) {
+        __m128 g = _mm_loadu_ps(grad + e);
+        if (grad_clip > 0.0f)
+            g = clamp(g, grad_clip);
+        const __m128 v = _mm_loadu_ps(velocity + e);
+        const __m128 nv = _mm_movelh_ps(
+            step(v, g), step(_mm_movehl_ps(v, v), _mm_movehl_ps(g, g)));
+        _mm_storeu_ps(velocity + e, nv);
+        __m128 w = _mm_add_ps(_mm_loadu_ps(value + e), nv);
+        if (weight_clip > 0.0f)
+            w = clamp(w, weight_clip);
+        _mm_storeu_ps(value + e, w);
+    }
+#endif
+    for (; e < n; ++e) {
+        float ge = grad[e];
+        if (grad_clip > 0.0f)
+            ge = std::clamp(ge, -grad_clip, grad_clip);
+        velocity[e] = static_cast<float>(momentum * velocity[e] - lr * ge);
+        value[e] += velocity[e];
+        if (weight_clip > 0.0f)
+            value[e] = std::clamp(value[e], -weight_clip, weight_clip);
+    }
+}
+
 std::vector<ParamRef>
 NetworkStep::targets()
 {
@@ -63,7 +113,6 @@ NetworkStep::targets()
 Tensor
 NetworkStep::forward(const Tensor &images)
 {
-    scratch_.zeroGrads();
     return scratch_.forward(images, /*train=*/true);
 }
 
@@ -135,8 +184,6 @@ runSgd(const TrainConfig &cfg, BatchStep &step, const Dataset &train_set,
 
             // The clamps bound fault-induced gradient outliers and keep
             // weights inside the deployment Q-format range. The update
-            // is double arithmetic cast to float, in this exact order:
-            // trained weights are part of the bitwise contract. It
             // splits by element ranges of the targets' concatenation.
             const std::vector<UpdateSpan> spans =
                 updateSpans(targets, velocity);
@@ -160,17 +207,9 @@ runSgd(const TrainConfig &cfg, BatchStep &step, const Dataset &train_set,
                         const std::size_t hi =
                             std::clamp(end, base, base + s.size) - base;
                         base += s.size;
-                        for (std::size_t e = lo; e < hi; ++e) {
-                            float ge = s.grad[e];
-                            if (gclip > 0.0f)
-                                ge = std::clamp(ge, -gclip, gclip);
-                            s.velocity[e] = static_cast<float>(
-                                momentum * s.velocity[e] - lr * ge);
-                            s.value[e] += s.velocity[e];
-                            if (wclip > 0.0f)
-                                s.value[e] =
-                                    std::clamp(s.value[e], -wclip, wclip);
-                        }
+                        momentumUpdate(s.value + lo, s.velocity + lo,
+                                       s.grad + lo, hi - lo, momentum, lr,
+                                       gclip, wclip);
                     }
                 });
         }

@@ -13,6 +13,7 @@
 #ifndef VBOOST_DNN_TRAINER_HPP
 #define VBOOST_DNN_TRAINER_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,10 +67,10 @@ class BatchStep
      *  The default does nothing. */
     virtual void beforeBatch(int /*epoch*/, std::uint64_t /*batch*/) {}
 
-    /** Zero the gradients and run the training forward pass. */
+    /** Run the training forward pass. */
     virtual Tensor forward(const Tensor &images) = 0;
 
-    /** Backpropagate dL/d(logits) into the targets' gradients. */
+    /** Backpropagate dL/d(logits), writing the targets' gradients. */
     virtual void backward(const Tensor &grad) = 0;
 };
 
@@ -100,8 +101,8 @@ class NetworkStep : public BatchStep
  * batch the step's hook, forward, softmax cross-entropy,
  * backward and a momentum update of the step's targets; the learning
  * rate decays after each epoch. The run holds a dnn::SplitScope of
- * cfg.numThreads participants, so the step's layer ops, gradient
- * zeroing, fault-map packs and the update split by output.
+ * cfg.numThreads participants, so the step's layer ops, fault-map
+ * packs and the update split by output.
  *
  * @param cfg validated SGD configuration.
  * @param step the per-batch step.
@@ -116,6 +117,21 @@ std::vector<EpochStats> runSgd(const TrainConfig &cfg, BatchStep &step,
                                const Dataset &train_set, Rng &rng,
                                double grad_clip = 0.0,
                                double weight_clip = 0.0);
+
+/**
+ * runSgd()'s update of n elements, per element in this exact order
+ * (trained weights are part of the bitwise contract):
+ *
+ *     g = clamp(grad, -grad_clip, grad_clip)            if grad_clip > 0
+ *     velocity = float(momentum * velocity - lr * g)    in double
+ *     value = value + velocity                          in float
+ *     value = clamp(value, -weight_clip, weight_clip)   if weight_clip > 0
+ *
+ * Four elements at a time on SSE2, with the same double operations.
+ */
+void momentumUpdate(float *value, float *velocity, const float *grad,
+                    std::size_t n, double momentum, double lr,
+                    float grad_clip, float weight_clip);
 
 /** Minibatch SGD with classical momentum. */
 class SgdTrainer

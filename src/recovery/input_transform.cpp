@@ -214,8 +214,6 @@ class TransformStep : public dnn::BatchStep
     dnn::Tensor
     forward(const dnn::Tensor &images) override
     {
-        tf_.zeroGrads();
-        scratch_.zeroGrads();
         return scratch_.forward(tf_.apply(images, /*train=*/true),
                                 /*train=*/true);
     }

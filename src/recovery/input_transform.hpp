@@ -62,8 +62,8 @@ class InputTransform
     dnn::Tensor apply(const dnn::Tensor &x, bool train = false);
 
     /**
-     * Backward through the last apply(train=true): accumulates
-     * gradients on the transform parameters and returns dL/dx.
+     * Backward through the last apply(train=true): writes the
+     * transform parameters' gradients and returns dL/dx.
      *
      * @param grad_out dL/dy from the base network's input gradient.
      */
@@ -72,9 +72,6 @@ class InputTransform
     /** The transform parameters' network (for SGD updates, cloning,
      *  serialization). */
     dnn::Network &network() { return net_; }
-
-    /** Zero the transform parameter gradients. */
-    void zeroGrads() { net_.zeroGrads(); }
 
     /** Extra multiply-accumulates per transformed sample
      *  (2 * inputDim * hiddenDim for the two dense layers). */

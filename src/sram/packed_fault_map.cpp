@@ -41,6 +41,10 @@ PackedFaultMap::PackedFaultMap(const VulnerabilityMap &map,
         fatal("PackedFaultMap: empty region");
     words_.assign((num_bits + 63) / 64, 0);
     pack(map, region_base, region_bits, start_bit, fail_prob, parts);
+    summary_.assign((words_.size() + 63) / 64, 0);
+    for (std::size_t w = 0; w < words_.size(); ++w)
+        summary_[w >> 6] |= static_cast<std::uint64_t>(words_[w] != 0)
+                            << (w & 63);
 }
 
 PackedFaultMap::PackedFaultMap(const VulnerabilityMap &map,

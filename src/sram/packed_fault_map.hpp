@@ -24,12 +24,18 @@
  * that start anywhere in the region read it with maskWrapped(). A
  * walk packed from any start is itself a region image read from
  * position 0: bit j mod region_bits repeats visit j's cell.
+ *
+ * Packing also keeps a summary with one bit per nonzero packed word
+ * (1/64 of the packed bits), so forEachFaulty() reaches the faulty
+ * visits of a range at a cost that follows its faulty words, not its
+ * length.
  */
 
 #ifndef VBOOST_SRAM_PACKED_FAULT_MAP_HPP
 #define VBOOST_SRAM_PACKED_FAULT_MAP_HPP
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -113,6 +119,46 @@ class PackedFaultMap
     /** Packed words; bit b of word w is visit 64*w + b. */
     const std::vector<std::uint64_t> &words() const { return words_; }
 
+    /** Bit b of element s is set when packed word 64*s + b is nonzero. */
+    const std::vector<std::uint64_t> &summary() const { return summary_; }
+
+    /**
+     * Call f(j) for every faulty visit j in [lo, hi), in ascending
+     * order (visits at or past numBits() are clear). Only the summary
+     * and the packed words it marks are read.
+     */
+    template <class F>
+    void
+    forEachFaulty(std::uint64_t lo, std::uint64_t hi, F &&f) const
+    {
+        hi = std::min(hi, numBits_);
+        if (lo >= hi)
+            return;
+        const std::uint64_t first = lo >> 6;
+        const std::uint64_t last = (hi - 1) >> 6;
+        for (std::uint64_t s = first >> 6; s <= last >> 6; ++s) {
+            std::uint64_t live = summary_[s];
+            if (s == first >> 6)
+                live &= ~0ull << (first & 63);
+            if (s == last >> 6)
+                live &= ~0ull >> (63 - (last & 63));
+            while (live != 0) {
+                const std::uint64_t w =
+                    64 * s + static_cast<unsigned>(std::countr_zero(live));
+                live &= live - 1;
+                std::uint64_t bits = words_[w];
+                if (w == first)
+                    bits &= ~0ull << (lo & 63);
+                if (w == last)
+                    bits &= ~0ull >> (63 - ((hi - 1) & 63));
+                while (bits != 0) {
+                    f(64 * w + static_cast<unsigned>(std::countr_zero(bits)));
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+
     /** True when packing ran on the AVX2 hash path (diagnostics; the
      *  packed bits are bitwise-identical either way). */
     static bool simdPackingActive();
@@ -142,6 +188,7 @@ class PackedFaultMap
     std::uint64_t numBits_ = 0;
     std::uint64_t regionBits_ = 0;
     std::vector<std::uint64_t> words_;
+    std::vector<std::uint64_t> summary_;
 };
 
 /**

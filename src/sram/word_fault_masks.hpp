@@ -40,11 +40,9 @@ struct WordMask
  * 0. The accepted bits form the returned flip mask, built without
  * branching on the draws (flip |= accept << bit), and are counted into
  * `flipped` as a running sum (generic x86-64 has no popcount
- * instruction). Every fault kernel but the reference backend's oracle
- * loop draws here — the vectorized region walk, and through
- * flipMasked() bank, ECC and resilient reads — so a set mask bit is
- * exactly one `isFaulty(cell) && rng.bernoulli(p)` step of a per-cell
- * loop.
+ * instruction). Bank, ECC and resilient reads draw here through
+ * flipMasked(), so a set mask bit is exactly one
+ * `isFaulty(cell) && rng.bernoulli(p)` step of a per-cell loop.
  */
 inline std::uint64_t
 drawFlips(std::uint64_t faults, double flip_prob, Rng &rng,

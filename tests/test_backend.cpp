@@ -243,8 +243,6 @@ TEST(BackwardParams, GradientsMatchFullBackward)
     Tensor x = Tensor::randn({6, 2, 8, 8}, init, 1.0);
     for (Network *n : {&net, &fc}) {
         Network other = n->clone();
-        n->zeroGrads();
-        other.zeroGrads();
         const Tensor logits = n->forward(x, /*train=*/true);
         other.forward(x, /*train=*/true);
         Tensor grad = Tensor::randn(logits.shape(), init, 1.0);
@@ -650,6 +648,48 @@ TEST(PackedFaultMapEdgeCases, MatchesPerCellQueries)
                     << "visit " << j;
                 pos = (pos + 64) % tc.region;
             }
+        }
+    }
+}
+
+TEST(PackedFaultMap, SummaryMarksNonzeroWords)
+{
+    // Sparse rates, so zero and nonzero words mix: the wrapped walk
+    // from mid-region, a periodic walk longer than its region (copied
+    // revisits), and a linear run (a bank's word masks).
+    const sram::VulnerabilityMap map(29, 3);
+    const sram::PackedFaultMap wrapped(map, 64, 100003, 777, 100003, 0.002);
+    const sram::PackedFaultMap periodic(map, 64, 5000, 4990, 23000, 0.004);
+    const sram::PackedFaultMap linear(map, 1000, 70001, 0.002);
+    for (const sram::PackedFaultMap *pm : {&wrapped, &periodic, &linear}) {
+        const sram::PackedFaultMap &packed = *pm;
+        const auto &words = packed.words();
+        const auto &summary = packed.summary();
+        ASSERT_EQ(summary.size(), (words.size() + 63) / 64);
+        std::size_t zero_words = 0;
+        for (std::size_t w = 0; w < 64 * summary.size(); ++w) {
+            const bool marked = (summary[w >> 6] >> (w & 63)) & 1u;
+            const bool nonzero = w < words.size() && words[w] != 0;
+            EXPECT_EQ(marked, nonzero) << "word " << w;
+            zero_words += w < words.size() && words[w] == 0;
+        }
+        EXPECT_GT(zero_words, 0u);
+        EXPECT_LT(zero_words, words.size());
+        // forEachFaulty() lists exactly the set test() bits of a range,
+        // ascending, for ranges that start and end inside words, cover
+        // everything, or run past numBits().
+        const std::uint64_t n = packed.numBits();
+        const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+            {0, n}, {5, n - 3}, {64, 128}, {4095, 4097 + 64 * 70},
+            {n - 1, n + 100}, {n / 2, n / 2}, {n + 5, n + 9}};
+        for (const auto &[lo, hi] : ranges) {
+            std::vector<std::uint64_t> want, got;
+            for (std::uint64_t j = lo; j < std::min(hi, n); ++j)
+                if (packed.test(j))
+                    want.push_back(j);
+            packed.forEachFaulty(
+                lo, hi, [&got](std::uint64_t j) { got.push_back(j); });
+            EXPECT_EQ(got, want) << "range [" << lo << ", " << hi << ")";
         }
     }
 }

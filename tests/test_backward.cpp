@@ -158,7 +158,6 @@ TEST(BackwardGolden, DenseAndConvGradients)
         fc.forward(x, /*train=*/true);
         Tensor g({13, 19});
         fillSparse(g, rng);
-        fc.zeroGrads();
         const Tensor dx = fc.backward(g);
         const auto p = fc.params();
         EXPECT_EQ(digest(*p[0].grad), 0x7598e42daca886ull) << "dense dW";
@@ -172,7 +171,6 @@ TEST(BackwardGolden, DenseAndConvGradients)
         conv.forward(x, /*train=*/true);
         Tensor g({2, 5, 7, 9});
         fillSparse(g, rng);
-        conv.zeroGrads();
         const Tensor dx = conv.backward(g);
         const auto p = conv.params();
         EXPECT_EQ(digest(*p[0].grad), 0xa1f6380a5ee9c7faull) << "conv dW";

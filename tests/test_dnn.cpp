@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "dnn/dataset.hpp"
@@ -86,20 +88,43 @@ TEST(Network, CopyParamsRequiresMatchingStructure)
     EXPECT_THROW(c.copyParamsFrom(a), FatalError);
 }
 
-TEST(Network, CloneStartsWithoutGradients)
+/** Every parameter gradient of `a` equals `b`'s, shape and bits. */
+void
+expectSameGradients(Network &a, Network &b)
 {
-    // A clone serves inference: it copies the parameters but not the
-    // gradient buffers. zeroGrads() sizes them, and a backward pass
-    // before that panics instead of writing through an empty buffer.
-    Rng rng(5);
+    const auto pa = a.params();
+    const auto pb = b.params();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        ASSERT_EQ(pa[i].grad->shape(), pb[i].grad->shape()) << pa[i].name;
+        EXPECT_EQ(std::memcmp(pa[i].grad->data(), pb[i].grad->data(),
+                              pa[i].grad->numel() * sizeof(float)),
+                  0)
+            << pa[i].name;
+    }
+}
+
+/** Conv2d + ReLU + Flatten + Dense over [2, 1, 4, 4] images. */
+Network
+convDenseNet(Rng &rng)
+{
     Network net;
     net.addLayer<Conv2d>(1, 2, 3, 1, rng, "conv");
     net.addLayer<Relu>("relu");
     net.addLayer<Flatten>("flat");
     net.addLayer<Dense>(2 * 4 * 4, 3, rng, "fc");
+    return net;
+}
+
+TEST(Network, CloneStartsWithoutGradients)
+{
+    // A clone serves inference: it copies the parameters but not the
+    // gradient buffers. Its first backward pass sizes them and writes
+    // the original's gradients bit for bit.
+    Rng rng(5);
+    Network net = convDenseNet(rng);
     const Tensor x = Tensor::randn({2, 1, 4, 4}, rng, 1.0);
     const Tensor g = Tensor::randn({2, 3}, rng, 1.0);
-    net.zeroGrads();
     net.forward(x, /*train=*/true);
     net.backward(g);
 
@@ -116,21 +141,43 @@ TEST(Network, CloneStartsWithoutGradients)
             << got[i].name;
     }
     copy.forward(x, /*train=*/true);
-    EXPECT_THROW(copy.backward(g), PanicError);
+    copy.backward(g);
+    expectSameGradients(copy, net);
+
+    // A cloned layer's backward sizes its own buffers too.
     const auto conv = net.layer(0).clone();
     conv->forward(x, /*train=*/true);
-    EXPECT_THROW(conv->backward(Tensor({2, 2, 4, 4})), PanicError);
+    conv->backward(Tensor({2, 2, 4, 4}));
+    for (const auto &p : conv->params())
+        EXPECT_EQ(p.grad->shape(), p.value->shape()) << p.name;
+}
 
-    copy.zeroGrads();
-    net.zeroGrads();
-    copy.backward(g);
-    net.backward(g);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].grad->shape(), want[i].grad->shape());
-        EXPECT_EQ(std::memcmp(got[i].grad->data(), want[i].grad->data(),
-                              want[i].grad->numel() * sizeof(float)),
-                  0)
-            << got[i].name;
+TEST(Network, BackwardWritesItsGradients)
+{
+    // Two passes with no zeroing in between: the second pass's
+    // gradients are its own, bit for bit a fresh clone's single pass,
+    // through backward() and through training's backwardParams().
+    for (bool params_only : {false, true}) {
+        Rng rng(8);
+        Network net = convDenseNet(rng);
+        const Tensor x1 = Tensor::randn({2, 1, 4, 4}, rng, 1.0);
+        const Tensor g1 = Tensor::randn({2, 3}, rng, 1.0);
+        const Tensor x2 = Tensor::randn({2, 1, 4, 4}, rng, 1.0);
+        const Tensor g2 = Tensor::randn({2, 3}, rng, 1.0);
+        const auto pass = [params_only](Network &n, const Tensor &x,
+                                        const Tensor &g) {
+            n.forward(x, /*train=*/true);
+            if (params_only)
+                n.backwardParams(g);
+            else
+                n.backward(g);
+        };
+        pass(net, x1, g1);
+        pass(net, x2, g2);
+        Network fresh = net.clone();
+        pass(fresh, x2, g2);
+        SCOPED_TRACE(params_only ? "backwardParams" : "backward");
+        expectSameGradients(net, fresh);
     }
 }
 
@@ -172,6 +219,67 @@ TEST(Trainer, LearnsLinearlySeparableProblem)
     // Loss decreases overall.
     EXPECT_LT(stats.back().meanLoss, stats.front().meanLoss);
     EXPECT_GT(SgdTrainer::evaluate(net, ds, 0), 0.95);
+}
+
+TEST(Trainer, MomentumUpdateMatchesScalarLoop)
+{
+    // momentumUpdate runs four lanes at a time; values and velocities
+    // must equal the scalar double-then-float loop bit for bit, over
+    // tails of 1-3 elements, NaN and +/-inf gradients or velocities,
+    // and each clamp on or off.
+    const auto scalar = [](float *value, float *velocity, const float *grad,
+                           std::size_t n, double momentum, double lr,
+                           float gclip, float wclip) {
+        for (std::size_t e = 0; e < n; ++e) {
+            float ge = grad[e];
+            if (gclip > 0.0f)
+                ge = std::clamp(ge, -gclip, gclip);
+            velocity[e] =
+                static_cast<float>(momentum * velocity[e] - lr * ge);
+            value[e] += velocity[e];
+            if (wclip > 0.0f)
+                value[e] = std::clamp(value[e], -wclip, wclip);
+        }
+    };
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {nan, -nan, inf, -inf, 0.0f, -0.0f, 1e30f};
+    Rng rng(13);
+    for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 65, 66, 67, 1000}) {
+        for (float gclip : {0.0f, 0.05f}) {
+            for (float wclip : {0.0f, 0.3f}) {
+                for (bool special_velocity : {false, true}) {
+                    std::vector<float> value(n), velocity(n), grad(n);
+                    for (std::size_t e = 0; e < n; ++e) {
+                        value[e] = static_cast<float>(rng.normal(0.0, 0.3));
+                        velocity[e] =
+                            static_cast<float>(rng.normal(0.0, 0.05));
+                        grad[e] = static_cast<float>(rng.normal(0.0, 1.0));
+                        if (rng.uniformInt(3) == 0) {
+                            float &x =
+                                special_velocity ? velocity[e] : grad[e];
+                            x = specials[rng.uniformInt(7)];
+                        }
+                    }
+                    std::vector<float> value1 = value, velocity1 = velocity;
+                    scalar(value.data(), velocity.data(), grad.data(), n,
+                           0.9, 0.05, gclip, wclip);
+                    momentumUpdate(value1.data(), velocity1.data(),
+                                   grad.data(), n, 0.9, 0.05, gclip, wclip);
+                    EXPECT_EQ(std::memcmp(value.data(), value1.data(),
+                                          n * sizeof(float)),
+                              0)
+                        << "n=" << n << " gclip=" << gclip
+                        << " wclip=" << wclip;
+                    EXPECT_EQ(std::memcmp(velocity.data(), velocity1.data(),
+                                          n * sizeof(float)),
+                              0)
+                        << "n=" << n << " gclip=" << gclip
+                        << " wclip=" << wclip;
+                }
+            }
+        }
+    }
 }
 
 TEST(Trainer, ValidatesConfiguration)
@@ -403,6 +511,47 @@ TEST(Quantize, VectorizedDecodeMatchesCodec)
                       std::bit_cast<std::uint32_t>(codec.decode(words[i])))
                 << "raw=" << words[i] << " fracBits=" << frac;
     }
+}
+
+TEST(Quantize, MaxAbsMatchesSerialFold)
+{
+    // maxAbs folds sixteen floats at a time into four accumulators; it
+    // must return the serial std::max fold's bits at every length and
+    // tail, ignore a NaN in any lane position, and take +/-0.0 and
+    // +/-inf like the fold.
+    const auto serial = [](const float *x, std::size_t n) {
+        float m = 0.0f;
+        for (std::size_t i = 0; i < n; ++i)
+            m = std::max(m, std::fabs(x[i]));
+        return m;
+    };
+    const auto same = [&](const std::vector<float> &v, std::size_t n) {
+        return std::bit_cast<std::uint32_t>(maxAbs(v.data(), n)) ==
+               std::bit_cast<std::uint32_t>(serial(v.data(), n));
+    };
+    Rng rng(12);
+    std::vector<float> v(340003);
+    for (auto &x : v)
+        x = static_cast<float>(rng.normal(0.0, 1.0));
+    for (std::size_t n = 0; n <= 67; ++n)
+        EXPECT_TRUE(same(v, n)) << "n=" << n;
+    for (std::size_t n : {std::size_t{340000}, std::size_t{340003}})
+        EXPECT_TRUE(same(v, n)) << "n=" << n;
+
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::size_t n = 67;
+    for (std::size_t pos = 0; pos < n; ++pos) {
+        for (float special : {nan, -nan, -1000.0f, inf, -inf}) {
+            std::vector<float> w(v.begin(), v.begin() + n);
+            w[pos] = special;
+            EXPECT_TRUE(same(w, n)) << "pos=" << pos << " x=" << special;
+        }
+    }
+    for (const std::vector<float> &w :
+         {std::vector<float>(40, 0.0f), std::vector<float>(40, -0.0f),
+          std::vector<float>(40, nan), std::vector<float>(40, -inf)})
+        EXPECT_TRUE(same(w, w.size())) << "x=" << w[0];
 }
 
 TEST(Quantize, ClipParametersBoundsEveryValue)

@@ -47,7 +47,6 @@ checkGradients(Layer &layer, const Tensor &input, double tol = 2e-2)
     loss_of(layer, x, coeffs);
 
     // Backprop gradients.
-    layer.zeroGrads();
     Tensor out = layer.forward(x, true);
     Tensor grad_out(out.shape());
     for (std::size_t i = 0; i < out.numel(); ++i)

@@ -1,12 +1,11 @@
 /**
  * @file
  * Split training (DESIGN.md §12, "Split training"): every op a training
- * batch splits by output — the three GEMMs, the ReLU, gradient zeroing,
- * quantization, the region-image fault walk and the fault-map pack —
- * computes the bits of the serial op at any participant count, and
- * every trainer on dnn::runSgd produces the same digests at 1, 2, 3
- * and 8 threads. The vectorized fault walks leave the generator where
- * the reference loop does.
+ * batch splits by output — the three GEMMs, the ReLU, quantization and
+ * the fault-map pack — computes the bits of the serial op at any
+ * participant count, and every trainer on dnn::runSgd produces the
+ * same digests at 1, 2, 3 and 8 threads. The vectorized fault walks
+ * leave the generator where the reference loop does.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +14,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -214,7 +214,7 @@ TEST(SplitScope, PartsFollowTheInnermostScopeAndTheWorkFloor)
     }
 }
 
-TEST(SplitOps, ReluZeroAndQuantizeMatchSerial)
+TEST(SplitOps, ReluAndQuantizeMatchSerial)
 {
     // Large enough that a 4-participant scope really splits.
     const std::size_t n = std::size_t{1} << 18;
@@ -232,11 +232,8 @@ TEST(SplitOps, ReluZeroAndQuantizeMatchSerial)
         const Tensor y = relu.forward(x, /*train=*/true);
         const Tensor dx = relu.backward(g);
         const QuantizedTensor q = quantize(y);
-        Tensor z = y;
-        zeroSplit({&z});
         std::vector<float> out(y.data(), y.data() + n);
         out.insert(out.end(), dx.data(), dx.data() + n);
-        out.insert(out.end(), z.data(), z.data() + n);
         for (std::int16_t w : q.words)
             out.push_back(static_cast<float>(w));
         out.push_back(q.codec.resolution());
@@ -283,36 +280,43 @@ TEST(FaultWalkRngPosition, RegionImageAndWindowMatchReference)
     const Backend &ref = referenceBackend();
     const FixedPointCodec codec(12);
     const sram::VulnerabilityMap map(23, 4);
-    // Large enough for a 4-participant split walk; the region is
-    // smaller than the window, so every walk wraps (twice for the
-    // mid-region start).
-    const std::size_t nwords =
-        testenv::tsanScaled<std::size_t>(150001, 70001);
-    const std::uint64_t region = 1000003;
     Rng fill(45);
-    std::vector<std::int16_t> words(nwords);
+    std::vector<std::int16_t> words(
+        testenv::tsanScaled<std::size_t>(150001, 70001));
     for (auto &w : words)
         w = static_cast<std::int16_t>(fill.uniformInt(65536) - 32768);
-    for (double fail : {0.24, 0.5, 1.0}) {
+
+    // Walks the first `nwords` words over `image` from `start` with both
+    // backends: the same flips, words, decodes and generator position.
+    const auto check = [&](const sram::PackedFaultMap &image,
+                           std::uint64_t start, std::size_t nwords,
+                           const std::string &label) {
+        std::vector<std::int16_t> w0(words.begin(), words.begin() + nwords);
+        std::vector<std::int16_t> w1 = w0;
+        std::vector<float> o0(nwords), o1(nwords);
+        Rng r0(46), r1(46);
+        const auto f0 = ref.applyRegionImageDequant(w0, codec, o0.data(),
+                                                    image, start, 0.5, r0);
+        const auto f1 = vec->applyRegionImageDequant(w1, codec, o1.data(),
+                                                     image, start, 0.5, r1);
+        EXPECT_EQ(f0, f1) << label;
+        EXPECT_EQ(w0, w1) << label;
+        EXPECT_TRUE(bitsEqual(o0, o1)) << label;
+        EXPECT_EQ(r0.next(), r1.next()) << label;
+    };
+
+    // The region is smaller than the window, so every walk wraps
+    // (twice from the starts in the last packed word). 0.0049 is the
+    // sparse MATIC rate.
+    const std::uint64_t region = 1000003;
+    for (double fail : {0.0049, 0.24, 0.5, 1.0}) {
         const sram::PackedFaultMap image(map, 0, region, 0, region, fail);
-        for (std::uint64_t start : {std::uint64_t{0}, region - 40}) {
-            for (unsigned participants : {1u, 4u}) {
-                const SplitScope scope(participants);
-                std::vector<std::int16_t> w0 = words, w1 = words;
-                std::vector<float> o0(nwords), o1(nwords);
-                Rng r0(46), r1(46);
-                const auto f0 = ref.applyRegionImageDequant(
-                    w0, codec, o0.data(), image, start, 0.5, r0);
-                const auto f1 = vec->applyRegionImageDequant(
-                    w1, codec, o1.data(), image, start, 0.5, r1);
-                EXPECT_EQ(f0, f1) << "fail=" << fail << " start=" << start;
-                EXPECT_EQ(w0, w1) << "fail=" << fail << " start=" << start;
-                EXPECT_TRUE(bitsEqual(o0, o1));
-                EXPECT_EQ(r0.next(), r1.next())
-                    << "fail=" << fail << " start=" << start
-                    << " participants=" << participants;
-            }
-        }
+        for (std::uint64_t start : {std::uint64_t{0}, region - 40,
+                                    region - 1})
+            check(image, start, words.size(),
+                  "fail=" + std::to_string(fail) +
+                      " start=" + std::to_string(start));
+
         // The window kernel over the same cells.
         const std::size_t short_words = 4099;
         std::vector<std::int16_t> w0(words.begin(),
@@ -329,6 +333,26 @@ TEST(FaultWalkRngPosition, RegionImageAndWindowMatchReference)
         EXPECT_TRUE(bitsEqual(o0, o1));
         EXPECT_EQ(r0.next(), r1.next()) << "window fail=" << fail;
     }
+
+    // An image packed shorter than its region, walked up to 5 bits
+    // before its end.
+    const sram::PackedFaultMap short_image(map, 0, 50021, 0, 30011, 0.24);
+    check(short_image, 6, 1875, "short image");
+    // An all-clear image draws nothing.
+    const sram::PackedFaultMap clear(map, 0, region, 0, region, 0.0);
+    check(clear, 12345, 4099, "all clear");
+    // Regions under 64 cells, wrapped hundreds of times.
+    for (std::uint64_t small : {std::uint64_t{1}, std::uint64_t{37}}) {
+        const sram::PackedFaultMap tiny(map, 9, small, 0, small, 0.6);
+        for (std::uint64_t start : {std::uint64_t{0}, small - 1})
+            check(tiny, start, 1001,
+                  "region=" + std::to_string(small) +
+                      " start=" + std::to_string(start));
+    }
+    // A region of whole summary words, from inside its last packed word.
+    const sram::PackedFaultMap whole(map, 0, 8192, 0, 8192, 0.05);
+    for (std::uint64_t start : {std::uint64_t{8189}, std::uint64_t{8128}})
+        check(whole, start, 3001, "whole start=" + std::to_string(start));
 }
 
 // ------------------------------------------------- trainer invariance
@@ -355,8 +379,8 @@ mnistFc(std::uint64_t seed)
 
 TEST(SplitTraining, TrainersAreThreadCountInvariant)
 {
-    // The full MNIST FC, so the GEMMs, the update, the zeroing and the
-    // fault walks all split at more than one participant.
+    // The full MNIST FC, so the GEMMs, the update and the fault-map
+    // packs all split at more than one participant.
     const auto train = makeSyntheticMnist(
         testenv::tsanScaled<std::size_t>(320, 128), 48);
 
